@@ -19,14 +19,10 @@ shifted certificate stays feasible for the child without a new solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .instance import (ACTIVE, FALSIFIED, FREE, SATISFIED, NodeState,
-                       WatchedStack, assign, unassign_to)
-from .sdp import DualCert, Factor, ZCache, objective
+from .instance import ACTIVE, FREE, SATISFIED, NodeState
+from .sdp import DualCert
 
 
 class Decision(Enum):
@@ -35,45 +31,30 @@ class Decision(Enum):
     SOLVE = "solve"
 
 
-@dataclass
-class BoundPair:
-    primal: float
-    dual: float
-
-
 def ceil_bound(x: float, tol: float = 1e-6) -> int:
     """Integer ceiling with a guard against float noise at the boundary."""
     return math.ceil(x - tol)
 
 
-def decide(bounds: BoundPair, best_known: int, tol: float = 1e-6) -> Decision:
+def decide(primal: float, dual: float, best_known: int,
+           tol: float = 1e-6) -> Decision:
     """Prune if the dual ceiling meets the incumbent; expand while the primal
     shows the subtree cannot be pruned by its own solve; otherwise solve."""
-    if ceil_bound(bounds.dual, tol) >= best_known:
+    if ceil_bound(dual, tol) >= best_known:
         return Decision.PRUNE
-    if bounds.primal <= best_known:
+    if primal <= best_known:
         return Decision.EXPAND
     return Decision.SOLVE
 
 
-@dataclass
-class StepShift:
+def collect_shift(state: NodeState, var: int, value: int, moved):
     """Coefficient movement caused by one assignment (state already updated).
 
-    delta_entries hold the signed change of the truth-row coefficient c_{0i}
-    per still-free variable i; eta_entries the dropped-clause compensation;
-    d_diag / d_offset the change of the folded diagonal and of the constant
-    offset (base_unsat minus per-clause loss constants).
+    Returns (delta_entries, eta_entries, d_diag, d_offset): the signed change
+    of the truth-row coefficient c_{0i} per still-free variable i, the
+    dropped-clause compensation, and the change of the folded diagonal and
+    of the constant offset (base_unsat minus per-clause loss constants).
     """
-
-    delta_entries: list
-    eta_entries: list
-    d_diag: float
-    d_offset: float
-
-
-def collect_shift(state: NodeState, var: int, value: int, moved) -> StepShift:
-    """Derive the StepShift for an assignment from its transition list."""
     inst = state.instance
     assignment = state.assignment
     delta_entries: list[tuple[int, float]] = []
@@ -110,89 +91,15 @@ def collect_shift(state: NodeState, var: int, value: int, moved) -> StepShift:
             s0_old = state.s0[j] + 1
             d_diag -= (s0_old * s0_old + 1) * w
             d_offset += 1.0 + (L - 1) ** 2 * w
-    return StepShift(delta_entries, eta_entries, d_diag, d_offset)
-
-
-def delta_vector(state: NodeState, ws: WatchedStack, assignments):
-    """Accumulated (delta, eta) for a multi-variable child delta.
-
-    Assigns, collects, and rolls back; signed delta entries telescope across
-    the steps, and entries of variables assigned along the way drop out (their
-    columns leave the child's problem).
-    """
-    mark = state.mark()
-    delta: dict[int, float] = {}
-    eta: dict[int, float] = {}
-    for var, value in assignments:
-        moved = assign(state, ws, var, value)
-        shift = collect_shift(state, var, value, moved)
-        for v, d in shift.delta_entries:
-            delta[v] = delta.get(v, 0.0) + d
-        for v, e in shift.eta_entries:
-            eta[v] = eta.get(v, 0.0) + e
-        delta.pop(var, None)
-        eta.pop(var, None)
-    unassign_to(state, ws, mark)
-    return delta, eta
-
-
-def dual_init(parent_cert: DualCert, delta: dict, eta: dict,
-              child_state: NodeState) -> DualCert:
-    """Feasible child certificate: parent multipliers plus the xi shift.
-
-    Multipliers of newly assigned columns are masked to zero -- their rows
-    leave the child's cost matrix (principal submatrix), so dropping them
-    from the sum keeps feasibility and tightens the bound.  The constant
-    parts (folded diagonal and offset) are recomputed for the child's active
-    set; feasibility of the shifted multipliers needs no new solve.
-    """
-    lam = parent_cert.lam.copy()
-    assignment = child_state.assignment
-    for v in range(1, child_state.instance.num_vars + 1):
-        if assignment[v] != FREE:
-            lam[v] = 0.0
-    lam[0] += math.fsum(abs(d) for d in delta.values())
-    for v, d in delta.items():
-        lam[v] += abs(d)
-    for v, e in eta.items():
-        lam[v] += e
-    diag_terms = []
-    const_terms = []
-    inst = child_state.instance
-    for j, cl in enumerate(inst.clauses):
-        if child_state.clause_status[j] != ACTIVE:
-            continue
-        w = 1.0 / (4.0 * cl.length)
-        n_free = sum(1 for lit in cl.lits if assignment[abs(lit)] == FREE)
-        s0j = child_state.s0[j]
-        diag_terms.append((s0j * s0j + n_free) * w)
-        const_terms.append((cl.length - 1) ** 2 * w)
-    return DualCert(lam=lam,
-                    const_offset=child_state.base_unsat - math.fsum(const_terms),
-                    diag_sum=math.fsum(diag_terms))
-
-
-def primal_init(state: NodeState, ws: WatchedStack, factor: Factor,
-                zcache: ZCache, assignments):
-    """Assign a child delta on top of a solved parent and price it.
-
-    Free columns are inherited from the parent factor (the copy-down warm
-    start); cached z rows absorb the coefficient moves.  Returns the factor
-    view and the child objective, a valid upper bound on the child's
-    relaxation optimum.  Restore with unassign_to + ZCache.rebuild.
-    """
-    for var, value in assignments:
-        moved = assign(state, ws, var, value)
-        zcache.assign_update(state, factor, var, moved)
-    return factor, objective(state, factor, zcache)
+    return delta_entries, eta_entries, d_diag, d_offset
 
 
 class ShiftLedger:
     """Running xi-shift accounting along a DFS path below one solved root.
 
     Maintains the child dual bound in O(1) per query and O(touched clauses)
-    per assignment, with exact undo.  Matches dual_init recomputation to
-    float noise (cross-checked in tests).
+    per assignment, with exact undo.  cert_snapshot materializes the shifted
+    certificate, the only place a child certificate is built.
     """
 
     __slots__ = ("lam", "lam0", "sum_lam_free", "sum_abs_delta", "sum_eta",
@@ -211,18 +118,19 @@ class ShiftLedger:
         self._undo: list = []
 
     def apply(self, state: NodeState, var: int, value: int, moved) -> None:
-        shift = collect_shift(state, var, value, moved)
+        delta_entries, eta_entries, d_diag, d_offset = collect_shift(
+            state, var, value, moved)
         delta = self.delta
         eta = self.eta
         changed_delta = []
         changed_eta = []
-        for v, d in shift.delta_entries:
+        for v, d in delta_entries:
             old = delta.get(v)
             changed_delta.append((v, old))
             new = (old or 0.0) + d
             delta[v] = new
             self.sum_abs_delta += abs(new) - abs(old or 0.0)
-        for v, e in shift.eta_entries:
+        for v, e in eta_entries:
             old = eta.get(v)
             changed_eta.append((v, old))
             eta[v] = (old or 0.0) + e
@@ -235,10 +143,10 @@ class ShiftLedger:
             self.sum_eta -= popped_eta
         lam_var = float(self.lam[var])
         self.sum_lam_free -= lam_var
-        self.diag_sum += shift.d_diag
-        self.const_offset += shift.d_offset
+        self.diag_sum += d_diag
+        self.const_offset += d_offset
         self._undo.append((var, changed_delta, changed_eta, popped_delta,
-                           popped_eta, lam_var, shift.d_diag, shift.d_offset))
+                           popped_eta, lam_var, d_diag, d_offset))
 
     def revert(self) -> None:
         (var, changed_delta, changed_eta, popped_delta, popped_eta,

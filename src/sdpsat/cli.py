@@ -41,10 +41,17 @@ def _seed_from(args) -> int:
     return 0
 
 
-def _config_from(args, time_limit=None) -> SolverConfig:
-    return SolverConfig(eps=args.eps, rank=args.rank, seed=_seed_from(args),
-                        depth_limit=args.depth_limit,
-                        rounding_c=args.rounding_c, time_limit=time_limit)
+def _config_from(args) -> SolverConfig | None:
+    """The solver settings, or None (reported on stderr) if they are invalid."""
+    try:
+        return SolverConfig(eps=args.eps, rank=args.rank,
+                            seed=_seed_from(args),
+                            depth_limit=args.depth_limit,
+                            rounding_c=args.rounding_c,
+                            time_limit=args.timeout)
+    except ValueError as exc:
+        print(f"invalid solver setting: {exc}", file=sys.stderr)
+        return None
 
 
 def _load_instance(path: str) -> Instance:
@@ -52,6 +59,9 @@ def _load_instance(path: str) -> Instance:
 
 
 def cmd_solve(args) -> int:
+    config = _config_from(args)
+    if config is None:
+        return 2
     try:
         instance = _load_instance(args.input)
     except OSError as exc:
@@ -60,7 +70,6 @@ def cmd_solve(args) -> int:
     except ParseError as exc:
         print(f"parse error in {args.input}: {exc}", file=sys.stderr)
         return 2
-    config = _config_from(args, time_limit=args.timeout)
 
     def emit(incumbent):
         print(f"o {incumbent.unsat}", flush=True)
@@ -118,6 +127,9 @@ def _bench_inputs(args):
 
 
 def cmd_bench(args) -> int:
+    config = _config_from(args)
+    if config is None:
+        return 2
     try:
         inputs = _bench_inputs(args)
     except (OSError, ParseError) as exc:
@@ -134,7 +146,6 @@ def cmd_bench(args) -> int:
         oracle_unsat = ""
         if instance.num_vars <= BRUTE_FORCE_CAP:
             oracle_unsat, _ = brute_force(instance)
-        config = _config_from(args, time_limit=args.timeout)
         emits = []
         t_start = time.monotonic()
         if args.mode == "complete":

@@ -26,6 +26,20 @@ class SolverConfig:
     time_limit: Optional[float] = None
     ceil_tol: float = 1e-6
     # test/audit hooks: called with (path, dual_bound) for every decided child
-    # and with (path, mu_dict) for every warm-started certificate
+    # and with (path, DualCert) for every warm-started certificate
     bound_recorder: Optional[Callable] = None
     transition_recorder: Optional[Callable] = None
+
+    def __post_init__(self):
+        checks = (
+            (self.depth_limit >= 1, "depth_limit must be at least 1"),
+            (self.rank is None or self.rank >= 2, "rank must be at least 2"),
+            (self.eps > 0, "eps must be positive"),
+            (self.max_sweeps >= 1, "max_sweeps must be at least 1"),
+            (self.rounding_c > 0, "rounding_c must be positive"),
+            (self.time_limit is None or self.time_limit >= 0,
+             "time_limit must be non-negative"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)

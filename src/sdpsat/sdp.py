@@ -45,10 +45,6 @@ class Factor:
     def k(self) -> int:
         return self.cols.shape[1]
 
-    @property
-    def num_cols(self) -> int:
-        return self.cols.shape[0]
-
     def copy(self) -> "Factor":
         return Factor(self.cols.copy())
 
@@ -118,18 +114,6 @@ class ZCache:
                     zj -= V[v]
             self.z[j] = zj
 
-    def recompute_row(self, state: NodeState, factor: Factor,
-                      j: int) -> np.ndarray:
-        """Fresh z_j from scratch (consistency checks)."""
-        V = factor.cols
-        zj = float(state.s0[j]) * V[0]
-        for lit in self.instance.clauses[j].lits:
-            v = abs(lit)
-            if state.assignment[v] != FREE:
-                continue
-            zj = zj + V[v] if lit > 0 else zj - V[v]
-        return zj
-
     def assign_update(self, state: NodeState, factor: Factor, var: int,
                       moved):
         """Apply the coefficient move for one assignment to the cached rows.
@@ -148,7 +132,7 @@ class ZCache:
         for j, sign, new_status in moved:
             L = lengths[j]
             zj = z[j]
-            old_loss = (float(zj @ zj) - (L - 1) ** 2) / (4.0 * L)
+            old_loss = clause_loss(zj, L)
             if new_status == ACTIVE:
                 # literal assigned false: s0 absorbed -1, drop the column term
                 undo.append((j, zj.copy()))
@@ -157,7 +141,7 @@ class ZCache:
                 else:
                     zj += vv
                 zj -= v0
-                d_obj += (float(zj @ zj) - (L - 1) ** 2) / (4.0 * L) - old_loss
+                d_obj += clause_loss(zj, L) - old_loss
             elif new_status == FALSIFIED:
                 d_obj += 1.0 - old_loss
             else:  # satisfied: clause leaves the active objective
@@ -176,9 +160,7 @@ def objective(state: NodeState, factor: Factor, zcache: ZCache) -> float:
     terms = []
     for j, st in enumerate(state.clause_status):
         if st == ACTIVE:
-            zj = z[j]
-            terms.append(
-                (float(zj @ zj) - (lengths[j] - 1) ** 2) / (4.0 * lengths[j]))
+            terms.append(clause_loss(z[j], lengths[j]))
     return state.base_unsat + math.fsum(terms)
 
 

@@ -14,16 +14,16 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import BoundPair, Decision, ShiftLedger, ceil_bound, decide
+from .bounds import Decision, ShiftLedger, ceil_bound, decide
 from .config import SolverConfig
 from .instance import (ACTIVE, FREE, TRUE, Instance, NodeState, WatchedStack,
                        assign, evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
-from .sdp import ZCache, default_rank, init_factor, solve
+from .sdp import ZCache, clause_loss, default_rank, init_factor, solve
 
 OPTIMUM = "OPTIMUM"
 TIMEOUT = "TIMEOUT"
@@ -63,10 +63,7 @@ class SearchStats:
     wall_time: float = 0.0
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "nodes_popped", "sdp_solves", "sweeps_total", "prunes_by_dual",
-            "expands_by_primal", "pruned_at_pop", "leaf_pops", "roundings",
-            "wall_time")}
+        return asdict(self)
 
 
 class Searcher:
@@ -114,8 +111,8 @@ class Searcher:
     def update_best(self, values, unsat: int) -> None:
         if unsat >= self.best_unsat:
             return
-        recheck = evaluate(self.inst, values)
-        assert recheck == unsat, "incumbent failed re-evaluation"
+        if evaluate(self.inst, values) != unsat:
+            raise RuntimeError("incumbent failed re-evaluation")
         self.best_unsat = unsat
         self.best = Incumbent(tuple(values), unsat,
                               time.monotonic() - self.t0)
@@ -129,9 +126,7 @@ class Searcher:
         terms = []
         for j, st in enumerate(self.state.clause_status):
             if st == ACTIVE:
-                zj = z[j]
-                loss = ((float(zj @ zj) - (lengths[j] - 1) ** 2)
-                        / (4.0 * lengths[j]))
+                loss = clause_loss(z[j], lengths[j])
                 if loss > 0.0:
                     terms.append(loss)
         return self.state.base_unsat + math.fsum(terms)
@@ -209,11 +204,11 @@ class Searcher:
                 if state.free_count == 0:
                     self.update_best(list(state.assignment), state.base_unsat)
                 else:
-                    pair = BoundPair(primal=obj_stack[-1],
-                                     dual=ledger.dual_bound())
+                    dual = ledger.dual_bound()
                     if cfg.bound_recorder is not None:
-                        cfg.bound_recorder(tuple(self.cur_path), pair.dual)
-                    verdict = decide(pair, self.best_unsat, cfg.ceil_tol)
+                        cfg.bound_recorder(tuple(self.cur_path), dual)
+                    verdict = decide(obj_stack[-1], dual, self.best_unsat,
+                                     cfg.ceil_tol)
                     if verdict == Decision.PRUNE:
                         self.stats.prunes_by_dual += 1
                     elif depth + 1 >= len(split_vars):
@@ -267,32 +262,29 @@ class Searcher:
     def run_complete(self) -> str:
         self.mode = COMPLETE
         stack = [SearchNode((), math.inf, 0.0, 0.0, 0)]
-        status = OPTIMUM
-        while stack:
-            if self.out_of_time():
-                status = TIMEOUT
-                break
+        while stack and not self.out_of_time():
             node = stack.pop()
             for child in reversed(self.process_root(node)):
                 stack.append(child)
-        self.stats.wall_time = time.monotonic() - self.t0
-        return status
+        return self.finish()
 
     def run_incomplete(self) -> str:
         self.mode = INCOMPLETE
         counter = 0
         heap = [(0.0, counter, SearchNode((), math.inf, 0.0, 0.0, 0))]
-        status = OPTIMUM
-        while heap:
-            if self.out_of_time():
-                status = TIMEOUT
-                break
+        while heap and not self.out_of_time():
             _, _, node = heapq.heappop(heap)
             for child in self.process_root(node):
                 counter += 1
                 heapq.heappush(heap, (child.priority, counter, child))
+        return self.finish()
+
+    def finish(self) -> str:
+        """A drained queue is a proof only if the deadline never cut work
+        short: an expansion stopped by the deadline drops its unexplored
+        branches without emitting them."""
         self.stats.wall_time = time.monotonic() - self.t0
-        return status
+        return TIMEOUT if self.out_of_time() else OPTIMUM
 
 
 def solve_complete(instance: Instance, config: SolverConfig | None = None,

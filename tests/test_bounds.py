@@ -1,23 +1,58 @@
-import math
+"""Warm-started child bounds, checked on the path the search runs.
+
+A child is priced the way Searcher.expand_root prices it: instance.assign,
+then ShiftLedger.apply for the dual side and ZCache.assign_update for the
+primal side.  Every figure is compared with the independent dense reference
+oracle.dense_sdp_check.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpsat.bounds import (BoundPair, Decision, ShiftLedger, ceil_bound,
-                           decide, delta_vector, dual_init, primal_init)
+from sdpsat.bounds import Decision, ShiftLedger, ceil_bound, decide
 from sdpsat.generate import random_instance
 from sdpsat.instance import (FALSE, FREE, TRUE, NodeState, WatchedStack,
                              assign, parse_dimacs, unassign_to)
 from sdpsat.oracle import dense_sdp_check
-from sdpsat.sdp import ZCache, dual_from_primal, init_factor, objective, solve
+from sdpsat.sdp import (ZCache, dual_from_primal, init_factor, objective,
+                        solve)
 from tests.test_sdp import fresh_solver_state, integral_factor
 
 
 def random_partial(rng, n, count):
     vars_ = rng.choice(np.arange(1, n + 1), size=count, replace=False)
     return [(int(v), TRUE if rng.random() < 0.5 else FALSE) for v in vars_]
+
+
+def price_child(state, ws, factor, zc, ledger, parent_obj, assignments):
+    """Assign a child delta as expand_root does; returns the child primal.
+
+    The primal is the parent objective plus the cached-row objective moves,
+    a valid upper bound on the child's relaxation optimum.  Restore with
+    unassign_to + ZCache.rebuild (and ShiftLedger.revert per assignment).
+    """
+    child_obj = parent_obj
+    for var, value in assignments:
+        moved = assign(state, ws, var, value)
+        if ledger is not None:
+            ledger.apply(state, var, value, moved)
+        _, d_obj = zc.assign_update(state, factor, var, moved)
+        child_obj += d_obj
+    return child_obj
+
+
+def assert_ledger_matches_dense(ledger, state, tol=1e-6):
+    """The ledger's running bound equals the snapshot's, with the constants
+    recomputed densely, and the snapshot is feasible for the child."""
+    snap = ledger.cert_snapshot(state)
+    dense = dense_sdp_check(state, lam=snap.lam)
+    expected = -snap.lam.sum() + dense.diag_sum + dense.const_offset
+    assert ledger.dual_bound() == pytest.approx(expected, abs=1e-9)
+    assert snap.dual_bound == pytest.approx(expected, abs=1e-9)
+    assert dense.min_eig >= -tol
+    return snap
 
 
 def test_ceil_bound_guard():
@@ -28,17 +63,19 @@ def test_ceil_bound_guard():
 
 
 def test_decide_examples():
-    assert decide(BoundPair(primal=4.5, dual=4.2), best_known=5) == Decision.PRUNE
-    assert decide(BoundPair(primal=3.0, dual=1.0), best_known=5) == Decision.EXPAND
-    assert decide(BoundPair(primal=5.6, dual=3.4), best_known=5) == Decision.SOLVE
+    assert decide(4.5, 4.2, best_known=5) == Decision.PRUNE
+    assert decide(3.0, 1.0, best_known=5) == Decision.EXPAND
+    assert decide(5.6, 3.4, best_known=5) == Decision.SOLVE
 
 
 def test_primal_init_empty_delta():
     inst = random_instance(8, 24, 2, seed=1)
     state, ws, factor, zc = fresh_solver_state(inst, seed=1)
     before = objective(state, factor, zc)
-    _, after = primal_init(state, ws, factor, zc, [])
+    after = price_child(state, ws, factor, zc, None, before, [])
     assert after == pytest.approx(before, abs=1e-12)
+    assert after == pytest.approx(dense_sdp_check(state, factor).objective,
+                                  abs=1e-9)
 
 
 def test_primal_init_matches_dense_recomputation():
@@ -47,9 +84,12 @@ def test_primal_init_matches_dense_recomputation():
         inst = random_instance(10, 30, 2, seed=seed)
         state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
         delta = random_partial(rng, 10, int(rng.integers(1, 5)))
-        _, child_obj = primal_init(state, ws, factor, zc, delta)
+        child_obj = price_child(state, ws, factor, zc, None,
+                                objective(state, factor, zc), delta)
         dense = dense_sdp_check(state, factor=factor)
         assert child_obj == pytest.approx(dense.objective, abs=1e-9)
+        assert objective(state, factor, zc) == pytest.approx(
+            dense.objective, abs=1e-9)
         unassign_to(state, ws, 0)
         zc.rebuild(state, factor)
 
@@ -62,24 +102,31 @@ def test_primal_init_integral_substitution_invariance():
     zc = ZCache(inst, 3)
     zc.rebuild(state, factor)
     before = objective(state, factor, zc)
-    _, after = primal_init(state, ws, factor, zc, [(3, encoded[3])])
+    after = price_child(state, ws, factor, zc, None, before,
+                        [(3, encoded[3])])
     assert after == pytest.approx(before, abs=1e-9)
+    assert after == pytest.approx(dense_sdp_check(state, factor).objective,
+                                  abs=1e-9)
 
 
 def test_delta_vector_disjoint_support():
     inst = parse_dimacs("p cnf 3 2\n1 0\n2 3 0")
-    state, ws = NodeState(inst), WatchedStack(inst)
-    delta, eta = delta_vector(state, ws, [(1, TRUE)])
-    assert delta == {} and eta == {}
+    state, ws, factor, zc = fresh_solver_state(inst, seed=0)
+    ledger = ShiftLedger(dual_from_primal(state, factor, zc))
+    price_child(state, ws, factor, zc, ledger, 0.0, [(1, TRUE)])
+    assert ledger.delta == {} and ledger.eta == {}
 
 
 def test_delta_vector_worked_example():
     inst = parse_dimacs("p cnf 2 1\n1 2 0")
-    state, ws = NodeState(inst), WatchedStack(inst)
-    delta, eta = delta_vector(state, ws, [(1, FALSE)])
-    assert delta == {2: pytest.approx(-1.0 / 8.0)}
-    assert eta == {}
-    assert state.trail == []  # rolled back
+    state, ws, factor, zc = fresh_solver_state(inst, seed=0)
+    ledger = ShiftLedger(dual_from_primal(state, factor, zc))
+    price_child(state, ws, factor, zc, ledger, 0.0, [(1, FALSE)])
+    assert ledger.delta == {2: pytest.approx(-1.0 / 8.0)}
+    assert ledger.eta == {}
+    ledger.revert()
+    unassign_to(state, ws, 0)
+    assert ledger.delta == {} and state.trail == []  # rolled back
 
 
 def test_delta_vector_matches_dense_difference():
@@ -87,18 +134,18 @@ def test_delta_vector_matches_dense_difference():
     for seed in range(30):
         length = 2 if seed % 2 == 0 else 3
         inst = random_instance(10, 30, length, seed=seed)
-        state, ws = NodeState(inst), WatchedStack(inst)
+        state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
         parent = dense_sdp_check(state)
         parent_pos = {v: p for p, v in enumerate(parent.index)}
+        ledger = ShiftLedger(dual_from_primal(state, factor, zc))
         assignments = random_partial(rng, 10, int(rng.integers(1, 4)))
-        delta, eta = delta_vector(state, ws, assignments)
-        mark = state.mark()
-        for var, value in assignments:
-            assign(state, ws, var, value)
+        price_child(state, ws, factor, zc, ledger, 0.0, assignments)
         child = dense_sdp_check(state)
+        assert set(ledger.delta) <= set(child.index[1:])
         for p, v in enumerate(child.index[1:], start=1):
             dense_diff = child.cost[0, p] - parent.cost[0, parent_pos[v]]
-            assert delta.get(v, 0.0) == pytest.approx(dense_diff, abs=1e-12)
+            assert ledger.delta.get(v, 0.0) == pytest.approx(dense_diff,
+                                                             abs=1e-12)
         unassign_to(state, ws, 0)
 
 
@@ -107,15 +154,16 @@ def test_dual_init_no_coefficient_movement():
     state, ws, factor, zc = fresh_solver_state(inst, seed=0)
     res = solve(state, factor, zc, eps=1e-8, max_sweeps=2000)
     assert res.cert.dual_bound == pytest.approx(0.0, abs=1e-6)
-    delta, eta = delta_vector(state, ws, [(1, TRUE)])
-    assert delta == {} and eta == {}
-    assign(state, ws, 1, TRUE)
-    child = dual_init(res.cert, delta, eta, state)
+    ledger = ShiftLedger(res.cert)
+    price_child(state, ws, factor, zc, ledger, res.objective_unsat,
+                [(1, TRUE)])
+    assert ledger.delta == {} and ledger.eta == {}
+    assert_ledger_matches_dense(ledger, state)
     # no xi shift; the bound moves only by the constant bookkeeping of the
     # satisfied unit clause (folded diagonal 1/2 leaves, multiplier 1/4 of the
     # dropped column is recovered by masking): 0 - 1/2 + 1/4
-    assert child.dual_bound == pytest.approx(-0.25, abs=1e-6)
-    assert child.dual_bound <= 0.0 + 1e-9  # still below the child optimum
+    assert ledger.dual_bound() == pytest.approx(-0.25, abs=1e-6)
+    assert ledger.dual_bound() <= 0.0 + 1e-9  # still below the child optimum
 
 
 def test_dual_init_feasible_and_below_child_optimum():
@@ -125,20 +173,18 @@ def test_dual_init_feasible_and_below_child_optimum():
         inst = random_instance(12, 36, length, seed=seed + 50)
         state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
         res = solve(state, factor, zc, eps=1e-6, max_sweeps=4000)
+        ledger = ShiftLedger(res.cert)
         assignments = random_partial(rng, 12, int(rng.integers(1, 5)))
-        delta, eta = delta_vector(state, ws, assignments)
-        for var, value in assignments:
-            assign(state, ws, var, value)
-        child_cert = dual_init(res.cert, delta, eta, state)
-        check = dense_sdp_check(state, lam=child_cert.lam)
-        assert check.min_eig >= -1e-6
+        price_child(state, ws, factor, zc, ledger, res.objective_unsat,
+                    assignments)
+        assert_ledger_matches_dense(ledger, state)
         # child bound never exceeds a freshly solved child relaxation
         child_factor = init_factor(12, factor.k, seed=seed + 7)
         child_zc = ZCache(inst, factor.k)
         child_zc.rebuild(state, child_factor)
         child_res = solve(state, child_factor, child_zc, eps=1e-6,
                           max_sweeps=4000)
-        assert child_cert.dual_bound <= child_res.objective_unsat + 1e-6
+        assert ledger.dual_bound() <= child_res.objective_unsat + 1e-6
         unassign_to(state, ws, 0)
 
 
@@ -148,11 +194,13 @@ def test_bound_pair_ordering_on_warm_starts():
         inst = random_instance(10, 40, 2, seed=seed + 200)
         state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
         res = solve(state, factor, zc, eps=1e-4)
+        ledger = ShiftLedger(res.cert)
         assignments = random_partial(rng, 10, 3)
-        delta, eta = delta_vector(state, ws, assignments)
-        _, child_primal = primal_init(state, ws, factor, zc, assignments)
-        child_cert = dual_init(res.cert, delta, eta, state)
-        assert child_primal >= child_cert.dual_bound - 1e-6
+        child_primal = price_child(state, ws, factor, zc, ledger,
+                                   res.objective_unsat, assignments)
+        assert child_primal == pytest.approx(
+            dense_sdp_check(state, factor).objective, abs=1e-9)
+        assert child_primal >= ledger.dual_bound() - 1e-6
         unassign_to(state, ws, 0)
         zc.rebuild(state, factor)
 
@@ -165,21 +213,27 @@ def test_shift_ledger_matches_direct_recomputation(seed):
     inst = random_instance(10, 30, length, seed=seed)
     state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
     res = solve(state, factor, zc, eps=1e-3)
+    root = dense_sdp_check(state)
+    root_pos = {v: p for p, v in enumerate(root.index)}
     ledger = ShiftLedger(res.cert)
     path = []
     free = state.free_vars()
     rng.shuffle(free)
     for var in free[:6]:
         value = TRUE if rng.random() < 0.5 else FALSE
-        moved = assign(state, ws, var, value)
-        ledger.apply(state, var, value, moved)
+        price_child(state, ws, factor, zc, ledger, 0.0, [(var, value)])
         path.append((var, value))
-        direct = dual_init(res.cert, dict(ledger.delta), dict(ledger.eta),
-                           state)
-        assert ledger.dual_bound() == pytest.approx(direct.dual_bound,
-                                                    abs=1e-9)
-        snap = ledger.cert_snapshot(state)
-        assert np.allclose(snap.lam, direct.lam, atol=1e-12)
+        snap = assert_ledger_matches_dense(ledger, state)
+        # assigned columns leave the child: their multipliers are masked
+        assigned = [v for v in range(1, inst.num_vars + 1)
+                    if state.assignment[v] != FREE]
+        assert np.all(snap.lam[assigned] == 0.0)
+        # the running delta telescopes to the dense truth-row difference
+        child = dense_sdp_check(state)
+        for p, v in enumerate(child.index[1:], start=1):
+            dense_diff = child.cost[0, p] - root.cost[0, root_pos[v]]
+            assert ledger.delta.get(v, 0.0) == pytest.approx(dense_diff,
+                                                             abs=1e-12)
     # full unwind restores the root accounting
     for _ in path:
         ledger.revert()

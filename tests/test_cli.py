@@ -12,6 +12,10 @@ from sdpsat.oracle import brute_force
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0\n"
 
+BAD_SETTINGS = (["--rank", "1"], ["--eps", "0"], ["--depth-limit", "0"],
+                ["--depth-limit", "-2"], ["--rounding-c", "0"],
+                ["--timeout", "-1"])
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -61,6 +65,13 @@ def test_solve_parse_error(tmp_path, capsys):
     code, _, err = run_cli(["solve", str(path)], capsys)
     assert code == 2
     assert "parse error" in err
+    # out-of-range solver settings on a valid file are input errors too
+    path.write_text(TRIANGLE)
+    for flags in BAD_SETTINGS:
+        code, out, err = run_cli(["solve", str(path), *flags], capsys)
+        assert code == 2, flags
+        assert out == ""
+        assert "invalid solver setting" in err
 
 
 def test_solve_timeout_reports_unknown(tmp_path, capsys):
@@ -168,6 +179,12 @@ def test_bench_empty_input(tmp_path, capsys):
     code, _, err = run_cli(["bench", "--dir", str(tmp_path)], capsys)
     assert code == 2
     assert "empty input set" in err
+    for flags in BAD_SETTINGS:
+        code, out, err = run_cli(["bench", "--gen-count", "1", "--gen-n", "6",
+                                  "--gen-m", "12", *flags], capsys)
+        assert code == 2, flags
+        assert out == ""
+        assert "invalid solver setting" in err
 
 
 def test_module_entry_point(tmp_path):

@@ -1,0 +1,21 @@
+import math
+
+import pytest
+
+from sdpsat.config import SolverConfig
+
+
+@pytest.mark.parametrize("field, good, bad", [
+    ("depth_limit", (1, 8), (0, -3)),
+    ("rank", (None, 2, 17), (1, 0, -1)),
+    ("eps", (1e-12, 0.5), (0.0, -1e-3, math.nan)),
+    ("max_sweeps", (1, 400), (0, -1)),
+    ("rounding_c", (1e-3, 4.0), (0.0, -1.0, math.nan)),
+    ("time_limit", (None, 0.0, 2.5), (-0.001, math.nan)),
+])
+def test_config_validates_field(field, good, bad):
+    for value in good:
+        assert getattr(SolverConfig(**{field: value}), field) == value
+    for value in bad:
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})

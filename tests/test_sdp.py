@@ -154,9 +154,10 @@ def test_zcache_consistent_after_sweeps(seed):
     state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
     for _ in range(5):
         mixing_sweep(state, factor, zc)
+    fresh = ZCache(inst, factor.k)
+    fresh.rebuild(state, factor)
     for j in state.active_clauses():
-        fresh = zc.recompute_row(state, factor, j)
-        assert np.allclose(zc.z[j], fresh, atol=1e-9)
+        assert np.allclose(zc.z[j], fresh.z[j], atol=1e-9)
 
 
 def test_triangle_instance_bound_sandwich():

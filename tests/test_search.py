@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sdpsat.search
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
-from sdpsat.instance import parse_dimacs
-from sdpsat.oracle import brute_force
-from sdpsat.search import (OPTIMUM, TIMEOUT, Searcher, solve_complete,
-                           solve_incomplete)
+from sdpsat.instance import evaluate, instance_from_clauses, parse_dimacs
+from sdpsat.oracle import brute_force, brute_force_dense
+from sdpsat.search import (COMPLETE, OPTIMUM, TIMEOUT, Searcher,
+                           solve_complete, solve_incomplete)
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0"
 
@@ -56,6 +59,69 @@ def test_complete_timeout_returns_incumbent():
     assert status == TIMEOUT
     assert best is not None
     assert best.unsat >= 0
+
+
+def test_complete_optimum_under_time_limit_is_exact():
+    # a deadline that cuts an expansion short must not leave a proof behind
+    optima = {}
+    proved = 0
+    for seed in range(20):
+        inst = random_instance(20, 120, 2, seed=seed)
+        for time_limit in (0.002, 0.005, 0.01, 0.02, 0.05):
+            best, status, _ = solve_complete(
+                inst, SolverConfig(seed=seed, time_limit=time_limit,
+                                   rounding_c=0.2))
+            if status != OPTIMUM:
+                continue
+            if seed not in optima:
+                optima[seed], _ = brute_force_dense(inst)
+            assert best.unsat == optima[seed], (
+                f"seed {seed}, time limit {time_limit}")
+            proved += 1
+    assert proved > 0
+
+
+@st.composite
+def small_formulas(draw):
+    """n <= 9, clause lengths 0-4 (repeated and opposite literals allowed),
+    some clauses repeated verbatim."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        clause = st.just([])
+    else:
+        clause = st.lists(st.integers(1, n).flatmap(
+            lambda v: st.sampled_from((v, -v))), max_size=4)
+    clauses = draw(st.lists(clause, max_size=24))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=4))
+    return instance_from_clauses(n, clauses)
+
+
+@settings(max_examples=500, deadline=None)
+@given(inst=small_formulas(), mode=st.sampled_from(("complete", "incomplete")),
+       max_sweeps=st.sampled_from((1, 3, 400)),
+       depth_limit=st.integers(1, 10),
+       time_limit=st.sampled_from((None, 0.001, 0.005)),
+       seed=st.integers(0, 1000))
+def test_any_optimum_is_the_true_optimum(inst, mode, max_sweeps, depth_limit,
+                                         time_limit, seed):
+    engine = Searcher(inst, SolverConfig(
+        seed=seed, max_sweeps=max_sweeps, depth_limit=depth_limit,
+        time_limit=time_limit))
+    status = (engine.run_complete() if mode == COMPLETE
+              else engine.run_incomplete())
+    optimum, _ = brute_force(inst)
+    if engine.best is not None:
+        assert engine.best.unsat >= optimum
+    if status == OPTIMUM:
+        assert engine.best.unsat == optimum
+
+
+def test_update_best_rejects_miscounted_incumbent(monkeypatch):
+    monkeypatch.setattr(sdpsat.search, "evaluate",
+                        lambda inst, values: evaluate(inst, values) + 1)
+    with pytest.raises(RuntimeError, match="re-evaluation"):
+        solve_complete(parse_dimacs(TRIANGLE), SolverConfig(seed=1))
 
 
 def test_complete_empty_and_trivial_instances():
