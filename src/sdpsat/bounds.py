@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+import numpy as np
+
 from .instance import ACTIVE, FREE, SATISFIED, NodeState
 from .sdp import DualCert
 
@@ -97,98 +99,54 @@ def collect_shift(state: NodeState, var: int, value: int, moved):
 class ShiftLedger:
     """Running xi-shift accounting along a DFS path below one solved root.
 
-    Maintains the child dual bound in O(1) per query and O(touched clauses)
-    per assignment, with exact undo.  cert_snapshot materializes the shifted
-    certificate, the only place a child certificate is built.
+    lam is the root's multipliers with the assigned columns zeroed; delta and
+    eta are the accumulated shift terms per column.  apply costs
+    O(touched clauses) and saves the entries it overwrites, so revert is
+    exact.  cert_snapshot materializes the shifted certificate, the only
+    place a child certificate is built.
     """
 
-    __slots__ = ("lam", "lam0", "sum_lam_free", "sum_abs_delta", "sum_eta",
-                 "diag_sum", "const_offset", "delta", "eta", "_undo")
+    __slots__ = ("lam", "delta", "eta", "diag_sum", "const_offset", "_undo")
 
     def __init__(self, cert: DualCert):
-        self.lam = cert.lam
-        self.lam0 = float(cert.lam[0])
-        self.sum_lam_free = float(cert.lam[1:].sum())
-        self.sum_abs_delta = 0.0
-        self.sum_eta = 0.0
+        self.lam = cert.lam.copy()
+        self.delta = np.zeros_like(self.lam)
+        self.eta = np.zeros_like(self.lam)
         self.diag_sum = cert.diag_sum
         self.const_offset = cert.const_offset
-        self.delta: dict[int, float] = {}
-        self.eta: dict[int, float] = {}
         self._undo: list = []
 
     def apply(self, state: NodeState, var: int, value: int, moved) -> None:
         delta_entries, eta_entries, d_diag, d_offset = collect_shift(
             state, var, value, moved)
-        delta = self.delta
-        eta = self.eta
-        changed_delta = []
-        changed_eta = []
+        touched = ([var] + [v for v, _ in delta_entries]
+                   + [v for v, _ in eta_entries])
+        self._undo.append((touched, self.lam[touched], self.delta[touched],
+                           self.eta[touched], self.diag_sum,
+                           self.const_offset))
         for v, d in delta_entries:
-            old = delta.get(v)
-            changed_delta.append((v, old))
-            new = (old or 0.0) + d
-            delta[v] = new
-            self.sum_abs_delta += abs(new) - abs(old or 0.0)
+            self.delta[v] += d
         for v, e in eta_entries:
-            old = eta.get(v)
-            changed_eta.append((v, old))
-            eta[v] = (old or 0.0) + e
-            self.sum_eta += e
-        popped_delta = delta.pop(var, None)
-        if popped_delta is not None:
-            self.sum_abs_delta -= abs(popped_delta)
-        popped_eta = eta.pop(var, None)
-        if popped_eta is not None:
-            self.sum_eta -= popped_eta
-        lam_var = float(self.lam[var])
-        self.sum_lam_free -= lam_var
+            self.eta[v] += e
+        self.lam[var] = self.delta[var] = self.eta[var] = 0.0
         self.diag_sum += d_diag
         self.const_offset += d_offset
-        self._undo.append((var, changed_delta, changed_eta, popped_delta,
-                           popped_eta, lam_var, d_diag, d_offset))
 
     def revert(self) -> None:
-        (var, changed_delta, changed_eta, popped_delta, popped_eta,
-         lam_var, d_diag, d_offset) = self._undo.pop()
-        self.diag_sum -= d_diag
-        self.const_offset -= d_offset
-        self.sum_lam_free += lam_var
-        if popped_eta is not None:
-            self.eta[var] = popped_eta
-            self.sum_eta += popped_eta
-        if popped_delta is not None:
-            self.delta[var] = popped_delta
-            self.sum_abs_delta += abs(popped_delta)
-        for v, old in reversed(changed_eta):
-            if old is None:
-                self.sum_eta -= self.eta.pop(v)
-            else:
-                self.sum_eta += old - self.eta[v]
-                self.eta[v] = old
-        for v, old in reversed(changed_delta):
-            if old is None:
-                self.sum_abs_delta -= abs(self.delta.pop(v))
-            else:
-                self.sum_abs_delta += abs(old) - abs(self.delta[v])
-                self.delta[v] = old
+        (touched, lam, delta, eta, self.diag_sum,
+         self.const_offset) = self._undo.pop()
+        self.lam[touched] = lam
+        self.delta[touched] = delta
+        self.eta[touched] = eta
 
     def dual_bound(self) -> float:
-        return (-(self.lam0 + self.sum_lam_free
-                  + 2.0 * self.sum_abs_delta + self.sum_eta)
-                + self.diag_sum + self.const_offset)
+        return float(-(self.lam.sum() + 2.0 * np.abs(self.delta).sum()
+                       + self.eta.sum()) + self.diag_sum + self.const_offset)
 
-    def cert_snapshot(self, state: NodeState) -> DualCert:
+    def cert_snapshot(self) -> DualCert:
         """Materialize the current shifted certificate (for audits)."""
-        lam = self.lam.copy()
-        assignment = state.assignment
-        for v in range(1, state.instance.num_vars + 1):
-            if assignment[v] != FREE:
-                lam[v] = 0.0
-        lam[0] += self.sum_abs_delta
-        for v, d in self.delta.items():
-            lam[v] += abs(d)
-        for v, e in self.eta.items():
-            lam[v] += e
+        abs_delta = np.abs(self.delta)
+        lam = self.lam + abs_delta + self.eta
+        lam[0] += abs_delta.sum()
         return DualCert(lam=lam, const_offset=self.const_offset,
                         diag_sum=self.diag_sum)

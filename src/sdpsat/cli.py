@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SolverConfig
-from .generate import random_clauses, render_dimacs
+from .generate import random_clauses, random_instance, render_dimacs
 from .instance import Instance, ParseError, parse_dimacs
 from .oracle import BRUTE_FORCE_CAP, brute_force
 from .search import OPTIMUM, solve_complete, solve_incomplete
@@ -34,10 +34,9 @@ def _seed_from(args) -> int:
         return args.seed
     env = os.environ.get("SDPSAT_SEED")
     if env is not None:
-        try:
+        if env.strip().isdecimal():
             return int(env)
-        except ValueError:
-            print(f"ignoring bad SDPSAT_SEED={env!r}", file=sys.stderr)
+        print(f"ignoring bad SDPSAT_SEED={env!r}", file=sys.stderr)
     return 0
 
 
@@ -92,11 +91,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.length > args.n:
-        print("clause length exceeds variable count", file=sys.stderr)
+    try:
+        rng = np.random.default_rng(_seed_from(args))
+        clauses = random_clauses(args.n, args.m, args.length, rng)
+    except ValueError as exc:
+        print(f"invalid generator setting: {exc}", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(_seed_from(args))
-    clauses = random_clauses(args.n, args.m, args.length, rng)
     text = render_dimacs(args.n, clauses)
     if args.output:
         Path(args.output).write_text(text)
@@ -114,14 +114,11 @@ def _bench_inputs(args):
     if args.gen_count:
         base_seed = _seed_from(args)
         out = []
-        for i in range(args.gen_count):
-            rng = np.random.default_rng(base_seed + i)
-            clauses = random_clauses(args.gen_n, args.gen_m, args.gen_length,
-                                     rng)
-            from .instance import instance_from_clauses
+        for seed in range(base_seed, base_seed + args.gen_count):
             name = (f"rand-n{args.gen_n}-m{args.gen_m}"
-                    f"-l{args.gen_length}-s{base_seed + i}")
-            out.append((name, instance_from_clauses(args.gen_n, clauses)))
+                    f"-l{args.gen_length}-s{seed}")
+            out.append((name, random_instance(args.gen_n, args.gen_m,
+                                              args.gen_length, seed)))
         return out
     return []
 
@@ -132,7 +129,7 @@ def cmd_bench(args) -> int:
         return 2
     try:
         inputs = _bench_inputs(args)
-    except (OSError, ParseError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"bench input error: {exc}", file=sys.stderr)
         return 2
     if not inputs:

@@ -37,6 +37,7 @@ class SolverConfig:
             (self.eps > 0, "eps must be positive"),
             (self.max_sweeps >= 1, "max_sweeps must be at least 1"),
             (self.rounding_c > 0, "rounding_c must be positive"),
+            (self.seed >= 0, "seed must be non-negative"),
             (self.time_limit is None or self.time_limit >= 0,
              "time_limit must be non-negative"),
         )

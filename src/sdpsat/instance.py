@@ -12,7 +12,10 @@ when s0 reaches -1 - n_j (all n_j literals assigned, none true).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
 
 # assignment values
 TRUE = 1
@@ -184,10 +187,17 @@ class NodeState:
 
     Invariant: s0[j] = -1 + sum over assigned literals of sign*value, and
     base_unsat counts FALSIFIED clauses plus the instance's empty clauses.
+
+    The literal table lists, clause by clause, a truth entry (variable 0,
+    sign 0, coefficient s0) and then each literal: its clause, variable and
+    sign.  With the clause lengths, the loss weights 1/(4L) and every pair of
+    entries of one clause (pair_a before pair_b), it turns whole-node sums
+    into array arithmetic masked by the active clauses and free columns.
     """
 
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
-                 "base_unsat", "free_count")
+                 "base_unsat", "free_count", "lit_clause", "lit_var",
+                 "lit_sign", "clause_len", "weight", "pair_a", "pair_b")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -200,17 +210,49 @@ class NodeState:
         self.base_unsat = instance.empty_count
         self.free_count = n
 
+        self.clause_len = np.array(instance.lengths, dtype=np.intp)
+        self.weight = 1.0 / (4.0 * self.clause_len)
+        size = self.clause_len + 1
+        total = int(size.sum())
+        lits = np.fromiter(
+            itertools.chain.from_iterable((0,) + c.lits
+                                          for c in instance.clauses),
+            dtype=np.intp, count=total)
+        self.lit_clause = np.repeat(np.arange(len(size)), size)
+        self.lit_var = np.abs(lits)
+        self.lit_sign = np.sign(lits).astype(float)
+        # entry t pairs with the `later[t]` entries after it in its clause
+        later = np.repeat(np.cumsum(size), size) - 1 - np.arange(total)
+        self.pair_a = np.repeat(np.arange(total), later)
+        self.pair_b = (self.pair_a + 1 + np.arange(int(later.sum()))
+                       - np.repeat(np.cumsum(later) - later, later))
+
     def mark(self) -> int:
         """Trail length snapshot for a later unassign_to."""
         return len(self.trail)
 
-    def active_clauses(self):
-        status = self.clause_status
-        return [j for j in range(len(status)) if status[j] == ACTIVE]
-
     def free_vars(self) -> list[int]:
         a = self.assignment
         return [v for v in range(1, self.instance.num_vars + 1) if a[v] == FREE]
+
+    def active_mask(self) -> np.ndarray:
+        return np.array(self.clause_status) == ACTIVE
+
+    def column_mask(self) -> np.ndarray:
+        """The node's relaxation columns: truth column 0 and the free ones."""
+        columns = np.array(self.assignment) == FREE
+        columns[0] = True
+        return columns
+
+    def live_entries(self, active: np.ndarray) -> np.ndarray:
+        """Table entries of active clauses whose column is in the node."""
+        return active[self.lit_clause] & self.column_mask()[self.lit_var]
+
+    def lit_coeffs(self) -> np.ndarray:
+        """Per-entry coefficient: the clause's s0 on its truth entry, the
+        literal's sign elsewhere."""
+        s0 = np.array(self.s0, dtype=float)
+        return np.where(self.lit_var == 0, s0[self.lit_clause], self.lit_sign)
 
 
 class WatchedStack:

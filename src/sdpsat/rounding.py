@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .instance import ACTIVE, FREE, NodeState
+from .instance import FREE, NodeState
 from .sdp import Factor
 
 
@@ -20,11 +20,8 @@ def round_once(factor: Factor, state: NodeState,
     r = rng.standard_normal(factor.k)
     dots = factor.cols @ r
     side = np.where(dots[0] * dots >= 0.0, 1, -1)
-    values = list(state.assignment)
-    for v in range(1, state.instance.num_vars + 1):
-        if values[v] == FREE:
-            values[v] = int(side[v])
-    return values
+    assignment = np.array(state.assignment)
+    return np.where(assignment == FREE, side, assignment).tolist()
 
 
 def rounding_budget(free_count: int, c: float = 4.0) -> int:
@@ -42,23 +39,11 @@ def node_unsat(state: NodeState, values) -> int:
     An active clause has no satisfied assigned literal, so it stays unsat
     exactly when all of its free literals round to false.
     """
-    inst = state.instance
-    assignment = state.assignment
-    unsat = state.base_unsat
-    for j, cl in enumerate(inst.clauses):
-        if state.clause_status[j] != ACTIVE:
-            continue
-        satisfied = False
-        for lit in cl.lits:
-            v = abs(lit)
-            if assignment[v] != FREE:
-                continue
-            if (lit > 0) == (values[v] > 0):
-                satisfied = True
-                break
-        if not satisfied:
-            unsat += 1
-    return unsat
+    active = state.active_mask()
+    signs = state.lit_sign * np.asarray(values)[state.lit_var]
+    true_lits = state.live_entries(active) & (signs > 0)
+    satisfied = np.bincount(state.lit_clause[true_lits], minlength=len(active))
+    return state.base_unsat + int(np.count_nonzero(active & (satisfied == 0)))
 
 
 def best_rounding(factor: Factor, state: NodeState, budget: int,

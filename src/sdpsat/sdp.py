@@ -76,9 +76,21 @@ def init_factor(n: int, k: int, seed) -> Factor:
     return Factor(cols)
 
 
-def clause_loss(z: np.ndarray, n_j: int) -> float:
-    """(||z||^2 - (n_j - 1)^2) / (4 n_j) for a clause of original length n_j."""
-    return (float(z @ z) - (n_j - 1) ** 2) / (4.0 * n_j)
+def clause_loss(z: np.ndarray, n_j):
+    """(||z||^2 - (n_j - 1)^2) / (4 n_j) for a clause of original length n_j.
+
+    z may also be a stack of rows with n_j the matching array of lengths.
+    """
+    return (np.vecdot(z, z) - (n_j - 1) ** 2) / (4.0 * n_j)
+
+
+def _group_sum(index: np.ndarray, values: np.ndarray, size: int):
+    """Sum the rows of `values` into `size` rows by `index`, in input order."""
+    width = math.prod(values.shape[1:])
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=size * width)
+    # bincount returns integers when it is given no entries at all
+    return sums.astype(float, copy=False).reshape((size,) + values.shape[1:])
 
 
 class ZCache:
@@ -98,21 +110,10 @@ class ZCache:
         self.z = np.zeros((instance.num_clauses, k))
 
     def rebuild(self, state: NodeState, factor: Factor) -> None:
-        V = factor.cols
-        assignment = state.assignment
-        for j, cl in enumerate(self.instance.clauses):
-            if state.clause_status[j] != ACTIVE:
-                continue
-            zj = float(state.s0[j]) * V[0]
-            for lit in cl.lits:
-                v = abs(lit)
-                if assignment[v] != FREE:
-                    continue
-                if lit > 0:
-                    zj += V[v]
-                else:
-                    zj -= V[v]
-            self.z[j] = zj
+        """z_j = s0_j v_0 + sum of sign * v_i over the free literals."""
+        live = state.live_entries(state.active_mask())
+        rows = state.lit_coeffs()[live, None] * factor.cols[state.lit_var[live]]
+        self.z[:] = _group_sum(state.lit_clause[live], rows, len(self.z))
 
     def assign_update(self, state: NodeState, factor: Factor, var: int,
                       moved):
@@ -153,15 +154,15 @@ class ZCache:
             self.z[j] = row
 
 
+def active_losses(state: NodeState, zcache: ZCache) -> np.ndarray:
+    """clause_loss of every active clause, in clause order."""
+    active = state.active_mask()
+    return clause_loss(zcache.z[active], state.clause_len[active])
+
+
 def objective(state: NodeState, factor: Factor, zcache: ZCache) -> float:
     """base_unsat plus the active-clause losses, summed exactly (fsum)."""
-    z = zcache.z
-    lengths = state.instance.lengths
-    terms = []
-    for j, st in enumerate(state.clause_status):
-        if st == ACTIVE:
-            terms.append(clause_loss(z[j], lengths[j]))
-    return state.base_unsat + math.fsum(terms)
+    return state.base_unsat + math.fsum(active_losses(state, zcache).tolist())
 
 
 def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
@@ -253,74 +254,55 @@ def dual_from_primal(state: NodeState, factor: Factor, zcache: ZCache,
     incident z vectors minus the column's own contribution); by
     Cauchy-Schwarz the resulting bound never exceeds the current objective.
     The norm recovery is exactly feasible only at a sweep fixed point, so by
-    default the multipliers are repaired by an eigenvalue shift: any negative
-    min-eigenvalue of cost + diag(lam) is added to every supported entry,
-    which restores feasibility exactly and keeps ceiling-based pruning sound
-    at loose convergence.  One dense symmetric eigensolve per certificate.
+    default the multipliers are repaired by an eigenvalue shift: a
+    min-eigenvalue of cost + diag(lam) below a floating-point margin is
+    lifted to the margin on every supported entry, which restores
+    feasibility and keeps ceiling-based pruning sound at loose convergence.
+    One dense symmetric eigensolve per certificate.
     """
-    inst = state.instance
-    n = inst.num_vars
-    V = factor.cols
-    z = zcache.z
-    g = np.zeros((n + 1, factor.k))
-    self_coeff = np.zeros(n + 1)
-    diag_terms = []
-    const_terms = []
-    assignment = state.assignment
-    for j, cl in enumerate(inst.clauses):
-        if state.clause_status[j] != ACTIVE:
-            continue
-        L = cl.length
-        w = 1.0 / (4.0 * L)
-        s0j = float(state.s0[j])
-        zj = z[j]
-        g[0] += (s0j * w) * zj
-        self_coeff[0] += s0j * s0j * w
-        n_free = 0
-        for lit in cl.lits:
-            v = abs(lit)
-            if assignment[v] != FREE:
-                continue
-            n_free += 1
-            g[v] += (w if lit > 0 else -w) * zj
-            self_coeff[v] += w
-        diag_terms.append((s0j * s0j + n_free) * w)
-        const_terms.append((L - 1) ** 2 * w)
-    g -= self_coeff[:, None] * V
+    size = state.instance.num_vars + 1
+    active = state.active_mask()
+    live = state.live_entries(active)
+    clause, var = state.lit_clause[live], state.lit_var[live]
+    coeff = state.lit_coeffs()[live]
+    w = state.weight[clause]
+    g = _group_sum(var, (coeff * w)[:, None] * zcache.z[clause], size)
+    diag = coeff * coeff * w
+    g -= _group_sum(var, diag, size)[:, None] * factor.cols
     lam = np.linalg.norm(g, axis=1)
-    if repair and diag_terms:
+    if repair and active.any():
         _repair_multipliers(state, lam)
+    const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
     return DualCert(lam=lam,
-                    const_offset=state.base_unsat - math.fsum(const_terms),
-                    diag_sum=math.fsum(diag_terms))
+                    const_offset=state.base_unsat - math.fsum(const.tolist()),
+                    diag_sum=math.fsum(diag.tolist()))
 
 
 def _repair_multipliers(state: NodeState, lam: np.ndarray) -> None:
-    """Shift lam on the node's support so cost + diag(lam) is truly PSD."""
-    inst = state.instance
-    assignment = state.assignment
-    index = [0] + [v for v in range(1, inst.num_vars + 1)
-                   if assignment[v] == FREE]
-    pos = {v: p for p, v in enumerate(index)}
+    """Shift lam on the node's support so cost + diag(lam) is PSD.
+
+    The shift leaves a margin of dim * eps_mach * ||cost + diag(lam)||_F
+    above the computed smallest eigenvalue, which covers the eigensolver's
+    backward error (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 2007).
+    """
+    columns = state.column_mask()
+    index = np.flatnonzero(columns)
     dim = len(index)
-    cost = np.zeros((dim, dim))
-    for j, cl in enumerate(inst.clauses):
-        if state.clause_status[j] != ACTIVE:
-            continue
-        w = 1.0 / (4.0 * cl.length)
-        entries = [(0, float(state.s0[j]))]
-        for lit in cl.lits:
-            v = abs(lit)
-            if assignment[v] == FREE:
-                entries.append((pos[v], 1.0 if lit > 0 else -1.0))
-        for a, (pa, sa) in enumerate(entries):
-            for pb, sb in entries[a + 1:]:
-                cost[pa, pb] += sa * sb * w
-                cost[pb, pa] += sa * sb * w
+    pos = np.cumsum(columns) - 1
+    live = state.live_entries(state.active_mask())
+    coeff = state.lit_coeffs()
+    a, b = state.pair_a, state.pair_b
+    keep = live[a] & live[b]
+    a, b = a[keep], b[keep]
+    value = coeff[a] * coeff[b] * state.weight[state.lit_clause[a]]
+    pa, pb = pos[state.lit_var[a]], pos[state.lit_var[b]]
+    cells = np.stack((pa * dim + pb, pb * dim + pa), axis=1).ravel()
+    cost = _group_sum(cells, np.repeat(value, 2), dim * dim).reshape(dim, dim)
     cost[np.arange(dim), np.arange(dim)] = lam[index]
+    margin = dim * np.finfo(float).eps * float(np.linalg.norm(cost))
     min_eig = float(np.linalg.eigvalsh(cost)[0])
-    if min_eig < 0.0:
-        lam[index] += -min_eig
+    if min_eig < margin:
+        lam[index] += margin - min_eig
 
 
 def solve(state: NodeState, factor: Factor, zcache: ZCache,

@@ -20,10 +20,10 @@ import numpy as np
 
 from .bounds import Decision, ShiftLedger, ceil_bound, decide
 from .config import SolverConfig
-from .instance import (ACTIVE, FREE, TRUE, Instance, NodeState, WatchedStack,
-                       assign, evaluate, unassign_to)
+from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack, assign,
+                       evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
-from .sdp import ZCache, clause_loss, default_rank, init_factor, solve
+from .sdp import ZCache, active_losses, default_rank, init_factor, solve
 
 OPTIMUM = "OPTIMUM"
 TIMEOUT = "TIMEOUT"
@@ -121,15 +121,9 @@ class Searcher:
 
     def clipped_loss(self) -> float:
         """Best-first priority: base_unsat plus positive active losses only."""
-        z = self.zcache.z
-        lengths = self.inst.lengths
-        terms = []
-        for j, st in enumerate(self.state.clause_status):
-            if st == ACTIVE:
-                loss = clause_loss(z[j], lengths[j])
-                if loss > 0.0:
-                    terms.append(loss)
-        return self.state.base_unsat + math.fsum(terms)
+        losses = active_losses(self.state, self.zcache)
+        positive = losses[losses > 0.0].tolist()
+        return self.state.base_unsat + math.fsum(positive)
 
     # -- per-root work -----------------------------------------------------
 
@@ -188,7 +182,7 @@ class Searcher:
                 depth=node_depth + depth))
             if cfg.transition_recorder is not None:
                 cfg.transition_recorder(tuple(self.cur_path),
-                                        ledger.cert_snapshot(state))
+                                        ledger.cert_snapshot())
 
         def descend(depth: int) -> None:
             var = split_vars[depth]

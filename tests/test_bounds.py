@@ -46,7 +46,7 @@ def price_child(state, ws, factor, zc, ledger, parent_obj, assignments):
 def assert_ledger_matches_dense(ledger, state, tol=1e-6):
     """The ledger's running bound equals the snapshot's, with the constants
     recomputed densely, and the snapshot is feasible for the child."""
-    snap = ledger.cert_snapshot(state)
+    snap = ledger.cert_snapshot()
     dense = dense_sdp_check(state, lam=snap.lam)
     expected = -snap.lam.sum() + dense.diag_sum + dense.const_offset
     assert ledger.dual_bound() == pytest.approx(expected, abs=1e-9)
@@ -114,7 +114,7 @@ def test_delta_vector_disjoint_support():
     state, ws, factor, zc = fresh_solver_state(inst, seed=0)
     ledger = ShiftLedger(dual_from_primal(state, factor, zc))
     price_child(state, ws, factor, zc, ledger, 0.0, [(1, TRUE)])
-    assert ledger.delta == {} and ledger.eta == {}
+    assert not ledger.delta.any() and not ledger.eta.any()
 
 
 def test_delta_vector_worked_example():
@@ -122,11 +122,12 @@ def test_delta_vector_worked_example():
     state, ws, factor, zc = fresh_solver_state(inst, seed=0)
     ledger = ShiftLedger(dual_from_primal(state, factor, zc))
     price_child(state, ws, factor, zc, ledger, 0.0, [(1, FALSE)])
-    assert ledger.delta == {2: pytest.approx(-1.0 / 8.0)}
-    assert ledger.eta == {}
+    assert np.flatnonzero(ledger.delta).tolist() == [2]
+    assert ledger.delta[2] == pytest.approx(-1.0 / 8.0)
+    assert not ledger.eta.any()
     ledger.revert()
     unassign_to(state, ws, 0)
-    assert ledger.delta == {} and state.trail == []  # rolled back
+    assert not ledger.delta.any() and state.trail == []  # rolled back
 
 
 def test_delta_vector_matches_dense_difference():
@@ -141,11 +142,10 @@ def test_delta_vector_matches_dense_difference():
         assignments = random_partial(rng, 10, int(rng.integers(1, 4)))
         price_child(state, ws, factor, zc, ledger, 0.0, assignments)
         child = dense_sdp_check(state)
-        assert set(ledger.delta) <= set(child.index[1:])
+        assert set(np.flatnonzero(ledger.delta)) <= set(child.index[1:])
         for p, v in enumerate(child.index[1:], start=1):
             dense_diff = child.cost[0, p] - parent.cost[0, parent_pos[v]]
-            assert ledger.delta.get(v, 0.0) == pytest.approx(dense_diff,
-                                                             abs=1e-12)
+            assert ledger.delta[v] == pytest.approx(dense_diff, abs=1e-12)
         unassign_to(state, ws, 0)
 
 
@@ -157,7 +157,7 @@ def test_dual_init_no_coefficient_movement():
     ledger = ShiftLedger(res.cert)
     price_child(state, ws, factor, zc, ledger, res.objective_unsat,
                 [(1, TRUE)])
-    assert ledger.delta == {} and ledger.eta == {}
+    assert not ledger.delta.any() and not ledger.eta.any()
     assert_ledger_matches_dense(ledger, state)
     # no xi shift; the bound moves only by the constant bookkeeping of the
     # satisfied unit clause (folded diagonal 1/2 leaves, multiplier 1/4 of the
@@ -232,11 +232,10 @@ def test_shift_ledger_matches_direct_recomputation(seed):
         child = dense_sdp_check(state)
         for p, v in enumerate(child.index[1:], start=1):
             dense_diff = child.cost[0, p] - root.cost[0, root_pos[v]]
-            assert ledger.delta.get(v, 0.0) == pytest.approx(dense_diff,
-                                                             abs=1e-12)
+            assert ledger.delta[v] == pytest.approx(dense_diff, abs=1e-12)
     # full unwind restores the root accounting
     for _ in path:
         ledger.revert()
         unassign_to(state, ws, state.mark() - 1)
     assert ledger.dual_bound() == pytest.approx(res.cert.dual_bound, abs=1e-9)
-    assert ledger.delta == {} and ledger.eta == {}
+    assert not ledger.delta.any() and not ledger.eta.any()

@@ -14,7 +14,7 @@ TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0\n"
 
 BAD_SETTINGS = (["--rank", "1"], ["--eps", "0"], ["--depth-limit", "0"],
                 ["--depth-limit", "-2"], ["--rounding-c", "0"],
-                ["--timeout", "-1"])
+                ["--timeout", "-1"], ["--seed", "-1"])
 
 
 def run_cli(argv, capsys):
@@ -129,6 +129,11 @@ def test_generate_length_exceeds_n(capsys):
     code, _, _ = run_cli(["generate", "--n", "2", "--m", "1",
                           "--length", "3", "--seed", "0"], capsys)
     assert code == 2
+    code, out, err = run_cli(["generate", "--n", "3", "--m", "2",
+                              "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid generator setting" in err
 
 
 def test_seed_env_var_flag_wins(tmp_path, capsys, monkeypatch):
@@ -143,6 +148,12 @@ def test_seed_env_var_flag_wins(tmp_path, capsys, monkeypatch):
                            "--seed", "0"], capsys)
     assert out_env == out_123
     assert out_env != out_0
+    # a negative seed in the environment is ignored like any other bad value
+    monkeypatch.setenv("SDPSAT_SEED", "-1")
+    code, out_neg, err = run_cli(["generate", "--n", "6", "--m", "6"], capsys)
+    assert code == 0
+    assert out_neg == out_0
+    assert "ignoring bad SDPSAT_SEED" in err
 
 
 def test_bench_generated(capsys):
@@ -185,6 +196,14 @@ def test_bench_empty_input(tmp_path, capsys):
         assert code == 2, flags
         assert out == ""
         assert "invalid solver setting" in err
+    # generator settings the generator cannot honour are input errors too
+    for flags in (["--gen-n", "2", "--gen-m", "3", "--gen-length", "3"],
+                  ["--gen-length", "-1"]):
+        code, out, err = run_cli(["bench", "--gen-count", "1", *flags],
+                                 capsys)
+        assert code == 2, flags
+        assert out == ""
+        assert "bench input error" in err
 
 
 def test_module_entry_point(tmp_path):

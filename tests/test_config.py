@@ -12,6 +12,7 @@ from sdpsat.config import SolverConfig
     ("max_sweeps", (1, 400), (0, -1)),
     ("rounding_c", (1e-3, 4.0), (0.0, -1.0, math.nan)),
     ("time_limit", (None, 0.0, 2.5), (-0.001, math.nan)),
+    ("seed", (0, 7), (-1,)),
 ])
 def test_config_validates_field(field, good, bad):
     for value in good:

@@ -1,0 +1,26 @@
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_approx_ratio_curve_smoke():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "approx_ratio_curve.py"),
+         "--instances", "1", "--n", "12", "--m", "40", "--budget", "0.05",
+         "--samples", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert rows[0] == ["instance", "elapsed_seconds", "best_ratio"]
+    assert len(rows) >= 2
+    for name, _, ratio in rows[1:]:
+        assert name == "rand-s0"
+        assert 0.0 < float(ratio) <= 1.0

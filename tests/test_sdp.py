@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdpsat.bounds import ShiftLedger
+from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
-from sdpsat.instance import (FALSE, FREE, TRUE, NodeState, WatchedStack,
-                             assign, instance_from_clauses, parse_dimacs)
-from sdpsat.oracle import brute_force, dense_sdp_check
+from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
+                             WatchedStack, assign, evaluate,
+                             instance_from_clauses, parse_dimacs)
+from sdpsat.oracle import brute_force, dense_sdp_check, min_unsat_completion
+from sdpsat.rounding import node_unsat, round_once
 from sdpsat.sdp import (Factor, ZCache, clause_loss, default_rank,
                         dual_from_primal, init_factor, mixing_sweep,
                         objective, solve)
+from sdpsat.search import Searcher
+from tests.test_search import small_formulas
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0"
 
@@ -156,7 +162,7 @@ def test_zcache_consistent_after_sweeps(seed):
         mixing_sweep(state, factor, zc)
     fresh = ZCache(inst, factor.k)
     fresh.rebuild(state, factor)
-    for j in state.active_clauses():
+    for j in np.flatnonzero(state.active_mask()):
         assert np.allclose(zc.z[j], fresh.z[j], atol=1e-9)
 
 
@@ -250,6 +256,22 @@ def test_dual_bound_sound_even_at_loose_precision():
         assert check.min_eig >= -1e-9
 
 
+def test_repaired_certificate_psd_without_tolerance():
+    # the repair's floating-point margin must cover the eigensolver's error,
+    # so the independent dense probe sees no negative eigenvalue at all
+    rng = np.random.default_rng(0)
+    for seed in range(60):
+        inst = random_instance(14, 56, 2 + seed % 2, seed=seed)
+        state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
+        count = int(rng.integers(0, 5))
+        for var in rng.choice(np.arange(1, 15), size=count, replace=False):
+            assign(state, ws, int(var), TRUE if rng.random() < 0.5 else FALSE)
+        zc.rebuild(state, factor)
+        res = solve(state, factor, zc, eps=0.5, max_sweeps=3)
+        check = dense_sdp_check(state, lam=res.cert.lam)
+        assert check.min_eig >= 0.0, f"seed {seed}: {check.min_eig}"
+
+
 def test_raw_multipliers_near_feasible_at_tight_convergence():
     inst = random_instance(10, 30, 2, seed=77)
     state, ws, factor, zc = fresh_solver_state(inst, seed=77)
@@ -257,3 +279,57 @@ def test_raw_multipliers_near_feasible_at_tight_convergence():
     raw = dual_from_primal(state, factor, zc, repair=False)
     check = dense_sdp_check(state, factor=factor, lam=raw.lam)
     assert check.min_eig >= -1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_node_arrays_match_clause_walks(inst, data):
+    """The solver's array arithmetic against per-clause walks and the dense
+    oracle, at random partial nodes (fully assigned and clause-free ones
+    included), then along a chain of warm-started assignments below them."""
+    n = inst.num_vars
+    order = data.draw(st.permutations(range(1, n + 1)))
+    depth = data.draw(st.integers(0, n))
+    chain = data.draw(st.integers(0, n - depth))
+    signs = data.draw(st.lists(st.sampled_from((TRUE, FALSE)),
+                               min_size=n, max_size=n))
+    path = list(zip(order, signs))
+    engine = Searcher(inst, SolverConfig(seed=data.draw(st.integers(0, 99))))
+    state, factor, zc = engine.state, engine.factor, engine.zcache
+    engine.move_to(path[:depth])
+    zc.rebuild(state, factor)
+
+    V = factor.cols
+    losses = []
+    for j, clause in enumerate(inst.clauses):
+        if state.clause_status[j] != ACTIVE:
+            continue
+        row = state.s0[j] * V[0]
+        for lit in clause.lits:
+            if state.assignment[abs(lit)] == FREE:
+                row = row + (V[lit] if lit > 0 else -V[-lit])
+        assert np.allclose(zc.z[j], row, rtol=0.0, atol=1e-12)
+        losses.append(clause_loss(zc.z[j], clause.length))
+    assert engine.clipped_loss() == pytest.approx(
+        state.base_unsat + math.fsum(x for x in losses if x > 0.0), abs=1e-12)
+    dense = dense_sdp_check(state, factor)
+    assert objective(state, factor, zc) == pytest.approx(dense.objective,
+                                                         abs=1e-9)
+
+    res = solve(state, factor, zc, eps=0.5, max_sweeps=3)
+    cert = res.cert
+    check = dense_sdp_check(state, lam=cert.lam)
+    assert cert.diag_sum == pytest.approx(check.diag_sum, abs=1e-12)
+    assert cert.const_offset == pytest.approx(check.const_offset, abs=1e-12)
+    assert check.min_eig >= 0.0
+
+    values = round_once(factor, state, np.random.default_rng(0))
+    assert node_unsat(state, values) == evaluate(inst, values)
+
+    ledger = ShiftLedger(cert)
+    for var, value in path[depth:depth + chain]:
+        moved = assign(state, engine.ws, var, value)
+        ledger.apply(state, var, value, moved)
+    # float noise only: the bound is at most the child's relaxation value
+    assert ledger.dual_bound() <= min_unsat_completion(
+        inst, state.assignment) + 1e-9

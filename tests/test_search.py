@@ -220,7 +220,7 @@ def test_node_priority_nonnegative_and_matches_dense():
     expected = engine.state.base_unsat + sum(
         max(0.0, (float(z[j] @ z[j]) - (inst.lengths[j] - 1) ** 2)
             / (4 * inst.lengths[j]))
-        for j in engine.state.active_clauses())
+        for j in np.flatnonzero(engine.state.active_mask()))
     assert engine.clipped_loss() == pytest.approx(expected, abs=1e-9)
 
 
