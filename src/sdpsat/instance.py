@@ -193,11 +193,19 @@ class NodeState:
     sign.  With the clause lengths, the loss weights 1/(4L) and every pair of
     entries of one clause (pair_a before pair_b), it turns whole-node sums
     into array arithmetic masked by the active clauses and free columns.
+
+    The variables are also colored greedily so that two variables sharing a
+    clause never share a color.  A proper coloring of the whole formula stays
+    proper on every subproblem, so it is computed once.  Per color class the
+    node keeps its variables (`class_vars`), its literal entries sorted by
+    variable (`class_entries`) and each entry's variable slot within the
+    class (`class_slots`); `color[v]` is the class of variable v.
     """
 
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
-                 "lit_sign", "clause_len", "weight", "pair_a", "pair_b")
+                 "lit_sign", "clause_len", "weight", "pair_a", "pair_b",
+                 "color", "class_vars", "class_entries", "class_slots")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -226,6 +234,37 @@ class NodeState:
         self.pair_a = np.repeat(np.arange(total), later)
         self.pair_b = (self.pair_a + 1 + np.arange(int(later.sum()))
                        - np.repeat(np.cumsum(later) - later, later))
+        self._color_variables()
+
+    def _color_variables(self) -> None:
+        """Greedy coloring of the variable-interaction graph, in variable
+        order, and the per-class entry tables built from it."""
+        n = self.instance.num_vars
+        # a truth entry leads its clause, so only pair_a can be one
+        real = self.lit_var[self.pair_a] > 0
+        neighbours: list[list[int]] = [[] for _ in range(n + 1)]
+        for a, b in zip(self.lit_var[self.pair_a[real]].tolist(),
+                        self.lit_var[self.pair_b[real]].tolist()):
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        color = [0] * (n + 1)
+        for v in range(1, n + 1):
+            # the smallest color no earlier neighbour has
+            taken = {color[u] for u in neighbours[v] if u < v}
+            color[v] = min(set(range(len(taken) + 1)) - taken)
+        self.color = np.array(color, dtype=np.intp)
+        entries = np.flatnonzero(self.lit_var > 0)
+        var = self.lit_var[entries]
+        entries = entries[np.lexsort((var, self.color[var]))]
+        bounds = np.searchsorted(self.color[self.lit_var[entries]],
+                                 np.arange(max(color) + 2))
+        self.class_vars, self.class_entries, self.class_slots = [], [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            members, slots = np.unique(self.lit_var[entries[lo:hi]],
+                                       return_inverse=True)
+            self.class_vars.append(members)
+            self.class_entries.append(entries[lo:hi])
+            self.class_slots.append(slots)
 
     def mark(self) -> int:
         """Trail length snapshot for a later unassign_to."""

@@ -14,10 +14,14 @@ lower-bounds the node's minimum unsat count over all completions.
 
 Minimizing one column with the rest held fixed has a closed form: normalize
 the negated weighted sum of its incident z vectors.  A sweep applies that
-update to every free column in resolution order, caching z_j so each update
-costs O(k) per incident clause.  At a sweep fixed point the per-column update
-magnitudes ||g_i|| are feasible multipliers for the zero-diagonal cost matrix,
-giving a matching lower bound (the dual certificate used for pruning).
+update to every free column, caching z_j so each update costs O(k) per
+incident clause.  It updates one color class of the variable-interaction
+graph at a time, as one array step: columns of one class share no clause, so
+their updates read and write disjoint z rows and updating them together is
+exactly the column-at-a-time (Gauss-Seidel) sweep in class order.  At a sweep
+fixed point the per-column update magnitudes ||g_i|| are feasible multipliers
+for the zero-diagonal cost matrix, giving a matching lower bound (the dual
+certificate used for pruning).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ACTIVE, FALSIFIED, FREE, NodeState
+from .instance import ACTIVE, FALSIFIED, NodeState
 
 ZERO_UPDATE_NORM = 1e-12
 
@@ -165,52 +169,50 @@ def objective(state: NodeState, factor: Factor, zcache: ZCache) -> float:
     return state.base_unsat + math.fsum(active_losses(state, zcache).tolist())
 
 
+def _class_sequence(state: NodeState, order=None) -> np.ndarray:
+    """Color classes in the order their first variable appears in `order`
+    (a sequence of variables); every class in index order for None."""
+    if order is None:
+        return np.arange(len(state.class_vars))
+    colors = state.color[np.asarray(order, dtype=np.intp)]
+    _, first = np.unique(colors, return_index=True)
+    return colors[np.sort(first)]
+
+
 def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
                  order=None) -> float:
     """One pass of closed-form column updates over the free variables.
 
-    Every update is the exact minimizer of the objective in its block, so the
-    objective is non-increasing across the pass.  Returns the objective after
-    the pass.
+    The columns are updated one color class at a time, classes in the order
+    their first variable appears in `order` (class index order for None).
+    Variables of one class share no clause, so no update in a class reads a
+    z row or a column that another one writes: the pass is exactly the
+    column-at-a-time sweep over `order` stably sorted by class rank.  Every
+    update is the exact minimizer of the objective in its block, so the
+    objective is non-increasing across the pass.  A column with no live
+    entry, or whose update direction is below ZERO_UPDATE_NORM, is kept (any
+    unit vector minimizes its block).  Returns the objective after the pass.
     """
-    inst = state.instance
     V = factor.cols
     z = zcache.z
-    status = state.clause_status
-    assignment = state.assignment
-    lengths = inst.lengths
-    occ = inst.occurrences
-    k = factor.k
-    if order is None:
-        order = range(1, inst.num_vars + 1)
-    for i in order:
-        if assignment[i] != FREE:
+    live = state.live_entries(state.active_mask())
+    for c in _class_sequence(state, order).tolist():
+        entries = state.class_entries[c]
+        keep = live[entries]
+        entries = entries[keep]
+        if not len(entries):
             continue
-        vi = V[i]
-        g = np.zeros(k)
-        incident = []
-        for j, sign in occ[i]:
-            if status[j] != ACTIVE:
-                continue
-            zj = z[j]
-            if sign > 0:
-                zj -= vi
-            else:
-                zj += vi
-            g += (sign / (4.0 * lengths[j])) * zj
-            incident.append((j, sign))
-        if not incident:
-            continue
-        norm = float(np.linalg.norm(g))
-        if norm >= ZERO_UPDATE_NORM:
-            V[i] = g / -norm
-            vi = V[i]
-        # else: keep the previous column (any unit vector minimizes the block)
-        for j, sign in incident:
-            if sign > 0:
-                z[j] += vi
-            else:
-                z[j] -= vi
+        j = state.lit_clause[entries]
+        v = state.lit_var[entries]
+        sign = state.lit_sign[entries]
+        zj = z[j] - sign[:, None] * V[v]
+        members = state.class_vars[c]
+        g = _group_sum(state.class_slots[c][keep],
+                       (sign * state.weight[j])[:, None] * zj, len(members))
+        norm = np.sqrt(np.vecdot(g, g))
+        moved = norm >= ZERO_UPDATE_NORM
+        V[members[moved]] = g[moved] / -norm[moved, None]
+        z[j] = zj + sign[:, None] * V[v]
     return objective(state, factor, zcache)
 
 

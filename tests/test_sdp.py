@@ -14,9 +14,9 @@ from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
                              instance_from_clauses, parse_dimacs)
 from sdpsat.oracle import brute_force, dense_sdp_check, min_unsat_completion
 from sdpsat.rounding import node_unsat, round_once
-from sdpsat.sdp import (Factor, ZCache, clause_loss, default_rank,
-                        dual_from_primal, init_factor, mixing_sweep,
-                        objective, solve)
+from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, ZCache, clause_loss,
+                        default_rank, dual_from_primal, init_factor,
+                        mixing_sweep, objective, solve)
 from sdpsat.search import Searcher
 from tests.test_search import small_formulas
 
@@ -141,13 +141,15 @@ def test_mixing_sweep_unit_clause_closed_form():
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_mixing_sweep_monotone_descent(seed):
+@given(seed=st.integers(0, 10_000), shuffle=st.booleans())
+def test_mixing_sweep_monotone_descent(seed, shuffle):
     inst = random_instance(12, 40, 2, seed=seed)
     state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
+    order = (np.random.default_rng(seed).permutation(np.arange(1, 13))
+             if shuffle else None)
     f_prev = objective(state, factor, zc)
     for _ in range(10):
-        f_new = mixing_sweep(state, factor, zc)
+        f_new = mixing_sweep(state, factor, zc, order)
         assert f_new <= f_prev + 1e-12
         f_prev = f_new
     assert np.allclose(factor.column_norms(), 1.0, atol=1e-9)
@@ -164,6 +166,83 @@ def test_zcache_consistent_after_sweeps(seed):
     fresh.rebuild(state, factor)
     for j in np.flatnonzero(state.active_mask()):
         assert np.allclose(zc.z[j], fresh.z[j], atol=1e-9)
+
+
+def sequential_sweep(state, factor, zcache, order):
+    """The column-at-a-time sweep: each free column in `order` in turn."""
+    V, z = factor.cols, zcache.z
+    lengths = state.instance.lengths
+    for i in order:
+        if state.assignment[i] != FREE:
+            continue
+        vi = V[i]
+        g = np.zeros(factor.k)
+        incident = []
+        for j, sign in state.instance.occurrences[i]:
+            if state.clause_status[j] != ACTIVE:
+                continue
+            zj = z[j]
+            if sign > 0:
+                zj -= vi
+            else:
+                zj += vi
+            g += (sign / (4.0 * lengths[j])) * zj
+            incident.append((j, sign))
+        if not incident:
+            continue
+        norm = float(np.linalg.norm(g))
+        if norm >= ZERO_UPDATE_NORM:
+            V[i] = g / -norm
+            vi = V[i]
+        for j, sign in incident:
+            if sign > 0:
+                z[j] += vi
+            else:
+                z[j] -= vi
+    return objective(state, factor, zcache)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_colored_sweep_matches_sequential_sweep(inst, data):
+    """A colored sweep is the column-at-a-time sweep over `order` stably
+    sorted by class rank, at random partial nodes with an isolated variable
+    (fully assigned and clause-free nodes included)."""
+    n = inst.num_vars + 1
+    inst = instance_from_clauses(
+        n, [c.lits for c in inst.clauses] + [[]] * inst.empty_count)
+    state, ws, factor, zc = fresh_solver_state(
+        inst, seed=data.draw(st.integers(0, 99)))
+    for clause in inst.clauses:
+        colors = [state.color[abs(lit)] for lit in clause.lits]
+        assert len(set(colors)) == len(colors), clause.lits
+    for c, members in enumerate(state.class_vars):
+        entries = state.class_entries[c]
+        assert np.array_equal(members[state.class_slots[c]],
+                              state.lit_var[entries])
+        assert np.all(state.color[members] == c)
+        assert np.all(np.diff(state.class_slots[c]) >= 0)
+    listed = np.sort(np.concatenate(state.class_entries))
+    assert np.array_equal(listed, np.flatnonzero(state.lit_var > 0))
+
+    path = data.draw(st.permutations(range(1, n + 1)))
+    for var in path[:data.draw(st.integers(0, n))]:
+        assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
+    zc.rebuild(state, factor)
+    order = data.draw(st.permutations(range(1, n + 1)))
+    first = {}
+    for pos, var in enumerate(order):
+        first.setdefault(state.color[var], pos)
+    by_class = sorted(order, key=lambda var: first[state.color[var]])
+    ref_factor, ref_zc = factor.copy(), ZCache(inst, factor.k)
+    ref_zc.rebuild(state, ref_factor)
+    for _ in range(3):
+        colored = mixing_sweep(state, factor, zc, order)
+        sequential = sequential_sweep(state, ref_factor, ref_zc, by_class)
+        assert colored == pytest.approx(sequential, rel=0.0, abs=1e-12)
+    assert np.allclose(factor.cols, ref_factor.cols, rtol=0.0, atol=1e-12)
+    active = state.active_mask()
+    assert np.allclose(zc.z[active], ref_zc.z[active], rtol=0.0, atol=1e-12)
 
 
 def test_triangle_instance_bound_sandwich():

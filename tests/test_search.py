@@ -53,7 +53,9 @@ def test_complete_max3sat_small_batch():
 
 
 def test_complete_timeout_returns_incumbent():
-    inst = random_instance(60, 300, 2, seed=5)
+    # the complete proof of this instance takes 86 s without a time limit
+    # (172x the limit below; 2-CPU VM, one BLAS thread)
+    inst = random_instance(120, 600, 2, seed=5)
     best, status, stats = solve_complete(
         inst, SolverConfig(seed=5, time_limit=0.5))
     assert status == TIMEOUT
