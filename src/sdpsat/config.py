@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,10 +37,13 @@ class SolverConfig:
             (self.rank is None or self.rank >= 2, "rank must be at least 2"),
             (self.eps > 0, "eps must be positive"),
             (self.max_sweeps >= 1, "max_sweeps must be at least 1"),
-            (self.rounding_c > 0, "rounding_c must be positive"),
+            (0 < self.rounding_c < math.inf,
+             "rounding_c must be positive and finite"),
             (self.seed >= 0, "seed must be non-negative"),
             (self.time_limit is None or self.time_limit >= 0,
              "time_limit must be non-negative"),
+            (0 <= self.ceil_tol < math.inf,
+             "ceil_tol must be non-negative and finite"),
         )
         for ok, message in checks:
             if not ok:

@@ -12,6 +12,7 @@ when s0 reaches -1 - n_j (all n_j literals assigned, none true).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -194,12 +195,12 @@ class NodeState:
     entries of one clause (pair_a before pair_b), it turns whole-node sums
     into array arithmetic masked by the active clauses and free columns.
 
-    The variables are also colored greedily so that two variables sharing a
-    clause never share a color.  A proper coloring of the whole formula stays
-    proper on every subproblem, so it is computed once.  Per color class the
-    node keeps its variables (`class_vars`), its literal entries sorted by
-    variable (`class_entries`) and each entry's variable slot within the
-    class (`class_slots`); `color[v]` is the class of variable v.
+    The variables are also colored by DSatur so that two variables sharing
+    a clause never share a color.  A proper coloring of the whole formula
+    stays proper on every subproblem, so it is computed once.  Per color
+    class the node keeps its variables (`class_vars`), its literal entries
+    sorted by variable (`class_entries`) and each entry's variable slot
+    within the class (`class_slots`); `color[v]` is the class of variable v.
     """
 
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
@@ -237,21 +238,42 @@ class NodeState:
         self._color_variables()
 
     def _color_variables(self) -> None:
-        """Greedy coloring of the variable-interaction graph, in variable
-        order, and the per-class entry tables built from it."""
+        """DSatur coloring of the variable-interaction graph (Brelaz, CACM
+        1979), and the per-class entry tables built from it.
+
+        The next variable colored is the uncolored one whose neighbours use
+        the most distinct colors, ties broken by most neighbours and then by
+        lowest index; it takes the smallest color no neighbour has.  The
+        result is deterministic and uses two colors on a bipartite graph.
+        """
         n = self.instance.num_vars
         # a truth entry leads its clause, so only pair_a can be one
         real = self.lit_var[self.pair_a] > 0
-        neighbours: list[list[int]] = [[] for _ in range(n + 1)]
+        neighbours: list[set[int]] = [set() for _ in range(n + 1)]
         for a, b in zip(self.lit_var[self.pair_a[real]].tolist(),
                         self.lit_var[self.pair_b[real]].tolist()):
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-        color = [0] * (n + 1)
-        for v in range(1, n + 1):
-            # the smallest color no earlier neighbour has
-            taken = {color[u] for u in neighbours[v] if u < v}
-            color[v] = min(set(range(len(taken) + 1)) - taken)
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        color = [-1] * (n + 1)
+        color[0] = 0
+        # the distinct colors among each variable's colored neighbours
+        seen: list[set[int]] = [set() for _ in range(n + 1)]
+        # lazy heap: a variable's newest entry has its current saturation
+        heap = [(0, -len(neighbours[v]), v) for v in range(1, n + 1)]
+        heapq.heapify(heap)
+        while heap:
+            _, _, v = heapq.heappop(heap)
+            if color[v] >= 0:
+                continue
+            c = 0
+            while c in seen[v]:
+                c += 1
+            color[v] = c
+            for u in neighbours[v]:
+                if color[u] < 0 and c not in seen[u]:
+                    seen[u].add(c)
+                    heapq.heappush(heap, (-len(seen[u]), -len(neighbours[u]),
+                                          u))
         self.color = np.array(color, dtype=np.intp)
         entries = np.flatnonzero(self.lit_var > 0)
         var = self.lit_var[entries]
@@ -283,9 +305,13 @@ class NodeState:
         columns[0] = True
         return columns
 
-    def live_entries(self, active: np.ndarray) -> np.ndarray:
-        """Table entries of active clauses whose column is in the node."""
-        return active[self.lit_clause] & self.column_mask()[self.lit_var]
+    def live_entries(self, active: np.ndarray,
+                     columns: np.ndarray | None = None) -> np.ndarray:
+        """Table entries of active clauses whose column is in the node
+        (`columns`, the column mask, when the caller already has it)."""
+        if columns is None:
+            columns = self.column_mask()
+        return active[self.lit_clause] & columns[self.lit_var]
 
     def lit_coeffs(self) -> np.ndarray:
         """Per-entry coefficient: the clause's s0 on its truth entry, the

@@ -18,9 +18,13 @@ update to every free column, caching z_j so each update costs O(k) per
 incident clause.  It updates one color class of the variable-interaction
 graph at a time, as one array step: columns of one class share no clause, so
 their updates read and write disjoint z rows and updating them together is
-exactly the column-at-a-time (Gauss-Seidel) sweep in class order.  At a sweep
-fixed point the per-column update magnitudes ||g_i|| are feasible multipliers
-for the zero-diagonal cost matrix, giving a matching lower bound (the dual
+exactly the column-at-a-time (Gauss-Seidel) sweep in class order.  What a
+sweep reads besides the columns and z rows -- each class's live entries,
+signs, weights and runs, and the active clauses -- depends only on the
+node's assignment, so a solve gathers it once into a sweep plan shared by
+all of its sweeps (no sweep assigns a variable).  At a sweep fixed point
+the per-column update magnitudes ||g_i|| are feasible multipliers for the
+zero-diagonal cost matrix, giving a matching lower bound (the dual
 certificate used for pruning).
 """
 
@@ -169,18 +173,56 @@ def objective(state: NodeState, factor: Factor, zcache: ZCache) -> float:
     return state.base_unsat + math.fsum(active_losses(state, zcache).tolist())
 
 
-def _class_sequence(state: NodeState, order=None) -> np.ndarray:
-    """Color classes in the order their first variable appears in `order`
-    (a sequence of variables); every class in index order for None."""
+@dataclass(frozen=True, slots=True)
+class SweepPlan:
+    """The arrays every sweep of one solve reads, gathered once.
+
+    `steps` holds, per color class with a live entry and in sweep order, the
+    class's live entries as clause rows `j`, variables `v`, the sign and
+    sign * weight as columns, the start of each member's run of entries (the
+    entries are sorted by variable) and the members with a live entry.
+    `active` indexes the active clauses and `lengths` holds their lengths.
+    A plan is valid only while the node's assignment is unchanged.
+    """
+
+    steps: list
+    active: np.ndarray
+    lengths: np.ndarray
+
+
+def sweep_plan(state: NodeState, order=None) -> SweepPlan:
+    """The sweep plan of the node as it stands.  Classes come in the order
+    their first variable appears in `order` (a sequence of variables), or in
+    index order for None."""
+    active = state.active_mask()
+    live = state.live_entries(active)
     if order is None:
-        return np.arange(len(state.class_vars))
-    colors = state.color[np.asarray(order, dtype=np.intp)]
-    _, first = np.unique(colors, return_index=True)
-    return colors[np.sort(first)]
+        classes = range(len(state.class_entries))
+    else:
+        classes = dict.fromkeys(
+            state.color[np.asarray(order, dtype=np.intp)].tolist())
+    steps = []
+    for c in classes:
+        entries = state.class_entries[c]
+        entries = entries[live[entries]]
+        if not len(entries):
+            continue
+        j = state.lit_clause.take(entries)
+        v = state.lit_var.take(entries)
+        sign = state.lit_sign.take(entries)[:, None]
+        # a member's run of entries starts where the variable changes
+        first = np.empty(len(v), dtype=bool)
+        first[0] = True
+        np.not_equal(v[1:], v[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        steps.append((j, v, sign, sign * state.weight[j, None], starts,
+                      v[starts]))
+    index = np.flatnonzero(active)
+    return SweepPlan(steps, index, state.clause_len[index])
 
 
 def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
-                 order=None) -> float:
+                 order=None, plan: SweepPlan | None = None) -> float:
     """One pass of closed-form column updates over the free variables.
 
     The columns are updated one color class at a time, classes in the order
@@ -192,28 +234,25 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
     objective is non-increasing across the pass.  A column with no live
     entry, or whose update direction is below ZERO_UPDATE_NORM, is kept (any
     unit vector minimizes its block).  Returns the objective after the pass.
+
+    `plan` is the node's sweep_plan for `order`; it is built here when
+    omitted.  A solve passes one plan to all of its sweeps, which is valid
+    because no sweep changes the assignment.
     """
+    if plan is None:
+        plan = sweep_plan(state, order)
     V = factor.cols
     z = zcache.z
-    live = state.live_entries(state.active_mask())
-    for c in _class_sequence(state, order).tolist():
-        entries = state.class_entries[c]
-        keep = live[entries]
-        entries = entries[keep]
-        if not len(entries):
-            continue
-        j = state.lit_clause[entries]
-        v = state.lit_var[entries]
-        sign = state.lit_sign[entries]
-        zj = z[j] - sign[:, None] * V[v]
-        members = state.class_vars[c]
-        g = _group_sum(state.class_slots[c][keep],
-                       (sign * state.weight[j])[:, None] * zj, len(members))
+    for j, v, sign, sw, starts, members in plan.steps:
+        # take() gathers the same rows as z[j] at a fraction of the cost
+        zj = z.take(j, axis=0) - sign * V.take(v, axis=0)
+        g = np.add.reduceat(sw * zj, starts)
         norm = np.sqrt(np.vecdot(g, g))
         moved = norm >= ZERO_UPDATE_NORM
         V[members[moved]] = g[moved] / -norm[moved, None]
-        z[j] = zj + sign[:, None] * V[v]
-    return objective(state, factor, zcache)
+        z[j] = zj + sign * V.take(v, axis=0)
+    losses = clause_loss(z.take(plan.active, axis=0), plan.lengths)
+    return state.base_unsat + math.fsum(losses.tolist())
 
 
 @dataclass
@@ -264,35 +303,38 @@ def dual_from_primal(state: NodeState, factor: Factor, zcache: ZCache,
     """
     size = state.instance.num_vars + 1
     active = state.active_mask()
-    live = state.live_entries(active)
+    columns = state.column_mask()
+    live = state.live_entries(active, columns)
+    coeffs = state.lit_coeffs()
     clause, var = state.lit_clause[live], state.lit_var[live]
-    coeff = state.lit_coeffs()[live]
+    coeff = coeffs[live]
     w = state.weight[clause]
     g = _group_sum(var, (coeff * w)[:, None] * zcache.z[clause], size)
     diag = coeff * coeff * w
     g -= _group_sum(var, diag, size)[:, None] * factor.cols
     lam = np.linalg.norm(g, axis=1)
     if repair and active.any():
-        _repair_multipliers(state, lam)
+        _repair_multipliers(state, lam, columns, live, coeffs)
     const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
     return DualCert(lam=lam,
                     const_offset=state.base_unsat - math.fsum(const.tolist()),
                     diag_sum=math.fsum(diag.tolist()))
 
 
-def _repair_multipliers(state: NodeState, lam: np.ndarray) -> None:
+def _repair_multipliers(state: NodeState, lam: np.ndarray,
+                        columns: np.ndarray, live: np.ndarray,
+                        coeff: np.ndarray) -> None:
     """Shift lam on the node's support so cost + diag(lam) is PSD.
 
-    The shift leaves a margin of dim * eps_mach * ||cost + diag(lam)||_F
-    above the computed smallest eigenvalue, which covers the eigensolver's
-    backward error (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 2007).
+    `columns`, `live` and `coeff` are the node's column mask, live-entry
+    mask and per-entry coefficients.  The shift leaves a margin of
+    dim * eps_mach * ||cost + diag(lam)||_F above the computed smallest
+    eigenvalue, which covers the eigensolver's backward error (Jansson,
+    Chaykin and Keil, SIAM J. Numer. Anal. 2007).
     """
-    columns = state.column_mask()
     index = np.flatnonzero(columns)
     dim = len(index)
     pos = np.cumsum(columns) - 1
-    live = state.live_entries(state.active_mask())
-    coeff = state.lit_coeffs()
     a, b = state.pair_a, state.pair_b
     keep = live[a] & live[b]
     a, b = a[keep], b[keep]
@@ -322,7 +364,8 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
         raise ValueError("eps must be positive")
     f_cur = objective(state, factor, zcache)
     trace = [f_cur]
-    if not any(st == ACTIVE for st in state.clause_status):
+    plan = sweep_plan(state, order)
+    if not len(plan.active):
         return SdpResult(f_cur, dual_from_primal(state, factor, zcache),
                          0, 0.0, True, trace)
     est_gap = math.inf
@@ -332,7 +375,7 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     for _ in range(max_sweeps):
         if deadline is not None and time.monotonic() > deadline:
             break
-        f_new = mixing_sweep(state, factor, zcache, order)
+        f_new = mixing_sweep(state, factor, zcache, order, plan)
         sweeps += 1
         trace.append(f_new)
         delta = f_cur - f_new

@@ -14,7 +14,8 @@ TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0\n"
 
 BAD_SETTINGS = (["--rank", "1"], ["--eps", "0"], ["--depth-limit", "0"],
                 ["--depth-limit", "-2"], ["--rounding-c", "0"],
-                ["--timeout", "-1"], ["--seed", "-1"])
+                ["--rounding-c", "inf"], ["--timeout", "-1"],
+                ["--seed", "-1"])
 
 
 def run_cli(argv, capsys):

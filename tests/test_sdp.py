@@ -245,6 +245,56 @@ def test_colored_sweep_matches_sequential_sweep(inst, data):
     assert np.allclose(zc.z[active], ref_zc.z[active], rtol=0.0, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_solve_sweeps_match_fresh_sweeps(inst, data):
+    """solve builds one sweep plan for all of its sweeps; they must equal,
+    bit for bit, as many sweeps that each build a fresh plan, at random
+    partial nodes (fully assigned and clause-free ones included)."""
+    n = inst.num_vars
+    state, ws, factor, zc = fresh_solver_state(
+        inst, seed=data.draw(st.integers(0, 99)))
+    path = data.draw(st.permutations(range(1, n + 1)))
+    for var in path[:data.draw(st.integers(0, n))]:
+        assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
+    zc.rebuild(state, factor)
+    order = data.draw(st.permutations(range(1, n + 1)))
+    ref_factor, ref_zc = factor.copy(), ZCache(inst, factor.k)
+    ref_zc.z[:] = zc.z
+    res = solve(state, factor, zc, eps=1e-300,
+                max_sweeps=data.draw(st.integers(1, 6)), order=order)
+    fresh = [mixing_sweep(state, ref_factor, ref_zc, order)
+             for _ in range(res.sweeps_used)]
+    assert res.trace[1:] == fresh
+    assert np.array_equal(factor.cols, ref_factor.cols)
+    active = state.active_mask()
+    assert np.array_equal(zc.z[active], ref_zc.z[active])
+    rebuilt = ZCache(inst, factor.k)
+    rebuilt.rebuild(state, factor)
+    assert np.allclose(zc.z[active], rebuilt.z[active], rtol=0.0, atol=1e-12)
+
+
+def test_dsatur_colors_crown_graph_with_two_classes():
+    """The crown graph (u_i or w_j for i != j) is bipartite: DSatur colors it
+    with two classes, where greedy coloring in variable order (u1, w1, u2,
+    w2, ...) needs one class per pair."""
+    k = 5
+    clauses = [[2 * i + 1, 2 * j + 2]
+               for i in range(k) for j in range(k) if i != j]
+    inst = instance_from_clauses(2 * k, clauses)
+    state = NodeState(inst)
+    assert len(state.class_vars) == 2
+    for a, b in clauses:
+        assert state.color[a] != state.color[b]
+    assert np.array_equal(NodeState(inst).color, state.color)
+
+    greedy = [0] * (2 * k + 1)
+    for v in range(1, 2 * k + 1):
+        taken = {greedy[u] for c in clauses if v in c for u in c if u < v}
+        greedy[v] = min(set(range(len(taken) + 1)) - taken)
+    assert max(greedy) + 1 == k
+
+
 def test_triangle_instance_bound_sandwich():
     inst = parse_dimacs(TRIANGLE)
     state, ws, factor, zc = fresh_solver_state(inst, seed=0)
