@@ -198,15 +198,14 @@ class NodeState:
     The variables are also colored by DSatur so that two variables sharing
     a clause never share a color.  A proper coloring of the whole formula
     stays proper on every subproblem, so it is computed once.  Per color
-    class the node keeps its variables (`class_vars`), its literal entries
-    sorted by variable (`class_entries`) and each entry's variable slot
-    within the class (`class_slots`); `color[v]` is the class of variable v.
+    class the node keeps its literal entries sorted by variable
+    (`class_entries`); `color[v]` is the class of variable v.
     """
 
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
                  "lit_sign", "clause_len", "weight", "pair_a", "pair_b",
-                 "color", "class_vars", "class_entries", "class_slots")
+                 "color", "class_entries")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -280,13 +279,8 @@ class NodeState:
         entries = entries[np.lexsort((var, self.color[var]))]
         bounds = np.searchsorted(self.color[self.lit_var[entries]],
                                  np.arange(max(color) + 2))
-        self.class_vars, self.class_entries, self.class_slots = [], [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            members, slots = np.unique(self.lit_var[entries[lo:hi]],
-                                       return_inverse=True)
-            self.class_vars.append(members)
-            self.class_entries.append(entries[lo:hi])
-            self.class_slots.append(slots)
+        self.class_entries = [entries[lo:hi]
+                              for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def mark(self) -> int:
         """Trail length snapshot for a later unassign_to."""

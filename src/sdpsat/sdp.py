@@ -25,7 +25,9 @@ node's assignment, so a solve gathers it once into a sweep plan shared by
 all of its sweeps (no sweep assigns a variable).  At a sweep fixed point
 the per-column update magnitudes ||g_i|| are feasible multipliers for the
 zero-diagonal cost matrix, giving a matching lower bound (the dual
-certificate used for pruning).
+certificate used for pruning).  A solve sweeps until the estimated gap
+drops below eps, max_sweeps run out, the deadline passes, or a certificate
+taken between sweeps passes the caller's prune test.
 """
 
 from __future__ import annotations
@@ -281,6 +283,8 @@ class SdpResult:
     est_gap: float
     converged: bool
     trace: list = field(default_factory=list)
+    # ended early by a certificate that passed the caller's prune test
+    pruned: bool = False
 
     @property
     def dual_bound(self) -> float:
@@ -301,6 +305,16 @@ def dual_from_primal(state: NodeState, factor: Factor, zcache: ZCache,
     feasibility and keeps ceiling-based pruning sound at loose convergence.
     One dense symmetric eigensolve per certificate.
     """
+    cert, support = _raw_certificate(state, factor, zcache)
+    if repair and support is not None:
+        _repair_multipliers(state, cert.lam, *support)
+    return cert
+
+
+def _raw_certificate(state: NodeState, factor: Factor, zcache: ZCache):
+    """The unrepaired certificate of dual_from_primal, and the arguments
+    after `lam` of its _repair_multipliers call (None without an active
+    clause, where there is nothing to repair)."""
     size = state.instance.num_vars + 1
     active = state.active_mask()
     columns = state.column_mask()
@@ -312,13 +326,25 @@ def dual_from_primal(state: NodeState, factor: Factor, zcache: ZCache,
     g = _group_sum(var, (coeff * w)[:, None] * zcache.z[clause], size)
     diag = coeff * coeff * w
     g -= _group_sum(var, diag, size)[:, None] * factor.cols
-    lam = np.linalg.norm(g, axis=1)
-    if repair and active.any():
-        _repair_multipliers(state, lam, columns, live, coeffs)
     const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
-    return DualCert(lam=lam,
+    cert = DualCert(lam=np.linalg.norm(g, axis=1),
                     const_offset=state.base_unsat - math.fsum(const.tolist()),
                     diag_sum=math.fsum(diag.tolist()))
+    return cert, ((columns, live, coeffs) if active.any() else None)
+
+
+def _pruning_certificate(state: NodeState, factor: Factor, zcache: ZCache,
+                         prune) -> DualCert | None:
+    """The repaired certificate if it passes `prune`, else None.
+
+    The repair only lowers the bound, so a raw bound that fails `prune`
+    decides without the eigensolve.  Called with an active clause.
+    """
+    cert, support = _raw_certificate(state, factor, zcache)
+    if not prune(cert.dual_bound):
+        return None
+    _repair_multipliers(state, cert.lam, *support)
+    return cert if prune(cert.dual_bound) else None
 
 
 def _repair_multipliers(state: NodeState, lam: np.ndarray,
@@ -349,16 +375,31 @@ def _repair_multipliers(state: NodeState, lam: np.ndarray,
         lam[index] += margin - min_eig
 
 
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
 def solve(state: NodeState, factor: Factor, zcache: ZCache,
           eps: float = 1e-2, max_sweeps: int = 400, order=None,
-          deadline: float | None = None) -> SdpResult:
-    """Sweep until the estimated distance to the optimum drops below eps.
+          deadline: float | None = None, prune=None) -> SdpResult:
+    """Sweep until the estimated distance to the optimum drops below eps,
+    max_sweeps run out, the deadline passes or a certificate prunes.
 
     The distance is estimated from the per-sweep decreases delta_t assuming a
     linear rate: gap ~ delta_t * rho / (1 - rho) with rho = delta_t /
-    delta_{t-1} clamped to [0, 0.999].  If max_sweeps (or the deadline) is
-    exhausted first, the result is flagged unconverged; the dual certificate
-    remains a valid bound either way.
+    delta_{t-1} clamped to [0, 0.999].
+
+    `prune` is an optional predicate on a lower bound: the caller's test
+    for discarding the node.  After every unconverged sweep whose objective
+    passes it (no certificate's bound exceeds the objective), a certificate
+    is taken, raw multipliers first and the eigen repair only if their
+    bound passes too, and the solve returns with `pruned` set as soon as a
+    repaired bound passes.  Without `prune` the sweeps are those of the
+    plain solve.
+
+    Any result that did not converge is flagged so; the dual certificate
+    remains a valid bound either way, except that once the deadline has
+    passed the certificate is returned unrepaired (no eigensolve).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -373,7 +414,7 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     converged = False
     sweeps = 0
     for _ in range(max_sweeps):
-        if deadline is not None and time.monotonic() > deadline:
+        if _past(deadline):
             break
         f_new = mixing_sweep(state, factor, zcache, order, plan)
         sweeps += 1
@@ -391,5 +432,10 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
                 converged = True
                 break
         prev_delta = delta
-    return SdpResult(f_cur, dual_from_primal(state, factor, zcache),
-                     sweeps, est_gap, converged, trace)
+        if prune is not None and prune(f_cur) and not _past(deadline):
+            cert = _pruning_certificate(state, factor, zcache, prune)
+            if cert is not None:
+                return SdpResult(f_cur, cert, sweeps, est_gap, False, trace,
+                                 pruned=True)
+    cert = dual_from_primal(state, factor, zcache, repair=not _past(deadline))
+    return SdpResult(f_cur, cert, sweeps, est_gap, converged, trace)

@@ -59,6 +59,8 @@ class SearchStats:
     expands_by_primal: int = 0
     pruned_at_pop: int = 0
     leaf_pops: int = 0
+    # solves ended by a pruning certificate before convergence
+    early_prunes: int = 0
     roundings: int = 0
     wall_time: float = 0.0
 
@@ -94,6 +96,10 @@ class Searcher:
 
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
+
+    def prunes(self, bound: float) -> bool:
+        """The dual prune test: the bound's ceiling meets the incumbent."""
+        return ceil_bound(bound, self.cfg.ceil_tol) >= self.best_unsat
 
     def move_to(self, path) -> None:
         """Rewind to the longest common prefix, then assign the remainder."""
@@ -131,9 +137,10 @@ class Searcher:
         self.zcache.rebuild(self.state, self.factor)
         res = solve(self.state, self.factor, self.zcache, eps=self.cfg.eps,
                     max_sweeps=self.cfg.max_sweeps, order=self.order,
-                    deadline=self.deadline)
+                    deadline=self.deadline, prune=self.prunes)
         self.stats.sdp_solves += 1
         self.stats.sweeps_total += res.sweeps_used
+        self.stats.early_prunes += res.pruned
         return res
 
     def round_root(self) -> None:
@@ -227,9 +234,8 @@ class Searcher:
     def process_root(self, node: SearchNode) -> list[SearchNode]:
         """Pop-time handling shared by both modes; returns children to push."""
         stats = self.stats
-        tol = self.cfg.ceil_tol
         stats.nodes_popped += 1
-        if ceil_bound(node.dual, tol) >= self.best_unsat:
+        if self.prunes(node.dual):
             stats.pruned_at_pop += 1
             stats.prunes_by_dual += 1
             return []
@@ -240,14 +246,19 @@ class Searcher:
                              self.state.base_unsat)
             return []
         res = self.solve_root()
-        fresh_dual = res.cert.dual_bound
-        if ceil_bound(fresh_dual, tol) >= self.best_unsat:
+        if self.out_of_time():
+            # past the deadline the certificate may be unrepaired, so it
+            # prunes nothing; round only to have an incumbent to report
+            if self.best is None:
+                self.round_root()
+            return []
+        if self.prunes(res.dual_bound):
             stats.prunes_by_dual += 1
             return []
         self.round_root()
         # re-fire with the possibly improved incumbent; also catches the
         # bound-match case where a rounding attains the dual ceiling
-        if ceil_bound(fresh_dual, tol) >= self.best_unsat:
+        if self.prunes(res.dual_bound):
             stats.prunes_by_dual += 1
             return []
         self.reorder(res.cert)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpsat.bounds import ShiftLedger
+from sdpsat.bounds import ShiftLedger, ceil_bound
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
@@ -216,12 +216,12 @@ def test_colored_sweep_matches_sequential_sweep(inst, data):
     for clause in inst.clauses:
         colors = [state.color[abs(lit)] for lit in clause.lits]
         assert len(set(colors)) == len(colors), clause.lits
-    for c, members in enumerate(state.class_vars):
-        entries = state.class_entries[c]
-        assert np.array_equal(members[state.class_slots[c]],
-                              state.lit_var[entries])
+    for c, entries in enumerate(state.class_entries):
+        var = state.lit_var[entries]
+        members, slots = np.unique(var, return_inverse=True)
+        assert np.array_equal(members[slots], var)
         assert np.all(state.color[members] == c)
-        assert np.all(np.diff(state.class_slots[c]) >= 0)
+        assert np.all(np.diff(slots) >= 0)
     listed = np.sort(np.concatenate(state.class_entries))
     assert np.array_equal(listed, np.flatnonzero(state.lit_var > 0))
 
@@ -274,6 +274,53 @@ def test_solve_sweeps_match_fresh_sweeps(inst, data):
     assert np.allclose(zc.z[active], rebuilt.z[active], rtol=0.0, atol=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_prune_stopped_solve_is_sound(inst, data):
+    """A solve given the search's prune test against an incumbent (random,
+    or next to the ceiling of the solve without a prune test) stops only on
+    a certificate that passes the test and is PSD by the dense probe,
+    without tolerance; before it stops, and without a stop, it sweeps bit
+    for bit as the solve without a prune test does."""
+    n = inst.num_vars
+    state, ws, factor, zc = fresh_solver_state(
+        inst, seed=data.draw(st.integers(0, 99)))
+    path = data.draw(st.permutations(range(1, n + 1)))
+    for var in path[:data.draw(st.integers(0, n))]:
+        assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
+    zc.rebuild(state, factor)
+    order = data.draw(st.permutations(range(1, n + 1)))
+    max_sweeps = data.draw(st.integers(1, 30))
+    cols, rows = factor.cols.copy(), zc.z.copy()
+
+    def run(sweeps, prune=None):
+        factor.cols[:] = cols
+        zc.z[:] = rows
+        res = solve(state, factor, zc, max_sweeps=sweeps, order=order,
+                    prune=prune)
+        return res, factor.cols.copy(), zc.z[state.active_mask()]
+
+    plain, plain_cols, plain_z = run(max_sweeps)
+    ceiling = ceil_bound(plain.dual_bound)
+    best = data.draw(st.one_of(
+        st.integers(max(ceiling - 1, 0), ceiling + 1),
+        st.integers(0, inst.num_clauses + inst.empty_count + 1)))
+    res, res_cols, res_z = run(max_sweeps,
+                               lambda bound: ceil_bound(bound) >= best)
+    if not res.converged and res.sweeps_used < max_sweeps:
+        assert res.pruned
+    if res.pruned:
+        assert not res.converged
+        assert ceil_bound(res.dual_bound) >= best
+        assert dense_sdp_check(state, lam=res.cert.lam).min_eig >= 0.0
+        plain, plain_cols, plain_z = run(res.sweeps_used)
+    else:
+        assert np.array_equal(res.cert.lam, plain.cert.lam)
+    assert res.trace == plain.trace
+    assert np.array_equal(res_cols, plain_cols)
+    assert np.array_equal(res_z, plain_z)
+
+
 def test_dsatur_colors_crown_graph_with_two_classes():
     """The crown graph (u_i or w_j for i != j) is bipartite: DSatur colors it
     with two classes, where greedy coloring in variable order (u1, w1, u2,
@@ -283,7 +330,7 @@ def test_dsatur_colors_crown_graph_with_two_classes():
                for i in range(k) for j in range(k) if i != j]
     inst = instance_from_clauses(2 * k, clauses)
     state = NodeState(inst)
-    assert len(state.class_vars) == 2
+    assert len(np.unique(state.color[1:])) == 2
     for a, b in clauses:
         assert state.color[a] != state.color[b]
     assert np.array_equal(NodeState(inst).color, state.color)

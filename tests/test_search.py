@@ -63,6 +63,23 @@ def test_complete_timeout_returns_incumbent():
     assert best.unsat >= 0
 
 
+def test_timeout_skips_certificate_repair_and_rounding_at_scale():
+    # one root: its certificate's eigensolve alone (dimension 3201) takes
+    # about four times the limit, and its rounding about half of it
+    inst = random_instance(3200, 12800, 2, seed=3)
+    best, stats = solve_incomplete(inst, SolverConfig(seed=3, time_limit=0.3))
+    assert stats.wall_time < 0.8
+    assert best is not None
+    assert evaluate(inst, best.assignment) == best.unsat
+
+
+def test_early_prunes_counted_among_dual_prunes():
+    inst = random_instance(28, 112, 2, seed=1)
+    _, status, stats = solve_complete(inst, SolverConfig(seed=1))
+    assert status == OPTIMUM
+    assert 0 < stats.early_prunes <= stats.prunes_by_dual
+
+
 def test_complete_optimum_under_time_limit_is_exact():
     # a deadline that cuts an expansion short must not leave a proof behind
     optima = {}
