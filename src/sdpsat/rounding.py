@@ -9,19 +9,30 @@ import numpy as np
 from .instance import FREE, NodeState
 from .sdp import Factor
 
+# literal-entry by trial cells per block of trials: bounds the boolean
+# matrices of one node_unsat call (about 4 MB each)
+TRIAL_CELLS = 1 << 22
+
+
+def trial_values(factor: Factor, state: NodeState,
+                 r: np.ndarray) -> np.ndarray:
+    """The rounding of each hyperplane normal (rows of r) as a column.
+
+    A free variable takes the sign of (v_0 . r)(v_i . r), ties rounding to
+    TRUE; assigned variables keep their values (slot 0 = +1).  Returns an
+    int8 matrix of shape (n+1, len(r)), one assignment vector per column.
+    """
+    dots = factor.cols @ r.T
+    side = np.where(dots[0] * dots >= 0.0, 1, -1).astype(np.int8)
+    assignment = np.array(state.assignment, dtype=np.int8)[:, None]
+    return np.where(assignment == FREE, side, assignment)
+
 
 def round_once(factor: Factor, state: NodeState,
                rng: np.random.Generator) -> list[int]:
-    """One rounding trial: sign of (v_0 . r)(v_i . r) per free variable.
-
-    Already-assigned variables keep their values; ties round to TRUE.
-    Returns a full assignment vector indexed by variable (slot 0 = +1).
-    """
-    r = rng.standard_normal(factor.k)
-    dots = factor.cols @ r
-    side = np.where(dots[0] * dots >= 0.0, 1, -1)
-    assignment = np.array(state.assignment)
-    return np.where(assignment == FREE, side, assignment).tolist()
+    """One rounding trial: a full assignment vector indexed by variable."""
+    r = rng.standard_normal((1, factor.k))
+    return trial_values(factor, state, r)[:, 0].tolist()
 
 
 def rounding_budget(free_count: int, c: float = 4.0) -> int:
@@ -33,30 +44,43 @@ def rounding_budget(free_count: int, c: float = 4.0) -> int:
     return max(1, math.ceil(c * math.sqrt(free_count)))
 
 
-def node_unsat(state: NodeState, values) -> int:
+def node_unsat(state: NodeState, values):
     """Unsat count of a completion, scanning only the node's active clauses.
 
     An active clause has no satisfied assigned literal, so it stays unsat
-    exactly when all of its free literals round to false.
+    exactly when all of its free literals round to false.  `values` is one
+    assignment vector (returns an int) or a matrix with one per column
+    (returns the count of each column).
     """
-    active = state.active_mask()
-    signs = state.lit_sign * np.asarray(values)[state.lit_var]
-    true_lits = state.live_entries(active) & (signs > 0)
-    satisfied = np.bincount(state.lit_clause[true_lits], minlength=len(active))
-    return state.base_unsat + int(np.count_nonzero(active & (satisfied == 0)))
+    values = np.asarray(values)
+    live = np.flatnonzero(state.live_entries(state.active_mask()))
+    var = state.lit_var[live]
+    sign = state.lit_sign[live].astype(np.int8).reshape(
+        (-1,) + (1,) * (values.ndim - 1))
+    # the truth entry (variable 0, sign 0) leads each active clause's run
+    # and is never a true literal
+    true_lits = values[var] == sign
+    satisfied = np.logical_or.reduceat(true_lits, np.flatnonzero(var == 0),
+                                       axis=0)
+    unsat = state.base_unsat + np.count_nonzero(~satisfied, axis=0)
+    return int(unsat) if values.ndim == 1 else unsat
 
 
 def best_rounding(factor: Factor, state: NodeState, budget: int,
                   rng: np.random.Generator):
-    """Best of `budget` rounding trials; deterministic per rng state."""
+    """Best of `budget` rounding trials, the first one on ties;
+    deterministic per rng state (one draw of all normals)."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    r = rng.standard_normal((budget, factor.k))
+    block = max(1, TRIAL_CELLS // max(len(state.lit_var), 1))
     best_values = None
     best_unsat = None
-    for _ in range(budget):
-        values = round_once(factor, state, rng)
-        u = node_unsat(state, values)
-        if best_unsat is None or u < best_unsat:
-            best_unsat = u
-            best_values = values
-    return best_values, best_unsat
+    for lo in range(0, budget, block):
+        values = trial_values(factor, state, r[lo:lo + block])
+        unsat = node_unsat(state, values)
+        t = int(np.argmin(unsat))
+        if best_unsat is None or unsat[t] < best_unsat:
+            best_unsat = int(unsat[t])
+            best_values = values[:, t]
+    return best_values.tolist(), best_unsat

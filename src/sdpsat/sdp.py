@@ -333,17 +333,21 @@ def _raw_certificate(state: NodeState, factor: Factor, zcache: ZCache):
     return cert, ((columns, live, coeffs) if active.any() else None)
 
 
-def _pruning_certificate(state: NodeState, factor: Factor, zcache: ZCache,
-                         prune) -> DualCert | None:
+def pruning_certificate(state: NodeState, factor: Factor, zcache: ZCache,
+                        prune) -> DualCert | None:
     """The repaired certificate if it passes `prune`, else None.
 
-    The repair only lowers the bound, so a raw bound that fails `prune`
-    decides without the eigensolve.  Called with an active clause.
+    The one prune-time certificate: a solve takes it between sweeps, and
+    the search takes it of a child about to be queued, on the parent's
+    factor and the child's clause sums.  The repair only lowers the bound, so a raw bound that fails `prune`
+    decides without the eigensolve.  Without an active clause there is
+    nothing to repair: the bound is base_unsat.
     """
     cert, support = _raw_certificate(state, factor, zcache)
     if not prune(cert.dual_bound):
         return None
-    _repair_multipliers(state, cert.lam, *support)
+    if support is not None:
+        _repair_multipliers(state, cert.lam, *support)
     return cert if prune(cert.dual_bound) else None
 
 
@@ -433,7 +437,7 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
                 break
         prev_delta = delta
         if prune is not None and prune(f_cur) and not _past(deadline):
-            cert = _pruning_certificate(state, factor, zcache, prune)
+            cert = pruning_certificate(state, factor, zcache, prune)
             if cert is not None:
                 return SdpResult(f_cur, cert, sweeps, est_gap, False, trace,
                                  pruned=True)

@@ -6,7 +6,11 @@ their warm-started factors and reports every incumbent improvement as it
 happens.  Either way, each popped root is solved by sweeps, rounded, and then
 expanded by one depth-limited DFS whose interior nodes are priced with the
 warm-started bound pair: prune on the dual ceiling, recurse on a primal that
-already ties the incumbent, and emit everything else as a new root.
+already ties the incumbent, and emit everything else as a new root.  A child
+about to be emitted whose warm-started objective already meets the incumbent
+is first decided by its own certificate, taken from the parent's factor and
+the current clause sums exactly as a solve takes one between sweeps; when it
+prunes, the child is dropped instead of being queued, replayed and re-solved.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from .config import SolverConfig
 from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack, assign,
                        evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
-from .sdp import ZCache, active_losses, default_rank, init_factor, solve
+from .sdp import (ZCache, active_losses, default_rank, init_factor,
+                  pruning_certificate, solve)
 
 OPTIMUM = "OPTIMUM"
 TIMEOUT = "TIMEOUT"
@@ -61,6 +66,8 @@ class SearchStats:
     leaf_pops: int = 0
     # solves ended by a pruning certificate before convergence
     early_prunes: int = 0
+    # children dropped at expansion by their own certificate
+    child_cert_prunes: int = 0
     roundings: int = 0
     wall_time: float = 0.0
 
@@ -149,6 +156,9 @@ class Searcher:
             self.update_best(list(self.state.assignment),
                              self.state.base_unsat)
             return
+        if self.out_of_time():
+            # past the deadline one trial is enough for an incumbent to report
+            budget = 1
         values, unsat = best_rounding(self.factor, self.state, budget,
                                       self.rng)
         self.stats.roundings += budget
@@ -170,7 +180,10 @@ class Searcher:
         trying the incumbent's value first.  Interior children are priced by
         the warm-started bound pair; the frontier (depth limit, or a SOLVE
         decision) emits queue nodes, and fully assigned leaves update the
-        incumbent directly.
+        incumbent directly.  A frontier child whose objective passes the
+        prune test is first tested by its own certificate (no certificate's
+        bound exceeds the objective, so no other child can prune) and
+        dropped if that prunes.
         """
         state, ws, zc, cfg = self.state, self.ws, self.zcache, self.cfg
         ledger = ShiftLedger(res.cert)
@@ -182,6 +195,16 @@ class Searcher:
         incomplete = self.mode == INCOMPLETE
 
         def emit_child(depth: int) -> None:
+            if self.prunes(obj_stack[-1]) and not self.out_of_time():
+                cert = pruning_certificate(state, self.factor, zc,
+                                           self.prunes)
+                if cert is not None:
+                    self.stats.prunes_by_dual += 1
+                    self.stats.child_cert_prunes += 1
+                    if cfg.bound_recorder is not None:
+                        cfg.bound_recorder(tuple(self.cur_path),
+                                           cert.dual_bound)
+                    return
             priority = self.clipped_loss() if incomplete else 0.0
             children.append(SearchNode(
                 path=tuple(self.cur_path), primal=obj_stack[-1],
@@ -248,7 +271,7 @@ class Searcher:
         res = self.solve_root()
         if self.out_of_time():
             # past the deadline the certificate may be unrepaired, so it
-            # prunes nothing; round only to have an incumbent to report
+            # prunes nothing; round (once) only to have an incumbent to report
             if self.best is None:
                 self.round_root()
             return []

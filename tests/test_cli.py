@@ -42,6 +42,7 @@ def test_solve_triangle_complete(tmp_path, capsys):
     inst = parse_dimacs(TRIANGLE)
     assert evaluate(inst, values) == 1
     assert "stats nodes_popped" in err
+    assert "stats child_cert_prunes=" in err
 
 
 def test_solve_satisfiable(tmp_path, capsys):

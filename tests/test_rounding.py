@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sdpsat.rounding
 from sdpsat.generate import random_instance
-from sdpsat.instance import (FALSE, TRUE, NodeState, WatchedStack, assign,
-                             evaluate, parse_dimacs)
+from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
+                             WatchedStack, assign, evaluate, parse_dimacs)
 from sdpsat.oracle import brute_force
 from sdpsat.rounding import best_rounding, node_unsat, round_once, rounding_budget
 from sdpsat.sdp import ZCache, default_rank, init_factor, solve
 from tests.test_sdp import fresh_solver_state, integral_factor
+from tests.test_search import small_formulas
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0"
 
@@ -100,3 +104,52 @@ def test_best_rounding_never_below_dual_bound():
         _, unsat = best_rounding(factor, state, 10,
                                  np.random.default_rng(seed))
         assert unsat >= math.ceil(res.dual_bound - 1e-6)
+
+
+def looped_rounding(factor, state, budget, rng):
+    """best_rounding as one trial per loop pass: a draw of r, the signs
+    and an unsat count by a walk over the node's active clauses."""
+    assignment = np.array(state.assignment)
+    best_values = best_unsat = None
+    for _ in range(budget):
+        r = rng.standard_normal(factor.k)
+        dots = factor.cols @ r
+        side = np.where(dots[0] * dots >= 0.0, 1, -1)
+        values = np.where(assignment == FREE, side, assignment).tolist()
+        unsat = state.base_unsat
+        for j, clause in enumerate(state.instance.clauses):
+            if state.clause_status[j] == ACTIVE and not any(
+                    (values[abs(lit)] > 0) == (lit > 0) for lit in clause.lits
+                    if assignment[abs(lit)] == FREE):
+                unsat += 1
+        if best_unsat is None or unsat < best_unsat:
+            best_values, best_unsat = values, unsat
+    return best_values, best_unsat
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_batched_rounding_matches_trial_loop(inst, data):
+    """All trials in one array step (in blocks of any size) give the values
+    and unsat count of the trial-by-trial loop, first best on ties."""
+    n = inst.num_vars
+    state, ws, factor, zc = fresh_solver_state(
+        inst, seed=data.draw(st.integers(0, 99)))
+    path = data.draw(st.permutations(range(1, n + 1)))
+    for var in path[:data.draw(st.integers(0, n))]:
+        assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
+    zc.rebuild(state, factor)
+    if data.draw(st.booleans()):
+        solve(state, factor, zc, max_sweeps=data.draw(st.integers(1, 20)))
+    budget = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    expected = looped_rounding(factor, state, budget,
+                               np.random.default_rng(seed))
+    cells = data.draw(st.sampled_from((1, 50, sdpsat.rounding.TRIAL_CELLS)))
+    saved, sdpsat.rounding.TRIAL_CELLS = sdpsat.rounding.TRIAL_CELLS, cells
+    try:
+        got = best_rounding(factor, state, budget, np.random.default_rng(seed))
+    finally:
+        sdpsat.rounding.TRIAL_CELLS = saved
+    assert got == expected
+    assert evaluate(inst, got[0]) == got[1]

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import os
 import subprocess
@@ -24,3 +25,16 @@ def test_approx_ratio_curve_smoke():
     for name, _, ratio in rows[1:]:
         assert name == "rand-s0"
         assert 0.0 < float(ratio) <= 1.0
+
+
+def test_perfbench_trace_targets_exist():
+    """Every name the benchmark's tracer wraps is still where it looks it
+    up, so a rename cannot leave `--trace 1` without its spans."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing._targets()
+    assert targets
+    for owner, attr, name in targets:
+        assert callable(vars(owner).get(attr)), name

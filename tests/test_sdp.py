@@ -303,7 +303,7 @@ def test_prune_stopped_solve_is_sound(inst, data):
     plain, plain_cols, plain_z = run(max_sweeps)
     ceiling = ceil_bound(plain.dual_bound)
     best = data.draw(st.one_of(
-        st.integers(max(ceiling - 1, 0), ceiling + 1),
+        st.integers(max(ceiling - 1, 0), max(ceiling + 1, 0)),
         st.integers(0, inst.num_clauses + inst.empty_count + 1)))
     res, res_cols, res_z = run(max_sweeps,
                                lambda bound: ceil_bound(bound) >= best)

@@ -1,4 +1,6 @@
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpsat.search
+from sdpsat.bounds import ceil_bound
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import evaluate, instance_from_clauses, parse_dimacs
-from sdpsat.oracle import brute_force, brute_force_dense
+from sdpsat.oracle import (brute_force, brute_force_dense, dense_sdp_check,
+                           min_unsat_completion)
 from sdpsat.search import (COMPLETE, OPTIMUM, TIMEOUT, Searcher,
                            solve_complete, solve_incomplete)
 
@@ -78,6 +82,34 @@ def test_early_prunes_counted_among_dual_prunes():
     _, status, stats = solve_complete(inst, SolverConfig(seed=1))
     assert status == OPTIMUM
     assert 0 < stats.early_prunes <= stats.prunes_by_dual
+
+
+def test_deadline_inside_first_root_rounds_once():
+    inst = random_instance(40, 160, 2, seed=6)
+    engine = Searcher(inst, SolverConfig(seed=6, time_limit=60.0))
+    real_solve = sdpsat.search.solve
+
+    def solve_past_deadline(*args, **kwargs):
+        # the deadline passes as the first root's solve starts
+        engine.deadline = time.monotonic()
+        return real_solve(*args, **dict(kwargs, deadline=engine.deadline))
+
+    with mock.patch.object(sdpsat.search, "solve", solve_past_deadline):
+        status = engine.run_complete()
+    assert status == TIMEOUT
+    assert engine.stats.sdp_solves == 1
+    assert engine.stats.roundings == 1
+    assert engine.best is not None
+    assert evaluate(inst, engine.best.assignment) == engine.best.unsat
+
+
+def test_child_cert_prunes_counted_among_dual_prunes():
+    inst = random_instance(28, 112, 2, seed=1)
+    _, status, stats = solve_complete(inst, SolverConfig(seed=1))
+    assert status == OPTIMUM
+    assert stats.child_cert_prunes > 0
+    assert (stats.pruned_at_pop + stats.early_prunes + stats.child_cert_prunes
+            <= stats.prunes_by_dual)
 
 
 def test_complete_optimum_under_time_limit_is_exact():
@@ -222,8 +254,8 @@ def test_expand_root_partition_when_nothing_prunes():
 
 
 def test_node_priority_nonnegative_and_matches_dense():
-    inst = random_instance(12, 48, 2, seed=19)
-    engine = Searcher(inst, SolverConfig(seed=19))
+    inst = random_instance(12, 48, 2, seed=33)
+    engine = Searcher(inst, SolverConfig(seed=33))
     engine.mode = "incomplete"
     res = engine.solve_root()
     engine.round_root()
@@ -286,3 +318,46 @@ def test_bound_recorder_hook_sound_on_small_instance():
             assert math.ceil(dual - 1e-6) <= min_unsat_completion(inst, values)
             checked += 1
     assert checked >= 100
+
+
+@settings(max_examples=1000, deadline=None)
+@given(inst=small_formulas(), mode=st.sampled_from((COMPLETE, "incomplete")),
+       max_sweeps=st.sampled_from((1, 3, 400)),
+       depth_limit=st.integers(1, 10), seed=st.integers(0, 99),
+       data=st.data())
+def test_children_dropped_by_own_certificate_are_sound(
+        inst, mode, max_sweeps, depth_limit, seed, data):
+    """Every child that expansion drops by its own certificate, in a search
+    started from a random incumbent count, has a certificate that is PSD by
+    the dense probe without tolerance, that passes the prune test, and whose
+    ceiling is at most the child's exact minimum; the bound recorder sees
+    each of them."""
+    records = []
+    engine = Searcher(inst, SolverConfig(
+        seed=seed, max_sweeps=max_sweeps, depth_limit=depth_limit,
+        bound_recorder=lambda path, dual: records.append((path, dual))))
+    engine.best_unsat = data.draw(st.integers(
+        0, inst.num_clauses + inst.empty_count + 1))
+    dropped = []
+    real = sdpsat.search.pruning_certificate
+
+    def audited(state, factor, zcache, prune):
+        cert = real(state, factor, zcache, prune)
+        if cert is not None:
+            dropped.append((tuple(engine.cur_path), cert.dual_bound,
+                            engine.best_unsat,
+                            dense_sdp_check(state, lam=cert.lam).min_eig,
+                            min_unsat_completion(inst, state.assignment)))
+        return cert
+
+    with mock.patch.object(sdpsat.search, "pruning_certificate", audited):
+        if mode == COMPLETE:
+            engine.run_complete()
+        else:
+            engine.run_incomplete()
+    assert len(dropped) == engine.stats.child_cert_prunes
+    for path, bound, best_unsat, min_eig, exact in dropped:
+        assert min_eig >= 0.0
+        assert ceil_bound(bound) >= best_unsat
+        assert ceil_bound(bound) <= exact
+        assert (path, bound) in records
