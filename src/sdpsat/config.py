@@ -35,7 +35,7 @@ class SolverConfig:
         checks = (
             (self.depth_limit >= 1, "depth_limit must be at least 1"),
             (self.rank is None or self.rank >= 2, "rank must be at least 2"),
-            (self.eps > 0, "eps must be positive"),
+            (0 < self.eps < math.inf, "eps must be positive and finite"),
             (self.max_sweeps >= 1, "max_sweeps must be at least 1"),
             (0 < self.rounding_c < math.inf,
              "rounding_c must be positive and finite"),

@@ -22,12 +22,17 @@ exactly the column-at-a-time (Gauss-Seidel) sweep in class order.  What a
 sweep reads besides the columns and z rows -- each class's live entries,
 signs, weights and runs, and the active clauses -- depends only on the
 node's assignment, so a solve gathers it once into a sweep plan shared by
-all of its sweeps (no sweep assigns a variable).  At a sweep fixed point
-the per-column update magnitudes ||g_i|| are feasible multipliers for the
-zero-diagonal cost matrix, giving a matching lower bound (the dual
-certificate used for pruning).  A solve sweeps until the estimated gap
-drops below eps, max_sweeps run out, the deadline passes, or a certificate
-taken between sweeps passes the caller's prune test.
+all of its sweeps (no sweep assigns a variable).
+
+The dual certificate used for pruning reads the node's dense zero-diagonal
+cost matrix C over its columns, built by node_cost alone.  The row norms
+of C V are the per-column update magnitudes; at a sweep fixed point they
+are feasible multipliers, giving a matching lower bound, and elsewhere an
+eigenvalue shift of C + diag(lam) repairs them.  C too depends only on the
+assignment, so a solve builds it once, at its first certificate.  A solve
+sweeps until the estimated gap drops below eps, max_sweeps run out, the
+deadline passes, or a certificate taken between sweeps passes the caller's
+prune test.
 """
 
 from __future__ import annotations
@@ -257,6 +262,51 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
     return state.base_unsat + math.fsum(losses.tolist())
 
 
+@dataclass(frozen=True, slots=True)
+class NodeCost:
+    """The node's dense cost matrix and its assignment-only bound terms.
+
+    `index` lists the node's columns (0, then the free variables) and
+    `matrix` is the zero-diagonal cost over them: entry (a, b) sums
+    coeff_a * coeff_b * w_j over the active clauses j holding both columns.
+    The would-be diagonal is folded into `diag_sum`; `const_offset` is
+    base_unsat minus the per-clause loss constants.  A cost is valid only
+    while the node's assignment is unchanged.
+    """
+
+    index: np.ndarray
+    matrix: np.ndarray
+    diag_sum: float
+    const_offset: float
+
+
+def node_cost(state: NodeState) -> NodeCost:
+    """The node's cost matrix: the one builder every certificate reads."""
+    active = state.active_mask()
+    columns = state.column_mask()
+    live = state.live_entries(active, columns)
+    coeff = state.lit_coeffs()
+    index = np.flatnonzero(columns)
+    dim = len(index)
+    pos = np.cumsum(columns) - 1
+    a, b = state.pair_a, state.pair_b
+    keep = live[a] & live[b]
+    a, b = a[keep], b[keep]
+    value = coeff[a] * coeff[b] * state.weight[state.lit_clause[a]]
+    pa, pb = pos[state.lit_var[a]], pos[state.lit_var[b]]
+    # both cells of a pair in turn, so the sums stay exactly symmetric
+    cells = np.empty(2 * len(pa), dtype=np.intp)
+    cells[0::2] = pa * dim + pb
+    cells[1::2] = pb * dim + pa
+    matrix = np.bincount(cells, np.repeat(value, 2), minlength=dim * dim)
+    # bincount returns integers when it is given no entries at all
+    matrix = matrix.astype(float, copy=False).reshape(dim, dim)
+    diag = coeff[live] ** 2 * state.weight[state.lit_clause[live]]
+    const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
+    return NodeCost(index, matrix, diag_sum=math.fsum(diag.tolist()),
+                    const_offset=state.base_unsat - math.fsum(const.tolist()))
+
+
 @dataclass
 class DualCert:
     """Multipliers certifying a lower bound on the node's relaxation.
@@ -278,103 +328,86 @@ class DualCert:
 @dataclass
 class SdpResult:
     objective_unsat: float
-    cert: DualCert
+    # None when the deadline passed before a certificate was taken
+    cert: DualCert | None
     sweeps_used: int
     est_gap: float
     converged: bool
     trace: list = field(default_factory=list)
     # ended early by a certificate that passed the caller's prune test
     pruned: bool = False
+    # certificates taken, raw ones that failed the prune test included
+    certificates: int = 0
 
     @property
     def dual_bound(self) -> float:
-        return self.cert.dual_bound
+        return -math.inf if self.cert is None else self.cert.dual_bound
 
 
-def dual_from_primal(state: NodeState, factor: Factor, zcache: ZCache,
-                     repair: bool = True) -> DualCert:
-    """Recover multipliers lam_i = ||g_i|| from the current factor.
+def certificate(cost: NodeCost, factor: Factor,
+                repair: bool = True) -> DualCert:
+    """Multipliers lam_i = ||(C V)_i|| over the node's columns.
 
-    g_i is the negated update direction of column i (the weighted sum of its
-    incident z vectors minus the column's own contribution); by
+    (C V)_i is the negated update direction of column i: the weighted sum
+    of its incident z vectors minus the column's own contribution.  By
     Cauchy-Schwarz the resulting bound never exceeds the current objective.
     The norm recovery is exactly feasible only at a sweep fixed point, so by
-    default the multipliers are repaired by an eigenvalue shift: a
-    min-eigenvalue of cost + diag(lam) below a floating-point margin is
-    lifted to the margin on every supported entry, which restores
-    feasibility and keeps ceiling-based pruning sound at loose convergence.
-    One dense symmetric eigensolve per certificate.
+    default the multipliers are repaired (_repair_multipliers).
     """
-    cert, support = _raw_certificate(state, factor, zcache)
-    if repair and support is not None:
-        _repair_multipliers(state, cert.lam, *support)
+    lam = np.zeros(len(factor.cols))
+    lam[cost.index] = np.linalg.norm(
+        cost.matrix @ factor.cols[cost.index], axis=1)
+    cert = DualCert(lam, cost.const_offset, cost.diag_sum)
+    if repair:
+        _repair_multipliers(cost, lam)
     return cert
 
 
-def _raw_certificate(state: NodeState, factor: Factor, zcache: ZCache):
-    """The unrepaired certificate of dual_from_primal, and the arguments
-    after `lam` of its _repair_multipliers call (None without an active
-    clause, where there is nothing to repair)."""
-    size = state.instance.num_vars + 1
-    active = state.active_mask()
-    columns = state.column_mask()
-    live = state.live_entries(active, columns)
-    coeffs = state.lit_coeffs()
-    clause, var = state.lit_clause[live], state.lit_var[live]
-    coeff = coeffs[live]
-    w = state.weight[clause]
-    g = _group_sum(var, (coeff * w)[:, None] * zcache.z[clause], size)
-    diag = coeff * coeff * w
-    g -= _group_sum(var, diag, size)[:, None] * factor.cols
-    const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
-    cert = DualCert(lam=np.linalg.norm(g, axis=1),
-                    const_offset=state.base_unsat - math.fsum(const.tolist()),
-                    diag_sum=math.fsum(diag.tolist()))
-    return cert, ((columns, live, coeffs) if active.any() else None)
+def dual_from_primal(state: NodeState, factor: Factor, zcache=None,
+                     repair: bool = True) -> DualCert:
+    """The node's certificate at the current factor, from a fresh cost
+    matrix (see certificate).  It reads no z-cache: `zcache` is accepted
+    for existing callers and ignored.
+    """
+    return certificate(node_cost(state), factor, repair)
 
 
-def pruning_certificate(state: NodeState, factor: Factor, zcache: ZCache,
+def pruning_certificate(cost: NodeCost, factor: Factor,
                         prune) -> DualCert | None:
     """The repaired certificate if it passes `prune`, else None.
 
     The one prune-time certificate: a solve takes it between sweeps, and
     the search takes it of a child about to be queued, on the parent's
-    factor and the child's clause sums.  The repair only lowers the bound, so a raw bound that fails `prune`
-    decides without the eigensolve.  Without an active clause there is
-    nothing to repair: the bound is base_unsat.
+    factor and the child's cost matrix.  The repair only lowers the bound,
+    so a raw bound that fails `prune` decides without the eigensolve.
     """
-    cert, support = _raw_certificate(state, factor, zcache)
+    cert = certificate(cost, factor, repair=False)
     if not prune(cert.dual_bound):
         return None
-    if support is not None:
-        _repair_multipliers(state, cert.lam, *support)
+    _repair_multipliers(cost, cert.lam)
     return cert if prune(cert.dual_bound) else None
 
 
-def _repair_multipliers(state: NodeState, lam: np.ndarray,
-                        columns: np.ndarray, live: np.ndarray,
-                        coeff: np.ndarray) -> None:
-    """Shift lam on the node's support so cost + diag(lam) is PSD.
+def _repair_multipliers(cost: NodeCost, lam: np.ndarray) -> None:
+    """Shift lam on the node's columns so cost + diag(lam) is PSD.
 
-    `columns`, `live` and `coeff` are the node's column mask, live-entry
-    mask and per-entry coefficients.  The shift leaves a margin of
-    dim * eps_mach * ||cost + diag(lam)||_F above the computed smallest
-    eigenvalue, which covers the eigensolver's backward error (Jansson,
-    Chaykin and Keil, SIAM J. Numer. Anal. 2007).
+    The shift leaves a margin of dim * eps_mach * ||cost + diag(lam)||_F
+    above the computed smallest eigenvalue, which covers the eigensolver's
+    backward error (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 2007).
+    One dense symmetric eigensolve; the matrix's zero diagonal is borrowed
+    for diag(lam) and restored.  A cost without an off-diagonal entry (no
+    active clause) needs none: diag(lam) with lam >= 0 is PSD exactly.
     """
-    index = np.flatnonzero(columns)
+    index, matrix = cost.index, cost.matrix
+    if not matrix.any():
+        return
     dim = len(index)
-    pos = np.cumsum(columns) - 1
-    a, b = state.pair_a, state.pair_b
-    keep = live[a] & live[b]
-    a, b = a[keep], b[keep]
-    value = coeff[a] * coeff[b] * state.weight[state.lit_clause[a]]
-    pa, pb = pos[state.lit_var[a]], pos[state.lit_var[b]]
-    cells = np.stack((pa * dim + pb, pb * dim + pa), axis=1).ravel()
-    cost = _group_sum(cells, np.repeat(value, 2), dim * dim).reshape(dim, dim)
-    cost[np.arange(dim), np.arange(dim)] = lam[index]
-    margin = dim * np.finfo(float).eps * float(np.linalg.norm(cost))
-    min_eig = float(np.linalg.eigvalsh(cost)[0])
+    matrix.flat[::dim + 1] = lam[index]
+    try:
+        margin = dim * np.finfo(float).eps * float(np.linalg.norm(matrix))
+        min_eig = float(np.linalg.eigvalsh(matrix)[0])
+    finally:
+        matrix.flat[::dim + 1] = 0.0
     if min_eig < margin:
         lam[index] += margin - min_eig
 
@@ -401,25 +434,26 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     repaired bound passes.  Without `prune` the sweeps are those of the
     plain solve.
 
-    Any result that did not converge is flagged so; the dual certificate
-    remains a valid bound either way, except that once the deadline has
-    passed the certificate is returned unrepaired (no eigensolve).
+    Every certificate of one solve reads one cost matrix, built at the
+    first certificate: no sweep changes the assignment.  `certificates`
+    counts the certificates taken, raw ones included.  Any result that
+    did not converge is flagged so; its repaired certificate remains a
+    valid bound either way.  Once the deadline has passed the solve takes
+    no certificate at all: `cert` is None and the bound is -inf.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     f_cur = objective(state, factor, zcache)
     trace = [f_cur]
     plan = sweep_plan(state, order)
-    if not len(plan.active):
-        return SdpResult(f_cur, dual_from_primal(state, factor, zcache),
-                         0, 0.0, True, trace)
-    est_gap = math.inf
+    cost = None
+    certificates = 0
+    # without an active clause there is nothing to sweep
+    converged = not len(plan.active)
+    est_gap = 0.0 if converged else math.inf
     prev_delta = None
-    converged = False
     sweeps = 0
-    for _ in range(max_sweeps):
-        if _past(deadline):
-            break
+    while not converged and sweeps < max_sweeps and not _past(deadline):
         f_new = mixing_sweep(state, factor, zcache, order, plan)
         sweeps += 1
         trace.append(f_new)
@@ -437,9 +471,17 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
                 break
         prev_delta = delta
         if prune is not None and prune(f_cur) and not _past(deadline):
-            cert = pruning_certificate(state, factor, zcache, prune)
+            if cost is None:
+                cost = node_cost(state)
+            certificates += 1
+            cert = pruning_certificate(cost, factor, prune)
             if cert is not None:
                 return SdpResult(f_cur, cert, sweeps, est_gap, False, trace,
-                                 pruned=True)
-    cert = dual_from_primal(state, factor, zcache, repair=not _past(deadline))
-    return SdpResult(f_cur, cert, sweeps, est_gap, converged, trace)
+                                 pruned=True, certificates=certificates)
+    if _past(deadline):
+        return SdpResult(f_cur, None, sweeps, est_gap, converged, trace,
+                         certificates=certificates)
+    if cost is None:
+        cost = node_cost(state)
+    return SdpResult(f_cur, certificate(cost, factor), sweeps, est_gap,
+                     converged, trace, certificates=certificates + 1)

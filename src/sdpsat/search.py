@@ -9,7 +9,7 @@ warm-started bound pair: prune on the dual ceiling, recurse on a primal that
 already ties the incumbent, and emit everything else as a new root.  A child
 about to be emitted whose warm-started objective already meets the incumbent
 is first decided by its own certificate, taken from the parent's factor and
-the current clause sums exactly as a solve takes one between sweeps; when it
+the child's cost matrix exactly as a solve takes one between sweeps; when it
 prunes, the child is dropped instead of being queued, replayed and re-solved.
 """
 
@@ -28,7 +28,7 @@ from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack, assign,
                        evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
 from .sdp import (ZCache, active_losses, default_rank, init_factor,
-                  pruning_certificate, solve)
+                  node_cost, pruning_certificate, solve)
 
 OPTIMUM = "OPTIMUM"
 TIMEOUT = "TIMEOUT"
@@ -68,6 +68,8 @@ class SearchStats:
     early_prunes: int = 0
     # children dropped at expansion by their own certificate
     child_cert_prunes: int = 0
+    # certificates taken, in solves and at expansion
+    certificates: int = 0
     roundings: int = 0
     wall_time: float = 0.0
 
@@ -148,6 +150,7 @@ class Searcher:
         self.stats.sdp_solves += 1
         self.stats.sweeps_total += res.sweeps_used
         self.stats.early_prunes += res.pruned
+        self.stats.certificates += res.certificates
         return res
 
     def round_root(self) -> None:
@@ -196,7 +199,8 @@ class Searcher:
 
         def emit_child(depth: int) -> None:
             if self.prunes(obj_stack[-1]) and not self.out_of_time():
-                cert = pruning_certificate(state, self.factor, zc,
+                self.stats.certificates += 1
+                cert = pruning_certificate(node_cost(state), self.factor,
                                            self.prunes)
                 if cert is not None:
                     self.stats.prunes_by_dual += 1
@@ -270,8 +274,9 @@ class Searcher:
             return []
         res = self.solve_root()
         if self.out_of_time():
-            # past the deadline the certificate may be unrepaired, so it
-            # prunes nothing; round (once) only to have an incumbent to report
+            # past the deadline the solve may have taken no certificate, so
+            # nothing is pruned; round (once) only to have an incumbent to
+            # report
             if self.best is None:
                 self.round_root()
             return []

@@ -12,10 +12,10 @@ from sdpsat.oracle import brute_force
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0\n"
 
-BAD_SETTINGS = (["--rank", "1"], ["--eps", "0"], ["--depth-limit", "0"],
-                ["--depth-limit", "-2"], ["--rounding-c", "0"],
-                ["--rounding-c", "inf"], ["--timeout", "-1"],
-                ["--seed", "-1"])
+BAD_SETTINGS = (["--rank", "1"], ["--eps", "0"], ["--eps", "inf"],
+                ["--depth-limit", "0"], ["--depth-limit", "-2"],
+                ["--rounding-c", "0"], ["--rounding-c", "inf"],
+                ["--timeout", "-1"], ["--seed", "-1"])
 
 
 def run_cli(argv, capsys):
@@ -43,6 +43,10 @@ def test_solve_triangle_complete(tmp_path, capsys):
     assert evaluate(inst, values) == 1
     assert "stats nodes_popped" in err
     assert "stats child_cert_prunes=" in err
+    stats = dict(line[len("stats "):].split("=", 1)
+                 for line in err.splitlines() if line.startswith("stats "))
+    # the root solve takes at least its final certificate
+    assert int(stats["certificates"]) >= int(stats["sdp_solves"]) >= 1
 
 
 def test_solve_satisfiable(tmp_path, capsys):

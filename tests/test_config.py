@@ -8,7 +8,7 @@ from sdpsat.config import SolverConfig
 @pytest.mark.parametrize("field, good, bad", [
     ("depth_limit", (1, 8), (0, -3)),
     ("rank", (None, 2, 17), (1, 0, -1)),
-    ("eps", (1e-12, 0.5), (0.0, -1e-3, math.nan)),
+    ("eps", (1e-12, 0.5), (0.0, -1e-3, math.nan, math.inf)),
     ("max_sweeps", (1, 400), (0, -1)),
     ("rounding_c", (1e-3, 4.0), (0.0, -1.0, math.nan, math.inf)),
     ("time_limit", (None, 0.0, 2.5), (-0.001, math.nan)),

@@ -1,12 +1,25 @@
 import csv
 import importlib.util
 import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from sdpsat.generate import random_clauses, render_dimacs
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_approx_ratio_curve_smoke():
@@ -30,11 +43,21 @@ def test_approx_ratio_curve_smoke():
 def test_perfbench_trace_targets_exist():
     """Every name the benchmark's tracer wraps is still where it looks it
     up, so a rename cannot leave `--trace 1` without its spans."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    targets = tracing._targets()
+    targets = load_perfbench("tracing")._targets()
     assert targets
     for owner, attr, name in targets:
         assert callable(vars(owner).get(attr)), name
+
+
+def test_perfbench_layers_run():
+    """The benchmark's isolated layer timings run against the solver's
+    current API in both modes, so a changed name or signature cannot leave
+    `--trace 1` broken."""
+    layers = load_perfbench("layers")
+    text = render_dimacs(12, random_clauses(12, 48, 2,
+                                            np.random.default_rng(0)))
+    for anytime in (False, True):
+        metrics = layers.isolated(text, anytime)
+        assert "sdp.cert_repaired_s" in metrics
+        for name, value in metrics.items():
+            assert math.isfinite(value) and value >= 0.0, name

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
                              WatchedStack, assign, evaluate,
                              instance_from_clauses, parse_dimacs)
 from sdpsat.oracle import brute_force, dense_sdp_check, min_unsat_completion
+from sdpsat import sdp
 from sdpsat.rounding import node_unsat, round_once
-from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, ZCache, clause_loss,
-                        default_rank, dual_from_primal, init_factor,
-                        mixing_sweep, objective, solve)
+from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, ZCache, certificate,
+                        clause_loss, default_rank, dual_from_primal,
+                        init_factor, mixing_sweep, node_cost, objective,
+                        solve)
 from sdpsat.search import Searcher
 from tests.test_search import small_formulas
 
@@ -40,6 +43,19 @@ def integral_factor(instance, values, k=3):
     for v in range(1, instance.num_vars + 1):
         cols[v, 0] = float(values[v])
     return Factor(cols)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper; returns the list of its calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_default_rank_values():
@@ -384,12 +400,15 @@ def test_solve_flags_low_precision_when_sweeps_exhausted():
     assert res.dual_bound <= res.objective_unsat + 1e-9
 
 
-def test_dual_zero_matrix():
+def test_dual_zero_matrix(monkeypatch):
     inst = parse_dimacs("p cnf 2 1\n0")
     state, ws, factor, zc = fresh_solver_state(inst)
+    eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
     cert = dual_from_primal(state, factor, zc)
     assert np.allclose(cert.lam, 0.0)
     assert cert.dual_bound == pytest.approx(state.base_unsat)
+    # nothing to repair without an active clause
+    assert eigensolves == []
 
 
 def test_dual_certificate_feasible_at_convergence():
@@ -446,6 +465,89 @@ def test_repaired_certificate_psd_without_tolerance():
         res = solve(state, factor, zc, eps=0.5, max_sweeps=3)
         check = dense_sdp_check(state, lam=res.cert.lam)
         assert check.min_eig >= 0.0, f"seed {seed}: {check.min_eig}"
+
+
+def z_based_multipliers(state, factor, zcache):
+    """The raw multipliers as summed over the z-cache rows: ||g_i|| with
+    g_i the sum over the live entries of column i of
+    coeff * w * (z_j - coeff * v_i)."""
+    live = state.live_entries(state.active_mask())
+    clause, var = state.lit_clause[live], state.lit_var[live]
+    coeff = state.lit_coeffs()[live]
+    rows = zcache.z[clause] - coeff[:, None] * factor.cols[var]
+    g = np.zeros_like(factor.cols)
+    np.add.at(g, var, (coeff * state.weight[clause])[:, None] * rows)
+    return np.linalg.norm(g, axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_node_cost_matches_dense_oracle(inst, data):
+    """The one cost-matrix builder against the dense oracle, and the raw
+    multipliers read from it against the z-cache sums, at random partial
+    nodes (fully assigned and clause-free ones included) after 0-3 sweeps;
+    the repair gives the borrowed diagonal back."""
+    n = inst.num_vars
+    state, ws, factor, zc = fresh_solver_state(
+        inst, seed=data.draw(st.integers(0, 99)))
+    path = data.draw(st.permutations(range(1, n + 1)))
+    for var in path[:data.draw(st.integers(0, n))]:
+        assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
+    zc.rebuild(state, factor)
+    for _ in range(data.draw(st.integers(0, 3))):
+        mixing_sweep(state, factor, zc)
+    cost = node_cost(state)
+    dense = dense_sdp_check(state)
+    assert cost.index.tolist() == dense.index
+    assert np.allclose(cost.matrix, dense.cost, rtol=0.0, atol=1e-12)
+    assert cost.diag_sum == pytest.approx(dense.diag_sum, rel=0.0, abs=1e-12)
+    assert cost.const_offset == pytest.approx(dense.const_offset, rel=0.0,
+                                              abs=1e-12)
+    raw = certificate(cost, factor, repair=False)
+    assert np.allclose(raw.lam, z_based_multipliers(state, factor, zc))
+    repaired = certificate(cost, factor)
+    assert np.all(np.diag(cost.matrix) == 0.0)
+    assert np.all(repaired.lam >= raw.lam)
+    assert dense_sdp_check(state, lam=repaired.lam).min_eig >= 0.0
+
+
+def test_solve_builds_one_cost_matrix(monkeypatch):
+    inst = random_instance(20, 80, 2, seed=5)
+    state, ws, factor, zc = fresh_solver_state(inst, seed=5)
+    builds = counting(monkeypatch, sdp, "node_cost")
+    # every objective passes and every raw bound fails: a certificate is
+    # taken after each of the six sweeps, then the final one
+    verdicts = itertools.cycle((True, False))
+    res = solve(state, factor, zc, eps=1e-12, max_sweeps=6,
+                prune=lambda bound: next(verdicts))
+    assert res.sweeps_used == 6 and not res.pruned
+    assert res.certificates == 7
+    assert len(builds) == 1
+    fresh = dual_from_primal(state, factor, zc)
+    assert np.array_equal(res.cert.lam, fresh.lam)
+    assert res.dual_bound == fresh.dual_bound
+
+
+@pytest.mark.parametrize("passes", ("before", "between sweeps"))
+def test_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
+    inst = random_instance(20, 80, 2, seed=5)
+    state, ws, factor, zc = fresh_solver_state(inst, seed=5)
+    builds = counting(monkeypatch, sdp, "node_cost")
+    eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
+    if passes == "before":
+        deadline, prune = time.monotonic() - 1.0, None
+    else:
+        deadline = time.monotonic() + 0.25
+
+        def prune(bound):
+            # the deadline passes while the first sweep's objective is tested
+            time.sleep(max(deadline - time.monotonic(), 0.0) + 0.01)
+            return True
+    res = solve(state, factor, zc, deadline=deadline, prune=prune)
+    assert res.sweeps_used == (0 if passes == "before" else 1)
+    assert res.cert is None and res.certificates == 0
+    assert res.dual_bound == -math.inf
+    assert builds == [] and eigensolves == []
 
 
 def test_raw_multipliers_near_feasible_at_tight_convergence():

@@ -112,6 +112,15 @@ def test_child_cert_prunes_counted_among_dual_prunes():
             <= stats.prunes_by_dual)
 
 
+def test_certificates_counted_in_solves_and_at_expansion():
+    inst = random_instance(28, 112, 2, seed=1)
+    _, status, stats = solve_complete(inst, SolverConfig(seed=1))
+    assert status == OPTIMUM
+    # each solve takes its final or pruning certificate, and each child
+    # dropped at expansion was decided by one of its own
+    assert stats.certificates >= stats.sdp_solves + stats.child_cert_prunes
+
+
 def test_complete_optimum_under_time_limit_is_exact():
     # a deadline that cuts an expansion short must not leave a proof behind
     optima = {}
@@ -341,9 +350,10 @@ def test_children_dropped_by_own_certificate_are_sound(
     dropped = []
     real = sdpsat.search.pruning_certificate
 
-    def audited(state, factor, zcache, prune):
-        cert = real(state, factor, zcache, prune)
+    def audited(cost, factor, prune):
+        cert = real(cost, factor, prune)
         if cert is not None:
+            state = engine.state
             dropped.append((tuple(engine.cur_path), cert.dual_bound,
                             engine.best_unsat,
                             dense_sdp_check(state, lam=cert.lam).min_eig,
