@@ -13,7 +13,10 @@ removes its free-free pair coefficients.  Shifting the parent multipliers by
     eta_i = (f - 1) / (4 n_j)  summed over dropped clauses containing i,
 
 adds a diagonally dominant (hence PSD) matrix on top of the change, so the
-shifted certificate stays feasible for the child without a new solve.
+shifted certificate stays feasible for the child without a new solve.  The
+same moves give the child's cost matrix itself: the root's on the child's
+columns, plus delta in the truth row and column, minus the free-free pairs
+of the dropped clauses (ShiftLedger.child_cost).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .instance import ACTIVE, FREE, SATISFIED, NodeState
-from .sdp import DualCert
+from .sdp import DualCert, NodeCost, pair_matrix
 
 
 class Decision(Enum):
@@ -38,11 +41,17 @@ def ceil_bound(x: float, tol: float = 1e-6) -> int:
     return math.ceil(x - tol)
 
 
+def prune_floor(best_known: int, tol: float = 1e-6) -> float:
+    """The prune line: a lower bound above it has a ceiling (guarded by tol)
+    that meets the incumbent, so the node cannot improve on it."""
+    return best_known - 1 + tol
+
+
 def decide(primal: float, dual: float, best_known: int,
            tol: float = 1e-6) -> Decision:
-    """Prune if the dual ceiling meets the incumbent; expand while the primal
+    """Prune if the dual is above the prune floor; expand while the primal
     shows the subtree cannot be pruned by its own solve; otherwise solve."""
-    if ceil_bound(dual, tol) >= best_known:
+    if dual > prune_floor(best_known, tol):
         return Decision.PRUNE
     if primal <= best_known:
         return Decision.EXPAND
@@ -103,7 +112,8 @@ class ShiftLedger:
     eta are the accumulated shift terms per column.  apply costs
     O(touched clauses) and saves the entries it overwrites, so revert is
     exact.  cert_snapshot materializes the shifted certificate, the only
-    place a child certificate is built.
+    place a child certificate is built; child_cost derives the child's cost
+    matrix.
     """
 
     __slots__ = ("lam", "delta", "eta", "diag_sum", "const_offset", "_undo")
@@ -150,3 +160,36 @@ class ShiftLedger:
         lam[0] += abs_delta.sum()
         return DualCert(lam=lam, const_offset=self.const_offset,
                         diag_sum=self.diag_sum)
+
+    def child_cost(self, root: NodeCost, state: NodeState) -> NodeCost:
+        """The cost matrix of the node at the end of the path, derived from
+        the root's (`root`, the sdp.node_cost of the solved root) instead of
+        built from scratch: its submatrix on the node's columns, with delta
+        added to the truth row and column, less the free-free pairs of the
+        clauses active at the root and no longer active (a clause falsified
+        on the path has no free column left).  The matrix stays exactly
+        symmetric (see sdp.pair_matrix); `root` is left untouched.
+        """
+        columns = state.column_mask()
+        keep = np.flatnonzero(columns[root.index])
+        index = root.index[keep]
+        matrix = root.matrix.take(keep, axis=0).take(keep, axis=1)
+        moves = self.delta[index[1:]]
+        matrix[0, 1:] += moves
+        matrix[1:, 0] += moves
+        active = state.active_mask()
+        dropped = root.active & ~active
+        if dropped.any():
+            clause = state.lit_clause.take(state.pair_a)
+            pairs = np.flatnonzero(dropped[clause])
+            a, b = state.pair_a[pairs], state.pair_b[pairs]
+            va, vb = state.lit_var[a], state.lit_var[b]
+            # a clause's truth entry comes first, so only pair_a can be one
+            gone = np.flatnonzero((va != 0) & columns[va] & columns[vb])
+            value = (state.lit_sign[a[gone]] * state.lit_sign[b[gone]]
+                     * state.weight[clause[pairs[gone]]])
+            matrix -= pair_matrix(np.searchsorted(index, va[gone]),
+                                  np.searchsorted(index, vb[gone]), value,
+                                  len(index))
+        return NodeCost(index, matrix, self.diag_sum, self.const_offset,
+                        root.entry_error, active)

@@ -24,15 +24,24 @@ signs, weights and runs, and the active clauses -- depends only on the
 node's assignment, so a solve gathers it once into a sweep plan shared by
 all of its sweeps (no sweep assigns a variable).
 
-The dual certificate used for pruning reads the node's dense zero-diagonal
-cost matrix C over its columns, built by node_cost alone.  The row norms
-of C V are the per-column update magnitudes; at a sweep fixed point they
-are feasible multipliers, giving a matching lower bound, and elsewhere an
-eigenvalue shift of C + diag(lam) repairs them.  C too depends only on the
-assignment, so a solve builds it once, at its first certificate.  A solve
-sweeps until the estimated gap drops below eps, max_sweeps run out, the
-deadline passes, or a certificate taken between sweeps passes the caller's
-prune test.
+The dual certificate reads the node's dense zero-diagonal cost matrix C
+over its columns.  The row norms of C V are the per-column update
+magnitudes; at a sweep fixed point they are feasible multipliers, giving a
+matching lower bound.  Elsewhere a certificate must show C + diag(lam) PSD
+in one of two ways.  A prune decision (pruning_certificate, taken between
+sweeps and of a child at expansion) only needs the bound above the caller's
+floor: it spends the bound's excess over the floor as a uniform shift of the
+multipliers and verifies the result by one floating-point Cholesky, shifted
+down by Rump's a-priori error term and a bound on the rounding of C's
+entries, so an accepted prune is sound by construction.  Only the final
+certificate of a solve that did not prune, the one a ShiftLedger is built
+from, is repaired by the smallest eigenvalue shift (an eigensolve).
+
+C depends only on the assignment.  node_cost is its one from-scratch
+builder: a solve builds it once, at its first certificate, and returns it;
+a child's C is derived from its root's (bounds.ShiftLedger.child_cost).  A
+solve sweeps until the estimated gap drops below eps, max_sweeps run out,
+the deadline passes, or a certificate taken between sweeps prunes.
 """
 
 from __future__ import annotations
@@ -46,6 +55,16 @@ import numpy as np
 from .instance import ACTIVE, FALSIFIED, NodeState
 
 ZERO_UPDATE_NORM = 1e-12
+# unit roundoff and the smallest positive (subnormal) double
+UNIT_ROUNDOFF = 2.0 ** -53
+TINY = 2.0 ** -1074
+# part of a bound's excess over the prune floor a pruning certificate keeps
+PRUNE_SLACK = 1e-9
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): the relative error of k roundings."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
 class Factor:
@@ -270,18 +289,54 @@ class NodeCost:
     `matrix` is the zero-diagonal cost over them: entry (a, b) sums
     coeff_a * coeff_b * w_j over the active clauses j holding both columns.
     The would-be diagonal is folded into `diag_sum`; `const_offset` is
-    base_unsat minus the per-clause loss constants.  A cost is valid only
-    while the node's assignment is unchanged.
+    base_unsat minus the per-clause loss constants.  `entry_error` bounds
+    how far any entry of `matrix` is from its exact value, for this cost and
+    for every cost derived from it, and `active` masks the active clauses
+    it covers.  A cost is valid only while the node's assignment is
+    unchanged.
     """
 
     index: np.ndarray
     matrix: np.ndarray
     diag_sum: float
     const_offset: float
+    entry_error: float
+    active: np.ndarray
+
+
+def entry_error_bound(state: NodeState) -> float:
+    """A bound on the rounding error of any cost entry of any node.
+
+    An entry is a signed sum of terms coeff_a * coeff_b * w_j, each at most
+    1/4 in magnitude (|s0_j| <= L_j while clause j is active) and each
+    rounded twice (w_j, then the product).  Built fresh, it sums one term
+    per clause holding both columns; derived along a DFS path it adds at
+    most one truth-row move per literal of such a clause, or subtracts the
+    clause's pair once.  So no entry has more than N = (most occurrences of
+    one variable) * (longest clause + 1) terms, and its error is below
+    gamma_{2N+2} * N / 4.
+    """
+    occurrences = np.bincount(state.lit_var)[1:]
+    terms = (int(occurrences.max(initial=0))
+             * (int(state.clause_len.max(initial=0)) + 1))
+    return gamma(2 * terms + 2) * terms / 4.0
+
+
+def pair_matrix(pa: np.ndarray, pb: np.ndarray, value: np.ndarray,
+                dim: int) -> np.ndarray:
+    """The dim x dim matrix summing value[t] into cells (pa[t], pb[t]) and
+    (pb[t], pa[t]).  Both cells of a pair take their values in turn, in
+    input order, so the sums stay exactly symmetric."""
+    cells = np.empty(2 * len(pa), dtype=np.intp)
+    cells[0::2] = pa * dim + pb
+    cells[1::2] = pb * dim + pa
+    matrix = np.bincount(cells, np.repeat(value, 2), minlength=dim * dim)
+    # bincount returns integers when it is given no entries at all
+    return matrix.astype(float, copy=False).reshape(dim, dim)
 
 
 def node_cost(state: NodeState) -> NodeCost:
-    """The node's cost matrix: the one builder every certificate reads."""
+    """The node's cost matrix, built from scratch: the one builder."""
     active = state.active_mask()
     columns = state.column_mask()
     live = state.live_entries(active, columns)
@@ -293,18 +348,13 @@ def node_cost(state: NodeState) -> NodeCost:
     keep = live[a] & live[b]
     a, b = a[keep], b[keep]
     value = coeff[a] * coeff[b] * state.weight[state.lit_clause[a]]
-    pa, pb = pos[state.lit_var[a]], pos[state.lit_var[b]]
-    # both cells of a pair in turn, so the sums stay exactly symmetric
-    cells = np.empty(2 * len(pa), dtype=np.intp)
-    cells[0::2] = pa * dim + pb
-    cells[1::2] = pb * dim + pa
-    matrix = np.bincount(cells, np.repeat(value, 2), minlength=dim * dim)
-    # bincount returns integers when it is given no entries at all
-    matrix = matrix.astype(float, copy=False).reshape(dim, dim)
+    matrix = pair_matrix(pos[state.lit_var[a]], pos[state.lit_var[b]],
+                         value, dim)
     diag = coeff[live] ** 2 * state.weight[state.lit_clause[live]]
     const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
     return NodeCost(index, matrix, diag_sum=math.fsum(diag.tolist()),
-                    const_offset=state.base_unsat - math.fsum(const.tolist()))
+                    const_offset=state.base_unsat - math.fsum(const.tolist()),
+                    entry_error=entry_error_bound(state), active=active)
 
 
 @dataclass
@@ -334,10 +384,12 @@ class SdpResult:
     est_gap: float
     converged: bool
     trace: list = field(default_factory=list)
-    # ended early by a certificate that passed the caller's prune test
+    # ended early by a certificate whose bound is above the caller's floor
     pruned: bool = False
-    # certificates taken, raw ones that failed the prune test included
+    # certificates taken, raw ones below the floor included
     certificates: int = 0
+    # the node's cost matrix, None when no certificate was taken
+    cost: NodeCost | None = None
 
     @property
     def dual_bound(self) -> float:
@@ -373,19 +425,61 @@ def dual_from_primal(state: NodeState, factor: Factor, zcache=None,
 
 
 def pruning_certificate(cost: NodeCost, factor: Factor,
-                        prune) -> DualCert | None:
-    """The repaired certificate if it passes `prune`, else None.
+                        floor: float) -> DualCert | None:
+    """A certificate whose bound is above `floor`, or None.
 
     The one prune-time certificate: a solve takes it between sweeps, and
     the search takes it of a child about to be queued, on the parent's
-    factor and the child's cost matrix.  The repair only lowers the bound,
-    so a raw bound that fails `prune` decides without the eigensolve.
+    factor and the child's cost matrix.  A bound above the floor prunes;
+    only its excess over the floor can be spent on feasibility.  So the
+    raw multipliers are shifted by that excess, less PRUNE_SLACK of it (at
+    least PRUNE_SLACK), spread evenly over the node's columns, and the
+    result is kept only if one Cholesky verifies cost + diag(lam) PSD
+    (_verified_psd).  No eigensolve: the shift is not the smallest one, so
+    the certificate suits a prune, not a ShiftLedger.
     """
     cert = certificate(cost, factor, repair=False)
-    if not prune(cert.dual_bound):
+    excess = cert.dual_bound - floor
+    if not excess > 0.0:
         return None
-    _repair_multipliers(cost, cert.lam)
-    return cert if prune(cert.dual_bound) else None
+    # without an off-diagonal entry diag(lam) with lam >= 0 is PSD exactly
+    if cost.matrix.any():
+        shift = (excess - PRUNE_SLACK * max(1.0, excess)) / len(cost.index)
+        if not shift > 0.0:
+            return None
+        cert.lam[cost.index] += shift
+        if not _verified_psd(cost, cert.lam):
+            return None
+    return cert if cert.dual_bound > floor else None
+
+
+def _verified_psd(cost: NodeCost, lam: np.ndarray) -> bool:
+    """True only if the exact cost matrix plus diag(lam) is PSD.
+
+    The floating-point Cholesky of A - c I, A = cost + diag(lam), runs to
+    completion only if A is positive definite once c covers Cholesky's
+    backward error: gamma_{d+1} / (1 - gamma_{d+1}) tr(A) plus an underflow
+    term (Rump, Verification of positive definiteness, BIT Numer. Math.
+    2006), doubled here to also cover the rounding of A - c I.  c further
+    adds d * entry_error, a Gershgorin bound on the distance of the
+    computed cost from the exact one, so the exact matrix is PSD too.  The
+    matrix's zero diagonal is borrowed for A - c I and restored.
+    """
+    index, matrix = cost.index, cost.matrix
+    dim = len(index)
+    diag = lam[index]
+    # the trace also stands in for the largest diagonal entry (lam >= 0)
+    trace = float(diag.sum())
+    g = gamma(dim + 1)
+    rump = g / (1.0 - g) * trace + 4 * dim * (2 * (dim + 1) + trace) * TINY
+    matrix.flat[::dim + 1] = diag - (2.0 * rump + dim * cost.entry_error)
+    try:
+        np.linalg.cholesky(matrix)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        matrix.flat[::dim + 1] = 0.0
 
 
 def _repair_multipliers(cost: NodeCost, lam: np.ndarray) -> None:
@@ -418,7 +512,8 @@ def _past(deadline: float | None) -> bool:
 
 def solve(state: NodeState, factor: Factor, zcache: ZCache,
           eps: float = 1e-2, max_sweeps: int = 400, order=None,
-          deadline: float | None = None, prune=None) -> SdpResult:
+          deadline: float | None = None,
+          floor: float | None = None) -> SdpResult:
     """Sweep until the estimated distance to the optimum drops below eps,
     max_sweeps run out, the deadline passes or a certificate prunes.
 
@@ -426,20 +521,22 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     linear rate: gap ~ delta_t * rho / (1 - rho) with rho = delta_t /
     delta_{t-1} clamped to [0, 0.999].
 
-    `prune` is an optional predicate on a lower bound: the caller's test
-    for discarding the node.  After every unconverged sweep whose objective
-    passes it (no certificate's bound exceeds the objective), a certificate
-    is taken, raw multipliers first and the eigen repair only if their
-    bound passes too, and the solve returns with `pruned` set as soon as a
-    repaired bound passes.  Without `prune` the sweeps are those of the
-    plain solve.
+    `floor` is the caller's optional prune line: a lower bound above it
+    discards the node.  After every unconverged sweep whose objective is
+    above it (no certificate's bound exceeds the objective), a pruning
+    certificate is taken (Cholesky-verified, see pruning_certificate), and
+    the solve returns with `pruned` set as soon as one is above the floor.
+    Without `floor` the sweeps are those of the plain solve.  Only the
+    final certificate of a solve that neither pruned nor hit the deadline
+    is eigen-repaired: it is the one a ShiftLedger is built from.
 
     Every certificate of one solve reads one cost matrix, built at the
-    first certificate: no sweep changes the assignment.  `certificates`
-    counts the certificates taken, raw ones included.  Any result that
-    did not converge is flagged so; its repaired certificate remains a
-    valid bound either way.  Once the deadline has passed the solve takes
-    no certificate at all: `cert` is None and the bound is -inf.
+    first certificate and returned as `cost`: no sweep changes the
+    assignment.  `certificates` counts the certificates taken, those below
+    the floor included.  Any result that did not converge is flagged so;
+    its certificate remains a valid bound either way.  Once the deadline
+    has passed the solve takes no certificate at all: `cert` is None and
+    the bound is -inf.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -470,18 +567,20 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
                 converged = True
                 break
         prev_delta = delta
-        if prune is not None and prune(f_cur) and not _past(deadline):
+        if floor is not None and f_cur > floor and not _past(deadline):
             if cost is None:
                 cost = node_cost(state)
             certificates += 1
-            cert = pruning_certificate(cost, factor, prune)
+            cert = pruning_certificate(cost, factor, floor)
             if cert is not None:
                 return SdpResult(f_cur, cert, sweeps, est_gap, False, trace,
-                                 pruned=True, certificates=certificates)
+                                 pruned=True, certificates=certificates,
+                                 cost=cost)
     if _past(deadline):
         return SdpResult(f_cur, None, sweeps, est_gap, converged, trace,
-                         certificates=certificates)
+                         certificates=certificates, cost=cost)
     if cost is None:
         cost = node_cost(state)
     return SdpResult(f_cur, certificate(cost, factor), sweeps, est_gap,
-                     converged, trace, certificates=certificates + 1)
+                     converged, trace, certificates=certificates + 1,
+                     cost=cost)

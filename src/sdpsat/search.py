@@ -11,6 +11,14 @@ about to be emitted whose warm-started objective already meets the incumbent
 is first decided by its own certificate, taken from the parent's factor and
 the child's cost matrix exactly as a solve takes one between sweeps; when it
 prunes, the child is dropped instead of being queued, replayed and re-solved.
+The child's cost matrix is derived from the one its root's solve built
+(ShiftLedger.child_cost), never rebuilt.
+
+Every prune compares a bound with one number, the floor best_unsat - 1 +
+ceil_tol.  A prune decided by a certificate is verified by one Cholesky
+(sdp.pruning_certificate); only the final certificate of a root solve that
+neither pruned nor hit the deadline is eigen-repaired, because it seeds the
+ShiftLedger that prices the root's children.
 """
 
 from __future__ import annotations
@@ -22,13 +30,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import Decision, ShiftLedger, ceil_bound, decide
+from .bounds import Decision, ShiftLedger, decide, prune_floor
 from .config import SolverConfig
 from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack, assign,
                        evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
 from .sdp import (ZCache, active_losses, default_rank, init_factor,
-                  node_cost, pruning_certificate, solve)
+                  pruning_certificate, solve)
 
 OPTIMUM = "OPTIMUM"
 TIMEOUT = "TIMEOUT"
@@ -106,9 +114,13 @@ class Searcher:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
+    def floor(self) -> float:
+        """The prune line under the current incumbent."""
+        return prune_floor(self.best_unsat, self.cfg.ceil_tol)
+
     def prunes(self, bound: float) -> bool:
-        """The dual prune test: the bound's ceiling meets the incumbent."""
-        return ceil_bound(bound, self.cfg.ceil_tol) >= self.best_unsat
+        """The dual prune test: the bound is above the floor."""
+        return bound > self.floor()
 
     def move_to(self, path) -> None:
         """Rewind to the longest common prefix, then assign the remainder."""
@@ -146,7 +158,7 @@ class Searcher:
         self.zcache.rebuild(self.state, self.factor)
         res = solve(self.state, self.factor, self.zcache, eps=self.cfg.eps,
                     max_sweeps=self.cfg.max_sweeps, order=self.order,
-                    deadline=self.deadline, prune=self.prunes)
+                    deadline=self.deadline, floor=self.floor())
         self.stats.sdp_solves += 1
         self.stats.sweeps_total += res.sweeps_used
         self.stats.early_prunes += res.pruned
@@ -186,7 +198,8 @@ class Searcher:
         incumbent directly.  A frontier child whose objective passes the
         prune test is first tested by its own certificate (no certificate's
         bound exceeds the objective, so no other child can prune) and
-        dropped if that prunes.
+        dropped if that prunes; its cost matrix is derived from the root's
+        (`res.cost`) by the ledger.
         """
         state, ws, zc, cfg = self.state, self.ws, self.zcache, self.cfg
         ledger = ShiftLedger(res.cert)
@@ -200,8 +213,9 @@ class Searcher:
         def emit_child(depth: int) -> None:
             if self.prunes(obj_stack[-1]) and not self.out_of_time():
                 self.stats.certificates += 1
-                cert = pruning_certificate(node_cost(state), self.factor,
-                                           self.prunes)
+                cert = pruning_certificate(
+                    ledger.child_cost(res.cost, state), self.factor,
+                    self.floor())
                 if cert is not None:
                     self.stats.prunes_by_dual += 1
                     self.stats.child_cert_prunes += 1

@@ -6,18 +6,23 @@ primal side.  Every figure is compared with the independent dense reference
 oracle.dense_sdp_check.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpsat.bounds import Decision, ShiftLedger, ceil_bound, decide
+from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
-from sdpsat.instance import (FALSE, FREE, TRUE, NodeState, WatchedStack,
-                             assign, parse_dimacs, unassign_to)
+from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
+                             WatchedStack, assign, instance_from_clauses,
+                             parse_dimacs, unassign_to)
 from sdpsat.oracle import dense_sdp_check
-from sdpsat.sdp import (ZCache, dual_from_primal, init_factor, objective,
-                        solve)
+from sdpsat.sdp import (ZCache, dual_from_primal, init_factor, node_cost,
+                        objective, solve)
+from sdpsat.search import Searcher
 from tests.test_sdp import fresh_solver_state, integral_factor
 
 
@@ -239,3 +244,107 @@ def test_shift_ledger_matches_direct_recomputation(seed):
         unassign_to(state, ws, state.mark() - 1)
     assert ledger.dual_bound() == pytest.approx(res.cert.dual_bound, abs=1e-9)
     assert not ledger.delta.any() and not ledger.eta.any()
+
+
+def exact_cost(state, index):
+    """The node's zero-diagonal cost matrix over `index` in exact rational
+    arithmetic, walked clause by clause."""
+    pos = {v: p for p, v in enumerate(index)}
+    cost = [[Fraction(0)] * len(index) for _ in index]
+    for j, clause in enumerate(state.instance.clauses):
+        if state.clause_status[j] != ACTIVE:
+            continue
+        w = Fraction(1, 4 * clause.length)
+        entries = [(0, state.s0[j])] + [
+            (pos[abs(lit)], 1 if lit > 0 else -1) for lit in clause.lits
+            if state.assignment[abs(lit)] == FREE]
+        for t, (pa, sa) in enumerate(entries):
+            for pb, sb in entries[t + 1:]:
+                cost[pa][pb] += sa * sb * w
+                cost[pb][pa] += sa * sb * w
+    return cost
+
+
+def assert_within(matrix, exact, bound):
+    bound = Fraction(bound)
+    for row, exact_row in zip(matrix.tolist(), exact):
+        for value, want in zip(row, exact_row):
+            assert abs(Fraction(value) - want) <= bound
+
+
+@st.composite
+def mixed_formulas(draw):
+    """n = 4..10 with clauses of length 2, 3 or both, m = n..4n."""
+    lengths = draw(st.sampled_from(((2,), (3,), (2, 3))))
+    n = draw(st.integers(4, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    clauses = []
+    for _ in range(draw(st.integers(n, 4 * n))):
+        picked = rng.choice(np.arange(1, n + 1), size=rng.choice(lengths),
+                            replace=False)
+        clauses.append([int(v) if rng.random() < 0.5 else -int(v)
+                        for v in picked])
+    return instance_from_clauses(n, clauses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=mixed_formulas(), data=st.data())
+def test_child_cost_matches_fresh_build(inst, data):
+    """Along a path of up to depth_limit assignments below a solved root,
+    the child cost derived from the root's has the fresh build's columns,
+    entries within entry_error of the exact costs (as the fresh build's
+    are) and the same bound terms.  The path starts by satisfying a clause
+    with at least three free literals when there is one, so that clauses
+    leave with two or more literals free.  Expansion then tests the root's
+    children and leaves the root's matrix bit for bit as it was."""
+    n = inst.num_vars
+    cfg = SolverConfig(seed=data.draw(st.integers(0, 99)))
+    engine = Searcher(inst, cfg)
+    state, ws = engine.state, engine.ws
+    factor, zc = engine.factor, engine.zcache
+    order = data.draw(st.permutations(range(1, n + 1)))
+    engine.move_to([(v, data.draw(st.sampled_from((TRUE, FALSE))))
+                    for v in order[:data.draw(st.integers(0, 2))]])
+    zc.rebuild(state, factor)
+    res = solve(state, factor, zc, max_sweeps=data.draw(st.integers(1, 5)))
+    root = res.cost
+    root_bytes = root.matrix.tobytes()
+    ledger = ShiftLedger(res.cert)
+
+    wide = [j for j, clause in enumerate(inst.clauses)
+            if state.clause_status[j] == ACTIVE
+            and sum(state.assignment[abs(lit)] == FREE
+                    for lit in clause.lits) >= 3]
+    path = []
+    if wide:
+        lit = next(lit for lit in inst.clauses[data.draw(
+            st.sampled_from(wide))].lits if state.assignment[abs(lit)] == FREE)
+        path.append((abs(lit), TRUE if lit > 0 else FALSE))
+    rest = [v for v in data.draw(st.permutations(state.free_vars()))
+            if not path or v != path[0][0]]
+    path += [(v, data.draw(st.sampled_from((TRUE, FALSE)))) for v in rest]
+    path = path[:min(cfg.depth_limit, state.free_count - 1)]
+    for var, value in path:
+        ledger.apply(state, var, value, assign(state, ws, var, value))
+        derived = ledger.child_cost(root, state)
+        fresh = node_cost(state)
+        assert np.array_equal(derived.index, fresh.index)
+        assert np.array_equal(derived.active, fresh.active)
+        assert derived.entry_error == fresh.entry_error
+        exact = exact_cost(state, fresh.index.tolist())
+        assert_within(fresh.matrix, exact, fresh.entry_error)
+        assert_within(derived.matrix, exact, derived.entry_error)
+        assert np.array_equal(derived.matrix, derived.matrix.T)
+        assert np.all(np.diag(derived.matrix) == 0.0)
+        assert derived.diag_sum == pytest.approx(fresh.diag_sum, abs=1e-12)
+        assert derived.const_offset == pytest.approx(fresh.const_offset,
+                                                     abs=1e-12)
+    for _ in path:
+        ledger.revert()
+        unassign_to(state, ws, state.mark() - 1)
+
+    # with no incumbent met, every frontier child is tested
+    engine.best_unsat = 0
+    engine.reorder(res.cert)
+    engine.expand_root(res, 0)
+    assert root.matrix.tobytes() == root_bytes

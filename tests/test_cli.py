@@ -1,7 +1,9 @@
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,8 +217,13 @@ def test_bench_empty_input(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     path = tmp_path / "tri.cnf"
     path.write_text(TRIANGLE)
+    # the child finds the package as this process does, PYTHONPATH or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sdpsat", "solve", str(path), "--seed", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "s OPTIMUM FOUND" in proc.stdout

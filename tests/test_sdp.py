@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpsat.bounds import ShiftLedger, ceil_bound
+from sdpsat.bounds import ShiftLedger, ceil_bound, prune_floor
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
@@ -19,8 +19,8 @@ from sdpsat.rounding import node_unsat, round_once
 from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, ZCache, certificate,
                         clause_loss, default_rank, dual_from_primal,
                         init_factor, mixing_sweep, node_cost, objective,
-                        solve)
-from sdpsat.search import Searcher
+                        pruning_certificate, solve)
+from sdpsat.search import Searcher, solve_complete
 from tests.test_search import small_formulas
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0"
@@ -293,11 +293,11 @@ def test_solve_sweeps_match_fresh_sweeps(inst, data):
 @settings(max_examples=300, deadline=None)
 @given(inst=small_formulas(), data=st.data())
 def test_prune_stopped_solve_is_sound(inst, data):
-    """A solve given the search's prune test against an incumbent (random,
-    or next to the ceiling of the solve without a prune test) stops only on
-    a certificate that passes the test and is PSD by the dense probe,
+    """A solve given the search's prune floor under an incumbent (random,
+    or next to the ceiling of the solve without a floor) stops only on a
+    certificate that passes the prune test and is PSD by the dense probe,
     without tolerance; before it stops, and without a stop, it sweeps bit
-    for bit as the solve without a prune test does."""
+    for bit as the solve without a floor does."""
     n = inst.num_vars
     state, ws, factor, zc = fresh_solver_state(
         inst, seed=data.draw(st.integers(0, 99)))
@@ -309,11 +309,11 @@ def test_prune_stopped_solve_is_sound(inst, data):
     max_sweeps = data.draw(st.integers(1, 30))
     cols, rows = factor.cols.copy(), zc.z.copy()
 
-    def run(sweeps, prune=None):
+    def run(sweeps, floor=None):
         factor.cols[:] = cols
         zc.z[:] = rows
         res = solve(state, factor, zc, max_sweeps=sweeps, order=order,
-                    prune=prune)
+                    floor=floor)
         return res, factor.cols.copy(), zc.z[state.active_mask()]
 
     plain, plain_cols, plain_z = run(max_sweeps)
@@ -321,8 +321,7 @@ def test_prune_stopped_solve_is_sound(inst, data):
     best = data.draw(st.one_of(
         st.integers(max(ceiling - 1, 0), max(ceiling + 1, 0)),
         st.integers(0, inst.num_clauses + inst.empty_count + 1)))
-    res, res_cols, res_z = run(max_sweeps,
-                               lambda bound: ceil_bound(bound) >= best)
+    res, res_cols, res_z = run(max_sweeps, prune_floor(best))
     if not res.converged and res.sweeps_used < max_sweeps:
         assert res.pruned
     if res.pruned:
@@ -515,17 +514,26 @@ def test_solve_builds_one_cost_matrix(monkeypatch):
     inst = random_instance(20, 80, 2, seed=5)
     state, ws, factor, zc = fresh_solver_state(inst, seed=5)
     builds = counting(monkeypatch, sdp, "node_cost")
-    # every objective passes and every raw bound fails: a certificate is
-    # taken after each of the six sweeps, then the final one
-    verdicts = itertools.cycle((True, False))
-    res = solve(state, factor, zc, eps=1e-12, max_sweeps=6,
-                prune=lambda bound: next(verdicts))
+    real = sdp.pruning_certificate
+    tested = []
+
+    def never_prunes(cost, factor, floor):
+        # the real test runs on the shared matrix, its verdict is dropped
+        tested.append(real(cost, factor, floor) is not None)
+
+    monkeypatch.setattr(sdp, "pruning_certificate", never_prunes)
+    # every objective and raw bound is above the floor: a pruning
+    # certificate is taken after each of the six sweeps, then the final one
+    res = solve(state, factor, zc, eps=1e-12, max_sweeps=6, floor=-1e6)
     assert res.sweeps_used == 6 and not res.pruned
-    assert res.certificates == 7
+    assert res.certificates == 7 and tested == [True] * 6
     assert len(builds) == 1
+    # the borrowed diagonal is given back: the final certificate and the
+    # returned matrix are those of a fresh build
     fresh = dual_from_primal(state, factor, zc)
     assert np.array_equal(res.cert.lam, fresh.lam)
     assert res.dual_bound == fresh.dual_bound
+    assert np.array_equal(res.cost.matrix, node_cost(state).matrix)
 
 
 @pytest.mark.parametrize("passes", ("before", "between sweeps"))
@@ -534,20 +542,113 @@ def test_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
     state, ws, factor, zc = fresh_solver_state(inst, seed=5)
     builds = counting(monkeypatch, sdp, "node_cost")
     eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
+    factorizations = counting(monkeypatch, np.linalg, "cholesky")
     if passes == "before":
-        deadline, prune = time.monotonic() - 1.0, None
+        deadline, floor = time.monotonic() - 1.0, None
     else:
-        deadline = time.monotonic() + 0.25
+        deadline, floor = time.monotonic() + 0.25, -1e6
+        sweep = sdp.mixing_sweep
 
-        def prune(bound):
-            # the deadline passes while the first sweep's objective is tested
+        def slow_sweep(*args):
+            # the deadline passes during the first sweep, whose objective
+            # is above the floor
             time.sleep(max(deadline - time.monotonic(), 0.0) + 0.01)
-            return True
-    res = solve(state, factor, zc, deadline=deadline, prune=prune)
+            return sweep(*args)
+
+        monkeypatch.setattr(sdp, "mixing_sweep", slow_sweep)
+    res = solve(state, factor, zc, deadline=deadline, floor=floor)
     assert res.sweeps_used == (0 if passes == "before" else 1)
     assert res.cert is None and res.certificates == 0
     assert res.dual_bound == -math.inf
-    assert builds == [] and eigensolves == []
+    assert builds == [] and eigensolves == [] and factorizations == []
+
+
+def solved_node(seed, n, length, assigned, sweeps):
+    """A node `assigned` random assignments below the root of a random
+    formula, after `sweeps` sweeps; returns its state, factor and solve."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(n, (4 if length == 2 else 7) * n, length,
+                           seed=seed)
+    state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
+    for var in rng.choice(np.arange(1, n + 1), size=assigned, replace=False):
+        assign(state, ws, int(var), TRUE if rng.random() < 0.5 else FALSE)
+    zc.rebuild(state, factor)
+    return state, factor, solve(state, factor, zc, max_sweeps=sweeps)
+
+
+def test_cholesky_prune_boundary():
+    """At a solved node whose eigen repair needs the shift s*, a floor that
+    leaves s* (1 + 1e-6) of room prunes, by a certificate PSD by the dense
+    probe, and a floor that leaves s* (1 - 1e-6) does not."""
+    tested = 0
+    for seed in range(40):
+        state, factor, res = solved_node(seed, 14 + seed % 3 * 7,
+                                         2 + seed % 2, seed % 4, 1 + seed % 3)
+        cost = res.cost
+        raw = certificate(cost, factor, repair=False)
+        dim = len(cost.index)
+        s_star = float(np.mean(res.cert.lam[cost.index]
+                               - raw.lam[cost.index]))
+        if s_star < 1e-4:
+            continue
+        tested += 1
+        room = raw.dual_bound - dim * s_star * (1 + 1e-6)
+        cert = pruning_certificate(cost, factor, room)
+        assert cert is not None, seed
+        assert cert.dual_bound > room
+        assert dense_sdp_check(state, lam=cert.lam).min_eig >= 0.0
+        tight = raw.dual_bound - dim * s_star * (1 - 1e-6)
+        assert pruning_certificate(cost, factor, tight) is None, seed
+    assert tested >= 30
+
+
+def test_cholesky_and_eigen_prune_decisions_agree():
+    """On 240 random MAX2SAT and MAX3SAT nodes and floors spread around the
+    eigen-repaired bound, the Cholesky decision (pruning_certificate) and
+    the eigen decision (repaired bound above the floor) agree except within
+    1e-9 of the boundary.  That window is the Cholesky's PRUNE_SLACK of
+    the excess (1e-9 when the excess is below 1); the two rounding margins
+    (about dim^2 eps tr) add under 1e-10 here."""
+    rng = np.random.default_rng(2)
+    offsets = [sign * 10.0 ** -e for e in (1, 3, 5, 7, 8, 10, 12)
+               for sign in (1, -1)]
+    agreed = near = 0
+    for node in range(240):
+        length = 2 + node % 2
+        state, factor, res = solved_node(
+            node, int(rng.integers(8, 17)), length, int(rng.integers(0, 4)),
+            int(rng.integers(1, 6)))
+        cost = res.cost
+        raw = certificate(cost, factor, repair=False).dual_bound
+        eigen = res.dual_bound
+        floors = [eigen + offset for offset in offsets]
+        floors += [b - 1 + 1e-6 for b in range(math.ceil(eigen) - 1,
+                                               math.ceil(raw) + 2)]
+        for floor in floors:
+            chol = pruning_certificate(cost, factor, floor) is not None
+            if abs(eigen - floor) <= 1e-9 * max(1.0, raw - floor) + 1e-10:
+                near += 1
+                continue
+            assert chol == (eigen > floor), (node, floor)
+            agreed += 1
+    assert agreed >= 200 * len(offsets) and near > 0
+
+
+def test_search_eigensolves_only_final_certificates(monkeypatch):
+    """In a complete search each solve builds its cost matrix once and
+    expansion builds none; eigensolves come only from the final
+    certificates of solves that did not prune, and every certificate that
+    pruned was decided by Cholesky."""
+    inst = random_instance(24, 96, 2, seed=11)
+    builds = counting(monkeypatch, sdp, "node_cost")
+    eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
+    factorizations = counting(monkeypatch, np.linalg, "cholesky")
+    best, status, stats = solve_complete(inst, SolverConfig(seed=0))
+    assert status == "OPTIMUM"
+    assert stats.early_prunes > 0 and stats.child_cert_prunes > 0
+    assert len(builds) == stats.sdp_solves
+    assert 0 < len(eigensolves) <= stats.sdp_solves - stats.early_prunes
+    assert len(factorizations) >= stats.early_prunes + stats.child_cert_prunes
 
 
 def test_raw_multipliers_near_feasible_at_tight_convergence():

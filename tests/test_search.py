@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpsat.search
-from sdpsat.bounds import ceil_bound
+from sdpsat.bounds import Decision, ceil_bound, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import evaluate, instance_from_clauses, parse_dimacs
@@ -139,6 +139,27 @@ def test_complete_optimum_under_time_limit_is_exact():
                 f"seed {seed}, time limit {time_limit}")
             proved += 1
     assert proved > 0
+
+
+@pytest.mark.parametrize("ceil_tol", (0.0, 1e-6))
+def test_prunes_is_the_floor(ceil_tol):
+    """The search's prune test, decide's prune verdict and the floor a
+    solve is given are one line: a bound prunes exactly when it is above
+    best_unsat - 1 + ceil_tol.  Away from float noise at the floor that is
+    the guarded ceiling meeting the incumbent."""
+    engine = Searcher(parse_dimacs(TRIANGLE), SolverConfig(ceil_tol=ceil_tol))
+    for best in (0, 1, 3, 7, 40):
+        engine.best_unsat = best
+        floor = engine.floor()
+        assert floor == best - 1 + ceil_tol
+        near = (floor, floor - 1e-9, floor + 1e-9)
+        for bound in near + tuple(float(b) for b in range(best - 3, best + 3)):
+            verdict = bound > floor
+            assert engine.prunes(bound) == verdict
+            assert (decide(math.inf, bound, best, ceil_tol)
+                    == Decision.PRUNE) == verdict
+            if bound != floor:
+                assert (ceil_bound(bound, ceil_tol) >= best) == verdict
 
 
 @st.composite
@@ -350,8 +371,8 @@ def test_children_dropped_by_own_certificate_are_sound(
     dropped = []
     real = sdpsat.search.pruning_certificate
 
-    def audited(cost, factor, prune):
-        cert = real(cost, factor, prune)
+    def audited(cost, factor, floor):
+        cert = real(cost, factor, floor)
         if cert is not None:
             state = engine.state
             dropped.append((tuple(engine.cur_path), cert.dual_bound,
