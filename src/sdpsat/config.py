@@ -14,8 +14,9 @@ class SolverConfig:
     eps is the target precision (in unsat units) of each relaxation solve;
     pruning rounds bounds up with ceil_tol guarding float noise at integer
     boundaries.  rank defaults to just above the square-root threshold for
-    the number of columns.  depth_limit=1 degenerates to single-variable
-    splits.
+    the number of columns; the search caps a given rank at the number of
+    columns (at least 2), which already spans the full relaxation.
+    depth_limit=1 degenerates to single-variable splits.
     """
 
     eps: float = 1e-2

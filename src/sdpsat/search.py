@@ -67,6 +67,8 @@ class Incumbent:
 class SearchStats:
     nodes_popped: int = 0
     sdp_solves: int = 0
+    # solves swept on the node's cost matrix (sdp.dense_sweep)
+    dense_solves: int = 0
     sweeps_total: int = 0
     prunes_by_dual: int = 0
     expands_by_primal: int = 0
@@ -93,7 +95,9 @@ class Searcher:
         self.cfg = config
         self.emit = emit
         n = instance.num_vars
-        self.k = config.rank if config.rank else default_rank(max(n, 1))
+        # a rank-(n+1) factor already spans the full relaxation
+        self.k = (min(config.rank, max(2, n + 1)) if config.rank
+                  else default_rank(max(n, 1)))
         self.rng = np.random.default_rng(config.seed)
         self.state = NodeState(instance)
         self.ws = WatchedStack(instance)
@@ -155,11 +159,11 @@ class Searcher:
     # -- per-root work -----------------------------------------------------
 
     def solve_root(self):
-        self.zcache.rebuild(self.state, self.factor)
         res = solve(self.state, self.factor, self.zcache, eps=self.cfg.eps,
                     max_sweeps=self.cfg.max_sweeps, order=self.order,
                     deadline=self.deadline, floor=self.floor())
         self.stats.sdp_solves += 1
+        self.stats.dense_solves += res.dense
         self.stats.sweeps_total += res.sweeps_used
         self.stats.early_prunes += res.pruned
         self.stats.certificates += res.certificates

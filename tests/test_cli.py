@@ -49,6 +49,8 @@ def test_solve_triangle_complete(tmp_path, capsys):
                  for line in err.splitlines() if line.startswith("stats "))
     # the root solve takes at least its final certificate
     assert int(stats["certificates"]) >= int(stats["sdp_solves"]) >= 1
+    # three columns: every solve sweeps on the cost matrix
+    assert int(stats["dense_solves"]) == int(stats["sdp_solves"])
 
 
 def test_solve_satisfiable(tmp_path, capsys):
@@ -58,6 +60,17 @@ def test_solve_satisfiable(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert "o 0" in lines
+    assert "s OPTIMUM FOUND" in lines
+
+
+def test_solve_huge_rank_is_clamped(tmp_path, capsys):
+    path = tmp_path / "tri.cnf"
+    path.write_text(TRIANGLE)
+    code, out, _ = run_cli(["solve", str(path), "--rank", "1000000000000"],
+                           capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "o 1" in lines
     assert "s OPTIMUM FOUND" in lines
 
 

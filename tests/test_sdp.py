@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,15 +219,31 @@ def sequential_sweep(state, factor, zcache, order):
     return objective(state, factor, zcache)
 
 
+def class_sorted(state, order):
+    """`order` stably sorted by the rank of each variable's class, classes
+    ranked by their first variable in `order`: the order a colored sweep
+    updates the columns in."""
+    first = {}
+    for pos, var in enumerate(order):
+        first.setdefault(state.color[var], pos)
+    return sorted(order, key=lambda var: first[state.color[var]])
+
+
+def with_isolated_variable(inst):
+    """The formula with one more variable, in no clause."""
+    return instance_from_clauses(
+        inst.num_vars + 1,
+        [c.lits for c in inst.clauses] + [[]] * inst.empty_count)
+
+
 @settings(max_examples=300, deadline=None)
 @given(inst=small_formulas(), data=st.data())
 def test_colored_sweep_matches_sequential_sweep(inst, data):
     """A colored sweep is the column-at-a-time sweep over `order` stably
     sorted by class rank, at random partial nodes with an isolated variable
     (fully assigned and clause-free nodes included)."""
-    n = inst.num_vars + 1
-    inst = instance_from_clauses(
-        n, [c.lits for c in inst.clauses] + [[]] * inst.empty_count)
+    inst = with_isolated_variable(inst)
+    n = inst.num_vars
     state, ws, factor, zc = fresh_solver_state(
         inst, seed=data.draw(st.integers(0, 99)))
     for clause in inst.clauses:
@@ -246,10 +263,7 @@ def test_colored_sweep_matches_sequential_sweep(inst, data):
         assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
     zc.rebuild(state, factor)
     order = data.draw(st.permutations(range(1, n + 1)))
-    first = {}
-    for pos, var in enumerate(order):
-        first.setdefault(state.color[var], pos)
-    by_class = sorted(order, key=lambda var: first[state.color[var]])
+    by_class = class_sorted(state, order)
     ref_factor, ref_zc = factor.copy(), ZCache(inst, factor.k)
     ref_zc.rebuild(state, ref_factor)
     for _ in range(3):
@@ -263,10 +277,12 @@ def test_colored_sweep_matches_sequential_sweep(inst, data):
 
 @settings(max_examples=200, deadline=None)
 @given(inst=small_formulas(), data=st.data())
+@mock.patch.object(sdp, "DENSE_MAX_COLUMNS", 0)
 def test_solve_sweeps_match_fresh_sweeps(inst, data):
-    """solve builds one sweep plan for all of its sweeps; they must equal,
-    bit for bit, as many sweeps that each build a fresh plan, at random
-    partial nodes (fully assigned and clause-free ones included)."""
+    """A sparse solve builds one sweep plan for all of its sweeps; they
+    must equal, bit for bit, as many sweeps that each build a fresh plan,
+    at random partial nodes (fully assigned and clause-free ones
+    included)."""
     n = inst.num_vars
     state, ws, factor, zc = fresh_solver_state(
         inst, seed=data.draw(st.integers(0, 99)))
@@ -281,6 +297,7 @@ def test_solve_sweeps_match_fresh_sweeps(inst, data):
                 max_sweeps=data.draw(st.integers(1, 6)), order=order)
     fresh = [mixing_sweep(state, ref_factor, ref_zc, order)
              for _ in range(res.sweeps_used)]
+    assert not res.dense
     assert res.trace[1:] == fresh
     assert np.array_equal(factor.cols, ref_factor.cols)
     active = state.active_mask()
@@ -288,6 +305,55 @@ def test_solve_sweeps_match_fresh_sweeps(inst, data):
     rebuilt = ZCache(inst, factor.k)
     rebuilt.rebuild(state, factor)
     assert np.allclose(zc.z[active], rebuilt.z[active], rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_dense_solve_matches_sequential_sweeps(inst, data):
+    """A dense solve's sweeps are the column-at-a-time sweep in class order:
+    trace and factor within 1e-12, at random partial nodes with an isolated
+    variable (fully assigned and clause-free nodes included).  It reads no
+    z-cache and leaves one equal to a fresh rebuild."""
+    inst = with_isolated_variable(inst)
+    n = inst.num_vars
+    state, ws, factor, zc = fresh_solver_state(
+        inst, seed=data.draw(st.integers(0, 99)))
+    path = data.draw(st.permutations(range(1, n + 1)))
+    for var in path[:data.draw(st.integers(0, n))]:
+        assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
+    order = data.draw(st.permutations(range(1, n + 1)))
+    ref_factor, ref_zc = factor.copy(), ZCache(inst, factor.k)
+    ref_zc.rebuild(state, ref_factor)
+    # stale rows: the z-cache of the node before the assignments
+    res = solve(state, factor, zc, eps=1e-300,
+                max_sweeps=data.draw(st.integers(1, 6)), order=order)
+    assert res.dense
+    by_class = class_sorted(state, order)
+    reference = [objective(state, ref_factor, ref_zc)]
+    reference += [sequential_sweep(state, ref_factor, ref_zc, by_class)
+                  for _ in range(res.sweeps_used)]
+    assert res.trace == pytest.approx(reference, rel=0.0, abs=1e-12)
+    assert np.allclose(factor.cols, ref_factor.cols, rtol=0.0, atol=1e-12)
+    rebuilt = ZCache(inst, factor.k)
+    rebuilt.rebuild(state, factor)
+    assert np.array_equal(zc.z, rebuilt.z)
+
+
+def test_solve_sweeps_dense_up_to_the_cutoff(monkeypatch):
+    """A node of DENSE_MAX_COLUMNS columns sweeps on its cost matrix; one
+    of a column more sweeps through mixing_sweep."""
+    inst = random_instance(sdp.DENSE_MAX_COLUMNS, 2 * sdp.DENSE_MAX_COLUMNS,
+                           2, seed=8)
+    state, ws, factor, zc = fresh_solver_state(inst, seed=8)
+    sparse_sweeps = counting(monkeypatch, sdp, "mixing_sweep")
+    dense_sweeps = counting(monkeypatch, sdp, "dense_sweep")
+    res = solve(state, factor, zc, max_sweeps=2)
+    assert not res.dense and state.free_count == sdp.DENSE_MAX_COLUMNS
+    assert len(sparse_sweeps) == 2 and dense_sweeps == []
+    assign(state, ws, 1, TRUE)
+    res = solve(state, factor, zc, max_sweeps=2)
+    assert res.dense and state.free_count + 1 == sdp.DENSE_MAX_COLUMNS
+    assert len(sparse_sweeps) == 2 and len(dense_sweeps) == 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -538,6 +604,8 @@ def test_solve_builds_one_cost_matrix(monkeypatch):
 
 @pytest.mark.parametrize("passes", ("before", "between sweeps"))
 def test_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
+    # the sparse path: a dense solve builds its cost matrix before sweeping
+    monkeypatch.setattr(sdp, "DENSE_MAX_COLUMNS", 0)
     inst = random_instance(20, 80, 2, seed=5)
     state, ws, factor, zc = fresh_solver_state(inst, seed=5)
     builds = counting(monkeypatch, sdp, "node_cost")
@@ -561,6 +629,39 @@ def test_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
     assert res.cert is None and res.certificates == 0
     assert res.dual_bound == -math.inf
     assert builds == [] and eigensolves == [] and factorizations == []
+
+
+@pytest.mark.parametrize("passes", ("before", "during the first sweep"))
+def test_dense_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
+    """The dense twin: the cost matrix is built up front, but past the
+    deadline no certificate is taken, and the z-cache is rebuilt all the
+    same."""
+    inst = random_instance(20, 80, 2, seed=5)
+    state, ws, factor, zc = fresh_solver_state(inst, seed=5)
+    builds = counting(monkeypatch, sdp, "node_cost")
+    eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
+    factorizations = counting(monkeypatch, np.linalg, "cholesky")
+    if passes == "before":
+        deadline = time.monotonic() - 1.0
+    else:
+        deadline = time.monotonic() + 0.25
+        sweep = sdp.dense_sweep
+
+        def slow_sweep(*args):
+            # the first sweep's objective is above the floor
+            time.sleep(max(deadline - time.monotonic(), 0.0) + 0.01)
+            return sweep(*args)
+
+        monkeypatch.setattr(sdp, "dense_sweep", slow_sweep)
+    res = solve(state, factor, zc, deadline=deadline, floor=-1e6)
+    assert res.dense
+    assert res.sweeps_used == (0 if passes == "before" else 1)
+    assert res.cert is None and res.certificates == 0
+    assert res.dual_bound == -math.inf
+    assert len(builds) == 1 and eigensolves == [] and factorizations == []
+    rebuilt = ZCache(inst, factor.k)
+    rebuilt.rebuild(state, factor)
+    assert np.array_equal(zc.z, rebuilt.z)
 
 
 def solved_node(seed, n, length, assigned, sweeps):

@@ -328,6 +328,23 @@ def test_determinism_identical_runs():
     assert runs[0] == runs[1]
 
 
+def test_rank_above_columns_is_clamped():
+    """A rank above n + 1 runs the search of rank n + 1, whose factor
+    already spans the full relaxation."""
+    inst = random_instance(12, 48, 2, seed=3)
+    runs = []
+    for rank in (10 ** 12, 13):
+        engine = Searcher(inst, SolverConfig(seed=2, rank=rank))
+        assert engine.k == 13 and engine.factor.cols.shape == (13, 13)
+        status = engine.run_complete()
+        stats = engine.stats.as_dict()
+        del stats["wall_time"]
+        runs.append((engine.best.assignment, engine.best.unsat, status,
+                     stats))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == brute_force(inst)[0]
+
+
 def test_bound_recorder_hook_sound_on_small_instance():
     from sdpsat.oracle import min_unsat_completion
 
