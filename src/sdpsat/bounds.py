@@ -167,8 +167,9 @@ class ShiftLedger:
         built from scratch: its submatrix on the node's columns, with delta
         added to the truth row and column, less the free-free pairs of the
         clauses active at the root and no longer active (a clause falsified
-        on the path has no free column left).  The matrix stays exactly
-        symmetric (see sdp.pair_matrix); `root` is left untouched.
+        on the path has no free column left).  The columns keep the root's
+        order and the matrix stays exactly symmetric (see sdp.pair_matrix);
+        `root` is left untouched.
         """
         columns = state.column_mask()
         keep = np.flatnonzero(columns[root.index])
@@ -188,8 +189,9 @@ class ShiftLedger:
             gone = np.flatnonzero((va != 0) & columns[va] & columns[vb])
             value = (state.lit_sign[a[gone]] * state.lit_sign[b[gone]]
                      * state.weight[clause[pairs[gone]]])
-            matrix -= pair_matrix(np.searchsorted(index, va[gone]),
-                                  np.searchsorted(index, vb[gone]), value,
+            pos = np.empty(len(columns), dtype=np.intp)
+            pos[index] = np.arange(len(index))
+            matrix -= pair_matrix(pos[va[gone]], pos[vb[gone]], value,
                                   len(index))
         return NodeCost(index, matrix, self.diag_sum, self.const_offset,
                         root.entry_error, active)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .generate import random_clauses, random_instance, render_dimacs
-from .instance import Instance, ParseError, parse_dimacs
+from .instance import ParseError, parse_dimacs
 from .oracle import BRUTE_FORCE_CAP, brute_force
 from .search import OPTIMUM, solve_complete, solve_incomplete
 
@@ -53,17 +53,13 @@ def _config_from(args) -> SolverConfig | None:
         return None
 
 
-def _load_instance(path: str) -> Instance:
-    return parse_dimacs(Path(path).read_text())
-
-
 def cmd_solve(args) -> int:
     config = _config_from(args)
     if config is None:
         return 2
     try:
-        instance = _load_instance(args.input)
-    except OSError as exc:
+        instance = parse_dimacs(Path(args.input).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:

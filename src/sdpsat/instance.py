@@ -205,7 +205,7 @@ class NodeState:
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
                  "lit_sign", "clause_len", "weight", "pair_a", "pair_b",
-                 "color", "class_entries")
+                 "color", "class_entries", "entry_error")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -235,6 +235,7 @@ class NodeState:
         self.pair_b = (self.pair_a + 1 + np.arange(int(later.sum()))
                        - np.repeat(np.cumsum(later) - later, later))
         self._color_variables()
+        self.entry_error = None  # set by the first sdp.node_cost
 
     def _color_variables(self) -> None:
         """DSatur coloring of the variable-interaction graph (Brelaz, CACM

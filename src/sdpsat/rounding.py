@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+from sys import float_info
 
 import numpy as np
 
 from .instance import FREE, NodeState
-from .sdp import Factor
+from .sdp import Factor, past
 
-# literal-entry by trial cells per block of trials: bounds the boolean
-# matrices of one node_unsat call (about 4 MB each)
+# cells per block of trials, one per trial and literal entry or factor row
+# (whichever are more): bounds the boolean matrices of one node_unsat call
+# (about 4 MB each) and the dot products of one trial_values call
 TRIAL_CELLS = 1 << 22
 
 
@@ -36,12 +38,13 @@ def round_once(factor: Factor, state: NodeState,
 
 
 def rounding_budget(free_count: int, c: float = 4.0) -> int:
-    """ceil(c * sqrt(free_count)) trials; 0 when nothing is free."""
+    """ceil(c * sqrt(free_count)) trials, finite for every finite c; 0
+    when nothing is free."""
     if free_count < 0:
         raise ValueError("negative free count")
     if free_count == 0:
         return 0
-    return max(1, math.ceil(c * math.sqrt(free_count)))
+    return max(1, math.ceil(min(c * math.sqrt(free_count), float_info.max)))
 
 
 def node_unsat(state: NodeState, values):
@@ -67,20 +70,24 @@ def node_unsat(state: NodeState, values):
 
 
 def best_rounding(factor: Factor, state: NodeState, budget: int,
-                  rng: np.random.Generator):
-    """Best of `budget` rounding trials, the first one on ties;
-    deterministic per rng state (one draw of all normals)."""
+                  rng: np.random.Generator, deadline: float | None = None):
+    """(values, unsat, trials run) of the best of `budget` rounding trials,
+    the first one on ties; deterministic per rng state (the normals drawn
+    block by block are one stream).  Past `deadline` no further block
+    starts."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    r = rng.standard_normal((budget, factor.k))
-    block = max(1, TRIAL_CELLS // max(len(state.lit_var), 1))
+    block = max(1, TRIAL_CELLS // max(len(state.lit_var), len(factor.cols)))
     best_values = None
     best_unsat = None
-    for lo in range(0, budget, block):
-        values = trial_values(factor, state, r[lo:lo + block])
+    ran = 0
+    while ran < budget and not (ran and past(deadline)):
+        r = rng.standard_normal((min(block, budget - ran), factor.k))
+        values = trial_values(factor, state, r)
         unsat = node_unsat(state, values)
+        ran += len(r)
         t = int(np.argmin(unsat))
         if best_unsat is None or unsat[t] < best_unsat:
             best_unsat = int(unsat[t])
             best_values = values[:, t]
-    return best_values.tolist(), best_unsat
+    return best_values.tolist(), best_unsat, ran

@@ -38,28 +38,29 @@ certificate of a solve that did not prune, the one a ShiftLedger is built
 from, is repaired by the smallest eigenvalue shift (an eigensolve).
 
 C depends only on the assignment.  node_cost is its one from-scratch
-builder: a solve builds it once and returns it; a child's C is derived
-from its root's (bounds.ShiftLedger.child_cost).  A solve sweeps until the
+builder and lays its columns out in sweep order: the truth column, then
+the free columns class by class.  A solve builds it at most once and
+returns it; a child's C is derived from its root's and keeps the root's
+column order (bounds.ShiftLedger.child_cost).  A solve sweeps until the
 estimated gap drops below eps, max_sweeps run out, the deadline passes, or
 a certificate taken between sweeps prunes.
 
 The z-cache sweep above is the sparse path.  A node of at most
-DENSE_MAX_COLUMNS (256) columns sweeps on C instead (dense_sweep): C
-permuted once per solve into class order, one class step is the product
-C[class rows] V (C is zero on a class's own block), and the objective is
-read from C V.  At such sizes the sparse step's small gathers and
-scatters per class cost more than the dense product; above a few hundred
-columns the dense product costs more (measured in solve).  A dense solve
-builds C before its first sweep, a sparse one at its first certificate.
-solve owns the z-cache either way: the sparse path rebuilds it on entry,
-the dense path on exit.
+DENSE_MAX_COLUMNS (256) columns sweeps on C instead (dense_sweep): one
+class step is the product C[class rows] V over one slice of C's rows (C is
+zero on a class's own block), and the objective is read from C V.  At such
+sizes the sparse step's small gathers and scatters per class cost more
+than the dense product; above a few hundred columns the dense product
+costs more (measured in solve).  A dense solve builds C before its first
+sweep and neither reads nor writes the z-cache; a sparse one rebuilds the
+z-cache on entry and builds C at its first certificate.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,11 +152,10 @@ class ZCache:
     backtracking; rows modified in place are undone from saved copies.
     """
 
-    __slots__ = ("instance", "k", "z")
+    __slots__ = ("instance", "z")
 
     def __init__(self, instance, k: int):
         self.instance = instance
-        self.k = k
         self.z = np.zeros((instance.num_clauses, k))
 
     def rebuild(self, state: NodeState, factor: Factor) -> None:
@@ -303,9 +303,11 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
 class NodeCost:
     """The node's dense cost matrix and its assignment-only bound terms.
 
-    `index` lists the node's columns (0, then the free variables) and
-    `matrix` is the zero-diagonal cost over them: entry (a, b) sums
-    coeff_a * coeff_b * w_j over the active clauses j holding both columns.
+    `index` lists the node's columns in sweep order (0, then the free
+    variables class by class; `slices` holds each swept class's rows and
+    is empty on a derived cost, which is never swept), and `matrix` is the
+    zero-diagonal cost over them: entry (a, b) sums coeff_a * coeff_b * w_j
+    over the active clauses j holding both columns.
     The would-be diagonal is folded into `diag_sum`; `const_offset` is
     base_unsat minus the per-clause loss constants.  `entry_error` bounds
     how far any entry of `matrix` is from its exact value, for this cost and
@@ -320,6 +322,7 @@ class NodeCost:
     const_offset: float
     entry_error: float
     active: np.ndarray
+    slices: tuple = ()
 
 
 def entry_error_bound(state: NodeState) -> float:
@@ -353,47 +356,39 @@ def pair_matrix(pa: np.ndarray, pb: np.ndarray, value: np.ndarray,
     return matrix.astype(float, copy=False).reshape(dim, dim)
 
 
-def node_cost(state: NodeState) -> NodeCost:
-    """The node's cost matrix, built from scratch: the one builder."""
+def node_cost(state: NodeState, order=None) -> NodeCost:
+    """The node's cost matrix, built from scratch: the one builder.  The
+    free columns follow class_order, by variable within a class, then
+    those of classes not swept."""
     active = state.active_mask()
     columns = state.column_mask()
     live = state.live_entries(active, columns)
     coeff = state.lit_coeffs()
+    classes = class_order(state, order)
+    rank = np.full(len(state.class_entries), len(classes), dtype=np.intp)
+    rank[classes] = np.arange(len(classes))
+    rank = rank[state.color]
+    rank[0] = -1  # the truth column leads and is never swept
     index = np.flatnonzero(columns)
-    dim = len(index)
-    pos = np.cumsum(columns) - 1
+    index = index[np.argsort(rank[index], kind="stable")]
+    bounds = np.searchsorted(rank[index], range(len(classes) + 1)).tolist()
+    slices = tuple((lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo)
+    pos = np.empty(len(columns), dtype=np.intp)
+    pos[index] = np.arange(len(index))
     a, b = state.pair_a, state.pair_b
     keep = live[a] & live[b]
     a, b = a[keep], b[keep]
     value = coeff[a] * coeff[b] * state.weight[state.lit_clause[a]]
     matrix = pair_matrix(pos[state.lit_var[a]], pos[state.lit_var[b]],
-                         value, dim)
+                         value, len(index))
     diag = coeff[live] ** 2 * state.weight[state.lit_clause[live]]
     const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
+    if state.entry_error is None:
+        state.entry_error = entry_error_bound(state)
     return NodeCost(index, matrix, diag_sum=math.fsum(diag.tolist()),
                     const_offset=state.base_unsat - math.fsum(const.tolist()),
-                    entry_error=entry_error_bound(state), active=active)
-
-
-def class_ordered(state: NodeState, cost: NodeCost, order=None):
-    """The node's cost with its columns in sweep order, and the (start,
-    stop) rows of each swept class in it.
-
-    The truth column comes first, then the free columns class by class in
-    class_order, then those of classes not swept.  Valid only while the
-    assignment is unchanged.
-    """
-    classes = class_order(state, order)
-    rank = np.full(len(state.class_entries), len(classes), dtype=np.intp)
-    rank[classes] = np.arange(len(classes))
-    column_rank = rank[state.color[cost.index]]
-    column_rank[0] = -1  # the truth column leads and is never swept
-    perm = np.argsort(column_rank, kind="stable")
-    bounds = np.searchsorted(column_rank[perm],
-                             np.arange(len(classes) + 1)).tolist()
-    slices = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    matrix = cost.matrix.take(perm, axis=0).take(perm, axis=1)
-    return replace(cost, index=cost.index[perm], matrix=matrix), slices
+                    entry_error=state.entry_error, active=active,
+                    slices=slices)
 
 
 def dense_objective(cost: NodeCost, W: np.ndarray) -> float:
@@ -404,10 +399,10 @@ def dense_objective(cost: NodeCost, W: np.ndarray) -> float:
     return math.fsum(terms + [cost.const_offset, cost.diag_sum])
 
 
-def dense_sweep(cost: NodeCost, slices, factor: Factor) -> float:
+def dense_sweep(cost: NodeCost, factor: Factor) -> float:
     """mixing_sweep on the cost matrix: one class step is g = C[class] W.
 
-    `cost` and `slices` are class_ordered's.  Columns of one class share
+    `cost` is node_cost's for the sweep order.  Columns of one class share
     no clause, so C is zero on the class's own block and g is the update
     direction of every member at once, as in mixing_sweep; members with
     ||g|| below ZERO_UPDATE_NORM are kept.  The factor's columns are read
@@ -416,7 +411,7 @@ def dense_sweep(cost: NodeCost, slices, factor: Factor) -> float:
     """
     W = factor.cols.take(cost.index, axis=0)
     matrix = cost.matrix
-    for lo, hi in slices:
+    for lo, hi in cost.slices:
         g = matrix[lo:hi] @ W
         norm = np.sqrt(np.vecdot(g, g))[:, None]
         np.divide(g, -norm, out=W[lo:hi], where=norm >= ZERO_UPDATE_NORM)
@@ -457,7 +452,7 @@ class SdpResult:
     certificates: int = 0
     # the node's cost matrix, None when a sparse solve took no certificate
     cost: NodeCost | None = None
-    # swept on the cost matrix (dense_sweep), not on the z-cache
+    # swept on the cost matrix (dense_sweep); the z-cache was not touched
     dense: bool = False
 
     @property
@@ -556,7 +551,8 @@ def _repair_multipliers(cost: NodeCost, lam: np.ndarray) -> None:
 
     The shift leaves a margin of dim * eps_mach * ||cost + diag(lam)||_F
     above the computed smallest eigenvalue, which covers the eigensolver's
-    backward error (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 2007).
+    backward error (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 2007),
+    plus dim * entry_error for C's entry rounding (see _verified_psd).
     One dense symmetric eigensolve; the matrix's zero diagonal is borrowed
     for diag(lam) and restored.  A cost without an off-diagonal entry (no
     active clause) needs none: diag(lam) with lam >= 0 is PSD exactly.
@@ -567,7 +563,8 @@ def _repair_multipliers(cost: NodeCost, lam: np.ndarray) -> None:
     dim = len(index)
     matrix.flat[::dim + 1] = lam[index]
     try:
-        margin = dim * np.finfo(float).eps * float(np.linalg.norm(matrix))
+        margin = dim * (np.finfo(float).eps * float(np.linalg.norm(matrix))
+                        + cost.entry_error)
         min_eig = float(np.linalg.eigvalsh(matrix)[0])
     finally:
         matrix.flat[::dim + 1] = 0.0
@@ -575,7 +572,8 @@ def _repair_multipliers(cost: NodeCost, lam: np.ndarray) -> None:
         lam[index] += margin - min_eig
 
 
-def _past(deadline: float | None) -> bool:
+def past(deadline: float | None) -> bool:
+    """True once a time.monotonic() deadline has passed."""
     return deadline is not None and time.monotonic() > deadline
 
 
@@ -591,19 +589,17 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     delta_{t-1} clamped to [0, 0.999].
 
     A node of at most DENSE_MAX_COLUMNS columns sweeps densely: the solve
-    builds its cost matrix first, permutes it into class order once
-    (class_ordered) and runs dense_sweep, one matrix product per class.
-    Larger nodes sweep on the z-cache (mixing_sweep on a sweep plan).  Both
-    take the same steps in exact arithmetic.  The cutoff is measured: on
-    one x86-64 core with one BLAS thread, a sweep of random MAX2SAT at
-    m = 4n costs, sparse against dense, 56 against 19 us at n=28, 207
-    against 103 us at n=255, 358 against 341 us at n=400 and 876 against
-    1418 us at n=800, and the dense setup (the permuted copy of C) grows
-    as the square of the columns: 50 us at n=255, 0.95 ms at n=800.  The
-    solve owns the z-cache: the sparse path rebuilds it on entry, the dense
-    path on exit, so either way the caller finds it matching the solved
-    factor (expansion and clipped_loss read it); `dense` tells which path
-    ran.
+    builds its cost matrix first, in sweep order (node_cost), and runs
+    dense_sweep, one matrix product per class.  Larger nodes sweep on the
+    z-cache (mixing_sweep on a sweep plan).  Both take the same steps in
+    exact arithmetic.  The cutoff is measured: on one x86-64 core with one
+    BLAS thread, a sweep of random MAX2SAT at m = 4n costs, sparse against
+    dense, 56 against 19 us at n=28, 207 against 103 us at n=255, 358
+    against 341 us at n=400 and 876 against 1418 us at n=800, and the dense
+    setup grows as the square of the columns.  Only the sparse path uses
+    the z-cache: it rebuilds it on entry and leaves it matching the solved
+    factor.  A dense solve leaves it as it was, so a caller that reads it
+    after a solve with `dense` set rebuilds it first (expansion does).
 
     `floor` is the caller's optional prune line: a lower bound above it
     discards the node.  After every unconverged sweep whose objective is
@@ -626,14 +622,13 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     if eps <= 0:
         raise ValueError("eps must be positive")
     dense = state.free_count < DENSE_MAX_COLUMNS
+    cost = None
     if dense:
-        cost = node_cost(state)
-        ordered, slices = class_ordered(state, cost, order)
-        f_cur = dense_objective(ordered, factor.cols[ordered.index])
+        cost = node_cost(state, order)
+        f_cur = dense_objective(cost, factor.cols[cost.index])
         active = cost.active.any()
     else:
         zcache.rebuild(state, factor)
-        cost = None
         plan = sweep_plan(state, order)
         f_cur = objective(state, factor, zcache)
         active = len(plan.active)
@@ -645,9 +640,9 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     est_gap = 0.0 if converged else math.inf
     prev_delta = None
     sweeps = 0
-    while not converged and sweeps < max_sweeps and not _past(deadline):
+    while not converged and sweeps < max_sweeps and not past(deadline):
         if dense:
-            f_new = dense_sweep(ordered, slices, factor)
+            f_new = dense_sweep(cost, factor)
         else:
             f_new = mixing_sweep(state, factor, zcache, order, plan)
         sweeps += 1
@@ -665,19 +660,17 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
                 converged = True
                 break
         prev_delta = delta
-        if floor is not None and f_cur > floor and not _past(deadline):
+        if floor is not None and f_cur > floor and not past(deadline):
             if cost is None:
-                cost = node_cost(state)
+                cost = node_cost(state, order)
             certificates += 1
             cert = pruning_certificate(cost, factor, floor)
             if cert is not None:
                 break
-    if dense:
-        zcache.rebuild(state, factor)
     pruned = cert is not None
-    if not pruned and not _past(deadline):
+    if not pruned and not past(deadline):
         if cost is None:
-            cost = node_cost(state)
+            cost = node_cost(state, order)
         cert = certificate(cost, factor)
         certificates += 1
     return SdpResult(f_cur, cert, sweeps, est_gap, converged, trace,

@@ -35,7 +35,7 @@ from .config import SolverConfig
 from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack, assign,
                        evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
-from .sdp import (ZCache, active_losses, default_rank, init_factor,
+from .sdp import (ZCache, active_losses, default_rank, init_factor, past,
                   pruning_certificate, solve)
 
 OPTIMUM = "OPTIMUM"
@@ -115,9 +115,6 @@ class Searcher:
 
     # -- plumbing ----------------------------------------------------------
 
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
     def floor(self) -> float:
         """The prune line under the current incumbent."""
         return prune_floor(self.best_unsat, self.cfg.ceil_tol)
@@ -175,12 +172,12 @@ class Searcher:
             self.update_best(list(self.state.assignment),
                              self.state.base_unsat)
             return
-        if self.out_of_time():
+        if past(self.deadline):
             # past the deadline one trial is enough for an incumbent to report
             budget = 1
-        values, unsat = best_rounding(self.factor, self.state, budget,
-                                      self.rng)
-        self.stats.roundings += budget
+        values, unsat, trials = best_rounding(self.factor, self.state,
+                                              budget, self.rng, self.deadline)
+        self.stats.roundings += trials
         self.update_best(values, unsat)
 
     def reorder(self, cert) -> None:
@@ -203,9 +200,11 @@ class Searcher:
         prune test is first tested by its own certificate (no certificate's
         bound exceeds the objective, so no other child can prune) and
         dropped if that prunes; its cost matrix is derived from the root's
-        (`res.cost`) by the ledger.
-        """
+        (`res.cost`) by the ledger.  A dense solve leaves the z-cache
+        stale, so the DFS rebuilds it first."""
         state, ws, zc, cfg = self.state, self.ws, self.zcache, self.cfg
+        if res.dense:
+            zc.rebuild(state, self.factor)
         ledger = ShiftLedger(res.cert)
         split_vars = [v for v in self.order
                       if state.assignment[v] == FREE][:cfg.depth_limit]
@@ -215,7 +214,7 @@ class Searcher:
         incomplete = self.mode == INCOMPLETE
 
         def emit_child(depth: int) -> None:
-            if self.prunes(obj_stack[-1]) and not self.out_of_time():
+            if self.prunes(obj_stack[-1]) and not past(self.deadline):
                 self.stats.certificates += 1
                 cert = pruning_certificate(
                     ledger.child_cost(res.cost, state), self.factor,
@@ -240,7 +239,7 @@ class Searcher:
             var = split_vars[depth]
             first = int(prefer[var]) if prefer is not None else TRUE
             for value in (first, -first):
-                if self.out_of_time():
+                if past(self.deadline):
                     return
                 moved = assign(state, ws, var, value)
                 self.cur_path.append((var, value))
@@ -291,7 +290,7 @@ class Searcher:
                              self.state.base_unsat)
             return []
         res = self.solve_root()
-        if self.out_of_time():
+        if past(self.deadline):
             # past the deadline the solve may have taken no certificate, so
             # nothing is pruned; round (once) only to have an incumbent to
             # report
@@ -313,7 +312,7 @@ class Searcher:
     def run_complete(self) -> str:
         self.mode = COMPLETE
         stack = [SearchNode((), math.inf, 0.0, 0.0, 0)]
-        while stack and not self.out_of_time():
+        while stack and not past(self.deadline):
             node = stack.pop()
             for child in reversed(self.process_root(node)):
                 stack.append(child)
@@ -323,7 +322,7 @@ class Searcher:
         self.mode = INCOMPLETE
         counter = 0
         heap = [(0.0, counter, SearchNode((), math.inf, 0.0, 0.0, 0))]
-        while heap and not self.out_of_time():
+        while heap and not past(self.deadline):
             _, _, node = heapq.heappop(heap)
             for child in self.process_root(node):
                 counter += 1
@@ -335,7 +334,7 @@ class Searcher:
         short: an expansion stopped by the deadline drops its unexplored
         branches without emitting them."""
         self.stats.wall_time = time.monotonic() - self.t0
-        return TIMEOUT if self.out_of_time() else OPTIMUM
+        return TIMEOUT if past(self.deadline) else OPTIMUM
 
 
 def solve_complete(instance: Instance, config: SolverConfig | None = None,

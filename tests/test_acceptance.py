@@ -155,8 +155,8 @@ def test_criterion_06_approximation_quality():
         engine = Searcher(inst, SolverConfig(seed=seed))
         res = engine.solve_root()
         budget = rounding_budget(engine.state.free_count, 4.0)
-        _, unsat = best_rounding(engine.factor, engine.state, budget,
-                                 engine.rng)
+        _, unsat, _ = best_rounding(engine.factor, engine.state, budget,
+                                    engine.rng)
         # n=40 is beyond the brute-force cap; the certified dual bound gives
         # an upper bound on the satisfiable count, so this ratio is a lower
         # bound on the true satisfied/optimal ratio

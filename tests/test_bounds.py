@@ -199,6 +199,8 @@ def test_bound_pair_ordering_on_warm_starts():
         inst = random_instance(10, 40, 2, seed=seed + 200)
         state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
         res = solve(state, factor, zc, eps=1e-4)
+        # a dense solve leaves the z-cache as it was; pricing reads it
+        zc.rebuild(state, factor)
         ledger = ShiftLedger(res.cert)
         assignments = random_partial(rng, 10, 3)
         child_primal = price_child(state, ws, factor, zc, ledger,

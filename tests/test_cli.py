@@ -95,6 +95,27 @@ def test_solve_parse_error(tmp_path, capsys):
         assert "invalid solver setting" in err
 
 
+def test_solve_undecodable_input(tmp_path, capsys):
+    path = tmp_path / "utf16.cnf"
+    path.write_bytes(b"\xff\xfe" + "p cnf 1 1\n1 0\n".encode("utf-16-le"))
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot read") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c", ("1e9", "1e300"))
+def test_solve_huge_rounding_budget_stops_at_timeout(tmp_path, capsys, c):
+    """A rounding budget too large to draw at once runs block by block
+    and stops at the deadline."""
+    path = tmp_path / "pair.cnf"
+    path.write_text("p cnf 2 1\n1 2 0\n")
+    code, out, _ = run_cli(["solve", str(path), "--rounding-c", c,
+                            "--timeout", "1"], capsys)
+    assert code == 0
+    assert "o 0" in out.splitlines()
+
+
 def test_solve_timeout_reports_unknown(tmp_path, capsys):
     from sdpsat.generate import random_clauses, render_dimacs
     import numpy as np

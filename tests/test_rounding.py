@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +63,24 @@ def test_rounding_budget_rule():
     assert rounding_budget(100, c=4.0) == 40
     assert rounding_budget(10_000, c=4.0) // rounding_budget(100, c=4.0) == 10
     assert rounding_budget(1, c=0.1) == 1
+    # finite for every c a SolverConfig accepts
+    assert rounding_budget(100, c=sys.float_info.max) >= 10 ** 308
+
+
+def test_blockwise_rounding_matches_one_block(monkeypatch):
+    """Trials in blocks of five draw the normals of one block of all 37
+    trials; past the deadline only the first block runs."""
+    inst = random_instance(12, 48, 2, seed=3)
+    state = NodeState(inst)
+    factor = init_factor(12, 5, seed=3)
+    whole = best_rounding(factor, state, 37, np.random.default_rng(4))
+    assert whole[2] == 37
+    monkeypatch.setattr(sdpsat.rounding, "TRIAL_CELLS",
+                        5 * len(state.lit_var))
+    assert best_rounding(factor, state, 37, np.random.default_rng(4)) == whole
+    late = best_rounding(factor, state, 37, np.random.default_rng(4),
+                         deadline=time.monotonic() - 1.0)
+    assert late[2] == 5
 
 
 def test_best_rounding_budget_one_equals_single_trial():
@@ -68,10 +88,30 @@ def test_best_rounding_budget_one_equals_single_trial():
     state = NodeState(inst)
     factor = init_factor(9, 5, seed=6)
     values_a = round_once(factor, state, np.random.default_rng(9))
-    values_b, unsat_b = best_rounding(factor, state, 1,
-                                      np.random.default_rng(9))
-    assert values_a == values_b
+    values_b, unsat_b, trials = best_rounding(factor, state, 1,
+                                              np.random.default_rng(9))
+    assert values_a == values_b and trials == 1
     assert unsat_b == node_unsat(state, values_b)
+
+
+def test_rounding_blocks_bound_the_factor_rows(monkeypatch):
+    """With more factor rows than literal entries (unused variables), each
+    block's value matrix still holds at most TRIAL_CELLS cells."""
+    inst = parse_dimacs("p cnf 300 1\n1 2 0\n")
+    state = NodeState(inst)
+    factor = init_factor(300, 5, seed=0)
+    monkeypatch.setattr(sdpsat.rounding, "TRIAL_CELLS", 1000)
+    real, shapes = sdpsat.rounding.trial_values, []
+
+    def recording(factor, state, r):
+        values = real(factor, state, r)
+        shapes.append(values.shape)
+        return values
+
+    monkeypatch.setattr(sdpsat.rounding, "trial_values", recording)
+    _, _, ran = best_rounding(factor, state, 100, np.random.default_rng(0))
+    assert ran == sum(trials for _, trials in shapes) == 100
+    assert all(rows * trials <= 1000 for rows, trials in shapes)
 
 
 def test_node_unsat_matches_full_evaluate():
@@ -90,7 +130,8 @@ def test_best_rounding_at_root_optimum_triangle():
     inst = parse_dimacs(TRIANGLE)
     state, ws, factor, zc = fresh_solver_state(inst, seed=0)
     res = solve(state, factor, zc, eps=1e-6, max_sweeps=2000)
-    values, unsat = best_rounding(factor, state, 100, np.random.default_rng(0))
+    values, unsat, _ = best_rounding(factor, state, 100,
+                                     np.random.default_rng(0))
     best, _ = brute_force(inst)
     assert unsat == best == 1
     assert unsat >= math.ceil(res.dual_bound - 1e-6)
@@ -101,8 +142,8 @@ def test_best_rounding_never_below_dual_bound():
         inst = random_instance(12, 40, 2, seed=seed)
         state, ws, factor, zc = fresh_solver_state(inst, seed=seed)
         res = solve(state, factor, zc, eps=1e-3)
-        _, unsat = best_rounding(factor, state, 10,
-                                 np.random.default_rng(seed))
+        _, unsat, _ = best_rounding(factor, state, 10,
+                                    np.random.default_rng(seed))
         assert unsat >= math.ceil(res.dual_bound - 1e-6)
 
 
@@ -151,5 +192,5 @@ def test_batched_rounding_matches_trial_loop(inst, data):
         got = best_rounding(factor, state, budget, np.random.default_rng(seed))
     finally:
         sdpsat.rounding.TRIAL_CELLS = saved
-    assert got == expected
+    assert got == (*expected, budget)
     assert evaluate(inst, got[0]) == got[1]

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import io
+import json
 import math
 import os
 import subprocess
@@ -61,3 +62,19 @@ def test_perfbench_layers_run():
         assert "sdp.cert_repaired_s" in metrics
         for name, value in metrics.items():
             assert math.isfinite(value) and value >= 0.0, name
+
+
+def test_perfbench_complete_workloads_answer_correctly():
+    """The benchmark's end-to-end command on both complete workloads, one
+    untraced and one traced: it exits 0 and every answer passes the
+    benchmark's own checks."""
+    for workload, trace in (("complete-max2sat", "0"),
+                            ("complete-max3sat", "1")):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"),
+             "--workload", workload, "--seconds", "1", "--trace", trace],
+            capture_output=True, text=True, cwd=ROOT, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True, result
+        assert result["failed"] == 0, result

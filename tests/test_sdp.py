@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -312,8 +313,8 @@ def test_solve_sweeps_match_fresh_sweeps(inst, data):
 def test_dense_solve_matches_sequential_sweeps(inst, data):
     """A dense solve's sweeps are the column-at-a-time sweep in class order:
     trace and factor within 1e-12, at random partial nodes with an isolated
-    variable (fully assigned and clause-free nodes included).  It reads no
-    z-cache and leaves one equal to a fresh rebuild."""
+    variable (fully assigned and clause-free nodes included).  It neither
+    reads nor writes the z-cache."""
     inst = with_isolated_variable(inst)
     n = inst.num_vars
     state, ws, factor, zc = fresh_solver_state(
@@ -325,6 +326,7 @@ def test_dense_solve_matches_sequential_sweeps(inst, data):
     ref_factor, ref_zc = factor.copy(), ZCache(inst, factor.k)
     ref_zc.rebuild(state, ref_factor)
     # stale rows: the z-cache of the node before the assignments
+    stale = zc.z.copy()
     res = solve(state, factor, zc, eps=1e-300,
                 max_sweeps=data.draw(st.integers(1, 6)), order=order)
     assert res.dense
@@ -334,9 +336,7 @@ def test_dense_solve_matches_sequential_sweeps(inst, data):
                   for _ in range(res.sweeps_used)]
     assert res.trace == pytest.approx(reference, rel=0.0, abs=1e-12)
     assert np.allclose(factor.cols, ref_factor.cols, rtol=0.0, atol=1e-12)
-    rebuilt = ZCache(inst, factor.k)
-    rebuilt.rebuild(state, factor)
-    assert np.array_equal(zc.z, rebuilt.z)
+    assert np.array_equal(zc.z, stale)
 
 
 def test_solve_sweeps_dense_up_to_the_cutoff(monkeypatch):
@@ -563,8 +563,12 @@ def test_node_cost_matches_dense_oracle(inst, data):
         mixing_sweep(state, factor, zc)
     cost = node_cost(state)
     dense = dense_sdp_check(state)
-    assert cost.index.tolist() == dense.index
-    assert np.allclose(cost.matrix, dense.cost, rtol=0.0, atol=1e-12)
+    # sweep order: the truth column, then class by class, by variable
+    assert cost.index.tolist() == [0] + sorted(
+        dense.index[1:], key=lambda v: (state.color[v], v))
+    at = [dense.index.index(v) for v in cost.index.tolist()]
+    assert np.allclose(cost.matrix, dense.cost[np.ix_(at, at)], rtol=0.0,
+                       atol=1e-12)
     assert cost.diag_sum == pytest.approx(dense.diag_sum, rel=0.0, abs=1e-12)
     assert cost.const_offset == pytest.approx(dense.const_offset, rel=0.0,
                                               abs=1e-12)
@@ -634,8 +638,7 @@ def test_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
 @pytest.mark.parametrize("passes", ("before", "during the first sweep"))
 def test_dense_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
     """The dense twin: the cost matrix is built up front, but past the
-    deadline no certificate is taken, and the z-cache is rebuilt all the
-    same."""
+    deadline no certificate is taken, and the z-cache is left as it was."""
     inst = random_instance(20, 80, 2, seed=5)
     state, ws, factor, zc = fresh_solver_state(inst, seed=5)
     builds = counting(monkeypatch, sdp, "node_cost")
@@ -653,15 +656,14 @@ def test_dense_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
             return sweep(*args)
 
         monkeypatch.setattr(sdp, "dense_sweep", slow_sweep)
+    before = zc.z.copy()
     res = solve(state, factor, zc, deadline=deadline, floor=-1e6)
     assert res.dense
     assert res.sweeps_used == (0 if passes == "before" else 1)
     assert res.cert is None and res.certificates == 0
     assert res.dual_bound == -math.inf
     assert len(builds) == 1 and eigensolves == [] and factorizations == []
-    rebuilt = ZCache(inst, factor.k)
-    rebuilt.rebuild(state, factor)
-    assert np.array_equal(zc.z, rebuilt.z)
+    assert np.array_equal(zc.z, before)
 
 
 def solved_node(seed, n, length, assigned, sweeps):
@@ -701,6 +703,19 @@ def test_cholesky_prune_boundary():
         tight = raw.dual_bound - dim * s_star * (1 - 1e-6)
         assert pruning_certificate(cost, factor, tight) is None, seed
     assert tested >= 30
+
+
+def test_repair_margin_covers_entry_error():
+    """The eigen repair leaves room for the rounding of C's entries: with
+    entry_error set to 1e-3 the repaired multipliers keep the dense
+    oracle's smallest eigenvalue at least dim * 1e-3."""
+    for seed in range(12):
+        state, factor, res = solved_node(seed, 10 + seed % 3 * 4,
+                                         2 + seed % 2, seed % 3, 2)
+        cost = replace(res.cost, entry_error=1e-3)
+        lam = certificate(cost, factor).lam
+        check = dense_sdp_check(state, lam=lam)
+        assert check.min_eig >= len(cost.index) * 1e-3, seed
 
 
 def test_cholesky_and_eigen_prune_decisions_agree():

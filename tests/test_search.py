@@ -283,6 +283,24 @@ def test_expand_root_partition_when_nothing_prunes():
     assert len(leaves) == 16  # all sign patterns of the split variables
 
 
+def test_expansion_prices_children_after_a_dense_solve():
+    """A dense solve leaves the z-cache as it was (here all zero), so
+    expansion rebuilds it: every emitted child's primal is its objective
+    at the solved factor by the dense oracle."""
+    inst = random_instance(12, 48, 2, seed=33)
+    engine = Searcher(inst, SolverConfig(seed=33))
+    res = engine.solve_root()
+    assert res.dense and not engine.zcache.z.any()
+    engine.round_root()
+    engine.reorder(res.cert)
+    children = engine.expand_root(res, 0)
+    assert children
+    for child in children:
+        engine.move_to(child.path)
+        assert child.primal == pytest.approx(
+            dense_sdp_check(engine.state, engine.factor).objective, abs=1e-9)
+
+
 def test_node_priority_nonnegative_and_matches_dense():
     inst = random_instance(12, 48, 2, seed=33)
     engine = Searcher(inst, SolverConfig(seed=33))
