@@ -21,8 +21,8 @@ of the dropped clauses (ShiftLedger.child_cost).
 
 from __future__ import annotations
 
-import math
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -34,11 +34,6 @@ class Decision(Enum):
     PRUNE = "prune"
     EXPAND = "expand"
     SOLVE = "solve"
-
-
-def ceil_bound(x: float, tol: float = 1e-6) -> int:
-    """Integer ceiling with a guard against float noise at the boundary."""
-    return math.ceil(x - tol)
 
 
 def prune_floor(best_known: int, tol: float = 1e-6) -> float:
@@ -58,105 +53,124 @@ def decide(primal: float, dual: float, best_known: int,
     return Decision.SOLVE
 
 
-def collect_shift(state: NodeState, var: int, value: int, moved):
-    """Coefficient movement caused by one assignment (state already updated).
-
-    Returns (delta_entries, eta_entries, d_diag, d_offset): the signed change
-    of the truth-row coefficient c_{0i} per still-free variable i, the
-    dropped-clause compensation, and the change of the folded diagonal and
-    of the constant offset (base_unsat minus per-clause loss constants).
-    """
-    inst = state.instance
-    assignment = state.assignment
-    delta_entries: list[tuple[int, float]] = []
-    eta_entries: list[tuple[int, float]] = []
-    d_diag = 0.0
-    d_offset = 0.0
-    for j, sign, new_status in moved:
-        cl = inst.clauses[j]
-        L = cl.length
-        w = 1.0 / (4.0 * L)
-        if new_status == ACTIVE:
-            # literal went false: s0 absorbed -1, still active
-            s0_new = state.s0[j]
-            s0_old = s0_new + 1
-            coeff = float(value * sign) * w
-            for lit in cl.lits:
-                v = abs(lit)
-                if assignment[v] != FREE:
-                    continue
-                delta_entries.append((v, coeff if lit > 0 else -coeff))
-            d_diag += (s0_new * s0_new - s0_old * s0_old - 1) * w
-        elif new_status == SATISFIED:
-            s0_old = state.s0[j] - 1
-            free_lits = [(abs(lit), 1.0 if lit > 0 else -1.0)
-                         for lit in cl.lits if assignment[abs(lit)] == FREE]
-            f = len(free_lits)
-            for v, s in free_lits:
-                delta_entries.append((v, -s0_old * s * w))
-                if f >= 2:
-                    eta_entries.append((v, (f - 1) * w))
-            d_diag -= (s0_old * s0_old + f + 1) * w
-            d_offset += (L - 1) ** 2 * w
-        else:  # FALSIFIED: the assigned variable was the clause's last free one
-            s0_old = state.s0[j] + 1
-            d_diag -= (s0_old * s0_old + 1) * w
-            d_offset += 1.0 + (L - 1) ** 2 * w
-    return delta_entries, eta_entries, d_diag, d_offset
-
-
 class ShiftLedger:
     """Running xi-shift accounting along a DFS path below one solved root.
 
     lam is the root's multipliers with the assigned columns zeroed; delta and
-    eta are the accumulated shift terms per column.  apply costs
-    O(touched clauses) and saves the entries it overwrites, so revert is
-    exact.  cert_snapshot materializes the shifted certificate, the only
-    place a child certificate is built; child_cost derives the child's cost
-    matrix.
+    eta are the accumulated shift terms per column.  All three are Python
+    lists with running sums, so dual_bound is O(1).  apply makes one pass
+    over the clauses an assignment moved, in scalar steps, and saves every
+    entry and sum it overwrites, so revert is exact.  It also records the
+    free-free pairs (a, b, s_a s_b w_j) of each clause it satisfies with two
+    or more literals free, which child_cost subtracts.  cert_snapshot
+    materializes the shifted certificate, the only place a child
+    certificate is built; child_cost derives the child's cost matrix.
     """
 
-    __slots__ = ("lam", "delta", "eta", "diag_sum", "const_offset", "_undo")
+    __slots__ = ("lam", "delta", "eta", "lam_sum", "abs_delta_sum",
+                 "eta_sum", "diag_sum", "const_offset", "pairs", "_undo")
 
     def __init__(self, cert: DualCert):
-        self.lam = cert.lam.copy()
-        self.delta = np.zeros_like(self.lam)
-        self.eta = np.zeros_like(self.lam)
+        self.lam = cert.lam.tolist()
+        self.delta = [0.0] * len(self.lam)
+        self.eta = [0.0] * len(self.lam)
+        self.lam_sum = float(cert.lam.sum())
+        self.abs_delta_sum = 0.0
+        self.eta_sum = 0.0
         self.diag_sum = cert.diag_sum
         self.const_offset = cert.const_offset
+        self.pairs: list[tuple[int, int, float]] = []
         self._undo: list = []
 
     def apply(self, state: NodeState, var: int, value: int, moved) -> None:
-        delta_entries, eta_entries, d_diag, d_offset = collect_shift(
-            state, var, value, moved)
-        touched = ([var] + [v for v, _ in delta_entries]
-                   + [v for v, _ in eta_entries])
-        self._undo.append((touched, self.lam[touched], self.delta[touched],
-                           self.eta[touched], self.diag_sum,
+        """Account for one assignment (state already updated; `moved` is
+        instance.assign's transition list).
+
+        Per moved clause: a literal gone false moves the truth-row
+        coefficient of each still-free column by -s w; a satisfied clause
+        moves them by -s0 s w and, with f >= 2 free columns, adds eta
+        (f - 1) w to each and drops their pairs; a falsified one moves only
+        the folded diagonal and the constant offset.
+        """
+        lam, delta, eta = self.lam, self.delta, self.eta
+        assignment, s0 = state.assignment, state.s0
+        clause_lits, clause_w = state.clause_lits, state.clause_w
+        pairs = self.pairs
+        saved = [(lam, var, lam[var]), (delta, var, delta[var]),
+                 (eta, var, eta[var])]
+        save = saved.append
+        self._undo.append((saved, len(pairs), self.lam_sum,
+                           self.abs_delta_sum, self.eta_sum, self.diag_sum,
                            self.const_offset))
-        for v, d in delta_entries:
-            self.delta[v] += d
-        for v, e in eta_entries:
-            self.eta[v] += e
-        self.lam[var] = self.delta[var] = self.eta[var] = 0.0
+        lam_sum = self.lam_sum - lam[var]
+        abs_sum = self.abs_delta_sum - abs(delta[var])
+        eta_sum = self.eta_sum - eta[var]
+        lam[var] = delta[var] = eta[var] = 0.0
+        d_diag = 0.0
+        d_offset = 0.0
+        for j, _, new_status in moved:
+            lits = clause_lits[j]
+            w = clause_w[j]
+            if new_status == ACTIVE:
+                # literal went false: s0 absorbed -1, still active
+                for lit in lits:
+                    v = abs(lit)
+                    if assignment[v] != FREE:
+                        continue
+                    old = delta[v]
+                    save((delta, v, old))
+                    new = old - w if lit > 0 else old + w
+                    delta[v] = new
+                    abs_sum += abs(new) - abs(old)
+                # s0_new^2 - s0_old^2 - 1 with s0_old = s0_new + 1
+                d_diag -= 2 * (s0[j] + 1) * w
+            elif new_status == SATISFIED:
+                s0_old = s0[j] - 1
+                free = [lit for lit in lits if assignment[abs(lit)] == FREE]
+                f = len(free)
+                coeff = -s0_old * w
+                e = (f - 1) * w
+                for lit in free:
+                    v = abs(lit)
+                    old = delta[v]
+                    save((delta, v, old))
+                    new = old + coeff if lit > 0 else old - coeff
+                    delta[v] = new
+                    abs_sum += abs(new) - abs(old)
+                    if f >= 2:
+                        save((eta, v, eta[v]))
+                        eta[v] += e
+                if f >= 2:
+                    eta_sum += f * e
+                    pairs += [(abs(a), abs(b), w if (a > 0) == (b > 0) else -w)
+                              for a, b in combinations(free, 2)]
+                d_diag -= (s0_old * s0_old + f + 1) * w
+                d_offset += (len(lits) - 1) ** 2 * w
+            else:  # FALSIFIED: the assigned variable was the last free one
+                s0_old = s0[j] + 1
+                d_diag -= (s0_old * s0_old + 1) * w
+                d_offset += 1.0 + (len(lits) - 1) ** 2 * w
+        self.lam_sum = lam_sum
+        self.abs_delta_sum = abs_sum
+        self.eta_sum = eta_sum
         self.diag_sum += d_diag
         self.const_offset += d_offset
 
     def revert(self) -> None:
-        (touched, lam, delta, eta, self.diag_sum,
-         self.const_offset) = self._undo.pop()
-        self.lam[touched] = lam
-        self.delta[touched] = delta
-        self.eta[touched] = eta
+        (saved, num_pairs, self.lam_sum, self.abs_delta_sum, self.eta_sum,
+         self.diag_sum, self.const_offset) = self._undo.pop()
+        for entries, v, old in reversed(saved):
+            entries[v] = old
+        del self.pairs[num_pairs:]
 
     def dual_bound(self) -> float:
-        return float(-(self.lam.sum() + 2.0 * np.abs(self.delta).sum()
-                       + self.eta.sum()) + self.diag_sum + self.const_offset)
+        return (-(self.lam_sum + 2.0 * self.abs_delta_sum + self.eta_sum)
+                + self.diag_sum + self.const_offset)
 
     def cert_snapshot(self) -> DualCert:
         """Materialize the current shifted certificate (for audits)."""
         abs_delta = np.abs(self.delta)
-        lam = self.lam + abs_delta + self.eta
+        lam = np.array(self.lam) + abs_delta + np.array(self.eta)
         lam[0] += abs_delta.sum()
         return DualCert(lam=lam, const_offset=self.const_offset,
                         diag_sum=self.diag_sum)
@@ -165,33 +179,26 @@ class ShiftLedger:
         """The cost matrix of the node at the end of the path, derived from
         the root's (`root`, the sdp.node_cost of the solved root) instead of
         built from scratch: its submatrix on the node's columns, with delta
-        added to the truth row and column, less the free-free pairs of the
-        clauses active at the root and no longer active (a clause falsified
-        on the path has no free column left).  The columns keep the root's
-        order and the matrix stays exactly symmetric (see sdp.pair_matrix);
-        `root` is left untouched.
+        added to the truth row and column, less the recorded pairs whose
+        two columns are both still free (a clause falsified on the path has
+        no free column left).  The columns keep the root's order and the
+        matrix stays exactly symmetric (see sdp.pair_matrix); `root` is
+        left untouched.
         """
         columns = state.column_mask()
         keep = np.flatnonzero(columns[root.index])
         index = root.index[keep]
         matrix = root.matrix.take(keep, axis=0).take(keep, axis=1)
-        moves = self.delta[index[1:]]
+        moves = np.array(self.delta)[index[1:]]
         matrix[0, 1:] += moves
         matrix[1:, 0] += moves
-        active = state.active_mask()
-        dropped = root.active & ~active
-        if dropped.any():
-            clause = state.lit_clause.take(state.pair_a)
-            pairs = np.flatnonzero(dropped[clause])
-            a, b = state.pair_a[pairs], state.pair_b[pairs]
-            va, vb = state.lit_var[a], state.lit_var[b]
-            # a clause's truth entry comes first, so only pair_a can be one
-            gone = np.flatnonzero((va != 0) & columns[va] & columns[vb])
-            value = (state.lit_sign[a[gone]] * state.lit_sign[b[gone]]
-                     * state.weight[clause[pairs[gone]]])
+        assignment = state.assignment
+        gone = [pair for pair in self.pairs
+                if assignment[pair[0]] == FREE and assignment[pair[1]] == FREE]
+        if gone:
+            a, b, value = (np.array(column) for column in zip(*gone))
             pos = np.empty(len(columns), dtype=np.intp)
             pos[index] = np.arange(len(index))
-            matrix -= pair_matrix(pos[va[gone]], pos[vb[gone]], value,
-                                  len(index))
+            matrix -= pair_matrix(pos[a], pos[b], value, len(index))
         return NodeCost(index, matrix, self.diag_sum, self.const_offset,
-                        root.entry_error, active)
+                        root.entry_error, state.active_mask())

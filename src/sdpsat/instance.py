@@ -194,6 +194,10 @@ class NodeState:
     sign.  With the clause lengths, the loss weights 1/(4L) and every pair of
     entries of one clause (pair_a before pair_b), it turns whole-node sums
     into array arithmetic masked by the active clauses and free columns.
+    A clause of length L has L(L+1)/2 pairs, in a run that starts at
+    `pair_first[j]`.  For the scalar steps of a DFS below a solved root the
+    node also keeps each clause's literal tuple (`clause_lits`) and loss
+    weight (`clause_w`) as plain Python values.
 
     The variables are also colored by DSatur so that two variables sharing
     a clause never share a color.  A proper coloring of the whole formula
@@ -205,7 +209,8 @@ class NodeState:
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
                  "lit_sign", "clause_len", "weight", "pair_a", "pair_b",
-                 "color", "class_entries", "entry_error")
+                 "pair_first", "clause_lits", "clause_w", "color",
+                 "class_entries", "entry_error")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -234,6 +239,10 @@ class NodeState:
         self.pair_a = np.repeat(np.arange(total), later)
         self.pair_b = (self.pair_a + 1 + np.arange(int(later.sum()))
                        - np.repeat(np.cumsum(later) - later, later))
+        pairs = size * (size - 1) // 2
+        self.pair_first = (np.cumsum(pairs) - pairs).tolist()
+        self.clause_lits = [c.lits for c in instance.clauses]
+        self.clause_w = self.weight.tolist()
         self._color_variables()
         self.entry_error = None  # set by the first sdp.node_cost
 

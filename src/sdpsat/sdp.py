@@ -53,18 +53,24 @@ sizes the sparse step's small gathers and scatters per class cost more
 than the dense product; above a few hundred columns the dense product
 costs more (measured in solve).  A dense solve builds C before its first
 sweep and neither reads nor writes the z-cache; a sparse one rebuilds the
-z-cache on entry and builds C at its first certificate.
+z-cache on entry and builds C at its first certificate.  So the z-cache
+belongs to the sparse solve: it matches the factor only after a sparse
+solve, and a reader outside one rebuilds it first.  The search's expansion
+below a solved root reads none of it: a LossTracker prices each step from
+the factor's pair dot products, in O(clauses the step moves).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ACTIVE, FALSIFIED, NodeState
+from .instance import ACTIVE, FALSIFIED, FREE, NodeState
 
 ZERO_UPDATE_NORM = 1e-12
 # unit roundoff and the smallest positive (subnormal) double
@@ -146,6 +152,11 @@ def _group_sum(index: np.ndarray, values: np.ndarray, size: int):
 class ZCache:
     """Per-clause running sums z_j; rows of inactive clauses are stale.
 
+    The sparse solve's workspace (see solve).  assign_update and revert
+    move the rows along a descent; the search prices its descents with a
+    LossTracker instead, and the two are independent references for each
+    other.
+
     Rows are only read for ACTIVE clauses.  During a branch-and-bound descent
     the factor columns are frozen, so a clause that leaves the active set
     keeps a row that is still correct if the clause is later reactivated by
@@ -201,6 +212,108 @@ class ZCache:
     def revert(self, undo) -> None:
         for j, row in undo:
             self.z[j] = row
+
+
+@functools.cache
+def clause_pairs(length: int) -> tuple:
+    """The entry pairs (p, q) of a clause of `length` literals, entry 0
+    being its truth entry, in the literal table's pair order."""
+    return tuple(itertools.combinations(range(length + 1), 2))
+
+
+class LossTracker:
+    """Active-clause losses along a DFS path below one solved root.
+
+    ||z_j||^2 expands into the squared coefficients of the clause's live
+    entries (every column has unit norm) plus twice the coefficient-weighted
+    dot products of its live pairs.  The tracker takes the factor's dot
+    product over every pair of the literal table that is live at the root
+    (truth pairs included) in one vectorized pass; an assignment only kills
+    entries, so no other pair is read below the root.  move() then reprices
+    each moved clause from its L(L+1)/2 pairs in scalar steps, and keeps the
+    objective (base_unsat plus the active losses) and the sum of positive
+    active losses running; revert() restores them exactly.  `losses[j]` is
+    meaningful only while clause j is active.  The factor's columns must
+    stay as they were at the seed, as they do during an expansion.  No
+    z-cache is read or written.
+    """
+
+    __slots__ = ("dots", "losses", "objective", "positive", "_undo")
+
+    def __init__(self, state: NodeState, factor: Factor):
+        a, b = state.pair_a, state.pair_b
+        active = state.active_mask()
+        live = state.live_entries(active)
+        coeff = np.where(live, state.lit_coeffs(), 0.0)
+        V = factor.cols
+        dots = np.zeros(len(a))
+        pairs = np.flatnonzero(live[a] & live[b])
+        dots[pairs] = np.vecdot(V[state.lit_var[a[pairs]]],
+                                V[state.lit_var[b[pairs]]])
+        m = len(state.clause_len)
+        norms = np.bincount(state.lit_clause, coeff * coeff, minlength=m)
+        cross = np.bincount(state.lit_clause.take(a),
+                            coeff[a] * coeff[b] * dots, minlength=m)
+        losses = ((norms - (state.clause_len - 1) ** 2 + 2.0 * cross)
+                  * state.weight)
+        self.dots = dots.tolist()
+        self.losses = losses.tolist()
+        losses = losses[active]
+        self.objective = state.base_unsat + math.fsum(losses.tolist())
+        self.positive = math.fsum(losses[losses > 0.0].tolist())
+        self._undo: list = []
+
+    def move(self, state: NodeState, moved) -> float:
+        """Reprice the clauses of one assignment's transition list `moved`
+        (instance.assign's, already applied); returns the objective change.
+        A falsified clause's loss becomes 1 and a satisfied one leaves."""
+        losses, dots = self.losses, self.dots
+        assignment, s0 = state.assignment, state.s0
+        clause_lits, clause_w = state.clause_lits, state.clause_w
+        pair_first = state.pair_first
+        saved = []
+        d_obj = 0.0
+        positive = self.positive
+        for j, _, new_status in moved:
+            old = losses[j]
+            if old > 0.0:
+                positive -= old
+            if new_status == ACTIVE:
+                lits = clause_lits[j]
+                coeff = [s0[j]]
+                free = 0
+                for lit in lits:
+                    if assignment[abs(lit)] != FREE:
+                        coeff.append(0)
+                    else:
+                        free += 1
+                        coeff.append(1 if lit > 0 else -1)
+                pairs = clause_pairs(len(lits))
+                t = pair_first[j]
+                cross = 0.0
+                for (p, q), dot in zip(pairs, dots[t:t + len(pairs)]):
+                    cross += coeff[p] * coeff[q] * dot
+                # unit columns: ||z||^2 = s0^2 + free + 2 cross
+                new = ((coeff[0] * coeff[0] + free - (len(lits) - 1) ** 2
+                        + 2.0 * cross) * clause_w[j])
+                saved.append((j, old))
+                losses[j] = new
+                if new > 0.0:
+                    positive += new
+                d_obj += new - old
+            elif new_status == FALSIFIED:
+                d_obj += 1.0 - old
+            else:  # satisfied: the clause leaves the active objective
+                d_obj -= old
+        self._undo.append((saved, self.objective, self.positive))
+        self.objective += d_obj
+        self.positive = positive
+        return d_obj
+
+    def revert(self) -> None:
+        saved, self.objective, self.positive = self._undo.pop()
+        for j, old in saved:
+            self.losses[j] = old
 
 
 def active_losses(state: NodeState, zcache: ZCache) -> np.ndarray:
@@ -598,8 +711,9 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     against 341 us at n=400 and 876 against 1418 us at n=800, and the dense
     setup grows as the square of the columns.  Only the sparse path uses
     the z-cache: it rebuilds it on entry and leaves it matching the solved
-    factor.  A dense solve leaves it as it was, so a caller that reads it
-    after a solve with `dense` set rebuilds it first (expansion does).
+    factor.  A dense solve leaves it as it was, stale; nothing in the
+    search reads it after a solve (expansion prices children with a
+    LossTracker), and any other reader rebuilds it first.
 
     `floor` is the caller's optional prune line: a lower bound above it
     discards the node.  After every unconverged sweep whose objective is

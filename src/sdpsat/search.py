@@ -12,7 +12,10 @@ is first decided by its own certificate, taken from the parent's factor and
 the child's cost matrix exactly as a solve takes one between sweeps; when it
 prunes, the child is dropped instead of being queued, replayed and re-solved.
 The child's cost matrix is derived from the one its root's solve built
-(ShiftLedger.child_cost), never rebuilt.
+(ShiftLedger.child_cost), never rebuilt.  Every DFS step costs O(clauses it
+moves) in scalar steps: the ShiftLedger prices its dual side and a
+LossTracker its primal side and the anytime priority; no step reads the
+z-cache.
 
 Every prune compares a bound with one number, the floor best_unsat - 1 +
 ceil_tol.  A prune decided by a certificate is verified by one Cholesky
@@ -35,8 +38,8 @@ from .config import SolverConfig
 from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack, assign,
                        evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
-from .sdp import (ZCache, active_losses, default_rank, init_factor, past,
-                  pruning_certificate, solve)
+from .sdp import (LossTracker, ZCache, active_losses, default_rank,
+                  init_factor, past, pruning_certificate, solve)
 
 OPTIMUM = "OPTIMUM"
 TIMEOUT = "TIMEOUT"
@@ -45,15 +48,25 @@ COMPLETE = "complete"
 INCOMPLETE = "incomplete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchNode:
-    """Queue entry: assignment path from the original root plus its bounds."""
+    """Queue entry: assignment path from the original root plus its bounds.
 
-    path: tuple
+    The path is kept as the expanded root's path, one tuple shared by all
+    of that root's children, and the DFS steps below it, so a queued node
+    holds only its own few steps (the anytime queue holds tens of
+    thousands of nodes)."""
+
+    root_path: tuple
+    steps: tuple
     primal: float
     dual: float
     priority: float
     depth: int
+
+    @property
+    def path(self) -> tuple:
+        return self.root_path + self.steps
 
 
 @dataclass(frozen=True)
@@ -112,6 +125,8 @@ class Searcher:
                          else self.t0 + config.time_limit)
         self.cur_path: list = []
         self.mode = COMPLETE
+        # set where the deadline drops work that a proof needs
+        self.cut_short = False
 
     # -- plumbing ----------------------------------------------------------
 
@@ -148,7 +163,9 @@ class Searcher:
             self.emit(self.best)
 
     def clipped_loss(self) -> float:
-        """Best-first priority: base_unsat plus positive active losses only."""
+        """base_unsat plus the positive active losses, summed from scratch
+        on the z-cache (rebuild it first unless a sparse solve just ran).
+        The reference for the running sum expansion keeps (LossTracker)."""
         losses = active_losses(self.state, self.zcache)
         positive = losses[losses > 0.0].tolist()
         return self.state.base_unsat + math.fsum(positive)
@@ -200,21 +217,26 @@ class Searcher:
         prune test is first tested by its own certificate (no certificate's
         bound exceeds the objective, so no other child can prune) and
         dropped if that prunes; its cost matrix is derived from the root's
-        (`res.cost`) by the ledger.  A dense solve leaves the z-cache
-        stale, so the DFS rebuilds it first."""
-        state, ws, zc, cfg = self.state, self.ws, self.zcache, self.cfg
-        if res.dense:
-            zc.rebuild(state, self.factor)
+        (`res.cost`) by the ledger.
+
+        A step costs O(clauses it moves): the ledger prices the dual side,
+        and a LossTracker seeded here from the solved factor keeps the
+        primal and, in anytime mode, the priority base_unsat plus the
+        positive active losses (what clipped_loss computes from scratch).
+        Neither reads the z-cache.  A deadline that stops the DFS with
+        branches left sets cut_short."""
+        state, ws, cfg = self.state, self.ws, self.cfg
         ledger = ShiftLedger(res.cert)
+        losses = LossTracker(state, self.factor)
+        root_path = tuple(self.cur_path)
         split_vars = [v for v in self.order
                       if state.assignment[v] == FREE][:cfg.depth_limit]
         children: list[SearchNode] = []
-        obj_stack = [res.objective_unsat]
         prefer = self.best.assignment if self.best is not None else None
         incomplete = self.mode == INCOMPLETE
 
         def emit_child(depth: int) -> None:
-            if self.prunes(obj_stack[-1]) and not past(self.deadline):
+            if self.prunes(losses.objective) and not past(self.deadline):
                 self.stats.certificates += 1
                 cert = pruning_certificate(
                     ledger.child_cost(res.cost, state), self.factor,
@@ -226,9 +248,13 @@ class Searcher:
                         cfg.bound_recorder(tuple(self.cur_path),
                                            cert.dual_bound)
                     return
-            priority = self.clipped_loss() if incomplete else 0.0
+            # a running sum of non-negative terms may drift below zero
+            priority = (state.base_unsat + max(losses.positive, 0.0)
+                        if incomplete else 0.0)
             children.append(SearchNode(
-                path=tuple(self.cur_path), primal=obj_stack[-1],
+                root_path=root_path,
+                steps=tuple(self.cur_path[len(root_path):]),
+                primal=losses.objective,
                 dual=ledger.dual_bound(), priority=priority,
                 depth=node_depth + depth))
             if cfg.transition_recorder is not None:
@@ -240,19 +266,19 @@ class Searcher:
             first = int(prefer[var]) if prefer is not None else TRUE
             for value in (first, -first):
                 if past(self.deadline):
+                    self.cut_short = True
                     return
                 moved = assign(state, ws, var, value)
                 self.cur_path.append((var, value))
                 ledger.apply(state, var, value, moved)
-                undo, d_obj = zc.assign_update(state, self.factor, var, moved)
-                obj_stack.append(obj_stack[-1] + d_obj)
+                losses.move(state, moved)
                 if state.free_count == 0:
                     self.update_best(list(state.assignment), state.base_unsat)
                 else:
                     dual = ledger.dual_bound()
                     if cfg.bound_recorder is not None:
                         cfg.bound_recorder(tuple(self.cur_path), dual)
-                    verdict = decide(obj_stack[-1], dual, self.best_unsat,
+                    verdict = decide(losses.objective, dual, self.best_unsat,
                                      cfg.ceil_tol)
                     if verdict == Decision.PRUNE:
                         self.stats.prunes_by_dual += 1
@@ -263,8 +289,7 @@ class Searcher:
                         descend(depth + 1)
                     else:
                         emit_child(depth + 1)
-                obj_stack.pop()
-                zc.revert(undo)
+                losses.revert()
                 ledger.revert()
                 self.cur_path.pop()
                 unassign_to(state, ws, len(state.trail) - 1)
@@ -294,6 +319,7 @@ class Searcher:
             # past the deadline the solve may have taken no certificate, so
             # nothing is pruned; round (once) only to have an incumbent to
             # report
+            self.cut_short = True
             if self.best is None:
                 self.round_root()
             return []
@@ -311,30 +337,34 @@ class Searcher:
 
     def run_complete(self) -> str:
         self.mode = COMPLETE
-        stack = [SearchNode((), math.inf, 0.0, 0.0, 0)]
+        stack = [SearchNode((), (), math.inf, 0.0, 0.0, 0)]
         while stack and not past(self.deadline):
             node = stack.pop()
             for child in reversed(self.process_root(node)):
                 stack.append(child)
+        self.cut_short |= bool(stack)
         return self.finish()
 
     def run_incomplete(self) -> str:
         self.mode = INCOMPLETE
         counter = 0
-        heap = [(0.0, counter, SearchNode((), math.inf, 0.0, 0.0, 0))]
+        heap = [(0.0, counter, SearchNode((), (), math.inf, 0.0, 0.0, 0))]
         while heap and not past(self.deadline):
             _, _, node = heapq.heappop(heap)
             for child in self.process_root(node):
                 counter += 1
                 heapq.heappush(heap, (child.priority, counter, child))
+        self.cut_short |= bool(heap)
         return self.finish()
 
     def finish(self) -> str:
         """A drained queue is a proof only if the deadline never cut work
-        short: an expansion stopped by the deadline drops its unexplored
-        branches without emitting them."""
+        short (cut_short): a solve that ran past it, an expansion that it
+        stopped with branches left or a queue loop that it ended with
+        nodes left.  Work that merely ends after the deadline, such as the
+        last rounding or prune, leaves the proof whole."""
         self.stats.wall_time = time.monotonic() - self.t0
-        return TIMEOUT if past(self.deadline) else OPTIMUM
+        return TIMEOUT if self.cut_short else OPTIMUM
 
 
 def solve_complete(instance: Instance, config: SolverConfig | None = None,

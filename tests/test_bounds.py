@@ -1,29 +1,33 @@
 """Warm-started child bounds, checked on the path the search runs.
 
 A child is priced the way Searcher.expand_root prices it: instance.assign,
-then ShiftLedger.apply for the dual side and ZCache.assign_update for the
-primal side.  Every figure is compared with the independent dense reference
-oracle.dense_sdp_check.
+then ShiftLedger.apply for the dual side and LossTracker.move for the primal
+side.  ZCache.assign_update prices the primal side independently, on z rows.
+Every figure is compared with the independent dense reference
+oracle.dense_sdp_check or a from-scratch recomputation.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpsat.bounds import Decision, ShiftLedger, ceil_bound, decide
+from sdpsat import sdp
+from sdpsat.bounds import Decision, ShiftLedger, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
                              WatchedStack, assign, instance_from_clauses,
                              parse_dimacs, unassign_to)
 from sdpsat.oracle import dense_sdp_check
-from sdpsat.sdp import (ZCache, dual_from_primal, init_factor, node_cost,
-                        objective, solve)
+from sdpsat.sdp import (LossTracker, ZCache, dual_from_primal, init_factor,
+                        node_cost, objective, solve)
 from sdpsat.search import Searcher
 from tests.test_sdp import fresh_solver_state, integral_factor
+from tests.test_search import ceil_bound
 
 
 def random_partial(rng, n, count):
@@ -119,7 +123,7 @@ def test_delta_vector_disjoint_support():
     state, ws, factor, zc = fresh_solver_state(inst, seed=0)
     ledger = ShiftLedger(dual_from_primal(state, factor, zc))
     price_child(state, ws, factor, zc, ledger, 0.0, [(1, TRUE)])
-    assert not ledger.delta.any() and not ledger.eta.any()
+    assert not any(ledger.delta) and not any(ledger.eta)
 
 
 def test_delta_vector_worked_example():
@@ -129,10 +133,10 @@ def test_delta_vector_worked_example():
     price_child(state, ws, factor, zc, ledger, 0.0, [(1, FALSE)])
     assert np.flatnonzero(ledger.delta).tolist() == [2]
     assert ledger.delta[2] == pytest.approx(-1.0 / 8.0)
-    assert not ledger.eta.any()
+    assert not any(ledger.eta)
     ledger.revert()
     unassign_to(state, ws, 0)
-    assert not ledger.delta.any() and state.trail == []  # rolled back
+    assert not any(ledger.delta) and state.trail == []  # rolled back
 
 
 def test_delta_vector_matches_dense_difference():
@@ -162,7 +166,7 @@ def test_dual_init_no_coefficient_movement():
     ledger = ShiftLedger(res.cert)
     price_child(state, ws, factor, zc, ledger, res.objective_unsat,
                 [(1, TRUE)])
-    assert not ledger.delta.any() and not ledger.eta.any()
+    assert not any(ledger.delta) and not any(ledger.eta)
     assert_ledger_matches_dense(ledger, state)
     # no xi shift; the bound moves only by the constant bookkeeping of the
     # satisfied unit clause (folded diagonal 1/2 leaves, multiplier 1/4 of the
@@ -245,7 +249,7 @@ def test_shift_ledger_matches_direct_recomputation(seed):
         ledger.revert()
         unassign_to(state, ws, state.mark() - 1)
     assert ledger.dual_bound() == pytest.approx(res.cert.dual_bound, abs=1e-9)
-    assert not ledger.delta.any() and not ledger.eta.any()
+    assert not any(ledger.delta) and not any(ledger.eta)
 
 
 def exact_cost(state, index):
@@ -350,3 +354,59 @@ def test_child_cost_matches_fresh_build(inst, data):
     engine.reorder(res.cert)
     engine.expand_root(res, 0)
     assert root.matrix.tobytes() == root_bytes
+
+
+def ledger_state(ledger):
+    return (list(ledger.lam), list(ledger.delta), list(ledger.eta),
+            ledger.lam_sum, ledger.abs_delta_sum, ledger.eta_sum,
+            ledger.diag_sum, ledger.const_offset, list(ledger.pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=mixed_formulas(), sparse=st.booleans(), data=st.data())
+def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
+    """Along a random DFS path below a root solved densely or sparsely,
+    each step's running figures match from-scratch ones: the tracker's
+    objective and clipped sum those of a freshly rebuilt z-cache, and the
+    ledger's O(1) bound its materialized certificate's.  Unwinding the
+    path restores the ledger's lists and sums and the tracker's losses
+    bit for bit."""
+    n = inst.num_vars
+    engine = Searcher(inst, SolverConfig(seed=data.draw(st.integers(0, 99))))
+    state, ws = engine.state, engine.ws
+    factor, zc = engine.factor, engine.zcache
+    order = data.draw(st.permutations(range(1, n + 1)))
+    engine.move_to([(v, data.draw(st.sampled_from((TRUE, FALSE))))
+                    for v in order[:data.draw(st.integers(0, 2))]])
+    cutoff = 1 if sparse else sdp.DENSE_MAX_COLUMNS
+    with mock.patch.object(sdp, "DENSE_MAX_COLUMNS", cutoff):
+        res = engine.solve_root()
+    assert res.dense != sparse
+    ledger = ShiftLedger(res.cert)
+    losses = LossTracker(state, factor)
+    root_ledger = ledger_state(ledger)
+    root_losses = (list(losses.losses), losses.objective, losses.positive)
+
+    path = [(v, data.draw(st.sampled_from((TRUE, FALSE))))
+            for v in data.draw(st.permutations(state.free_vars()))]
+    path = path[:data.draw(st.integers(1, len(path)))]
+    for var, value in path:
+        before = losses.objective
+        moved = assign(state, ws, var, value)
+        ledger.apply(state, var, value, moved)
+        d_obj = losses.move(state, moved)
+        assert losses.objective == before + d_obj
+        zc.rebuild(state, factor)
+        assert losses.objective == pytest.approx(
+            objective(state, factor, zc), abs=1e-9)
+        assert state.base_unsat + losses.positive == pytest.approx(
+            engine.clipped_loss(), abs=1e-9)
+        assert ledger.dual_bound() == pytest.approx(
+            ledger.cert_snapshot().dual_bound, abs=1e-9)
+    for _ in path:
+        losses.revert()
+        ledger.revert()
+        unassign_to(state, ws, state.mark() - 1)
+    assert ledger_state(ledger) == root_ledger
+    assert (list(losses.losses), losses.objective,
+            losses.positive) == root_losses

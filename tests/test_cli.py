@@ -107,13 +107,15 @@ def test_solve_undecodable_input(tmp_path, capsys):
 @pytest.mark.parametrize("c", ("1e9", "1e300"))
 def test_solve_huge_rounding_budget_stops_at_timeout(tmp_path, capsys, c):
     """A rounding budget too large to draw at once runs block by block
-    and stops at the deadline."""
+    and stops at the deadline.  The only root was solved before it and is
+    pruned after the rounding, so the proof is whole."""
     path = tmp_path / "pair.cnf"
     path.write_text("p cnf 2 1\n1 2 0\n")
     code, out, _ = run_cli(["solve", str(path), "--rounding-c", c,
                             "--timeout", "1"], capsys)
     assert code == 0
     assert "o 0" in out.splitlines()
+    assert "s OPTIMUM FOUND" in out.splitlines()
 
 
 def test_solve_timeout_reports_unknown(tmp_path, capsys):

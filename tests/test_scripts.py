@@ -78,3 +78,17 @@ def test_perfbench_complete_workloads_answer_correctly():
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["correct"] is True, result
         assert result["failed"] == 0, result
+
+
+def test_anytime_cli_answer_passes_benchmark_checks(monkeypatch):
+    """`sdpsat solve --mode incomplete --timeout 1` on one n=400, m=1600
+    formula of the benchmark's anytime pool, checked by the benchmark's
+    own run_cli: o values never increase, exactly one `s UNKNOWN`, exit 0,
+    and the v line re-evaluates to the last o value."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    formula = workloads.make_pool("anytime-max2sat", 0, (400,), 4, 2, 1)[0]
+    assert (formula.num_vars, len(formula.clauses)) == (400, 1600)
+    run = workloads.run_cli(formula, 1.0)
+    assert run.problems == [], run.problems
+    assert run.last_o is not None

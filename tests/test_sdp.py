@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpsat.bounds import ShiftLedger, ceil_bound, prune_floor
+from sdpsat.bounds import ShiftLedger, prune_floor
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
@@ -23,7 +23,7 @@ from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, ZCache, certificate,
                         init_factor, mixing_sweep, node_cost, objective,
                         pruning_certificate, solve)
 from sdpsat.search import Searcher, solve_complete
-from tests.test_search import small_formulas
+from tests.test_search import ceil_bound, small_formulas
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0"
 

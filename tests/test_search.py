@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpsat.search
-from sdpsat.bounds import Decision, ceil_bound, decide
+from sdpsat.bounds import Decision, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import evaluate, instance_from_clauses, parse_dimacs
@@ -21,6 +21,11 @@ TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0"
 
 # v1 -> v2 -> v3 -> v4 as implications: satisfiable chain
 CHAIN = "p cnf 4 3\n-1 2 0\n-2 3 0\n-3 4 0"
+
+
+def ceil_bound(x: float, tol: float = 1e-6) -> int:
+    """Integer ceiling with a guard against float noise at the boundary."""
+    return math.ceil(x - tol)
 
 
 def test_complete_triangle():
@@ -65,6 +70,14 @@ def test_complete_timeout_returns_incumbent():
     assert status == TIMEOUT
     assert best is not None
     assert best.unsat >= 0
+
+
+def test_zero_time_limit_reports_timeout():
+    """A deadline that has passed before the first root is solved leaves
+    the search undone, so it proves nothing."""
+    inst = random_instance(28, 112, 2, seed=1)
+    _, status, _ = solve_complete(inst, SolverConfig(seed=1, time_limit=0.0))
+    assert status == TIMEOUT
 
 
 def test_timeout_skips_certificate_repair_and_rounding_at_scale():
@@ -284,9 +297,9 @@ def test_expand_root_partition_when_nothing_prunes():
 
 
 def test_expansion_prices_children_after_a_dense_solve():
-    """A dense solve leaves the z-cache as it was (here all zero), so
-    expansion rebuilds it: every emitted child's primal is its objective
-    at the solved factor by the dense oracle."""
+    """A dense solve leaves the z-cache as it was (here all zero) and
+    expansion reads none of it, yet every emitted child's primal is its
+    objective at the solved factor by the dense oracle."""
     inst = random_instance(12, 48, 2, seed=33)
     engine = Searcher(inst, SolverConfig(seed=33))
     res = engine.solve_root()
@@ -295,6 +308,7 @@ def test_expansion_prices_children_after_a_dense_solve():
     engine.reorder(res.cert)
     children = engine.expand_root(res, 0)
     assert children
+    assert not engine.zcache.z.any()
     for child in children:
         engine.move_to(child.path)
         assert child.primal == pytest.approx(
@@ -312,6 +326,11 @@ def test_node_priority_nonnegative_and_matches_dense():
     assert children
     for child in children:
         assert child.priority >= 0.0
+        # the running priority is the clipped loss from scratch
+        engine.move_to(child.path)
+        engine.zcache.rebuild(engine.state, engine.factor)
+        assert child.priority == pytest.approx(engine.clipped_loss(),
+                                               abs=1e-9)
     # dense recomputation of the clipped loss at the root itself
     engine.move_to(())
     engine.zcache.rebuild(engine.state, engine.factor)
