@@ -12,52 +12,49 @@ false, 0 when exactly one or all L literals are true, and negative otherwise.
 The total objective, base_unsat plus the sum of active losses, therefore
 lower-bounds the node's minimum unsat count over all completions.
 
-Minimizing one column with the rest held fixed has a closed form: normalize
-the negated weighted sum of its incident z vectors.  A sweep applies that
-update to every free column, caching z_j so each update costs O(k) per
-incident clause.  It updates one color class of the variable-interaction
-graph at a time, as one array step: columns of one class share no clause, so
-their updates read and write disjoint z rows and updating them together is
-exactly the column-at-a-time (Gauss-Seidel) sweep in class order.  What a
-sweep reads besides the columns and z rows -- each class's live entries,
-signs, weights and runs, and the active clauses -- depends only on the
-node's assignment, so a solve gathers it once into a sweep plan shared by
-all of its sweeps (no sweep assigns a variable).
+Minimizing one column with the rest held fixed has a closed form: with C
+the node's zero-diagonal cost matrix over its columns, the new column is
+-g / ||g||, g = sum over j of C_ij v_j.  A sweep applies that update to
+every free column, one color class of the variable-interaction graph at a
+time, as one array step: columns of one class share no clause, so C is
+zero on the class's own block, and updating them together is exactly the
+column-at-a-time (Gauss-Seidel) sweep in class order.
 
-The dual certificate reads the node's dense zero-diagonal cost matrix C
-over its columns.  The row norms of C V are the per-column update
-magnitudes; at a sweep fixed point they are feasible multipliers, giving a
-matching lower bound.  Elsewhere a certificate must show C + diag(lam) PSD
-in one of two ways.  A prune decision (pruning_certificate, taken between
-sweeps and of a child at expansion) only needs the bound above the caller's
-floor: it spends the bound's excess over the floor as a uniform shift of the
-multipliers and verifies the result by one floating-point Cholesky, shifted
-down by Rump's a-priori error term and a bound on the rounding of C's
-entries, so an accepted prune is sound by construction.  Only the final
-certificate of a solve that did not prune, the one a ShiftLedger is built
-from, is repaired by the smallest eigenvalue shift (an eigensolve).
+C depends only on the assignment.  cost_entries computes its entries (one
+per live pair of an active clause) and the assignment-only bound terms,
+with its columns in sweep order: the truth column, then the free columns
+class by class.  Both layouts are built from them: node_cost stores C
+densely, sweep_plan by rows (each swept member's distinct neighbour
+columns and values).  A node of at most DENSE_MAX_COLUMNS (256) columns
+sweeps on the dense matrix (dense_sweep: one class step is the product
+C[class rows] V), a larger one on the rows (sparse_sweep: one gather, one
+multiply and one reduceat over the class's nonzeros); at small sizes the
+dense product costs less, above a few hundred columns more (measured in
+solve).  A solve computes the entries once, and lays C out densely before
+its first sweep (dense) or at its first certificate (sparse); it returns
+the dense cost, and a child's C is derived from its root's and keeps the
+root's column order (bounds.ShiftLedger.child_cost).  A solve sweeps
+until the estimated gap drops below eps, max_sweeps run out, the deadline
+passes, or a certificate taken between sweeps prunes.
 
-C depends only on the assignment.  node_cost is its one from-scratch
-builder and lays its columns out in sweep order: the truth column, then
-the free columns class by class.  A solve builds it at most once and
-returns it; a child's C is derived from its root's and keeps the root's
-column order (bounds.ShiftLedger.child_cost).  A solve sweeps until the
-estimated gap drops below eps, max_sweeps run out, the deadline passes, or
-a certificate taken between sweeps prunes.
+The dual certificate reads the dense C.  The row norms of C V are the
+per-column update magnitudes; at a sweep fixed point they are feasible
+multipliers, giving a matching lower bound.  Elsewhere a certificate must
+show C + diag(lam) PSD in one of two ways.  A prune decision
+(pruning_certificate, taken between sweeps and of a child at expansion)
+only needs the bound above the caller's floor: it spends the bound's
+excess over the floor as a uniform shift of the multipliers and verifies
+the result by one floating-point Cholesky, shifted down by Rump's a-priori
+error term and a bound on the rounding of C's entries, so an accepted
+prune is sound by construction.  Only the final certificate of a solve
+that did not prune, the one a ShiftLedger is built from, is repaired by
+the smallest eigenvalue shift (an eigensolve).
 
-The z-cache sweep above is the sparse path.  A node of at most
-DENSE_MAX_COLUMNS (256) columns sweeps on C instead (dense_sweep): one
-class step is the product C[class rows] V over one slice of C's rows (C is
-zero on a class's own block), and the objective is read from C V.  At such
-sizes the sparse step's small gathers and scatters per class cost more
-than the dense product; above a few hundred columns the dense product
-costs more (measured in solve).  A dense solve builds C before its first
-sweep and neither reads nor writes the z-cache; a sparse one rebuilds the
-z-cache on entry and builds C at its first certificate.  So the z-cache
-belongs to the sparse solve: it matches the factor only after a sparse
-solve, and a reader outside one rebuilds it first.  The search's expansion
-below a solved root reads none of it: a LossTracker prices each step from
-the factor's pair dot products, in O(clauses the step moves).
+The z-cache (per-clause sums z_j) and mixing_sweep, which updates the
+columns from it, are the z-form of the same sweep: a reference that no
+solve reads or writes.  The search's expansion below a solved root reads
+none of it either: a LossTracker prices each step from the factor's pair
+dot products, in O(clauses the step moves).
 """
 
 from __future__ import annotations
@@ -152,10 +149,11 @@ def _group_sum(index: np.ndarray, values: np.ndarray, size: int):
 class ZCache:
     """Per-clause running sums z_j; rows of inactive clauses are stale.
 
-    The sparse solve's workspace (see solve).  assign_update and revert
-    move the rows along a descent; the search prices its descents with a
-    LossTracker instead, and the two are independent references for each
-    other.
+    The z-form reference of the objective and the sweep (objective,
+    mixing_sweep); no solve reads or writes it, so a reader rebuilds it
+    first.  assign_update and revert move the rows along a descent; the
+    search prices its descents with a LossTracker instead, and the two are
+    independent references for each other.
 
     Rows are only read for ACTIVE clauses.  During a branch-and-bound descent
     the factor columns are frozen, so a clause that leaves the active set
@@ -327,23 +325,6 @@ def objective(state: NodeState, factor: Factor, zcache: ZCache) -> float:
     return state.base_unsat + math.fsum(active_losses(state, zcache).tolist())
 
 
-@dataclass(frozen=True, slots=True)
-class SweepPlan:
-    """The arrays every sweep of one solve reads, gathered once.
-
-    `steps` holds, per color class with a live entry and in sweep order, the
-    class's live entries as clause rows `j`, variables `v`, the sign and
-    sign * weight as columns, the start of each member's run of entries (the
-    entries are sorted by variable) and the members with a live entry.
-    `active` indexes the active clauses and `lengths` holds their lengths.
-    A plan is valid only while the node's assignment is unchanged.
-    """
-
-    steps: list
-    active: np.ndarray
-    lengths: np.ndarray
-
-
 def class_order(state: NodeState, order=None):
     """The color classes in sweep order: in the order their first variable
     appears in `order` (a sequence of variables), or in index order for
@@ -354,33 +335,10 @@ def class_order(state: NodeState, order=None):
         state.color[np.asarray(order, dtype=np.intp)].tolist()))
 
 
-def sweep_plan(state: NodeState, order=None) -> SweepPlan:
-    """The sweep plan of the node as it stands, classes in class_order."""
-    active = state.active_mask()
-    live = state.live_entries(active)
-    steps = []
-    for c in class_order(state, order):
-        entries = state.class_entries[c]
-        entries = entries[live[entries]]
-        if not len(entries):
-            continue
-        j = state.lit_clause.take(entries)
-        v = state.lit_var.take(entries)
-        sign = state.lit_sign.take(entries)[:, None]
-        # a member's run of entries starts where the variable changes
-        first = np.empty(len(v), dtype=bool)
-        first[0] = True
-        np.not_equal(v[1:], v[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        steps.append((j, v, sign, sign * state.weight[j, None], starts,
-                      v[starts]))
-    index = np.flatnonzero(active)
-    return SweepPlan(steps, index, state.clause_len[index])
-
-
 def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
-                 order=None, plan: SweepPlan | None = None) -> float:
-    """One pass of closed-form column updates over the free variables.
+                 order=None) -> float:
+    """One pass of closed-form column updates over the free variables, on
+    the z-cache: the z-form reference of the sweep, which no solve runs.
 
     The columns are updated one color class at a time, classes in the order
     their first variable appears in `order` (class index order for None).
@@ -391,25 +349,30 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
     objective is non-increasing across the pass.  A column with no live
     entry, or whose update direction is below ZERO_UPDATE_NORM, is kept (any
     unit vector minimizes its block).  Returns the objective after the pass.
-
-    `plan` is the node's sweep_plan for `order`; it is built here when
-    omitted.  A solve passes one plan to all of its sweeps, which is valid
-    because no sweep changes the assignment.
     """
-    if plan is None:
-        plan = sweep_plan(state, order)
+    live = state.live_entries(state.active_mask())
     V = factor.cols
     z = zcache.z
-    for j, v, sign, sw, starts, members in plan.steps:
-        # take() gathers the same rows as z[j] at a fraction of the cost
+    for c in class_order(state, order):
+        entries = state.class_entries[c]
+        entries = entries[live[entries]]
+        if not len(entries):
+            continue
+        j = state.lit_clause.take(entries)
+        v = state.lit_var.take(entries)
+        sign = state.lit_sign.take(entries)[:, None]
+        # entries are sorted by variable: a member's run starts at a change
+        first = np.empty(len(v), dtype=bool)
+        first[0] = True
+        np.not_equal(v[1:], v[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
         zj = z.take(j, axis=0) - sign * V.take(v, axis=0)
-        g = np.add.reduceat(sw * zj, starts)
+        g = np.add.reduceat(sign * state.weight[j, None] * zj, starts)
         norm = np.sqrt(np.vecdot(g, g))
         moved = norm >= ZERO_UPDATE_NORM
-        V[members[moved]] = g[moved] / -norm[moved, None]
+        V[v[starts][moved]] = g[moved] / -norm[moved, None]
         z[j] = zj + sign * V.take(v, axis=0)
-    losses = clause_loss(z.take(plan.active, axis=0), plan.lengths)
-    return state.base_unsat + math.fsum(losses.tolist())
+    return objective(state, factor, zcache)
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,10 +432,34 @@ def pair_matrix(pa: np.ndarray, pb: np.ndarray, value: np.ndarray,
     return matrix.astype(float, copy=False).reshape(dim, dim)
 
 
-def node_cost(state: NodeState, order=None) -> NodeCost:
-    """The node's cost matrix, built from scratch: the one builder.  The
-    free columns follow class_order, by variable within a class, then
-    those of classes not swept."""
+@dataclass(frozen=True, slots=True)
+class CostEntries:
+    """The node's cost entries and assignment-only bound terms, before
+    either layout of C (node_cost: dense, sweep_plan: by rows).
+
+    `index` lists the node's columns in sweep order and `slices` each
+    swept class's positions in it, as NodeCost's.  Entry t is the term
+    coeff_a * coeff_b * w_j (`value[t]`) of one live pair of an active
+    clause j, at positions (`a[t]`, `b[t]`) of `index`, which differ;
+    entries sharing a cell are not summed yet.  `diag_sum`,
+    `const_offset`, `entry_error` and `active` are NodeCost's.
+    """
+
+    index: np.ndarray
+    slices: tuple
+    a: np.ndarray
+    b: np.ndarray
+    value: np.ndarray
+    diag_sum: float
+    const_offset: float
+    entry_error: float
+    active: np.ndarray
+
+
+def cost_entries(state: NodeState, order=None) -> CostEntries:
+    """The node's cost entries, computed from scratch: the one builder of
+    C.  The free columns follow class_order, by variable within a class,
+    then those of classes not swept."""
     active = state.active_mask()
     columns = state.column_mask()
     live = state.live_entries(active, columns)
@@ -492,16 +479,30 @@ def node_cost(state: NodeState, order=None) -> NodeCost:
     keep = live[a] & live[b]
     a, b = a[keep], b[keep]
     value = coeff[a] * coeff[b] * state.weight[state.lit_clause[a]]
-    matrix = pair_matrix(pos[state.lit_var[a]], pos[state.lit_var[b]],
-                         value, len(index))
     diag = coeff[live] ** 2 * state.weight[state.lit_clause[live]]
     const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
     if state.entry_error is None:
         state.entry_error = entry_error_bound(state)
-    return NodeCost(index, matrix, diag_sum=math.fsum(diag.tolist()),
-                    const_offset=state.base_unsat - math.fsum(const.tolist()),
-                    entry_error=state.entry_error, active=active,
-                    slices=slices)
+    return CostEntries(index, slices, pos[state.lit_var[a]],
+                       pos[state.lit_var[b]], value,
+                       diag_sum=math.fsum(diag.tolist()),
+                       const_offset=(state.base_unsat
+                                     - math.fsum(const.tolist())),
+                       entry_error=state.entry_error, active=active)
+
+
+def node_cost(state: NodeState, order=None,
+              entries: CostEntries | None = None) -> NodeCost:
+    """The node's cost matrix: its cost_entries for `order` laid out
+    densely.  `entries` are those entries when the caller already has
+    them (a sparse solve); otherwise they are computed here."""
+    if entries is None:
+        entries = cost_entries(state, order)
+    matrix = pair_matrix(entries.a, entries.b, entries.value,
+                         len(entries.index))
+    return NodeCost(entries.index, matrix, entries.diag_sum,
+                    entries.const_offset, entries.entry_error,
+                    entries.active, entries.slices)
 
 
 def dense_objective(cost: NodeCost, W: np.ndarray) -> float:
@@ -513,14 +514,13 @@ def dense_objective(cost: NodeCost, W: np.ndarray) -> float:
 
 
 def dense_sweep(cost: NodeCost, factor: Factor) -> float:
-    """mixing_sweep on the cost matrix: one class step is g = C[class] W.
+    """One sweep on the dense cost matrix: one class step is g = C[class] W.
 
     `cost` is node_cost's for the sweep order.  Columns of one class share
     no clause, so C is zero on the class's own block and g is the update
-    direction of every member at once, as in mixing_sweep; members with
-    ||g|| below ZERO_UPDATE_NORM are kept.  The factor's columns are read
-    and written back once.  Returns the objective after the pass
-    (dense_objective); no z-cache is read or kept.
+    direction of every member at once; members with ||g|| below
+    ZERO_UPDATE_NORM are kept.  The factor's columns are read and written
+    back once.  Returns the objective after the pass (dense_objective).
     """
     W = factor.cols.take(cost.index, axis=0)
     matrix = cost.matrix
@@ -530,6 +530,73 @@ def dense_sweep(cost: NodeCost, factor: Factor) -> float:
         np.divide(g, -norm, out=W[lo:hi], where=norm >= ZERO_UPDATE_NORM)
     factor.cols[cost.index] = W
     return dense_objective(cost, W)
+
+
+def sweep_plan(entries: CostEntries) -> list:
+    """C stored by rows, for the sweeps of one solve: per swept class with
+    a live entry, in sweep order, (members, columns, values, starts).
+
+    The members are the class's free variables with a live entry, sorted
+    by variable as in the dense layout.  Each member's row lists its
+    distinct neighbour columns (the truth column included) as variables,
+    with entries sharing a cell summed; `starts` marks where each row
+    begins.  Every live entry has a truth-column partner, so no row is
+    empty (np.add.reduceat would return the next element, not zero, for
+    an empty one).  A plan is valid only while the node's assignment is
+    unchanged.
+    """
+    index, dim = entries.index, len(entries.index)
+    cells = np.concatenate((entries.a * dim + entries.b,
+                            entries.b * dim + entries.a))
+    cells, slot = np.unique(cells, return_inverse=True)
+    values = np.bincount(slot, np.concatenate((entries.value, entries.value)),
+                         minlength=len(cells))
+    rows, columns = np.divmod(cells, dim)
+    steps = []
+    for lo, hi in entries.slices:
+        start, stop = np.searchsorted(rows, (lo, hi)).tolist()
+        if start == stop:
+            continue
+        row = rows[start:stop]
+        first = np.empty(len(row), dtype=bool)
+        first[0] = True
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        steps.append((index[row[starts]], index[columns[start:stop]],
+                      values[start:stop, None], starts))
+    return steps
+
+
+def sparse_objective(entries: CostEntries, factor: Factor) -> float:
+    """The objective at the factor, summed exactly (fsum): const_offset +
+    diag_sum + twice the sum over entries of value * v_a . v_b."""
+    V, index = factor.cols, entries.index
+    dots = np.vecdot(V[index[entries.a]], V[index[entries.b]])
+    terms = (2.0 * entries.value * dots).tolist()
+    return math.fsum(terms + [entries.const_offset, entries.diag_sum])
+
+
+def sparse_sweep(plan: list, factor: Factor) -> float:
+    """dense_sweep on C stored by rows (sweep_plan): one class step is
+    g = C[class] V as one gather, one multiply and one reduceat over the
+    class's nonzeros.  Members with ||g|| below ZERO_UPDATE_NORM are kept.
+
+    Returns the objective's decrease over the pass, 2 * sum over the moved
+    members of (||g|| + g . v_old): C has a zero diagonal, so moving v_i
+    from v_old to -g / ||g|| changes the objective by 2 g . (v_new -
+    v_old), and the members of a class do not interact.
+    """
+    V = factor.cols
+    drop = 0.0
+    for members, columns, values, starts in plan:
+        g = np.add.reduceat(values * V.take(columns, axis=0), starts)
+        norm = np.sqrt(np.vecdot(g, g))
+        moved = norm >= ZERO_UPDATE_NORM
+        if not moved.all():
+            members, g, norm = members[moved], g[moved], norm[moved]
+        drop += float(np.sum(norm + np.vecdot(g, V.take(members, axis=0))))
+        V[members] = g / -norm[:, None]
+    return 2.0 * drop
 
 
 @dataclass
@@ -701,19 +768,19 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     linear rate: gap ~ delta_t * rho / (1 - rho) with rho = delta_t /
     delta_{t-1} clamped to [0, 0.999].
 
-    A node of at most DENSE_MAX_COLUMNS columns sweeps densely: the solve
-    builds its cost matrix first, in sweep order (node_cost), and runs
-    dense_sweep, one matrix product per class.  Larger nodes sweep on the
-    z-cache (mixing_sweep on a sweep plan).  Both take the same steps in
-    exact arithmetic.  The cutoff is measured: on one x86-64 core with one
-    BLAS thread, a sweep of random MAX2SAT at m = 4n costs, sparse against
-    dense, 56 against 19 us at n=28, 207 against 103 us at n=255, 358
-    against 341 us at n=400 and 876 against 1418 us at n=800, and the dense
-    setup grows as the square of the columns.  Only the sparse path uses
-    the z-cache: it rebuilds it on entry and leaves it matching the solved
-    factor.  A dense solve leaves it as it was, stale; nothing in the
-    search reads it after a solve (expansion prices children with a
-    LossTracker), and any other reader rebuilds it first.
+    Both paths sweep g = C[class] V per color class on the node's cost
+    entries (cost_entries), computed once per solve, and take the same
+    steps in exact arithmetic.  A node of at most DENSE_MAX_COLUMNS
+    columns lays C out densely first, in sweep order (node_cost), and runs
+    dense_sweep, one matrix product per class; its trace reads the
+    objective from C V after every sweep.  A larger node stores C by rows
+    (sweep_plan) and runs sparse_sweep; its trace starts from one exact
+    objective (sparse_objective) and subtracts each sweep's decrease.  The
+    cutoff is measured (scripts/sweep_cutoff.py): on one x86-64 core with
+    one BLAS thread, a sweep of random MAX2SAT at m = 4n costs, sparse
+    against dense, CUTOFF_TABLE, and the dense setup grows as the square of
+    the columns.  No solve reads or writes the z-cache: `zcache` is
+    accepted for existing callers and ignored.
 
     `floor` is the caller's optional prune line: a lower bound above it
     discards the node.  After every unconverged sweep whose objective is
@@ -724,9 +791,9 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     final certificate of a solve that neither pruned nor hit the deadline
     is eigen-repaired: it is the one a ShiftLedger is built from.
 
-    Every certificate of one solve reads one cost matrix, built at the
-    start of a dense solve and at the first certificate of a sparse one,
-    and returned as `cost`: no sweep changes the assignment.
+    Every certificate of one solve reads one dense cost matrix, built at
+    the start of a dense solve and at the first certificate of a sparse
+    one, and returned as `cost`: no sweep changes the assignment.
     `certificates` counts the certificates taken, those below the floor
     included.  Any result that did not converge is flagged so; its
     certificate remains a valid bound either way.  Once the deadline has
@@ -736,32 +803,31 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     if eps <= 0:
         raise ValueError("eps must be positive")
     dense = state.free_count < DENSE_MAX_COLUMNS
+    entries = cost_entries(state, order)
     cost = None
     if dense:
-        cost = node_cost(state, order)
+        cost = node_cost(state, order, entries)
         f_cur = dense_objective(cost, factor.cols[cost.index])
-        active = cost.active.any()
     else:
-        zcache.rebuild(state, factor)
-        plan = sweep_plan(state, order)
-        f_cur = objective(state, factor, zcache)
-        active = len(plan.active)
+        plan = sweep_plan(entries)
+        f_cur = sparse_objective(entries, factor)
     trace = [f_cur]
     cert = None
     certificates = 0
     # without an active clause there is nothing to sweep
-    converged = not active
+    converged = not entries.active.any()
     est_gap = 0.0 if converged else math.inf
     prev_delta = None
     sweeps = 0
     while not converged and sweeps < max_sweeps and not past(deadline):
         if dense:
             f_new = dense_sweep(cost, factor)
+            delta = f_cur - f_new
         else:
-            f_new = mixing_sweep(state, factor, zcache, order, plan)
+            delta = sparse_sweep(plan, factor)
+            f_new = f_cur - delta
         sweeps += 1
         trace.append(f_new)
-        delta = f_cur - f_new
         f_cur = f_new
         if delta <= 1e-15:
             est_gap = max(delta, 0.0)
@@ -776,7 +842,7 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
         prev_delta = delta
         if floor is not None and f_cur > floor and not past(deadline):
             if cost is None:
-                cost = node_cost(state, order)
+                cost = node_cost(state, order, entries)
             certificates += 1
             cert = pruning_certificate(cost, factor, floor)
             if cert is not None:
@@ -784,7 +850,7 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     pruned = cert is not None
     if not pruned and not past(deadline):
         if cost is None:
-            cost = node_cost(state, order)
+            cost = node_cost(state, order, entries)
         cert = certificate(cost, factor)
         certificates += 1
     return SdpResult(f_cur, cert, sweeps, est_gap, converged, trace,

@@ -164,7 +164,7 @@ class Searcher:
 
     def clipped_loss(self) -> float:
         """base_unsat plus the positive active losses, summed from scratch
-        on the z-cache (rebuild it first unless a sparse solve just ran).
+        on the z-cache, which no solve keeps (always rebuild it first).
         The reference for the running sum expansion keeps (LossTracker)."""
         losses = active_losses(self.state, self.zcache)
         positive = losses[losses > 0.0].tolist()

@@ -41,6 +41,23 @@ def test_approx_ratio_curve_smoke():
         assert 0.0 < float(ratio) <= 1.0
 
 
+def test_sweep_cutoff_smoke():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep_cutoff.py"),
+         "--sizes", "6", "12", "--sweeps", "2", "--rounds", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["n", "rank", "dense_us", "sparse_us",
+                      "dense_setup_us", "sparse_setup_us"]
+    assert [row[0] for row in rows] == ["6", "12"]
+    for row in rows:
+        assert all(float(x) > 0.0 for x in row)
+
+
 def test_perfbench_trace_targets_exist():
     """Every name the benchmark's tracer wraps is still where it looks it
     up, so a rename cannot leave `--trace 1` without its spans."""

@@ -19,9 +19,10 @@ from sdpsat.oracle import brute_force, dense_sdp_check, min_unsat_completion
 from sdpsat import sdp
 from sdpsat.rounding import node_unsat, round_once
 from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, ZCache, certificate,
-                        clause_loss, default_rank, dual_from_primal,
-                        init_factor, mixing_sweep, node_cost, objective,
-                        pruning_certificate, solve)
+                        clause_loss, cost_entries, default_rank,
+                        dual_from_primal, init_factor, mixing_sweep,
+                        node_cost, objective, pruning_certificate, solve,
+                        sparse_objective, sparse_sweep, sweep_plan)
 from sdpsat.search import Searcher, solve_complete
 from tests.test_search import ceil_bound, small_formulas
 
@@ -276,36 +277,79 @@ def test_colored_sweep_matches_sequential_sweep(inst, data):
     assert np.allclose(zc.z[active], ref_zc.z[active], rtol=0.0, atol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(inst=small_formulas(), data=st.data())
-@mock.patch.object(sdp, "DENSE_MAX_COLUMNS", 0)
-def test_solve_sweeps_match_fresh_sweeps(inst, data):
-    """A sparse solve builds one sweep plan for all of its sweeps; they
-    must equal, bit for bit, as many sweeps that each build a fresh plan,
-    at random partial nodes (fully assigned and clause-free ones
-    included)."""
+def random_node(inst, data):
+    """A fresh solver state at a random partial node of `inst` (fully
+    assigned ones included) and a random sweep order.  The z-cache is left
+    as rebuilt at the root, stale below it."""
     n = inst.num_vars
     state, ws, factor, zc = fresh_solver_state(
         inst, seed=data.draw(st.integers(0, 99)))
     path = data.draw(st.permutations(range(1, n + 1)))
     for var in path[:data.draw(st.integers(0, n))]:
         assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
-    zc.rebuild(state, factor)
     order = data.draw(st.permutations(range(1, n + 1)))
-    ref_factor, ref_zc = factor.copy(), ZCache(inst, factor.k)
-    ref_zc.z[:] = zc.z
+    return state, factor, zc, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+@mock.patch.object(sdp, "DENSE_MAX_COLUMNS", 0)
+def test_solve_sweeps_match_fresh_sweeps(inst, data):
+    """A sparse solve builds one sweep plan for all of its sweeps; they
+    must equal, bit for bit, as many sweeps that each build a fresh plan
+    from fresh entries, with the trace starting at sparse_objective and
+    falling by each sweep's decrease, at random partial nodes (fully
+    assigned and clause-free ones included)."""
+    state, factor, zc, order = random_node(inst, data)
+    ref_factor = factor.copy()
     res = solve(state, factor, zc, eps=1e-300,
                 max_sweeps=data.draw(st.integers(1, 6)), order=order)
-    fresh = [mixing_sweep(state, ref_factor, ref_zc, order)
-             for _ in range(res.sweeps_used)]
+    trace = [sparse_objective(cost_entries(state, order), ref_factor)]
+    for _ in range(res.sweeps_used):
+        plan = sweep_plan(cost_entries(state, order))
+        trace.append(trace[-1] - sparse_sweep(plan, ref_factor))
     assert not res.dense
-    assert res.trace[1:] == fresh
+    assert res.trace == trace
     assert np.array_equal(factor.cols, ref_factor.cols)
-    active = state.active_mask()
-    assert np.array_equal(zc.z[active], ref_zc.z[active])
-    rebuilt = ZCache(inst, factor.k)
-    rebuilt.rebuild(state, factor)
-    assert np.allclose(zc.z[active], rebuilt.z[active], rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_sparse_solve_matches_z_form(inst, data):
+    """A sparse solve's sweeps are mixing_sweep's, the z-form reference:
+    trace and factor within 1e-12, and after every sweep the trace is
+    objective() on a freshly rebuilt z-cache within 1e-12.  Random partial
+    nodes with an isolated variable cover unit-clause rows, rows whose only
+    live entries are truth entries, clauses of up to 4 literals, and fully
+    assigned and clause-free nodes.  The solve neither reads nor writes
+    the z-cache."""
+    inst = with_isolated_variable(inst)
+    state, factor, zc, order = random_node(inst, data)
+    ref_factor, ref_zc = factor.copy(), ZCache(inst, factor.k)
+    ref_zc.rebuild(state, ref_factor)
+    stale = zc.z.copy()
+    rebuilt = []
+
+    def sweep_and_rescore(plan, factor):
+        drop = sweep(plan, factor)
+        fresh = ZCache(inst, factor.k)
+        fresh.rebuild(state, factor)
+        rebuilt.append(objective(state, factor, fresh))
+        return drop
+
+    sweep = sdp.sparse_sweep
+    with mock.patch.object(sdp, "DENSE_MAX_COLUMNS", 0), \
+            mock.patch.object(sdp, "sparse_sweep", sweep_and_rescore):
+        res = solve(state, factor, zc, eps=1e-300,
+                    max_sweeps=data.draw(st.integers(1, 6)), order=order)
+    assert not res.dense
+    reference = [objective(state, ref_factor, ref_zc)]
+    reference += [mixing_sweep(state, ref_factor, ref_zc, order)
+                  for _ in range(res.sweeps_used)]
+    assert res.trace == pytest.approx(reference, rel=0.0, abs=1e-12)
+    assert res.trace[1:] == pytest.approx(rebuilt, rel=0.0, abs=1e-12)
+    assert np.allclose(factor.cols, ref_factor.cols, rtol=0.0, atol=1e-12)
+    assert np.array_equal(zc.z, stale)
 
 
 @settings(max_examples=300, deadline=None)
@@ -340,12 +384,12 @@ def test_dense_solve_matches_sequential_sweeps(inst, data):
 
 
 def test_solve_sweeps_dense_up_to_the_cutoff(monkeypatch):
-    """A node of DENSE_MAX_COLUMNS columns sweeps on its cost matrix; one
-    of a column more sweeps through mixing_sweep."""
+    """A node of DENSE_MAX_COLUMNS columns sweeps on its dense cost matrix;
+    one of a column more sweeps on its rows (sparse_sweep)."""
     inst = random_instance(sdp.DENSE_MAX_COLUMNS, 2 * sdp.DENSE_MAX_COLUMNS,
                            2, seed=8)
     state, ws, factor, zc = fresh_solver_state(inst, seed=8)
-    sparse_sweeps = counting(monkeypatch, sdp, "mixing_sweep")
+    sparse_sweeps = counting(monkeypatch, sdp, "sparse_sweep")
     dense_sweeps = counting(monkeypatch, sdp, "dense_sweep")
     res = solve(state, factor, zc, max_sweeps=2)
     assert not res.dense and state.free_count == sdp.DENSE_MAX_COLUMNS
@@ -619,7 +663,7 @@ def test_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
         deadline, floor = time.monotonic() - 1.0, None
     else:
         deadline, floor = time.monotonic() + 0.25, -1e6
-        sweep = sdp.mixing_sweep
+        sweep = sdp.sparse_sweep
 
         def slow_sweep(*args):
             # the deadline passes during the first sweep, whose objective
@@ -627,7 +671,7 @@ def test_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
             time.sleep(max(deadline - time.monotonic(), 0.0) + 0.01)
             return sweep(*args)
 
-        monkeypatch.setattr(sdp, "mixing_sweep", slow_sweep)
+        monkeypatch.setattr(sdp, "sparse_sweep", slow_sweep)
     res = solve(state, factor, zc, deadline=deadline, floor=floor)
     assert res.sweeps_used == (0 if passes == "before" else 1)
     assert res.cert is None and res.certificates == 0
