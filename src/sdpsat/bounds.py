@@ -45,10 +45,12 @@ def prune_floor(best_known: int, tol: float = 1e-6) -> float:
 def decide(primal: float, dual: float, best_known: int,
            tol: float = 1e-6) -> Decision:
     """Prune if the dual is above the prune floor; expand while the primal
-    shows the subtree cannot be pruned by its own solve; otherwise solve."""
+    shows the subtree cannot be pruned by its own solve; otherwise solve.
+    The primal test allows `tol` too, so a primal that ties the incumbent
+    up to rounding expands however it was summed."""
     if dual > prune_floor(best_known, tol):
         return Decision.PRUNE
-    if primal <= best_known:
+    if primal <= best_known + tol:
         return Decision.EXPAND
     return Decision.SOLVE
 

@@ -77,6 +77,15 @@ def test_decide_examples():
     assert decide(5.6, 3.4, best_known=5) == Decision.SOLVE
 
 
+def test_decide_primal_tie_within_tol_expands():
+    """A primal that ties the incumbent up to rounding expands, whichever
+    side of it the rounding fell on; one 2 tol above it is solved."""
+    for tol in (1e-6, 1e-9):
+        assert decide(2.0000000000000004, 0.5, 2, tol) == Decision.EXPAND
+        assert decide(2.0 + tol / 2, 0.5, 2, tol) == Decision.EXPAND
+        assert decide(2.0 + 2 * tol, 0.5, 2, tol) == Decision.SOLVE
+
+
 def test_primal_init_empty_delta():
     inst = random_instance(8, 24, 2, seed=1)
     state, ws, factor, zc = fresh_solver_state(inst, seed=1)
