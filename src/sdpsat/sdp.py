@@ -361,16 +361,13 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
         j = state.lit_clause.take(entries)
         v = state.lit_var.take(entries)
         sign = state.lit_sign.take(entries)[:, None]
-        # entries are sorted by variable: a member's run starts at a change
-        first = np.empty(len(v), dtype=bool)
-        first[0] = True
-        np.not_equal(v[1:], v[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
+        # entries are sorted by variable, so each member's run is contiguous
+        members, starts = np.unique(v, return_index=True)
         zj = z.take(j, axis=0) - sign * V.take(v, axis=0)
         g = np.add.reduceat(sign * state.weight[j, None] * zj, starts)
         norm = np.sqrt(np.vecdot(g, g))
         moved = norm >= ZERO_UPDATE_NORM
-        V[v[starts][moved]] = g[moved] / -norm[moved, None]
+        V[members[moved]] = g[moved] / -norm[moved, None]
         z[j] = zj + sign * V.take(v, axis=0)
     return objective(state, factor, zcache)
 
@@ -557,12 +554,8 @@ def sweep_plan(entries: CostEntries) -> list:
         start, stop = np.searchsorted(rows, (lo, hi)).tolist()
         if start == stop:
             continue
-        row = rows[start:stop]
-        first = np.empty(len(row), dtype=bool)
-        first[0] = True
-        np.not_equal(row[1:], row[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        steps.append((index[row[starts]], index[columns[start:stop]],
+        members, starts = np.unique(rows[start:stop], return_index=True)
+        steps.append((index[members], index[columns[start:stop]],
                       values[start:stop, None], starts))
     return steps
 
@@ -632,7 +625,7 @@ class SdpResult:
     certificates: int = 0
     # the node's cost matrix, None when a sparse solve took no certificate
     cost: NodeCost | None = None
-    # swept on the cost matrix (dense_sweep); the z-cache was not touched
+    # swept on the dense cost matrix (dense_sweep), not its rows
     dense: bool = False
 
     @property
@@ -778,8 +771,10 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     objective (sparse_objective) and subtracts each sweep's decrease.  The
     cutoff is measured (scripts/sweep_cutoff.py): on one x86-64 core with
     one BLAS thread, a sweep of random MAX2SAT at m = 4n costs, sparse
-    against dense, CUTOFF_TABLE, and the dense setup grows as the square of
-    the columns.  No solve reads or writes the z-cache: `zcache` is
+    against dense, 38 against 19 us at n=28, 82 against 60 us at n=200, 95
+    against 97 us at n=255, 160 against 340 us at n=400 and 425 against
+    1441 us at n=800, and the dense setup grows as the square of the
+    columns.  No solve reads or writes the z-cache: `zcache` is
     accepted for existing callers and ignored.
 
     `floor` is the caller's optional prune line: a lower bound above it

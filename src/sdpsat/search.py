@@ -14,8 +14,8 @@ prunes, the child is dropped instead of being queued, replayed and re-solved.
 The child's cost matrix is derived from the one its root's solve built
 (ShiftLedger.child_cost), never rebuilt.  Every DFS step costs O(clauses it
 moves) in scalar steps: the ShiftLedger prices its dual side and a
-LossTracker its primal side and the anytime priority; no step reads the
-z-cache.
+LossTracker its primal side and the anytime priority; neither a step nor
+a solve reads the z-cache.
 
 Every prune compares a bound with one number, the floor best_unsat - 1 +
 ceil_tol.  A prune decided by a certificate is verified by one Cholesky
