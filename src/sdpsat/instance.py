@@ -5,9 +5,15 @@ An Instance is immutable after construction; NodeState/WatchedStack are the
 single-owner mutable view a search worker drives via assign()/unassign_to().
 
 Clause bookkeeping follows the coefficient-move picture: every clause carries
-an integer truth coefficient s0 that starts at -1 and absorbs +sign/-sign each
+an integer accumulator s0 that starts at -1 and absorbs +sign/-sign each
 time one of its literals is assigned true/false.  A clause is falsified exactly
-when s0 reaches -1 - n_j (all n_j literals assigned, none true).
+when s0 reaches -1 - L (all L literals assigned, none true).  While it is
+active, each literal gone false has taken 1 off s0, so the clause has
+f = L + 1 + s0 free literals.  The relaxation prices it as a clause of its
+current length L' = min(L, max(f, 2)) with L' - f literals false: its truth
+coefficient is -1 - (L' - f) = s0 + L - L'.  That is s0 itself for a
+clause of at most two literals or with none false; a longer clause with
+some literal false has -1 while f >= 2 and -2 at f = 1 (see sdp).
 """
 
 from __future__ import annotations
@@ -183,6 +189,13 @@ def parse_dimacs(text: str) -> Instance:
     return instance_from_clauses(num_vars, clause_lists)
 
 
+def current_length(length: int, free: int) -> int:
+    """The length an active clause of `length` literals with `free` of them
+    free is priced at: min(length, max(free, 2)) (NodeState.clause_terms
+    computes it for every clause at once)."""
+    return length if free >= length else (free if free > 2 else 2)
+
+
 class NodeState:
     """Mutable per-node view: assignment trail plus per-clause accumulators.
 
@@ -190,14 +203,16 @@ class NodeState:
     base_unsat counts FALSIFIED clauses plus the instance's empty clauses.
 
     The literal table lists, clause by clause, a truth entry (variable 0,
-    sign 0, coefficient s0) and then each literal: its clause, variable and
-    sign.  With the clause lengths, the loss weights 1/(4L) and every pair of
+    sign 0, the clause's truth coefficient) and then each literal: its
+    clause, variable and sign.  With the clause lengths and every pair of
     entries of one clause (pair_a before pair_b), it turns whole-node sums
-    into array arithmetic masked by the active clauses and free columns.
-    A clause of length L has L(L+1)/2 pairs, in a run that starts at
-    `pair_first[j]`.  For the scalar steps of a DFS below a solved root the
-    node also keeps each clause's literal tuple (`clause_lits`) and loss
-    weight (`clause_w`) as plain Python values.
+    into array arithmetic masked by the active clauses and free columns.  A
+    clause of length L has L(L+1)/2 pairs, in a run that starts at
+    `pair_first[j]`.  The loss weight of a clause priced at length L' is
+    `length_weight[L']` = 1/(4L') (clause_terms gives each clause's L').
+    For the scalar steps of a DFS below a solved root the node also keeps
+    each clause's literal tuple (`clause_lits`) and the weights
+    (`length_w`) as plain Python values.
 
     The variables are also colored by DSatur so that two variables sharing
     a clause never share a color.  A proper coloring of the whole formula
@@ -208,8 +223,8 @@ class NodeState:
 
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
-                 "lit_sign", "clause_len", "weight", "pair_a", "pair_b",
-                 "pair_first", "clause_lits", "clause_w", "color",
+                 "lit_sign", "clause_len", "length_weight", "length_w",
+                 "pair_a", "pair_b", "pair_first", "clause_lits", "color",
                  "class_entries", "entry_error")
 
     def __init__(self, instance: Instance):
@@ -224,7 +239,11 @@ class NodeState:
         self.free_count = n
 
         self.clause_len = np.array(instance.lengths, dtype=np.intp)
-        self.weight = 1.0 / (4.0 * self.clause_len)
+        # 1/(4L) at index L; index 0 is never read (no active clause is empty)
+        longest = max(instance.lengths, default=0)
+        self.length_w = [0.0] + [1.0 / (4.0 * length)
+                                 for length in range(1, longest + 1)]
+        self.length_weight = np.array(self.length_w)
         size = self.clause_len + 1
         total = int(size.sum())
         lits = np.fromiter(
@@ -242,7 +261,6 @@ class NodeState:
         pairs = size * (size - 1) // 2
         self.pair_first = (np.cumsum(pairs) - pairs).tolist()
         self.clause_lits = [c.lits for c in instance.clauses]
-        self.clause_w = self.weight.tolist()
         self._color_variables()
         self.entry_error = None  # set by the first sdp.node_cost
 
@@ -317,11 +335,24 @@ class NodeState:
             columns = self.column_mask()
         return active[self.lit_clause] & columns[self.lit_var]
 
-    def lit_coeffs(self) -> np.ndarray:
-        """Per-entry coefficient: the clause's s0 on its truth entry, the
-        literal's sign elsewhere."""
-        s0 = np.array(self.s0, dtype=float)
-        return np.where(self.lit_var == 0, s0[self.lit_clause], self.lit_sign)
+    def clause_terms(self):
+        """Per clause: its current length L' (current_length of its length
+        and its f = L + 1 + s0 free literals), its truth coefficient
+        s0 + L - L' and its loss weight 1/(4L'); meaningful only for active
+        clauses."""
+        s0 = np.array(self.s0, dtype=np.intp)
+        length = self.clause_len
+        current = np.minimum(length, np.maximum(length + 1 + s0, 2))
+        return current, s0 + (length - current), self.length_weight[current]
+
+    def lit_coeffs(self, truth: np.ndarray | None = None) -> np.ndarray:
+        """Per-entry coefficient: the clause's truth coefficient (`truth`,
+        clause_terms' when the caller already has them) on its truth
+        entry, the literal's sign elsewhere."""
+        if truth is None:
+            truth = self.clause_terms()[1]
+        return np.where(self.lit_var == 0, truth[self.lit_clause],
+                        self.lit_sign)
 
 
 class WatchedStack:

@@ -125,9 +125,12 @@ class DenseCheck:
 def dense_sdp_check(state: NodeState, factor=None, lam=None) -> DenseCheck:
     """Materialize the node's cost matrix and recompute objective/feasibility.
 
-    The cost matrix is built clause-wise over active clauses with the current
-    truth coefficients; its diagonal is zero by construction, with the
-    would-be diagonal folded into diag_sum (the solver's convention).
+    The cost matrix is built clause-wise over active clauses, each priced
+    at its current length: a clause of L literals with f free is a clause
+    of L' = min(L, max(f, 2)) literals, all but the f free ones false, so
+    its truth coefficient is -1 - (L' - f), its weight 1/(4L') and its
+    constant (L' - 1)^2 / (4L').  The diagonal is zero by construction, with
+    the would-be diagonal folded into diag_sum (the solver's convention).
     """
     inst = state.instance
     if inst.num_vars > DENSE_CHECK_CAP:
@@ -142,18 +145,17 @@ def dense_sdp_check(state: NodeState, factor=None, lam=None) -> DenseCheck:
         if state.clause_status[j] != ACTIVE:
             continue
         cl = inst.clauses[j]
-        w = 1.0 / (4.0 * cl.length)
-        entries = [(0, float(state.s0[j]))]
-        for lit in cl.lits:
-            v = abs(lit)
-            if state.assignment[v] == FREE:
-                entries.append((pos[v], 1.0 if lit > 0 else -1.0))
+        free = [(pos[abs(lit)], 1.0 if lit > 0 else -1.0) for lit in cl.lits
+                if state.assignment[abs(lit)] == FREE]
+        length = min(cl.length, max(len(free), 2))
+        w = 1.0 / (4.0 * length)
+        entries = [(0, float(-1 - (length - len(free))))] + free
         for a, (pa, sa) in enumerate(entries):
             diag_terms.append(sa * sa * w)
             for pb, sb in entries[a + 1:]:
                 cost[pa, pb] += sa * sb * w
                 cost[pb, pa] += sa * sb * w
-        const_terms.append((cl.length - 1) ** 2 * w)
+        const_terms.append((length - 1) ** 2 * w)
     diag_sum = math.fsum(diag_terms)
     const_offset = state.base_unsat - math.fsum(const_terms)
 

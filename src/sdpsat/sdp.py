@@ -1,16 +1,27 @@
 """Low-rank relaxation of a (partially assigned) instance, solved in place.
 
 Each variable is relaxed to a unit-norm column v_i in R^k, with one extra
-fixed column v_0 acting as the truth direction.  An active clause j with
-original length L contributes the quadratic loss
+fixed column v_0 acting as the truth direction.  An active clause j of
+original length L with f free literals is priced at its current length
+L' = min(L, max(f, 2)), as a clause of L' literals whose L' - f others are
+false.  It contributes the quadratic loss
 
-    loss_j = (||z_j||^2 - (L - 1)^2) / (4 L),
-    z_j    = s0_j * v_0 + sum over free literals of sign * v_i,
+    loss_j = (||z_j||^2 - (L' - 1)^2) / (4 L'),
+    z_j    = s0'_j * v_0 + sum over free literals of sign * v_i,
+    s0'_j  = -1 - (L' - f),
 
-which at integral columns (v_i = +/-v_0) is exactly 1 when every literal is
-false, 0 when exactly one or all L literals are true, and negative otherwise.
-The total objective, base_unsat plus the sum of active losses, therefore
-lower-bounds the node's minimum unsat count over all completions.
+which at integral columns (v_i = +/-v_0) with t free literals true is
+((L' + 1 - 2t)^2 - (L' - 1)^2) / (4 L'): exactly 1 when t = 0, 0 when t = 1
+or t = L', and negative in between.  So it is 1 when every free literal is
+false, 0 when exactly one is true or when f <= 2 and the clause is
+satisfied, and at most 0 otherwise; the total objective, base_unsat plus
+the sum of active losses, therefore lower-bounds the node's minimum unsat
+count over all completions.  Priced at its original length instead, a
+satisfied clause with all of its f = t free literals true, 2 <= t < L,
+would earn (t - 1)(t - L) / L < 0; at L' it earns 0, the tightest value.
+For L <= 2, L' = L and s0' = s0: the Goemans-Williamson MAX2SAT form.
+NodeState.clause_terms gives each clause's L', truth coefficient and
+weight.
 
 Minimizing one column with the rest held fixed has a closed form: with C
 the node's zero-diagonal cost matrix over its columns, the new column is
@@ -67,7 +78,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ACTIVE, FALSIFIED, FREE, NodeState
+from .instance import (ACTIVE, FALSIFIED, FREE, SATISFIED, NodeState,
+                       current_length)
 
 ZERO_UPDATE_NORM = 1e-12
 # unit roundoff and the smallest positive (subnormal) double
@@ -130,7 +142,8 @@ def init_factor(n: int, k: int, seed) -> Factor:
 
 
 def clause_loss(z: np.ndarray, n_j):
-    """(||z||^2 - (n_j - 1)^2) / (4 n_j) for a clause of original length n_j.
+    """(||z||^2 - (n_j - 1)^2) / (4 n_j) for a clause priced at length n_j
+    (its current length L', see the module docstring).
 
     z may also be a stack of rows with n_j the matching array of lengths.
     """
@@ -186,21 +199,29 @@ class ZCache:
         vv = V[var]
         z = self.z
         lengths = self.instance.lengths
+        s0 = state.s0
         undo = []
         d_obj = 0.0
         for j, sign, new_status in moved:
             L = lengths[j]
             zj = z[j]
-            old_loss = clause_loss(zj, L)
+            # free literals before the move, L + 1 + s0 with s0 as it was
+            # before absorbing +1 (satisfied) or -1 (a literal false)
+            free = L + (s0[j] if new_status == SATISFIED else s0[j] + 2)
+            old_len = current_length(L, free)
+            old_loss = clause_loss(zj, old_len)
             if new_status == ACTIVE:
-                # literal assigned false: s0 absorbed -1, drop the column term
+                # literal assigned false: drop the column term; the truth
+                # coefficient s0 + L - L' moves by -1 + (old L' - new L')
+                new_len = current_length(L, free - 1)
                 undo.append((j, zj.copy()))
                 if sign > 0:
                     zj -= vv
                 else:
                     zj += vv
-                zj -= v0
-                d_obj += clause_loss(zj, L) - old_loss
+                if new_len == old_len:
+                    zj -= v0
+                d_obj += clause_loss(zj, new_len) - old_loss
             elif new_status == FALSIFIED:
                 d_obj += 1.0 - old_loss
             else:  # satisfied: clause leaves the active objective
@@ -224,16 +245,17 @@ class LossTracker:
 
     ||z_j||^2 expands into the squared coefficients of the clause's live
     entries (every column has unit norm) plus twice the coefficient-weighted
-    dot products of its live pairs.  The tracker takes the factor's dot
-    product over every pair of the literal table that is live at the root
-    (truth pairs included) in one vectorized pass; an assignment only kills
-    entries, so no other pair is read below the root.  move() then reprices
-    each moved clause from its L(L+1)/2 pairs in scalar steps, and keeps the
-    objective (base_unsat plus the active losses) and the sum of positive
-    active losses running; revert() restores them exactly.  `losses[j]` is
-    meaningful only while clause j is active.  The factor's columns must
-    stay as they were at the seed, as they do during an expansion.  No
-    z-cache is read or written.
+    dot products of its live pairs; the coefficients, weight and constant
+    are those of the clause's current length L'.  The tracker takes the
+    factor's dot product over every pair of the literal table that is live
+    at the root (truth pairs included) in one vectorized pass; an
+    assignment only kills entries, so no other pair is read below the root.
+    move() then reprices each moved clause from its L(L+1)/2 pairs in
+    scalar steps, and keeps the objective (base_unsat plus the active
+    losses) and the sum of positive active losses running; revert()
+    restores them exactly.  `losses[j]` is meaningful only while clause j
+    is active.  The factor's columns must stay as they were at the seed, as
+    they do during an expansion.  No z-cache is read or written.
     """
 
     __slots__ = ("dots", "losses", "objective", "positive", "_undo")
@@ -242,7 +264,8 @@ class LossTracker:
         a, b = state.pair_a, state.pair_b
         active = state.active_mask()
         live = state.live_entries(active)
-        coeff = np.where(live, state.lit_coeffs(), 0.0)
+        lengths, truth, weight = state.clause_terms()
+        coeff = np.where(live, state.lit_coeffs(truth), 0.0)
         V = factor.cols
         dots = np.zeros(len(a))
         pairs = np.flatnonzero(live[a] & live[b])
@@ -252,8 +275,7 @@ class LossTracker:
         norms = np.bincount(state.lit_clause, coeff * coeff, minlength=m)
         cross = np.bincount(state.lit_clause.take(a),
                             coeff[a] * coeff[b] * dots, minlength=m)
-        losses = ((norms - (state.clause_len - 1) ** 2 + 2.0 * cross)
-                  * state.weight)
+        losses = (norms - (lengths - 1) ** 2 + 2.0 * cross) * weight
         self.dots = dots.tolist()
         self.losses = losses.tolist()
         losses = losses[active]
@@ -267,7 +289,7 @@ class LossTracker:
         A falsified clause's loss becomes 1 and a satisfied one leaves."""
         losses, dots = self.losses, self.dots
         assignment, s0 = state.assignment, state.s0
-        clause_lits, clause_w = state.clause_lits, state.clause_w
+        clause_lits, length_w = state.clause_lits, state.length_w
         pair_first = state.pair_first
         saved = []
         d_obj = 0.0
@@ -278,7 +300,7 @@ class LossTracker:
                 positive -= old
             if new_status == ACTIVE:
                 lits = clause_lits[j]
-                coeff = [s0[j]]
+                coeff = [0]
                 free = 0
                 for lit in lits:
                     if assignment[abs(lit)] != FREE:
@@ -286,14 +308,17 @@ class LossTracker:
                     else:
                         free += 1
                         coeff.append(1 if lit > 0 else -1)
-                pairs = clause_pairs(len(lits))
+                L = len(lits)
+                size = current_length(L, free)
+                coeff[0] = s0[j] + L - size
+                pairs = clause_pairs(L)
                 t = pair_first[j]
                 cross = 0.0
                 for (p, q), dot in zip(pairs, dots[t:t + len(pairs)]):
                     cross += coeff[p] * coeff[q] * dot
-                # unit columns: ||z||^2 = s0^2 + free + 2 cross
-                new = ((coeff[0] * coeff[0] + free - (len(lits) - 1) ** 2
-                        + 2.0 * cross) * clause_w[j])
+                # unit columns: ||z||^2 = s0'^2 + free + 2 cross
+                new = ((coeff[0] * coeff[0] + free - (size - 1) ** 2
+                        + 2.0 * cross) * length_w[size])
                 saved.append((j, old))
                 losses[j] = new
                 if new > 0.0:
@@ -315,9 +340,10 @@ class LossTracker:
 
 
 def active_losses(state: NodeState, zcache: ZCache) -> np.ndarray:
-    """clause_loss of every active clause, in clause order."""
+    """clause_loss of every active clause at its current length, in clause
+    order."""
     active = state.active_mask()
-    return clause_loss(zcache.z[active], state.clause_len[active])
+    return clause_loss(zcache.z[active], state.clause_terms()[0][active])
 
 
 def objective(state: NodeState, factor: Factor, zcache: ZCache) -> float:
@@ -351,6 +377,7 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
     unit vector minimizes its block).  Returns the objective after the pass.
     """
     live = state.live_entries(state.active_mask())
+    weight = state.clause_terms()[2]
     V = factor.cols
     z = zcache.z
     for c in class_order(state, order):
@@ -364,7 +391,7 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
         # entries are sorted by variable, so each member's run is contiguous
         members, starts = np.unique(v, return_index=True)
         zj = z.take(j, axis=0) - sign * V.take(v, axis=0)
-        g = np.add.reduceat(sign * state.weight[j, None] * zj, starts)
+        g = np.add.reduceat(sign * weight[j, None] * zj, starts)
         norm = np.sqrt(np.vecdot(g, g))
         moved = norm >= ZERO_UPDATE_NORM
         V[members[moved]] = g[moved] / -norm[moved, None]
@@ -401,14 +428,22 @@ class NodeCost:
 def entry_error_bound(state: NodeState) -> float:
     """A bound on the rounding error of any cost entry of any node.
 
-    An entry is a signed sum of terms coeff_a * coeff_b * w_j, each at most
-    1/4 in magnitude (|s0_j| <= L_j while clause j is active) and each
-    rounded twice (w_j, then the product).  Built fresh, it sums one term
-    per clause holding both columns; derived along a DFS path it adds at
-    most one truth-row move per literal of such a clause, or subtracts the
-    clause's pair once.  So no entry has more than N = (most occurrences of
-    one variable) * (longest clause + 1) terms, and its error is below
-    gamma_{2N+2} * N / 4.
+    An entry is a signed sum of terms, each at most 1/4 in magnitude and
+    within gamma_2 / 4 of its exact value.  Built fresh, it sums one term
+    coeff_a * coeff_b * w_j per active clause j holding both columns
+    (|s0'_j| <= L'_j and w_j = 1/(4 L'_j) at the clause's current length),
+    rounded twice (w_j, then the product).  Derived along a DFS path
+    (bounds.ShiftLedger), each such clause adds at most one term per other
+    literal assigned on the path: a truth-row move when it goes false or
+    satisfies the clause (at most L_j - 1 for an entry whose columns stay
+    free), a pair rescaled by s_a s_b (w' - w) when it goes false and
+    leaves f >= 2 free literals (at most L_j - 2), and the pair dropped
+    once when the clause is satisfied.  A rescale term (w' - w, with
+    w' = 1/(4f) > w = 1/(4(f + 1))) is within u (w' + w) + u (w' - w) =
+    2 u w' <= u / 4 of exact.  So an entry has at most L_j terms per
+    clause holding both of its columns, and no more than N = (most
+    occurrences of one variable) * (longest clause + 1) in all; its error
+    is below gamma_{2N+2} * N / 4.
     """
     occurrences = np.bincount(state.lit_var)[1:]
     terms = (int(occurrences.max(initial=0))
@@ -455,12 +490,14 @@ class CostEntries:
 
 def cost_entries(state: NodeState, order=None) -> CostEntries:
     """The node's cost entries, computed from scratch: the one builder of
-    C.  The free columns follow class_order, by variable within a class,
-    then those of classes not swept."""
+    C, with each active clause's coefficients, weight and constant at its
+    current length.  The free columns follow class_order, by variable
+    within a class, then those of classes not swept."""
     active = state.active_mask()
     columns = state.column_mask()
     live = state.live_entries(active, columns)
-    coeff = state.lit_coeffs()
+    lengths, truth, weight = state.clause_terms()
+    coeff = state.lit_coeffs(truth)
     classes = class_order(state, order)
     rank = np.full(len(state.class_entries), len(classes), dtype=np.intp)
     rank[classes] = np.arange(len(classes))
@@ -475,9 +512,9 @@ def cost_entries(state: NodeState, order=None) -> CostEntries:
     a, b = state.pair_a, state.pair_b
     keep = live[a] & live[b]
     a, b = a[keep], b[keep]
-    value = coeff[a] * coeff[b] * state.weight[state.lit_clause[a]]
-    diag = coeff[live] ** 2 * state.weight[state.lit_clause[live]]
-    const = (state.clause_len[active] - 1) ** 2 * state.weight[active]
+    value = coeff[a] * coeff[b] * weight[state.lit_clause[a]]
+    diag = coeff[live] ** 2 * weight[state.lit_clause[live]]
+    const = (lengths[active] - 1) ** 2 * weight[active]
     if state.entry_error is None:
         state.entry_error = entry_error_bound(state)
     return CostEntries(index, slices, pos[state.lit_var[a]],

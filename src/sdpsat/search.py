@@ -6,11 +6,14 @@ their warm-started factors and reports every incumbent improvement as it
 happens.  Either way, each popped root is solved by sweeps, rounded, and then
 expanded by one depth-limited DFS whose interior nodes are priced with the
 warm-started bound pair: prune on the dual ceiling, recurse on a primal that
-already ties the incumbent, and emit everything else as a new root.  A child
-about to be emitted whose warm-started objective already meets the incumbent
-is first decided by its own certificate, taken from the parent's factor and
-the child's cost matrix exactly as a solve takes one between sweeps; when it
-prunes, the child is dropped instead of being queued, replayed and re-solved.
+already ties the incumbent, and emit everything else as a new root.  The
+dual side is the ledger's bound or the node's falsified-clause count
+(base_unsat), whichever is higher: the falsified clauses alone are unsat in
+every completion.  A child about to be emitted whose warm-started objective
+already meets the incumbent is first decided by its own certificate, taken
+from the parent's factor and the child's cost matrix exactly as a solve
+takes one between sweeps; when it prunes, the child is dropped instead of
+being queued, replayed and re-solved.
 The child's cost matrix is derived from the one its root's solve built
 (ShiftLedger.child_cost), never rebuilt.  Every DFS step costs O(clauses it
 moves) in scalar steps: the ShiftLedger prices its dual side and a
@@ -50,7 +53,8 @@ INCOMPLETE = "incomplete"
 
 @dataclass(frozen=True, slots=True)
 class SearchNode:
-    """Queue entry: assignment path from the original root plus its bounds.
+    """Queue entry: assignment path from the original root plus its bounds
+    (`dual` is at least the node's falsified-clause count).
 
     The path is kept as the expanded root's path, one tuple shared by all
     of that root's children, and the DFS steps below it, so a queued node
@@ -235,7 +239,7 @@ class Searcher:
         prefer = self.best.assignment if self.best is not None else None
         incomplete = self.mode == INCOMPLETE
 
-        def emit_child(depth: int) -> None:
+        def emit_child(depth: int, dual: float) -> None:
             if self.prunes(losses.objective) and not past(self.deadline):
                 self.stats.certificates += 1
                 cert = pruning_certificate(
@@ -255,7 +259,7 @@ class Searcher:
                 root_path=root_path,
                 steps=tuple(self.cur_path[len(root_path):]),
                 primal=losses.objective,
-                dual=ledger.dual_bound(), priority=priority,
+                dual=dual, priority=priority,
                 depth=node_depth + depth))
             if cfg.transition_recorder is not None:
                 cfg.transition_recorder(tuple(self.cur_path),
@@ -275,7 +279,7 @@ class Searcher:
                 if state.free_count == 0:
                     self.update_best(list(state.assignment), state.base_unsat)
                 else:
-                    dual = ledger.dual_bound()
+                    dual = max(ledger.dual_bound(), state.base_unsat)
                     if cfg.bound_recorder is not None:
                         cfg.bound_recorder(tuple(self.cur_path), dual)
                     verdict = decide(losses.objective, dual, self.best_unsat,
@@ -283,12 +287,12 @@ class Searcher:
                     if verdict == Decision.PRUNE:
                         self.stats.prunes_by_dual += 1
                     elif depth + 1 >= len(split_vars):
-                        emit_child(depth + 1)
+                        emit_child(depth + 1, dual)
                     elif verdict == Decision.EXPAND:
                         self.stats.expands_by_primal += 1
                         descend(depth + 1)
                     else:
-                        emit_child(depth + 1)
+                        emit_child(depth + 1, dual)
                 losses.revert()
                 ledger.revert()
                 self.cur_path.pop()

@@ -22,11 +22,11 @@ from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
                              WatchedStack, assign, instance_from_clauses,
                              parse_dimacs, unassign_to)
-from sdpsat.oracle import dense_sdp_check
+from sdpsat.oracle import dense_sdp_check, min_unsat_completion
 from sdpsat.sdp import (LossTracker, ZCache, dual_from_primal, init_factor,
                         node_cost, objective, solve)
 from sdpsat.search import Searcher
-from tests.test_sdp import fresh_solver_state, integral_factor
+from tests.test_sdp import fresh_solver_state, integral_factor, priced_length
 from tests.test_search import ceil_bound
 
 
@@ -148,6 +148,31 @@ def test_delta_vector_worked_example():
     assert not any(ledger.delta) and state.trail == []  # rolled back
 
 
+def test_rescale_worked_example():
+    """A 3-clause losing a literal is priced at two literals: its truth-row
+    entries move by -s (1/8 - 1/12), its pair changes by s_a s_b / 24 with
+    eta 1/24 on both columns, and the child cost equals the fresh one."""
+    inst = parse_dimacs("p cnf 3 1\n1 -2 3 0")
+    state, ws, factor, zc = fresh_solver_state(inst, seed=0)
+    res = solve(state, factor, zc, eps=1e-6)
+    ledger = ShiftLedger(res.cert)
+    ledger.apply(state, 1, FALSE, assign(state, ws, 1, FALSE))
+    dw = 1.0 / 8.0 - 1.0 / 12.0
+    assert ledger.delta[2:] == pytest.approx([dw, -dw], abs=1e-15)
+    assert ledger.eta[2:] == pytest.approx([dw, dw], abs=1e-15)
+    assert ledger.pairs == [(2, 3, pytest.approx(-dw, abs=1e-15))]
+    derived = ledger.child_cost(res.cost, state)
+    fresh = node_cost(state)
+    assert np.allclose(derived.matrix, fresh.matrix, rtol=0.0, atol=1e-15)
+    # the clause now reads -v0 - v2 + v3 at weight 1/8
+    assert fresh.matrix[0, 1:].tolist() == pytest.approx([1 / 8, -1 / 8])
+    assert derived.diag_sum == pytest.approx(fresh.diag_sum, abs=1e-15)
+    assert derived.const_offset == pytest.approx(fresh.const_offset,
+                                                 abs=1e-15)
+    assert_ledger_matches_dense(ledger, state, tol=0.0)
+    assert ledger.dual_bound() <= 0.0
+
+
 def test_delta_vector_matches_dense_difference():
     rng = np.random.default_rng(11)
     for seed in range(30):
@@ -263,16 +288,18 @@ def test_shift_ledger_matches_direct_recomputation(seed):
 
 def exact_cost(state, index):
     """The node's zero-diagonal cost matrix over `index` in exact rational
-    arithmetic, walked clause by clause."""
+    arithmetic, walked clause by clause, each clause priced at its current
+    length (priced_length)."""
     pos = {v: p for p, v in enumerate(index)}
     cost = [[Fraction(0)] * len(index) for _ in index]
     for j, clause in enumerate(state.instance.clauses):
         if state.clause_status[j] != ACTIVE:
             continue
-        w = Fraction(1, 4 * clause.length)
-        entries = [(0, state.s0[j])] + [
-            (pos[abs(lit)], 1 if lit > 0 else -1) for lit in clause.lits
-            if state.assignment[abs(lit)] == FREE]
+        free = [(pos[abs(lit)], 1 if lit > 0 else -1) for lit in clause.lits
+                if state.assignment[abs(lit)] == FREE]
+        length = priced_length(state, clause)
+        w = Fraction(1, 4 * length)
+        entries = [(0, -1 - (length - len(free)))] + free
         for t, (pa, sa) in enumerate(entries):
             for pb, sb in entries[t + 1:]:
                 cost[pa][pb] += sa * sb * w
@@ -287,10 +314,24 @@ def assert_within(matrix, exact, bound):
             assert abs(Fraction(value) - want) <= bound
 
 
+def wide_literal(state, data):
+    """A free literal, drawn, of an active clause with three or more free
+    literals; None when there is no such clause."""
+    wide = [clause for j, clause in enumerate(state.instance.clauses)
+            if state.clause_status[j] == ACTIVE
+            and sum(state.assignment[abs(lit)] == FREE
+                    for lit in clause.lits) >= 3]
+    if not wide:
+        return None
+    return next(lit for lit in data.draw(st.sampled_from(wide)).lits
+                if state.assignment[abs(lit)] == FREE)
+
+
 @st.composite
 def mixed_formulas(draw):
-    """n = 4..10 with clauses of length 2, 3 or both, m = n..4n."""
-    lengths = draw(st.sampled_from(((2,), (3,), (2, 3))))
+    """n = 4..10 with clauses of length 2, 3 or both, or 3 and 4,
+    m = n..4n."""
+    lengths = draw(st.sampled_from(((2,), (3,), (2, 3), (3, 4))))
     n = draw(st.integers(4, 10))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     clauses = []
@@ -308,10 +349,13 @@ def test_child_cost_matches_fresh_build(inst, data):
     """Along a path of up to depth_limit assignments below a solved root,
     the child cost derived from the root's has the fresh build's columns,
     entries within entry_error of the exact costs (as the fresh build's
-    are) and the same bound terms.  The path starts by satisfying a clause
-    with at least three free literals when there is one, so that clauses
-    leave with two or more literals free.  Expansion then tests the root's
-    children and leaves the root's matrix bit for bit as it was."""
+    are) and the same bound terms, and the shifted certificate is PSD for
+    the child (dense oracle) with a bound at most the child's optimum.
+    The path starts, where there are clauses with at least three free
+    literals, by setting one of their literals false (an f >= 3 -> f - 1
+    rescaling step) and then one true, so that clauses leave with two or
+    more literals free.  Expansion then tests the root's children and
+    leaves the root's matrix bit for bit as it was."""
     n = inst.num_vars
     cfg = SolverConfig(seed=data.draw(st.integers(0, 99)))
     engine = Searcher(inst, cfg)
@@ -326,21 +370,22 @@ def test_child_cost_matches_fresh_build(inst, data):
     root_bytes = root.matrix.tobytes()
     ledger = ShiftLedger(res.cert)
 
-    wide = [j for j, clause in enumerate(inst.clauses)
-            if state.clause_status[j] == ACTIVE
-            and sum(state.assignment[abs(lit)] == FREE
-                    for lit in clause.lits) >= 3]
     path = []
-    if wide:
-        lit = next(lit for lit in inst.clauses[data.draw(
-            st.sampled_from(wide))].lits if state.assignment[abs(lit)] == FREE)
-        path.append((abs(lit), TRUE if lit > 0 else FALSE))
-    rest = [v for v in data.draw(st.permutations(state.free_vars()))
-            if not path or v != path[0][0]]
-    path += [(v, data.draw(st.sampled_from((TRUE, FALSE)))) for v in rest]
-    path = path[:min(cfg.depth_limit, state.free_count - 1)]
-    for var, value in path:
+    for step in range(min(cfg.depth_limit, state.free_count - 1)):
+        lit = wide_literal(state, data) if step < 2 else None
+        if lit is not None:
+            # first a literal false (a rescaling step), then one true
+            var = abs(lit)
+            value = TRUE if (lit > 0) == (step == 1) else FALSE
+        else:
+            var = data.draw(st.sampled_from(state.free_vars()))
+            value = data.draw(st.sampled_from((TRUE, FALSE)))
+        path.append((var, value))
         ledger.apply(state, var, value, assign(state, ws, var, value))
+        snap = ledger.cert_snapshot()
+        assert dense_sdp_check(state, lam=snap.lam).min_eig >= 0.0
+        assert snap.dual_bound <= min_unsat_completion(
+            inst, state.assignment) + 1e-9
         derived = ledger.child_cost(root, state)
         fresh = node_cost(state)
         assert np.array_equal(derived.index, fresh.index)
@@ -377,9 +422,11 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
     """Along a random DFS path below a root solved densely or sparsely,
     each step's running figures match from-scratch ones: the tracker's
     objective and clipped sum those of a freshly rebuilt z-cache, and the
-    ledger's O(1) bound its materialized certificate's.  Unwinding the
-    path restores the ledger's lists and sums and the tracker's losses
-    bit for bit."""
+    ledger's O(1) bound its materialized certificate's.  Where a clause has
+    three or more free literals, the path starts by setting one of them
+    false (an f >= 3 -> f - 1 rescaling step).  Unwinding the path
+    restores the ledger's lists and sums and the tracker's losses bit for
+    bit."""
     n = inst.num_vars
     engine = Searcher(inst, SolverConfig(seed=data.draw(st.integers(0, 99))))
     state, ws = engine.state, engine.ws
@@ -396,8 +443,11 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
     root_ledger = ledger_state(ledger)
     root_losses = (list(losses.losses), losses.objective, losses.positive)
 
-    path = [(v, data.draw(st.sampled_from((TRUE, FALSE))))
-            for v in data.draw(st.permutations(state.free_vars()))]
+    lit = wide_literal(state, data)
+    path = [] if lit is None else [(abs(lit), FALSE if lit > 0 else TRUE)]
+    path += [(v, data.draw(st.sampled_from((TRUE, FALSE))))
+             for v in data.draw(st.permutations(state.free_vars()))
+             if not path or v != path[0][0]]
     path = path[:data.draw(st.integers(1, len(path)))]
     for var, value in path:
         before = losses.objective

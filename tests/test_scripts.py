@@ -58,6 +58,28 @@ def test_sweep_cutoff_smoke():
         assert all(float(x) > 0.0 for x in row)
 
 
+def test_pool_counts_smoke():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "pool_counts.py"),
+         "--n", "8", "--m", "40", "--length", "3", "--first", "3",
+         "--count", "2", "--oracle"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert result["seeds"] == [3, 5]
+    assert result["statuses"] == ["OPTIMUM", "OPTIMUM"]
+    assert result["optima"] == result["oracle"]
+    counters = result["counters"]
+    assert "wall_time" not in counters
+    assert counters["nodes_popped"] >= 2
+    assert all(isinstance(value, int) for value in counters.values())
+
+
 def test_perfbench_trace_targets_exist():
     """Every name the benchmark's tracer wraps is still where it looks it
     up, so a rename cannot leave `--trace 1` without its spans."""

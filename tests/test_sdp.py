@@ -18,8 +18,9 @@ from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
 from sdpsat.oracle import brute_force, dense_sdp_check, min_unsat_completion
 from sdpsat import sdp
 from sdpsat.rounding import node_unsat, round_once
-from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, ZCache, certificate,
-                        clause_loss, cost_entries, default_rank,
+from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, LossTracker, ZCache,
+                        active_losses, certificate, clause_loss,
+                        cost_entries, default_rank,
                         dual_from_primal, init_factor, mixing_sweep,
                         node_cost, objective, pruning_certificate, solve,
                         sparse_objective, sparse_sweep, sweep_plan)
@@ -46,6 +47,13 @@ def integral_factor(instance, values, k=3):
     for v in range(1, instance.num_vars + 1):
         cols[v, 0] = float(values[v])
     return Factor(cols)
+
+
+def priced_length(state, clause):
+    """The length a clause is priced at, walked from the assignment: with
+    f of its L literals free, min(L, max(f, 2))."""
+    free = sum(state.assignment[abs(lit)] == FREE for lit in clause.lits)
+    return min(clause.length, max(free, 2))
 
 
 def counting(monkeypatch, owner, name):
@@ -127,6 +135,95 @@ def test_loss_case_table_exhaustive():
                     assert loss < -1e-12
 
 
+def test_loss_case_table_at_partial_nodes():
+    """Every clause of 1-4 literals, every partial assignment that leaves it
+    active (the assigned literals false) and every completion of it: priced
+    at its current length the loss is 1 when all free literals are false,
+    0 when exactly one is true or when f <= 2 and the clause is satisfied,
+    and at most 0 otherwise.  Read from a LossTracker seeded at the node,
+    one moved there from the root, the z-cache rebuilt at the node, one
+    moved there by assign_update and the dense oracle."""
+    checked = 0
+    for length in range(1, 5):
+        for signs in itertools.product((1, -1), repeat=length):
+            lits = [s * (i + 1) for i, s in enumerate(signs)]
+            inst = instance_from_clauses(length, [lits])
+            for false in itertools.product((False, True), repeat=length):
+                free = [lit for lit, gone in zip(lits, false) if not gone]
+                if not free:
+                    continue
+                for values in itertools.product((1, -1), repeat=len(free)):
+                    full = [1] + [-s for s in signs]
+                    for lit, value in zip(free, values):
+                        full[abs(lit)] = value
+                    factor = integral_factor(inst, full)
+                    state, ws = NodeState(inst), WatchedStack(inst)
+                    moved_tracker = LossTracker(state, factor)
+                    moved_zc = ZCache(inst, factor.k)
+                    moved_zc.rebuild(state, factor)
+                    for lit, gone in zip(lits, false):
+                        if gone:
+                            var = abs(lit)
+                            moved = assign(state, ws, var, full[var])
+                            moved_tracker.move(state, moved)
+                            moved_zc.assign_update(state, factor, var, moved)
+                    zc = ZCache(inst, factor.k)
+                    zc.rebuild(state, factor)
+                    losses = [LossTracker(state, factor).losses[0],
+                              moved_tracker.losses[0],
+                              active_losses(state, zc)[0],
+                              active_losses(state, moved_zc)[0],
+                              dense_sdp_check(state, factor).objective]
+                    n_true = sum((lit > 0) == (full[abs(lit)] > 0)
+                                 for lit in free)
+                    if n_true == 0:
+                        want = 1.0
+                    elif n_true == 1 or len(free) <= 2:
+                        want = 0.0
+                    else:
+                        assert max(losses) <= 1e-12, (lits, false, values)
+                        checked += 1
+                        continue
+                    assert losses == pytest.approx([want] * 5, abs=1e-12), (
+                        lits, false, values)
+                    checked += 1
+    # per sign pattern: sum over f >= 1 of C(L, f) 2^f = 3^L - 1 cases
+    assert checked == sum(2 ** length * (3 ** length - 1)
+                          for length in range(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=small_formulas(), data=st.data())
+def test_node_objective_at_completions(inst, data):
+    """At a random partial node with at most four free variables, the node
+    objective at each integral completion (tracker and z-form) is at most
+    that completion's unsat count, and equal to it when no active clause
+    has three or more free literals."""
+    n = inst.num_vars
+    state, ws = NodeState(inst), WatchedStack(inst)
+    path = data.draw(st.permutations(range(1, n + 1)))
+    for var in path[:data.draw(st.integers(max(n - 4, 0), n))]:
+        assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))
+    exact = all(state.clause_status[j] != ACTIVE
+                or sum(state.assignment[abs(lit)] == FREE
+                       for lit in clause.lits) <= 2
+                for j, clause in enumerate(inst.clauses))
+    free = state.free_vars()
+    zc = ZCache(inst, 3)
+    for values in itertools.product((1, -1), repeat=len(free)):
+        full = list(state.assignment)
+        for var, value in zip(free, values):
+            full[var] = value
+        factor = integral_factor(inst, full)
+        zc.rebuild(state, factor)
+        unsat = evaluate(inst, full)
+        for value in (LossTracker(state, factor).objective,
+                      objective(state, factor, zc)):
+            assert value <= unsat + 1e-9
+            if exact:
+                assert value == pytest.approx(unsat, abs=1e-9)
+
+
 def test_objective_no_active_clauses():
     inst = parse_dimacs("p cnf 1 3\n0\n0\n0")
     state, ws, factor, zc = fresh_solver_state(inst)
@@ -190,7 +287,8 @@ def test_zcache_consistent_after_sweeps(seed):
 def sequential_sweep(state, factor, zcache, order):
     """The column-at-a-time sweep: each free column in `order` in turn."""
     V, z = factor.cols, zcache.z
-    lengths = state.instance.lengths
+    lengths = [priced_length(state, clause)
+               for clause in state.instance.clauses]
     for i in order:
         if state.assignment[i] != FREE:
             continue
@@ -579,13 +677,14 @@ def test_repaired_certificate_psd_without_tolerance():
 def z_based_multipliers(state, factor, zcache):
     """The raw multipliers as summed over the z-cache rows: ||g_i|| with
     g_i the sum over the live entries of column i of
-    coeff * w * (z_j - coeff * v_i)."""
+    coeff * w * (z_j - coeff * v_i), w at the clause's current length."""
     live = state.live_entries(state.active_mask())
     clause, var = state.lit_clause[live], state.lit_var[live]
-    coeff = state.lit_coeffs()[live]
+    _, truth, weight = state.clause_terms()
+    coeff = state.lit_coeffs(truth)[live]
     rows = zcache.z[clause] - coeff[:, None] * factor.cols[var]
     g = np.zeros_like(factor.cols)
-    np.add.at(g, var, (coeff * state.weight[clause])[:, None] * rows)
+    np.add.at(g, var, (coeff * weight[clause])[:, None] * rows)
     return np.linalg.norm(g, axis=1)
 
 
@@ -843,12 +942,14 @@ def test_node_arrays_match_clause_walks(inst, data):
     for j, clause in enumerate(inst.clauses):
         if state.clause_status[j] != ACTIVE:
             continue
-        row = state.s0[j] * V[0]
-        for lit in clause.lits:
-            if state.assignment[abs(lit)] == FREE:
-                row = row + (V[lit] if lit > 0 else -V[-lit])
+        length = priced_length(state, clause)
+        free = [lit for lit in clause.lits
+                if state.assignment[abs(lit)] == FREE]
+        row = (-1 - (length - len(free))) * V[0]
+        for lit in free:
+            row = row + (V[lit] if lit > 0 else -V[-lit])
         assert np.allclose(zc.z[j], row, rtol=0.0, atol=1e-12)
-        losses.append(clause_loss(zc.z[j], clause.length))
+        losses.append(clause_loss(zc.z[j], length))
     assert engine.clipped_loss() == pytest.approx(
         state.base_unsat + math.fsum(x for x in losses if x > 0.0), abs=1e-12)
     dense = dense_sdp_check(state, factor)
