@@ -6,23 +6,23 @@ child's relaxation optimum.
 
 Dual side: assigning variables moves clause coefficients in the truth
 row/column of the cost matrix (entries delta_i per free column i) and
-changes free-free pair coefficients in two cases (each clause is priced at
-its current length L', see sdp):
-
-- a clause satisfied with f >= 2 free literals left drops its pairs, a
-  change of -s_a s_b w per pair;
-- a literal of a clause going false with f >= 2 free literals left moves
-  the clause from L' = f + 1 to L' = f, so its weight grows from
-  w = 1/(4(f + 1)) to w' = 1/(4f) with its truth coefficient still -1:
-  every pair changes by s_a s_b (w' - w), and each truth-row entry by
-  -s_i (w' - w), a delta move.
+changes free-free pair coefficients.  Each active clause is priced at its
+current length L' (see sdp); NodeState.price tabulates, per clause length
+L and free count f, its truth coefficient t, its weight w and its shares
+of the folded diagonal and of the loss constants.  One rule covers every
+transition: a moved clause goes from f + 1 free literals to f, so its
+price goes from price[L][f + 1] to price[L][f] while it stays active and
+to zero once it leaves, and the step adds the difference: s_i (t'w' - t w)
+to the truth-row entry of each free column i, s_a s_b (w' - w) to each
+free pair when f >= 2, and the shares' differences to the folded diagonal
+and the constant offset (plus 1, its loss, for a falsified clause).
 
 Shifting the parent multipliers by
 
     xi_0 = ||delta||_1,   xi_i = |delta_i| + eta_i,
     eta_i = sum of |change| over the changed pairs holding column i,
 
-i.e. (f - 1) w per dropped clause and (f - 1)(w' - w) per rescaled one
+i.e. (f - 1)|w' - w| per moved clause with f >= 2 free literals
 containing i, adds a diagonally dominant (hence PSD) matrix on top of the
 change, so the shifted certificate stays feasible for the child without a
 new solve.  The same moves give the child's cost matrix itself: the root's
@@ -37,8 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .instance import (FALSIFIED, FREE, SATISFIED, NodeState,
-                       current_length)
+from .instance import ACTIVE, FALSIFIED, FREE, NodeState
 from .sdp import DualCert, NodeCost, pair_matrix
 
 
@@ -73,10 +72,11 @@ class ShiftLedger:
     lam is the root's multipliers with the assigned columns zeroed; delta and
     eta are the accumulated shift terms per column.  All three are Python
     lists with running sums, so dual_bound is O(1).  apply makes one pass
-    over the clauses an assignment moved, in scalar steps, and saves every
-    entry and sum it overwrites, so revert is exact.  It also records each
-    free-free pair change (a, b, signed change) of a clause it satisfies or
-    rescales with two or more literals free, which child_cost adds.
+    over the clauses an assignment moved, in scalar steps, and saves the
+    sums, the assigned column's lam and, per column it touches, the
+    (column, delta, eta) it overwrites, so revert is exact.  It also
+    records each free-free pair change (a, b, signed change) of a moved
+    clause with two or more literals free, which child_cost adds.
     cert_snapshot materializes the shifted certificate, the only place a
     child certificate is built; child_cost derives the child's cost
     matrix.
@@ -101,25 +101,22 @@ class ShiftLedger:
         """Account for one assignment (state already updated; `moved` is
         instance.assign's transition list).
 
-        Per moved clause, priced at its current length L' with truth
-        coefficient s0' and weight w before the move: a satisfied clause
-        moves the truth-row entry of each of its f free columns by -s0' s w
-        and, with f >= 2, drops their pairs (change -s_a s_b w, eta
-        (f - 1) w on each column); a literal gone false that leaves f >= 2
-        free columns rescales the clause to w' = 1/(4f) (truth-row moves
-        -s (w' - w), pair changes s_a s_b (w' - w), eta (f - 1)(w' - w) on
-        each column); one that leaves a single free column moves its
-        truth-row entry by -s w; a falsified clause moves only the folded
-        diagonal and the constant offset.
+        Each moved clause had f + 1 free literals and has f now.  Its old
+        price is state.price[L][f + 1] and its new one price[L][f] while it
+        is still active, zero once it left (price[L][0]); the step adds the
+        difference: diag' - diag to the folded diagonal, const - const' to
+        the constant offset (plus 1 for a falsified clause), s (tw' - tw) to
+        the truth-row entry of each free column and, with f >= 2 free,
+        s_a s_b (w' - w) to each free pair, with eta (f - 1)|w' - w| on
+        each of their columns.
         """
         lam, delta, eta = self.lam, self.delta, self.eta
         assignment, s0 = state.assignment, state.s0
-        clause_lits, length_w = state.clause_lits, state.length_w
+        clause_lits, price = state.clause_lits, state.price
         pairs = self.pairs
-        saved = [(lam, var, lam[var]), (delta, var, delta[var]),
-                 (eta, var, eta[var])]
+        saved = [(var, delta[var], eta[var])]
         save = saved.append
-        self._undo.append((saved, len(pairs), self.lam_sum,
+        self._undo.append((saved, lam[var], len(pairs), self.lam_sum,
                            self.abs_delta_sum, self.eta_sum, self.diag_sum,
                            self.const_offset))
         lam_sum = self.lam_sum - lam[var]
@@ -128,47 +125,20 @@ class ShiftLedger:
         lam[var] = delta[var] = eta[var] = 0.0
         d_diag = 0.0
         d_offset = 0.0
-        for j, _, new_status in moved:
+        for j, sign, new_status in moved:
             lits = clause_lits[j]
             size = len(lits)
-            if new_status == FALSIFIED:
-                # the assigned variable was the last free one; priced at
-                # current_length(size, 1) with truth coefficient -length
-                length = current_length(size, 1)
-                w = length_w[length]
-                d_diag -= (length * length + 1) * w
-                d_offset += 1.0 + (length - 1) ** 2 * w
-                continue
-            # s0 absorbed +1 (satisfied) or -1 (a literal false); before
-            # that, size + 1 + s0 counted the free literals, one more than
-            # the f left now.  Each free column's truth-row entry moves by
-            # s * truth, each free pair's entry by s_a s_b * pair.
-            s0_old = s0[j] - 1 if new_status == SATISFIED else s0[j] + 1
-            f = size + s0_old
-            if new_status == SATISFIED:
-                length = current_length(size, f + 1)
-                coeff = s0_old + size - length  # truth coefficient before
-                w = length_w[length]
-                truth, pair = -coeff * w, -w
-                d_diag -= (coeff * coeff + f + 1) * w
-                d_offset += (length - 1) ** 2 * w
-            elif f >= 2:
-                # a literal went false: priced at current_length f + 1
-                # before and f now, truth coefficient -1 on both, so every
-                # entry scales from weight w to w'
-                w, w_new = length_w[f + 1], length_w[f]
-                pair = w_new - w
-                truth = -pair
-                d_diag += (f + 1) * w_new - (f + 2) * w
-                d_offset += f * f * w - (f - 1) ** 2 * w_new
-            else:
-                # a literal went false, one left: priced at two literals
-                # before and now, truth coefficient s0 + size - 2 now
-                w = length_w[2]
-                truth = -w
-                # s0'_new^2 - s0'_old^2 - 1 with s0'_old = s0'_new + 1
-                d_diag -= 2 * (s0[j] + size - 1) * w
+            # s0 absorbed value * sign: L + 1 + s0 free before, one fewer now
+            f = size + s0[j] - value * sign
+            row = price[size]
+            _, _, w, tw, diag, const, _ = row[f + 1]
+            _, _, w_new, tw_new, diag_new, const_new, _ = row[
+                f if new_status == ACTIVE else 0]
+            d_diag += diag_new - diag
+            d_offset += const - const_new + (new_status == FALSIFIED)
+            truth = tw_new - tw
             if f >= 2:
+                pair = w_new - w
                 # |pair| on both ends of each of a column's f - 1 pairs
                 e = (f - 1) * abs(pair)
                 eta_sum += f * e
@@ -178,12 +148,11 @@ class ShiftLedger:
                 if assignment[v] != FREE:
                     continue
                 old = delta[v]
-                save((delta, v, old))
+                save((v, old, eta[v]))
                 new = old + truth if lit > 0 else old - truth
                 delta[v] = new
                 abs_sum += abs(new) - abs(old)
                 if f >= 2:
-                    save((eta, v, eta[v]))
                     eta[v] += e
                     free.append(lit)
             if f >= 2:
@@ -197,10 +166,13 @@ class ShiftLedger:
         self.const_offset += d_offset
 
     def revert(self) -> None:
-        (saved, num_pairs, self.lam_sum, self.abs_delta_sum, self.eta_sum,
-         self.diag_sum, self.const_offset) = self._undo.pop()
-        for entries, v, old in reversed(saved):
-            entries[v] = old
+        (saved, lam_var, num_pairs, self.lam_sum, self.abs_delta_sum,
+         self.eta_sum, self.diag_sum, self.const_offset) = self._undo.pop()
+        delta, eta = self.delta, self.eta
+        for v, old_delta, old_eta in reversed(saved):
+            delta[v] = old_delta
+            eta[v] = old_eta
+        self.lam[saved[0][0]] = lam_var
         del self.pairs[num_pairs:]
 
     def dual_bound(self) -> float:

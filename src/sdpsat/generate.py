@@ -9,7 +9,13 @@ from .instance import Instance, instance_from_clauses
 
 def random_clauses(num_vars: int, num_clauses: int, length: int,
                    rng: np.random.Generator) -> list[list[int]]:
-    """Uniform clauses: `length` distinct variables each, signs fair coins."""
+    """Uniform clauses: `length` distinct variables each, signs fair coins.
+    Raises ValueError on a negative clause count or a length below 1 or
+    above num_vars."""
+    if num_clauses < 0:
+        raise ValueError(f"negative clause count {num_clauses}")
+    if length < 1:
+        raise ValueError(f"clause length {length} is below 1")
     if length > num_vars:
         raise ValueError(f"clause length {length} exceeds {num_vars} variables")
     clauses = []

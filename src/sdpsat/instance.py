@@ -10,10 +10,13 @@ time one of its literals is assigned true/false.  A clause is falsified exactly
 when s0 reaches -1 - L (all L literals assigned, none true).  While it is
 active, each literal gone false has taken 1 off s0, so the clause has
 f = L + 1 + s0 free literals.  The relaxation prices it as a clause of its
-current length L' = min(L, max(f, 2)) with L' - f literals false: its truth
-coefficient is -1 - (L' - f) = s0 + L - L'.  That is s0 itself for a
-clause of at most two literals or with none false; a longer clause with
-some literal false has -1 while f >= 2 and -2 at f = 1 (see sdp).
+current length L' = min(L, max(f, 2)) (current_length, the one place the
+rule is computed) with L' - f literals false: its truth coefficient is
+-1 - (L' - f) = s0 + L - L' and its weight 1/(4L').  That is s0 itself
+for a clause of at most two literals or with none false; a longer clause
+with some literal false has -1 while f >= 2 and -2 at f = 1 (see sdp).
+NodeState.clause_terms applies the rule to every clause at once, and
+NodeState.price tabulates it per (L, f) for the scalar steps of a DFS.
 """
 
 from __future__ import annotations
@@ -189,11 +192,12 @@ def parse_dimacs(text: str) -> Instance:
     return instance_from_clauses(num_vars, clause_lists)
 
 
-def current_length(length: int, free: int) -> int:
+def current_length(length, free):
     """The length an active clause of `length` literals with `free` of them
-    free is priced at: min(length, max(free, 2)) (NodeState.clause_terms
-    computes it for every clause at once)."""
-    return length if free >= length else (free if free > 2 else 2)
+    free is priced at, elementwise over arrays: min(length, max(free, 2)).
+    The one definition of the rule; NodeState's price table and
+    clause_terms read it."""
+    return np.minimum(length, np.maximum(free, 2))
 
 
 class NodeState:
@@ -208,11 +212,20 @@ class NodeState:
     entries of one clause (pair_a before pair_b), it turns whole-node sums
     into array arithmetic masked by the active clauses and free columns.  A
     clause of length L has L(L+1)/2 pairs, in a run that starts at
-    `pair_first[j]`.  The loss weight of a clause priced at length L' is
-    `length_weight[L']` = 1/(4L') (clause_terms gives each clause's L').
-    For the scalar steps of a DFS below a solved root the node also keeps
-    each clause's literal tuple (`clause_lits`) and the weights
-    (`length_w`) as plain Python values.
+    `pair_first[j]`.  clause_terms gives every clause's current length L',
+    truth coefficient and weight 1/(4L') as arrays.
+
+    For the scalar steps of a DFS below a solved root the node keeps each
+    clause's literal tuple (`clause_lits`) and one price table as plain
+    Python values: `price[L][f]`, for a clause of L literals with f >= 1
+    free, is the tuple (L', t, w, t w, (t^2 + f) w, (L' - 1)^2 w,
+    t^2 + f - (L' - 1)^2) with L' = current_length(L, f), truth
+    coefficient t = f - 1 - L' and weight w = 1/(4L'): what the clause adds
+    to the folded diagonal and to the loss constants, and the integer part
+    of its loss at unit columns.  `price[L][0]` is all zeros, the price of
+    a clause that left the active set.  Every step prices a moved clause
+    as the difference of two entries (bounds.ShiftLedger, sdp.LossTracker,
+    sdp.ZCache); rows exist for the lengths the formula has.
 
     The variables are also colored by DSatur so that two variables sharing
     a clause never share a color.  A proper coloring of the whole formula
@@ -223,9 +236,9 @@ class NodeState:
 
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
-                 "lit_sign", "clause_len", "length_weight", "length_w",
-                 "pair_a", "pair_b", "pair_first", "clause_lits", "color",
-                 "class_entries", "entry_error")
+                 "lit_sign", "clause_len", "price", "pair_a", "pair_b",
+                 "pair_first", "clause_lits", "color", "class_entries",
+                 "entry_error")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -239,11 +252,16 @@ class NodeState:
         self.free_count = n
 
         self.clause_len = np.array(instance.lengths, dtype=np.intp)
-        # 1/(4L) at index L; index 0 is never read (no active clause is empty)
-        longest = max(instance.lengths, default=0)
-        self.length_w = [0.0] + [1.0 / (4.0 * length)
-                                 for length in range(1, longest + 1)]
-        self.length_weight = np.array(self.length_w)
+        self.price = [[] for _ in range(max(instance.lengths, default=0) + 1)]
+        for length in set(instance.lengths):
+            row = self.price[length] = [(0, 0, 0.0, 0.0, 0.0, 0.0, 0)]
+            free = np.arange(1, length + 1)
+            for f, cur in zip(free.tolist(),
+                              current_length(length, free).tolist()):
+                t = f - 1 - cur
+                w = 1.0 / (4.0 * cur)
+                row.append((cur, t, w, t * w, (t * t + f) * w,
+                            (cur - 1) ** 2 * w, t * t + f - (cur - 1) ** 2))
         size = self.clause_len + 1
         total = int(size.sum())
         lits = np.fromiter(
@@ -342,8 +360,8 @@ class NodeState:
         clauses."""
         s0 = np.array(self.s0, dtype=np.intp)
         length = self.clause_len
-        current = np.minimum(length, np.maximum(length + 1 + s0, 2))
-        return current, s0 + (length - current), self.length_weight[current]
+        current = current_length(length, length + 1 + s0)
+        return current, s0 + (length - current), 1.0 / (4.0 * current)
 
     def lit_coeffs(self, truth: np.ndarray | None = None) -> np.ndarray:
         """Per-entry coefficient: the clause's truth coefficient (`truth`,

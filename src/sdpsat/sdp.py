@@ -21,7 +21,8 @@ satisfied clause with all of its f = t free literals true, 2 <= t < L,
 would earn (t - 1)(t - L) / L < 0; at L' it earns 0, the tightest value.
 For L <= 2, L' = L and s0' = s0: the Goemans-Williamson MAX2SAT form.
 NodeState.clause_terms gives each clause's L', truth coefficient and
-weight.
+weight, and NodeState.price the same terms per (L, f) for the scalar steps
+below a solved root.
 
 Minimizing one column with the rest held fixed has a closed form: with C
 the node's zero-diagonal cost matrix over its columns, the new column is
@@ -78,8 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import (ACTIVE, FALSIFIED, FREE, SATISFIED, NodeState,
-                       current_length)
+from .instance import ACTIVE, FALSIFIED, FREE, NodeState
 
 ZERO_UPDATE_NORM = 1e-12
 # unit roundoff and the smallest positive (subnormal) double
@@ -191,41 +191,37 @@ class ZCache:
         """Apply the coefficient move for one assignment to the cached rows.
 
         `moved` is the transition list returned by instance.assign (already
-        applied to the state).  Returns (undo, d_objective): saved rows to
-        restore on backtrack and the change in the active-loss objective.
+        applied to the state).  A clause with f + 1 free literals before
+        and f after reads L' and t from state.price[L][f + 1] and, still
+        active, price[L][f]: z_j moves by (t' - t) v_0 - s v_var.  Returns
+        (undo, d_objective): saved rows to restore on backtrack and the
+        change in the active-loss objective.
         """
         V = factor.cols
         v0 = V[0]
         vv = V[var]
         z = self.z
-        lengths = self.instance.lengths
-        s0 = state.s0
+        value = state.assignment[var]
+        lengths, s0, price = self.instance.lengths, state.s0, state.price
         undo = []
         d_obj = 0.0
         for j, sign, new_status in moved:
             L = lengths[j]
             zj = z[j]
-            # free literals before the move, L + 1 + s0 with s0 as it was
-            # before absorbing +1 (satisfied) or -1 (a literal false)
-            free = L + (s0[j] if new_status == SATISFIED else s0[j] + 2)
-            old_len = current_length(L, free)
-            old_loss = clause_loss(zj, old_len)
-            if new_status == ACTIVE:
-                # literal assigned false: drop the column term; the truth
-                # coefficient s0 + L - L' moves by -1 + (old L' - new L')
-                new_len = current_length(L, free - 1)
-                undo.append((j, zj.copy()))
-                if sign > 0:
-                    zj -= vv
-                else:
-                    zj += vv
-                if new_len == old_len:
-                    zj -= v0
-                d_obj += clause_loss(zj, new_len) - old_loss
-            elif new_status == FALSIFIED:
-                d_obj += 1.0 - old_loss
-            else:  # satisfied: clause leaves the active objective
-                d_obj -= old_loss
+            # s0 absorbed value * sign: L + 1 + s0 free before, one fewer now
+            free = L + 1 + s0[j] - value * sign
+            row = price[L]
+            length, t = row[free][:2]
+            old_loss = clause_loss(zj, length)
+            if new_status != ACTIVE:
+                # a falsified clause's loss becomes 1, a satisfied one leaves
+                d_obj += (new_status == FALSIFIED) - old_loss
+                continue
+            new_length, new_t = row[free - 1][:2]
+            undo.append((j, zj.copy()))
+            zj -= sign * vv
+            zj += (new_t - t) * v0
+            d_obj += clause_loss(zj, new_length) - old_loss
         return undo, d_obj
 
     def revert(self, undo) -> None:
@@ -250,12 +246,13 @@ class LossTracker:
     factor's dot product over every pair of the literal table that is live
     at the root (truth pairs included) in one vectorized pass; an
     assignment only kills entries, so no other pair is read below the root.
-    move() then reprices each moved clause from its L(L+1)/2 pairs in
-    scalar steps, and keeps the objective (base_unsat plus the active
-    losses) and the sum of positive active losses running; revert()
-    restores them exactly.  `losses[j]` is meaningful only while clause j
-    is active.  The factor's columns must stay as they were at the seed, as
-    they do during an expansion.  No z-cache is read or written.
+    move() then reprices each moved clause from its L(L+1)/2 pairs and its
+    entry of NodeState.price in scalar steps, and keeps the objective
+    (base_unsat plus the active losses) and the sum of positive active
+    losses running; revert() restores them exactly.  `losses[j]` is
+    meaningful only while clause j is active.  The factor's columns must
+    stay as they were at the seed, as they do during an expansion.  No
+    z-cache is read or written.
     """
 
     __slots__ = ("dots", "losses", "objective", "positive", "_undo")
@@ -286,10 +283,14 @@ class LossTracker:
     def move(self, state: NodeState, moved) -> float:
         """Reprice the clauses of one assignment's transition list `moved`
         (instance.assign's, already applied); returns the objective change.
-        A falsified clause's loss becomes 1 and a satisfied one leaves."""
+        An active clause with f free takes its coefficients, weight w and
+        integer part base from state.price[L][f]: its loss is
+        (base + 2 cross) w, cross the coefficient-weighted sum of its pair
+        dot products.  A clause that left has loss 1 when falsified and
+        leaves the objective when satisfied."""
         losses, dots = self.losses, self.dots
-        assignment, s0 = state.assignment, state.s0
-        clause_lits, length_w = state.clause_lits, state.length_w
+        assignment = state.assignment
+        clause_lits, price = state.clause_lits, state.price
         pair_first = state.pair_first
         saved = []
         d_obj = 0.0
@@ -298,36 +299,31 @@ class LossTracker:
             old = losses[j]
             if old > 0.0:
                 positive -= old
-            if new_status == ACTIVE:
-                lits = clause_lits[j]
-                coeff = [0]
-                free = 0
-                for lit in lits:
-                    if assignment[abs(lit)] != FREE:
-                        coeff.append(0)
-                    else:
-                        free += 1
-                        coeff.append(1 if lit > 0 else -1)
-                L = len(lits)
-                size = current_length(L, free)
-                coeff[0] = s0[j] + L - size
-                pairs = clause_pairs(L)
-                t = pair_first[j]
-                cross = 0.0
-                for (p, q), dot in zip(pairs, dots[t:t + len(pairs)]):
-                    cross += coeff[p] * coeff[q] * dot
-                # unit columns: ||z||^2 = s0'^2 + free + 2 cross
-                new = ((coeff[0] * coeff[0] + free - (size - 1) ** 2
-                        + 2.0 * cross) * length_w[size])
-                saved.append((j, old))
-                losses[j] = new
-                if new > 0.0:
-                    positive += new
-                d_obj += new - old
-            elif new_status == FALSIFIED:
-                d_obj += 1.0 - old
-            else:  # satisfied: the clause leaves the active objective
-                d_obj -= old
+            if new_status != ACTIVE:
+                d_obj += (new_status == FALSIFIED) - old
+                continue
+            lits = clause_lits[j]
+            coeff = [0]
+            free = 0
+            for lit in lits:
+                if assignment[abs(lit)] != FREE:
+                    coeff.append(0)
+                else:
+                    free += 1
+                    coeff.append(1 if lit > 0 else -1)
+            L = len(lits)
+            _, coeff[0], w, _, _, _, base = price[L][free]
+            pairs = clause_pairs(L)
+            t = pair_first[j]
+            cross = 0.0
+            for (p, q), dot in zip(pairs, dots[t:t + len(pairs)]):
+                cross += coeff[p] * coeff[q] * dot
+            new = (base + 2.0 * cross) * w
+            saved.append((j, old))
+            losses[j] = new
+            if new > 0.0:
+                positive += new
+            d_obj += new - old
         self._undo.append((saved, self.objective, self.positive))
         self.objective += d_obj
         self.positive = positive
@@ -433,17 +429,21 @@ def entry_error_bound(state: NodeState) -> float:
     coeff_a * coeff_b * w_j per active clause j holding both columns
     (|s0'_j| <= L'_j and w_j = 1/(4 L'_j) at the clause's current length),
     rounded twice (w_j, then the product).  Derived along a DFS path
-    (bounds.ShiftLedger), each such clause adds at most one term per other
-    literal assigned on the path: a truth-row move when it goes false or
-    satisfies the clause (at most L_j - 1 for an entry whose columns stay
-    free), a pair rescaled by s_a s_b (w' - w) when it goes false and
-    leaves f >= 2 free literals (at most L_j - 2), and the pair dropped
-    once when the clause is satisfied.  A rescale term (w' - w, with
-    w' = 1/(4f) > w = 1/(4(f + 1))) is within u (w' + w) + u (w' - w) =
-    2 u w' <= u / 4 of exact.  So an entry has at most L_j terms per
-    clause holding both of its columns, and no more than N = (most
-    occurrences of one variable) * (longest clause + 1) in all; its error
-    is below gamma_{2N+2} * N / 4.
+    (bounds.ShiftLedger), each assignment on the path adds to an entry one
+    price difference per moved clause holding both of its columns: the
+    clause's t'w' - t w on a truth-row entry, w' - w on a pair (signed by
+    the literals, between the entries of NodeState.price for its f + 1 and
+    f free literals, zero once it left).  That is at most L_j - 1 terms
+    per clause for an entry whose columns stay free, one per other literal
+    of the clause assigned on the path, the one that satisfies it
+    included.  A difference to a zero price is -t w or -w, within
+    gamma_2 / 4 of exact.  One that keeps the clause with f >= 2 free has
+    t = t' = -1 and w' = 1/(4f) > w = 1/(4(f + 1)): within
+    u (w' + w) + u (w' - w) = 2 u w' <= u / 4.  One that leaves f = 1 has
+    L' = 2 and w = w' = 1/8 on both sides, t going from -1 to -2: exact.
+    So an entry has at most L_j terms per clause holding both of its
+    columns, and no more than N = (most occurrences of one variable) *
+    (longest clause + 1) in all; its error is below gamma_{2N+2} * N / 4.
     """
     occurrences = np.bincount(state.lit_var)[1:]
     terms = (int(occurrences.max(initial=0))

@@ -329,9 +329,10 @@ def wide_literal(state, data):
 
 @st.composite
 def mixed_formulas(draw):
-    """n = 4..10 with clauses of length 2, 3 or both, or 3 and 4,
+    """n = 4..10 with clauses of length 2, 3 or both, 1 to 3, or 3 and 4,
     m = n..4n."""
-    lengths = draw(st.sampled_from(((2,), (3,), (2, 3), (3, 4))))
+    lengths = draw(st.sampled_from(((2,), (3,), (2, 3), (1, 2, 3),
+                                    (3, 4))))
     n = draw(st.integers(4, 10))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     clauses = []

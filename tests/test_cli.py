@@ -180,6 +180,21 @@ def test_generate_length_exceeds_n(capsys):
     assert "invalid generator setting" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "3", "--m", "-1"],
+    ["bench", "--gen-count", "1", "--gen-n", "3", "--gen-m", "2",
+     "--gen-length", "0"],
+    ["bench", "--gen-count", "1", "--gen-n", "3", "--gen-m", "-1"],
+])
+def test_generator_rejects_bad_counts(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert ("invalid generator setting" in err
+            or "bench input error" in err)
+    assert "Traceback" not in err
+
+
 def test_seed_env_var_flag_wins(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tri.cnf"
     path.write_text(TRIANGLE)

@@ -58,6 +58,22 @@ def test_sweep_cutoff_smoke():
         assert all(float(x) > 0.0 for x in row)
 
 
+def test_step_cost_smoke():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "step_cost.py"),
+         "--n", "8", "--m", "30", "--length", "3", "--count", "2",
+         "--rounds", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, row = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["n", "m", "length", "roots", "steps", "us_per_step"]
+    assert row[:5] == ["8", "30", "3", "2", "16"]
+    assert float(row[5]) > 0.0
+
+
 def test_pool_counts_smoke():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

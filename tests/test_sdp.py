@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
                              WatchedStack, assign, evaluate,
-                             instance_from_clauses, parse_dimacs)
+                             instance_from_clauses, parse_dimacs,
+                             unassign_to)
 from sdpsat.oracle import brute_force, dense_sdp_check, min_unsat_completion
 from sdpsat import sdp
 from sdpsat.rounding import node_unsat, round_once
@@ -190,6 +192,38 @@ def test_loss_case_table_at_partial_nodes():
     # per sign pattern: sum over f >= 1 of C(L, f) 2^f = 3^L - 1 cases
     assert checked == sum(2 ** length * (3 ** length - 1)
                           for length in range(1, 5))
+
+
+def test_price_table_matches_rule():
+    """Every entry price[L][f], 1 <= f <= L <= 5, against the rule walked
+    from the assignment (priced_length) in exact arithmetic: L', t and the
+    integer part exactly, w within one rounding of 1/(4L') and each
+    product within one rounding of its exact value at the table's w.
+    price[L][0], the price of a clause that left, is all zeros."""
+    clauses = [[first + i for i in range(length)]
+               for length, first in zip(range(1, 6), (1, 2, 4, 7, 11))]
+    inst = instance_from_clauses(15, clauses)
+    state, ws = NodeState(inst), WatchedStack(inst)
+    u = Fraction(2) ** -53
+    for clause in inst.clauses:
+        length = clause.length
+        assert not any(state.price[length][0])
+        for free in range(1, length + 1):
+            mark = state.mark()
+            for var in clause.lits[free:]:
+                assign(state, ws, var, FALSE)
+            current = priced_length(state, clause)
+            unassign_to(state, ws, mark)
+            t = -1 - (current - free)
+            cur, t_table, w, tw, diag, const, base = state.price[length][free]
+            assert (cur, t_table) == (current, t)
+            assert base == t * t + free - (current - 1) ** 2
+            exact_w = Fraction(1, 4 * current)
+            assert abs(Fraction(w) - exact_w) <= u * exact_w
+            w = Fraction(w)
+            for value, factor in ((tw, t), (diag, t * t + free),
+                                  (const, (current - 1) ** 2)):
+                assert abs(Fraction(value) - factor * w) <= u * abs(factor * w)
 
 
 @settings(max_examples=100, deadline=None)
