@@ -41,27 +41,31 @@ from .instance import ACTIVE, FALSIFIED, FREE, NodeState
 from .sdp import DualCert, NodeCost, pair_matrix
 
 
+# guard against float noise at integer boundaries in the prune tests
+PRUNE_TOL = 1e-6
+
+
 class Decision(Enum):
     PRUNE = "prune"
     EXPAND = "expand"
     SOLVE = "solve"
 
 
-def prune_floor(best_known: int, tol: float = 1e-6) -> float:
-    """The prune line: a lower bound above it has a ceiling (guarded by tol)
-    that meets the incumbent, so the node cannot improve on it."""
-    return best_known - 1 + tol
+def prune_floor(best_known: int) -> float:
+    """The prune line: a lower bound above it has a ceiling (guarded by
+    PRUNE_TOL) that meets the incumbent, so the node cannot improve on
+    it."""
+    return best_known - 1 + PRUNE_TOL
 
 
-def decide(primal: float, dual: float, best_known: int,
-           tol: float = 1e-6) -> Decision:
+def decide(primal: float, dual: float, best_known: int) -> Decision:
     """Prune if the dual is above the prune floor; expand while the primal
     shows the subtree cannot be pruned by its own solve; otherwise solve.
-    The primal test allows `tol` too, so a primal that ties the incumbent
-    up to rounding expands however it was summed."""
-    if dual > prune_floor(best_known, tol):
+    The primal test allows PRUNE_TOL too, so a primal that ties the
+    incumbent up to rounding expands however it was summed."""
+    if dual > prune_floor(best_known):
         return Decision.PRUNE
-    if primal <= best_known + tol:
+    if primal <= best_known + PRUNE_TOL:
         return Decision.EXPAND
     return Decision.SOLVE
 
@@ -77,9 +81,8 @@ class ShiftLedger:
     (column, delta, eta) it overwrites, so revert is exact.  It also
     records each free-free pair change (a, b, signed change) of a moved
     clause with two or more literals free, which child_cost adds.
-    cert_snapshot materializes the shifted certificate, the only place a
-    child certificate is built; child_cost derives the child's cost
-    matrix.
+    cert_snapshot materializes the shifted certificate; child_cost derives
+    the child's cost matrix.
     """
 
     __slots__ = ("lam", "delta", "eta", "lam_sum", "abs_delta_sum",
@@ -180,7 +183,7 @@ class ShiftLedger:
                 + self.diag_sum + self.const_offset)
 
     def cert_snapshot(self) -> DualCert:
-        """Materialize the current shifted certificate (for audits)."""
+        """Materialize the current shifted certificate."""
         abs_delta = np.abs(self.delta)
         lam = np.array(self.lam) + abs_delta + np.array(self.eta)
         lam[0] += abs_delta.sum()

@@ -37,7 +37,7 @@ def _seed_from(args) -> int:
         if env.strip().isdecimal():
             return int(env)
         print(f"ignoring bad SDPSAT_SEED={env!r}", file=sys.stderr)
-    return 0
+    return SolverConfig.seed
 
 
 def _config_from(args) -> SolverConfig | None:
@@ -193,20 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="MAXSAT solving via a low-rank semidefinite relaxation "
                     "inside branch and bound")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SolverConfig
 
     def solver_flags(p):
         p.add_argument("--mode", choices=("complete", "incomplete"),
                        default="complete")
-        p.add_argument("--timeout", type=float, default=None,
+        p.add_argument("--timeout", type=float, default=defaults.time_limit,
                        help="wall-clock limit in seconds")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (SDPSAT_SEED honored when omitted)")
-        p.add_argument("--eps", type=float, default=1e-2,
+        p.add_argument("--eps", type=float, default=defaults.eps,
                        help="relaxation precision target in unsat units")
-        p.add_argument("--rank", type=int, default=None,
+        p.add_argument("--rank", type=int, default=defaults.rank,
                        help="factor rank override")
-        p.add_argument("--depth-limit", type=int, default=8)
-        p.add_argument("--rounding-c", type=float, default=4.0,
+        p.add_argument("--depth-limit", type=int,
+                       default=defaults.depth_limit)
+        p.add_argument("--rounding-c", type=float, default=defaults.rounding_c,
                        help="rounding trials per root: c * sqrt(free)")
 
     p_solve = sub.add_parser("solve", help="solve one DIMACS file")
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit a random instance")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--length", type=int, default=2, choices=(1, 2, 3))
+    p_gen.add_argument("--length", type=int, default=2)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=cmd_generate)

@@ -449,19 +449,16 @@ def unassign_to(state: NodeState, ws: WatchedStack, trail_mark: int) -> None:
         state.free_count += 1
 
 
-def evaluate(instance: Instance, values, *, count_touches: bool = False):
+def evaluate(instance: Instance, values) -> int:
     """Count clauses with every literal false under a full +/-1 assignment.
 
     values is indexed by variable (slot 0 unused).  Runs one pass over the
-    clause-literal relation; with count_touches the literal-visit total is
-    returned alongside for the O(nnz) bound checks.
+    clause-literal relation, reading values once per literal.
     """
     unsat = instance.empty_count
-    touches = 0
     for cl in instance.clauses:
         satisfied = False
         for lit in cl.lits:
-            touches += 1
             if lit > 0:
                 if values[lit] > 0:
                     satisfied = True
@@ -469,6 +466,4 @@ def evaluate(instance: Instance, values, *, count_touches: bool = False):
                 satisfied = True
         if not satisfied:
             unsat += 1
-    if count_touches:
-        return unsat, touches
     return unsat

@@ -7,6 +7,7 @@ from sys import float_info
 
 import numpy as np
 
+from .config import SolverConfig
 from .instance import FREE, NodeState
 from .sdp import Factor, past
 
@@ -37,7 +38,8 @@ def round_once(factor: Factor, state: NodeState,
     return trial_values(factor, state, r)[:, 0].tolist()
 
 
-def rounding_budget(free_count: int, c: float = 4.0) -> int:
+def rounding_budget(free_count: int,
+                    c: float = SolverConfig.rounding_c) -> int:
     """ceil(c * sqrt(free_count)) trials, finite for every finite c; 0
     when nothing is free."""
     if free_count < 0:

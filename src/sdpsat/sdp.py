@@ -79,6 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SolverConfig
 from .instance import ACTIVE, FALSIFIED, FREE, NodeState
 
 ZERO_UPDATE_NORM = 1e-12
@@ -91,6 +92,8 @@ PRUNE_SLACK = 1e-9
 # dense cost matrix; above it a dense class step costs more than the sparse
 # one (see solve)
 DENSE_MAX_COLUMNS = 256
+# sweeps a solve runs at most unless its caller asks for another cap
+MAX_SWEEPS = 400
 
 
 def gamma(k: int) -> float:
@@ -788,11 +791,12 @@ def past(deadline: float | None) -> bool:
 
 
 def solve(state: NodeState, factor: Factor, zcache: ZCache,
-          eps: float = 1e-2, max_sweeps: int = 400, order=None,
-          deadline: float | None = None,
+          eps: float = SolverConfig.eps, max_sweeps: int | None = None,
+          order=None, deadline: float | None = None,
           floor: float | None = None) -> SdpResult:
     """Sweep until the estimated distance to the optimum drops below eps,
-    max_sweeps run out, the deadline passes or a certificate prunes.
+    max_sweeps (by default MAX_SWEEPS, read at each call) run out, the
+    deadline passes or a certificate prunes.
 
     The distance is estimated from the per-sweep decreases delta_t assuming a
     linear rate: gap ~ delta_t * rho / (1 - rho) with rho = delta_t /
@@ -834,6 +838,8 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if max_sweeps is None:
+        max_sweeps = MAX_SWEEPS
     dense = state.free_count < DENSE_MAX_COLUMNS
     entries = cost_entries(state, order)
     cost = None

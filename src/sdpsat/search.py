@@ -21,10 +21,11 @@ LossTracker its primal side and the anytime priority; neither a step nor
 a solve reads the z-cache.
 
 Every prune compares a bound with one number, the floor best_unsat - 1 +
-ceil_tol.  A prune decided by a certificate is verified by one Cholesky
-(sdp.pruning_certificate); only the final certificate of a root solve that
-neither pruned nor hit the deadline is eigen-repaired, because it seeds the
-ShiftLedger that prices the root's children.
+PRUNE_TOL (bounds.prune_floor).  A prune decided by a certificate is
+verified by one Cholesky (sdp.pruning_certificate); only the final
+certificate of a root solve that neither pruned nor hit the deadline is
+eigen-repaired, because it seeds the ShiftLedger that prices the root's
+children.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class Searcher:
 
     def floor(self) -> float:
         """The prune line under the current incumbent."""
-        return prune_floor(self.best_unsat, self.cfg.ceil_tol)
+        return prune_floor(self.best_unsat)
 
     def prunes(self, bound: float) -> bool:
         """The dual prune test: the bound is above the floor."""
@@ -178,8 +179,8 @@ class Searcher:
 
     def solve_root(self):
         res = solve(self.state, self.factor, self.zcache, eps=self.cfg.eps,
-                    max_sweeps=self.cfg.max_sweeps, order=self.order,
-                    deadline=self.deadline, floor=self.floor())
+                    order=self.order, deadline=self.deadline,
+                    floor=self.floor())
         self.stats.sdp_solves += 1
         self.stats.dense_solves += res.dense
         self.stats.sweeps_total += res.sweeps_used
@@ -229,12 +230,12 @@ class Searcher:
         positive active losses (what clipped_loss computes from scratch).
         Neither reads the z-cache.  A deadline that stops the DFS with
         branches left sets cut_short."""
-        state, ws, cfg = self.state, self.ws, self.cfg
+        state, ws = self.state, self.ws
         ledger = ShiftLedger(res.cert)
         losses = LossTracker(state, self.factor)
         root_path = tuple(self.cur_path)
         split_vars = [v for v in self.order
-                      if state.assignment[v] == FREE][:cfg.depth_limit]
+                      if state.assignment[v] == FREE][:self.cfg.depth_limit]
         children: list[SearchNode] = []
         prefer = self.best.assignment if self.best is not None else None
         incomplete = self.mode == INCOMPLETE
@@ -248,9 +249,6 @@ class Searcher:
                 if cert is not None:
                     self.stats.prunes_by_dual += 1
                     self.stats.child_cert_prunes += 1
-                    if cfg.bound_recorder is not None:
-                        cfg.bound_recorder(tuple(self.cur_path),
-                                           cert.dual_bound)
                     return
             # a running sum of non-negative terms may drift below zero
             priority = (state.base_unsat + max(losses.positive, 0.0)
@@ -261,9 +259,6 @@ class Searcher:
                 primal=losses.objective,
                 dual=dual, priority=priority,
                 depth=node_depth + depth))
-            if cfg.transition_recorder is not None:
-                cfg.transition_recorder(tuple(self.cur_path),
-                                        ledger.cert_snapshot())
 
         def descend(depth: int) -> None:
             var = split_vars[depth]
@@ -280,10 +275,7 @@ class Searcher:
                     self.update_best(list(state.assignment), state.base_unsat)
                 else:
                     dual = max(ledger.dual_bound(), state.base_unsat)
-                    if cfg.bound_recorder is not None:
-                        cfg.bound_recorder(tuple(self.cur_path), dual)
-                    verdict = decide(losses.objective, dual, self.best_unsat,
-                                     cfg.ceil_tol)
+                    verdict = decide(losses.objective, dual, self.best_unsat)
                     if verdict == Decision.PRUNE:
                         self.stats.prunes_by_dual += 1
                     elif depth + 1 >= len(split_vars):

@@ -8,9 +8,12 @@ import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import numpy as np
 
+import sdpsat.search
+from sdpsat.bounds import ShiftLedger
 from sdpsat.cli import main as cli_main
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
@@ -21,8 +24,10 @@ from sdpsat.oracle import (brute_force, brute_force_dense, dense_sdp_check,
                            min_unsat_completion)
 from sdpsat.rounding import best_rounding, rounding_budget
 from sdpsat.sdp import ZCache, clause_loss, solve as sdp_solve
-from sdpsat.search import OPTIMUM, Searcher, solve_complete, solve_incomplete
+from sdpsat.search import (OPTIMUM, Searcher, SearchNode, solve_complete,
+                           solve_incomplete)
 from tests.test_instance import naive_statuses
+from tests.test_search import record_bounds
 from tests.test_sdp import integral_factor
 
 
@@ -45,22 +50,18 @@ def test_criterion_01_exactness_vs_oracle_max2sat():
 
 
 def test_criterion_02_lower_bound_soundness():
+    """The bounds of every decided child and every child dropped by its own
+    certificate, the first 400 of each formula's search."""
     records = []
-
-    def make_recorder(inst, bucket):
-        def recorder(path, dual):
-            if len(bucket) < 400:
-                bucket.append((inst, path, dual))
-        return recorder
-
     seed = 0
     while len(records) < 1200 and seed < 40:
         n = 12 + seed % 3  # n in {12, 13, 14}
         inst = random_instance(n, 5 * n, 3, seed=seed)
         bucket = []
-        cfg = SolverConfig(seed=seed, bound_recorder=make_recorder(inst, bucket))
-        solve_complete(inst, cfg)
-        records.extend(bucket)
+        engine = Searcher(inst, SolverConfig(seed=seed))
+        with record_bounds(engine, bucket):
+            engine.run_complete()
+        records.extend((inst, path, dual) for path, dual in bucket[:400])
         seed += 1
     sample = random.Random(0).sample(records, 1000)
     sound = 0
@@ -119,21 +120,28 @@ def test_criterion_04_monotone_sweeps_and_convergence():
 
 
 def test_criterion_05_dual_warm_start_feasibility():
+    """The expanding root's shifted certificate at every emitted child."""
     collected = []
-
-    def make_recorder(inst):
-        def recorder(path, cert):
-            if len(collected) < 4000:
-                collected.append((inst, path, cert))
-        return recorder
-
     specs = ([(50, 200, 2, s) for s in range(6)]
              + [(30, 120, 3, s) for s in range(4)])
     for n, m, length, seed in specs:
         inst = random_instance(n, m, length, seed=seed)
-        cfg = SolverConfig(seed=seed, time_limit=2.0,
-                           transition_recorder=make_recorder(inst))
-        solve_complete(inst, cfg)
+        ledger = []
+
+        def new_ledger(cert):
+            ledger[:] = [ShiftLedger(cert)]
+            return ledger[0]
+
+        def new_node(*args, **kwargs):
+            node = SearchNode(*args, **kwargs)
+            # the queue's first node is made before any root is expanded
+            if ledger and len(collected) < 4000:
+                collected.append((inst, node.path, ledger[0].cert_snapshot()))
+            return node
+
+        with mock.patch.multiple(sdpsat.search, ShiftLedger=new_ledger,
+                                 SearchNode=new_node):
+            solve_complete(inst, SolverConfig(seed=seed, time_limit=2.0))
     assert len(collected) >= 200, f"only {len(collected)} transitions seen"
     sample = random.Random(1).sample(collected, 200)
     worst = 0.0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpsat import sdp
+from sdpsat import bounds, sdp
 from sdpsat.bounds import Decision, ShiftLedger, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
@@ -81,9 +81,10 @@ def test_decide_primal_tie_within_tol_expands():
     """A primal that ties the incumbent up to rounding expands, whichever
     side of it the rounding fell on; one 2 tol above it is solved."""
     for tol in (1e-6, 1e-9):
-        assert decide(2.0000000000000004, 0.5, 2, tol) == Decision.EXPAND
-        assert decide(2.0 + tol / 2, 0.5, 2, tol) == Decision.EXPAND
-        assert decide(2.0 + 2 * tol, 0.5, 2, tol) == Decision.SOLVE
+        with mock.patch.object(bounds, "PRUNE_TOL", tol):
+            assert decide(2.0000000000000004, 0.5, 2) == Decision.EXPAND
+            assert decide(2.0 + tol / 2, 0.5, 2) == Decision.EXPAND
+            assert decide(2.0 + 2 * tol, 0.5, 2) == Decision.SOLVE
 
 
 def test_primal_init_empty_delta():
@@ -422,8 +423,11 @@ def ledger_state(ledger):
 def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
     """Along a random DFS path below a root solved densely or sparsely,
     each step's running figures match from-scratch ones: the tracker's
-    objective and clipped sum those of a freshly rebuilt z-cache, and the
-    ledger's O(1) bound its materialized certificate's.  Where a clause has
+    objective and clipped sum those of a freshly rebuilt z-cache, the
+    ledger's O(1) bound its materialized certificate's, and the ledger's
+    moves since the root (folded diagonal, constant offset and the
+    truth-row entry of every free column) the independent dense
+    reference's change from the root.  Where a clause has
     three or more free literals, the path starts by setting one of them
     false (an f >= 3 -> f - 1 rescaling step).  Unwinding the path
     restores the ledger's lists and sums and the tracker's losses bit for
@@ -443,6 +447,8 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
     losses = LossTracker(state, factor)
     root_ledger = ledger_state(ledger)
     root_losses = (list(losses.losses), losses.objective, losses.positive)
+    root = dense_sdp_check(state)
+    root_truth = dict(zip(root.index, root.cost[0]))
 
     lit = wide_literal(state, data)
     path = [] if lit is None else [(abs(lit), FALSE if lit > 0 else TRUE)]
@@ -463,6 +469,14 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
             engine.clipped_loss(), abs=1e-9)
         assert ledger.dual_bound() == pytest.approx(
             ledger.cert_snapshot().dual_bound, abs=1e-9)
+        child = dense_sdp_check(state)
+        assert ledger.diag_sum - res.cert.diag_sum == pytest.approx(
+            child.diag_sum - root.diag_sum, abs=1e-9)
+        assert ledger.const_offset - res.cert.const_offset == pytest.approx(
+            child.const_offset - root.const_offset, abs=1e-9)
+        for v, entry in zip(child.index[1:], child.cost[0, 1:]):
+            assert ledger.delta[v] == pytest.approx(entry - root_truth[v],
+                                                    abs=1e-9)
     for _ in path:
         losses.revert()
         ledger.revert()

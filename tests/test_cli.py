@@ -180,11 +180,23 @@ def test_generate_length_exceeds_n(capsys):
     assert "invalid generator setting" in err
 
 
+def test_generate_any_clause_length(capsys):
+    """generate takes any clause length the generator and the solver
+    accept, as bench --gen-length does."""
+    code, out, err = run_cli(["generate", "--n", "6", "--m", "3",
+                              "--length", "4", "--seed", "0"], capsys)
+    assert code == 0 and err == ""
+    inst = parse_dimacs(out)
+    assert inst.num_clauses == 3
+    assert all(cl.length == 4 for cl in inst.clauses)
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--n", "3", "--m", "-1"],
     ["bench", "--gen-count", "1", "--gen-n", "3", "--gen-m", "2",
      "--gen-length", "0"],
     ["bench", "--gen-count", "1", "--gen-n", "3", "--gen-m", "-1"],
+    ["generate", "--n", "3", "--m", "2", "--length", "0"],
 ])
 def test_generator_rejects_bad_counts(argv, capsys):
     code, out, err = run_cli(argv, capsys)

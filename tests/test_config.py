@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from sdpsat.cli import _seed_from, build_parser
 from sdpsat.config import SolverConfig
 
 
@@ -9,11 +11,9 @@ from sdpsat.config import SolverConfig
     ("depth_limit", (1, 8), (0, -3)),
     ("rank", (None, 2, 17), (1, 0, -1)),
     ("eps", (1e-12, 0.5), (0.0, -1e-3, math.nan, math.inf)),
-    ("max_sweeps", (1, 400), (0, -1)),
+    ("seed", (0, 7), (-1,)),
     ("rounding_c", (1e-3, 4.0), (0.0, -1.0, math.nan, math.inf)),
     ("time_limit", (None, 0.0, 2.5), (-0.001, math.nan)),
-    ("seed", (0, 7), (-1,)),
-    ("ceil_tol", (0.0, 1e-6), (-1e-9, math.nan, math.inf)),
 ])
 def test_config_validates_field(field, good, bad):
     for value in good:
@@ -21,3 +21,17 @@ def test_config_validates_field(field, good, bad):
     for value in bad:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+
+
+def test_config_fields_are_the_cli_flags(monkeypatch):
+    """The settings are the six solver flags, and each flag's default is
+    the field's."""
+    monkeypatch.delenv("SDPSAT_SEED", raising=False)
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert fields == ["eps", "rank", "seed", "depth_limit", "rounding_c",
+                      "time_limit"]
+    args = build_parser().parse_args(["solve", "in.cnf"])
+    assert SolverConfig() == SolverConfig(
+        eps=args.eps, rank=args.rank, seed=_seed_from(args),
+        depth_limit=args.depth_limit, rounding_c=args.rounding_c,
+        time_limit=args.timeout)

@@ -118,9 +118,19 @@ def test_evaluate_empty_instance():
 
 
 def test_evaluate_touch_count_is_nnz():
+    """evaluate reads the assignment once per literal occurrence."""
+
+    class Counted(list):
+        lookups = 0
+
+        def __getitem__(self, index):
+            self.lookups += 1
+            return super().__getitem__(index)
+
     inst = random_instance(20, 60, 3, seed=5)
-    unsat, touches = evaluate(inst, [1] * 21, count_touches=True)
-    assert touches == inst.nnz
+    values = Counted([1] * 21)
+    assert evaluate(inst, values) == evaluate(inst, [1] * 21)
+    assert values.lookups == inst.nnz
 
 
 def test_assign_coefficient_move():

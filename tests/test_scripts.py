@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sdpsat import sdp
 from sdpsat.generate import random_clauses, render_dimacs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,6 +116,32 @@ def test_perfbench_layers_run():
     for anytime in (False, True):
         metrics = layers.isolated(text, anytime)
         assert "sdp.cert_repaired_s" in metrics
+        for name, value in metrics.items():
+            assert math.isfinite(value) and value >= 0.0, name
+
+
+def test_perfbench_hooks_install_and_time_both_layouts(monkeypatch):
+    """The benchmark's tracer installs over every name it wraps and puts
+    each original back, and its isolated layer timings run on one formula
+    of each cost layout: dense (n=14) and sparse (n=300, above
+    DENSE_MAX_COLUMNS).  A renamed hook fails here rather than in a
+    benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    layers = importlib.import_module("layers")
+    originals = [vars(owner)[attr] for owner, attr, _ in tracing._targets()]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert originals == [vars(owner)[attr]
+                         for owner, attr, _ in tracing._targets()]
+    for n, m, length, anytime in ((14, 98, 3, False), (300, 1200, 2, True)):
+        assert (n + 1 > sdp.DENSE_MAX_COLUMNS) == (n == 300)
+        text = render_dimacs(n, random_clauses(n, m, length,
+                                               np.random.default_rng(0)))
+        metrics = layers.isolated(text, anytime)
         for name, value in metrics.items():
             assert math.isfinite(value) and value >= 0.0, name
 

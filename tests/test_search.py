@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpsat.search
+from sdpsat import bounds, sdp
 from sdpsat.bounds import Decision, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
@@ -26,6 +27,27 @@ CHAIN = "p cnf 4 3\n-1 2 0\n-2 3 0\n-3 4 0"
 def ceil_bound(x: float, tol: float = 1e-6) -> int:
     """Integer ceiling with a guard against float noise at the boundary."""
     return math.ceil(x - tol)
+
+
+def record_bounds(engine, records):
+    """A patch of the search that appends (path, bound), in search order,
+    for every child its DFS decides (the child's dual) and every child
+    dropped by its own certificate (the certificate's bound)."""
+    real_decide = sdpsat.search.decide
+    real_certificate = sdpsat.search.pruning_certificate
+
+    def decide(primal, dual, best_known):
+        records.append((tuple(engine.cur_path), dual))
+        return real_decide(primal, dual, best_known)
+
+    def pruning_certificate(cost, factor, floor):
+        cert = real_certificate(cost, factor, floor)
+        if cert is not None:
+            records.append((tuple(engine.cur_path), cert.dual_bound))
+        return cert
+
+    return mock.patch.multiple(sdpsat.search, decide=decide,
+                               pruning_certificate=pruning_certificate)
 
 
 def test_complete_triangle():
@@ -154,25 +176,27 @@ def test_complete_optimum_under_time_limit_is_exact():
     assert proved > 0
 
 
-@pytest.mark.parametrize("ceil_tol", (0.0, 1e-6))
-def test_prunes_is_the_floor(ceil_tol):
+@pytest.mark.parametrize("tol", (0.0, 1e-6))
+def test_prunes_is_the_floor(tol):
     """The search's prune test, decide's prune verdict and the floor a
     solve is given are one line: a bound prunes exactly when it is above
-    best_unsat - 1 + ceil_tol.  Away from float noise at the floor that is
+    best_unsat - 1 + PRUNE_TOL.  Away from float noise at the floor that is
     the guarded ceiling meeting the incumbent."""
-    engine = Searcher(parse_dimacs(TRIANGLE), SolverConfig(ceil_tol=ceil_tol))
-    for best in (0, 1, 3, 7, 40):
-        engine.best_unsat = best
-        floor = engine.floor()
-        assert floor == best - 1 + ceil_tol
-        near = (floor, floor - 1e-9, floor + 1e-9)
-        for bound in near + tuple(float(b) for b in range(best - 3, best + 3)):
-            verdict = bound > floor
-            assert engine.prunes(bound) == verdict
-            assert (decide(math.inf, bound, best, ceil_tol)
-                    == Decision.PRUNE) == verdict
-            if bound != floor:
-                assert (ceil_bound(bound, ceil_tol) >= best) == verdict
+    engine = Searcher(parse_dimacs(TRIANGLE), SolverConfig())
+    with mock.patch.object(bounds, "PRUNE_TOL", tol):
+        for best in (0, 1, 3, 7, 40):
+            engine.best_unsat = best
+            floor = engine.floor()
+            assert floor == best - 1 + tol
+            near = (floor, floor - 1e-9, floor + 1e-9)
+            for bound in near + tuple(float(b)
+                                      for b in range(best - 3, best + 3)):
+                verdict = bound > floor
+                assert engine.prunes(bound) == verdict
+                assert (decide(math.inf, bound, best)
+                        == Decision.PRUNE) == verdict
+                if bound != floor:
+                    assert (ceil_bound(bound, tol) >= best) == verdict
 
 
 @st.composite
@@ -200,10 +224,10 @@ def small_formulas(draw):
 def test_any_optimum_is_the_true_optimum(inst, mode, max_sweeps, depth_limit,
                                          time_limit, seed):
     engine = Searcher(inst, SolverConfig(
-        seed=seed, max_sweeps=max_sweeps, depth_limit=depth_limit,
-        time_limit=time_limit))
-    status = (engine.run_complete() if mode == COMPLETE
-              else engine.run_incomplete())
+        seed=seed, depth_limit=depth_limit, time_limit=time_limit))
+    with mock.patch.object(sdp, "MAX_SWEEPS", max_sweeps):
+        status = (engine.run_complete() if mode == COMPLETE
+                  else engine.run_incomplete())
     optimum, _ = brute_force(inst)
     if engine.best is not None:
         assert engine.best.unsat >= optimum
@@ -382,17 +406,16 @@ def test_rank_above_columns_is_clamped():
     assert runs[0][1] == brute_force(inst)[0]
 
 
-def test_bound_recorder_hook_sound_on_small_instance():
-    from sdpsat.oracle import min_unsat_completion
-
+def test_recorded_bounds_sound_on_small_instance():
+    """The bound of every decided child, and of every child dropped by its
+    own certificate, is at most the child's exact minimum."""
     checked = 0
     for seed in range(55, 59):
         inst = random_instance(12, 60, 3, seed=seed)
         records = []
-        cfg = SolverConfig(seed=seed,
-                           bound_recorder=lambda path, dual: records.append(
-                               (path, dual)))
-        _, status, _ = solve_complete(inst, cfg)
+        engine = Searcher(inst, SolverConfig(seed=seed))
+        with record_bounds(engine, records):
+            status = engine.run_complete()
         assert status == OPTIMUM
         for path, dual in records[:50]:
             values = [0] * 13
@@ -414,16 +437,19 @@ def test_children_dropped_by_own_certificate_are_sound(
     """Every child that expansion drops by its own certificate, in a search
     started from a random incumbent count, has a certificate that is PSD by
     the dense probe without tolerance, that passes the prune test, and whose
-    ceiling is at most the child's exact minimum; the bound recorder sees
-    each of them."""
-    records = []
-    engine = Searcher(inst, SolverConfig(
-        seed=seed, max_sweeps=max_sweeps, depth_limit=depth_limit,
-        bound_recorder=lambda path, dual: records.append((path, dual))))
+    ceiling is at most the child's exact minimum; each of them was decided
+    (by bounds.decide) before it was tested."""
+    decided = set()
+    engine = Searcher(inst, SolverConfig(seed=seed, depth_limit=depth_limit))
     engine.best_unsat = data.draw(st.integers(
         0, inst.num_clauses + inst.empty_count + 1))
     dropped = []
     real = sdpsat.search.pruning_certificate
+    real_decide = sdpsat.search.decide
+
+    def recorded_decide(primal, dual, best_known):
+        decided.add(tuple(engine.cur_path))
+        return real_decide(primal, dual, best_known)
 
     def audited(cost, factor, floor):
         cert = real(cost, factor, floor)
@@ -435,7 +461,9 @@ def test_children_dropped_by_own_certificate_are_sound(
                             min_unsat_completion(inst, state.assignment)))
         return cert
 
-    with mock.patch.object(sdpsat.search, "pruning_certificate", audited):
+    with mock.patch.multiple(sdpsat.search, pruning_certificate=audited,
+                             decide=recorded_decide), \
+            mock.patch.object(sdp, "MAX_SWEEPS", max_sweeps):
         if mode == COMPLETE:
             engine.run_complete()
         else:
@@ -445,4 +473,4 @@ def test_children_dropped_by_own_certificate_are_sound(
         assert min_eig >= 0.0
         assert ceil_bound(bound) >= best_unsat
         assert ceil_bound(bound) <= exact
-        assert (path, bound) in records
+        assert path in decided
