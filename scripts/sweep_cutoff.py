@@ -3,10 +3,11 @@
 
 For each size n, takes the root of a random MAX2SAT formula (m = 4n,
 default rank) and times sdp.dense_sweep on the dense matrix (node_cost)
-and sdp.sparse_sweep on the rows (sweep_plan), each from the same start
-factor, plus the setup each layout costs once per solve.  The crossover
-is where sdp.DENSE_MAX_COLUMNS belongs.  BLAS runs on one thread, set
-before numpy loads.
+and sdp.sparse_sweep on the nonzero entries of its rows (sweep_plan),
+each from the same start factor, plus the setup each layout costs once
+per solve: node_cost for the dense one, sweep_plan(node_cost) for the
+sparse one.  The crossover is where sdp.DENSE_MAX_COLUMNS belongs.  BLAS
+runs on one thread, set before numpy loads.
 
 Output: one whitespace-separated row per size on stdout, times in us:
 n, rank, dense sweep, sparse sweep, dense setup, sparse setup.
@@ -58,7 +59,7 @@ def main() -> int:
         start = sdp.init_factor(n, k, args.seed)
         order = list(range(1, n + 1))
         cost = sdp.node_cost(state, order)
-        plan = sdp.sweep_plan(sdp.cost_entries(state, order))
+        plan = sdp.sweep_plan(cost)
         dense_factor, sparse_factor = start.copy(), start.copy()
         dense = per_call_us(lambda: sdp.dense_sweep(cost, dense_factor),
                             args.sweeps, args.rounds)
@@ -67,7 +68,7 @@ def main() -> int:
         dense_setup = per_call_us(lambda: sdp.node_cost(state, order), 1,
                                   args.rounds)
         sparse_setup = per_call_us(
-            lambda: sdp.sweep_plan(sdp.cost_entries(state, order)), 1,
+            lambda: sdp.sweep_plan(sdp.node_cost(state, order)), 1,
             args.rounds)
         print(f"{n} {k} {dense:.1f} {sparse:.1f} {dense_setup:.1f} "
               f"{sparse_setup:.1f}", flush=True)

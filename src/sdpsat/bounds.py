@@ -217,4 +217,4 @@ class ShiftLedger:
             pos[index] = np.arange(len(index))
             matrix += pair_matrix(pos[a], pos[b], value, len(index))
         return NodeCost(index, matrix, self.diag_sum, self.const_offset,
-                        root.entry_error, state.active_mask())
+                        root.entry_error)

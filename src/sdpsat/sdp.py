@@ -32,22 +32,21 @@ time, as one array step: columns of one class share no clause, so C is
 zero on the class's own block, and updating them together is exactly the
 column-at-a-time (Gauss-Seidel) sweep in class order.
 
-C depends only on the assignment.  cost_entries computes its entries (one
-per live pair of an active clause) and the assignment-only bound terms,
-with its columns in sweep order: the truth column, then the free columns
-class by class.  Both layouts are built from them: node_cost stores C
-densely, sweep_plan by rows (each swept member's distinct neighbour
-columns and values).  A node of at most DENSE_MAX_COLUMNS (256) columns
-sweeps on the dense matrix (dense_sweep: one class step is the product
-C[class rows] V), a larger one on the rows (sparse_sweep: one gather, one
-multiply and one reduceat over the class's nonzeros); at small sizes the
-dense product costs less, above a few hundred columns more (measured in
-solve).  A solve computes the entries once, and lays C out densely before
-its first sweep (dense) or at its first certificate (sparse); it returns
-the dense cost, and a child's C is derived from its root's and keeps the
-root's column order (bounds.ShiftLedger.child_cost).  A solve sweeps
-until the estimated gap drops below eps, max_sweeps run out, the deadline
-passes, or a certificate taken between sweeps prunes.
+C depends only on the assignment.  node_cost, its one builder, sums its
+entries (one per live pair of an active clause) into a dense matrix, with
+its columns in sweep order (the truth column, then the free columns class
+by class), and computes the assignment-only bound terms; NodeCost is the
+one record of them.  A solve builds it once, before its first sweep, on
+either layout.  A node of at most DENSE_MAX_COLUMNS (256) columns sweeps
+on the dense matrix (dense_sweep: one class step is the product C[class
+rows] V), a larger one on the nonzero entries of each class's rows of C
+(sweep_plan, then sparse_sweep: one gather, one multiply and one
+reduceat per class); at small sizes the dense product costs less, above a
+few hundred columns more (measured in solve).  A solve returns its cost,
+and a child's C is derived from its root's and keeps the root's column
+order (bounds.ShiftLedger.child_cost).  A solve sweeps until the
+estimated gap drops below eps, max_sweeps run out, the deadline passes,
+or a certificate taken between sweeps prunes.
 
 The dual certificate reads the dense C.  The row norms of C V are the
 per-column update magnitudes; at a sweep fixed point they are feasible
@@ -410,9 +409,9 @@ class NodeCost:
     The would-be diagonal is folded into `diag_sum`; `const_offset` is
     base_unsat minus the per-clause loss constants.  `entry_error` bounds
     how far any entry of `matrix` is from its exact value, for this cost and
-    for every cost derived from it, and `active` masks the active clauses
-    it covers.  A cost is valid only while the node's assignment is
-    unchanged.
+    for every cost derived from it.  Every solve builds one before its
+    first sweep and returns it (SdpResult.cost).  A cost is valid only
+    while the node's assignment is unchanged.
     """
 
     index: np.ndarray
@@ -420,7 +419,6 @@ class NodeCost:
     diag_sum: float
     const_offset: float
     entry_error: float
-    active: np.ndarray
     slices: tuple = ()
 
 
@@ -467,32 +465,8 @@ def pair_matrix(pa: np.ndarray, pb: np.ndarray, value: np.ndarray,
     return matrix.astype(float, copy=False).reshape(dim, dim)
 
 
-@dataclass(frozen=True, slots=True)
-class CostEntries:
-    """The node's cost entries and assignment-only bound terms, before
-    either layout of C (node_cost: dense, sweep_plan: by rows).
-
-    `index` lists the node's columns in sweep order and `slices` each
-    swept class's positions in it, as NodeCost's.  Entry t is the term
-    coeff_a * coeff_b * w_j (`value[t]`) of one live pair of an active
-    clause j, at positions (`a[t]`, `b[t]`) of `index`, which differ;
-    entries sharing a cell are not summed yet.  `diag_sum`,
-    `const_offset`, `entry_error` and `active` are NodeCost's.
-    """
-
-    index: np.ndarray
-    slices: tuple
-    a: np.ndarray
-    b: np.ndarray
-    value: np.ndarray
-    diag_sum: float
-    const_offset: float
-    entry_error: float
-    active: np.ndarray
-
-
-def cost_entries(state: NodeState, order=None) -> CostEntries:
-    """The node's cost entries, computed from scratch: the one builder of
+def node_cost(state: NodeState, order=None) -> NodeCost:
+    """The node's cost matrix, computed from scratch: the one builder of
     C, with each active clause's coefficients, weight and constant at its
     current length.  The free columns follow class_order, by variable
     within a class, then those of classes not swept."""
@@ -520,26 +494,12 @@ def cost_entries(state: NodeState, order=None) -> CostEntries:
     const = (lengths[active] - 1) ** 2 * weight[active]
     if state.entry_error is None:
         state.entry_error = entry_error_bound(state)
-    return CostEntries(index, slices, pos[state.lit_var[a]],
-                       pos[state.lit_var[b]], value,
-                       diag_sum=math.fsum(diag.tolist()),
-                       const_offset=(state.base_unsat
-                                     - math.fsum(const.tolist())),
-                       entry_error=state.entry_error, active=active)
-
-
-def node_cost(state: NodeState, order=None,
-              entries: CostEntries | None = None) -> NodeCost:
-    """The node's cost matrix: its cost_entries for `order` laid out
-    densely.  `entries` are those entries when the caller already has
-    them (a sparse solve); otherwise they are computed here."""
-    if entries is None:
-        entries = cost_entries(state, order)
-    matrix = pair_matrix(entries.a, entries.b, entries.value,
-                         len(entries.index))
-    return NodeCost(entries.index, matrix, entries.diag_sum,
-                    entries.const_offset, entries.entry_error,
-                    entries.active, entries.slices)
+    matrix = pair_matrix(pos[state.lit_var[a]], pos[state.lit_var[b]],
+                         value, len(index))
+    return NodeCost(index, matrix, diag_sum=math.fsum(diag.tolist()),
+                    const_offset=(state.base_unsat
+                                  - math.fsum(const.tolist())),
+                    entry_error=state.entry_error, slices=slices)
 
 
 def dense_objective(cost: NodeCost, W: np.ndarray) -> float:
@@ -569,50 +529,42 @@ def dense_sweep(cost: NodeCost, factor: Factor) -> float:
     return dense_objective(cost, W)
 
 
-def sweep_plan(entries: CostEntries) -> list:
+def sweep_plan(cost: NodeCost) -> list:
     """C stored by rows, for the sweeps of one solve: per swept class with
-    a live entry, in sweep order, (members, columns, values, starts).
+    a nonzero entry, in sweep order, (members, columns, values, starts).
 
-    The members are the class's free variables with a live entry, sorted
-    by variable as in the dense layout.  Each member's row lists its
-    distinct neighbour columns (the truth column included) as variables,
-    with entries sharing a cell summed; `starts` marks where each row
-    begins.  Every live entry has a truth-column partner, so no row is
+    The members are the class's columns whose row of C has a nonzero
+    entry, as variables in the dense layout's order.  Each member's row
+    lists the columns of its nonzero entries (the truth column included)
+    as variables, and `starts` marks where each row begins, so no row is
     empty (np.add.reduceat would return the next element, not zero, for
-    an empty one).  A plan is valid only while the node's assignment is
-    unchanged.
+    an empty one).  A zero row has a zero update: its column stays put,
+    as ZERO_UPDATE_NORM keeps it in the dense sweep.
     """
-    index, dim = entries.index, len(entries.index)
-    cells = np.concatenate((entries.a * dim + entries.b,
-                            entries.b * dim + entries.a))
-    cells, slot = np.unique(cells, return_inverse=True)
-    values = np.bincount(slot, np.concatenate((entries.value, entries.value)),
-                         minlength=len(cells))
-    rows, columns = np.divmod(cells, dim)
-    steps = []
-    for lo, hi in entries.slices:
-        start, stop = np.searchsorted(rows, (lo, hi)).tolist()
-        if start == stop:
+    index, steps = cost.index, []
+    for lo, hi in cost.slices:
+        block = cost.matrix[lo:hi].ravel()
+        # a flat scan of a mask: np.nonzero on the 2-d float rows costs
+        # about 8x more (16 against 2 ms over all of a 1601 x 1601 C)
+        cells = np.flatnonzero(block != 0.0)
+        if not len(cells):
             continue
-        members, starts = np.unique(rows[start:stop], return_index=True)
-        steps.append((index[members], index[columns[start:stop]],
-                      values[start:stop, None], starts))
+        rows, columns = np.divmod(cells, len(index))
+        members, starts = np.unique(rows, return_index=True)
+        steps.append((index[lo + members], index[columns],
+                      block[cells, None], starts))
     return steps
 
 
-def sparse_objective(entries: CostEntries, factor: Factor) -> float:
-    """The objective at the factor, summed exactly (fsum): const_offset +
-    diag_sum + twice the sum over entries of value * v_a . v_b."""
-    V, index = factor.cols, entries.index
-    dots = np.vecdot(V[index[entries.a]], V[index[entries.b]])
-    terms = (2.0 * entries.value * dots).tolist()
-    return math.fsum(terms + [entries.const_offset, entries.diag_sum])
-
-
 def sparse_sweep(plan: list, factor: Factor) -> float:
-    """dense_sweep on C stored by rows (sweep_plan): one class step is
-    g = C[class] V as one gather, one multiply and one reduceat over the
-    class's nonzeros.  Members with ||g|| below ZERO_UPDATE_NORM are kept.
+    """dense_sweep on the nonzero entries of C's rows (sweep_plan): one
+    class step is g = C[class] V as one gather, one multiply and one
+    reduceat over the class's nonzeros.  Members with ||g|| below
+    ZERO_UPDATE_NORM are kept.  Every step gathers into one buffer: a
+    fresh one per step is handed back to the system and faulted in again
+    (4.8k page faults in the sweeps of a MAX2SAT n=400 root solve, 105k at
+    n=1600, against 4 and 888); mode="clip" writes the gather into it
+    unbuffered, and every column index is in range.
 
     Returns the objective's decrease over the pass, 2 * sum over the moved
     members of (||g|| + g . v_old): C has a zero diagonal, so moving v_i
@@ -620,9 +572,13 @@ def sparse_sweep(plan: list, factor: Factor) -> float:
     v_old), and the members of a class do not interact.
     """
     V = factor.cols
+    work = np.empty((max((len(step[1]) for step in plan), default=0),
+                     factor.k))
     drop = 0.0
     for members, columns, values, starts in plan:
-        g = np.add.reduceat(values * V.take(columns, axis=0), starts)
+        rows = V.take(columns, axis=0, out=work[:len(columns)], mode="clip")
+        rows *= values
+        g = np.add.reduceat(rows, starts)
         norm = np.sqrt(np.vecdot(g, g))
         moved = norm >= ZERO_UPDATE_NORM
         if not moved.all():
@@ -658,13 +614,13 @@ class SdpResult:
     sweeps_used: int
     est_gap: float
     converged: bool
+    # the node's cost matrix, built before the first sweep
+    cost: NodeCost
     trace: list = field(default_factory=list)
     # ended early by a certificate whose bound is above the caller's floor
     pruned: bool = False
     # certificates taken, raw ones below the floor included
     certificates: int = 0
-    # the node's cost matrix, None when a sparse solve took no certificate
-    cost: NodeCost | None = None
     # swept on the dense cost matrix (dense_sweep), not its rows
     dense: bool = False
 
@@ -803,20 +759,19 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     delta_{t-1} clamped to [0, 0.999].
 
     Both paths sweep g = C[class] V per color class on the node's cost
-    entries (cost_entries), computed once per solve, and take the same
-    steps in exact arithmetic.  A node of at most DENSE_MAX_COLUMNS
-    columns lays C out densely first, in sweep order (node_cost), and runs
-    dense_sweep, one matrix product per class; its trace reads the
-    objective from C V after every sweep.  A larger node stores C by rows
-    (sweep_plan) and runs sparse_sweep; its trace starts from one exact
-    objective (sparse_objective) and subtracts each sweep's decrease.  The
-    cutoff is measured (scripts/sweep_cutoff.py): on one x86-64 core with
-    one BLAS thread, a sweep of random MAX2SAT at m = 4n costs, sparse
-    against dense, 38 against 19 us at n=28, 82 against 60 us at n=200, 95
-    against 97 us at n=255, 160 against 340 us at n=400 and 425 against
-    1441 us at n=800, and the dense setup grows as the square of the
-    columns.  No solve reads or writes the z-cache: `zcache` is
-    accepted for existing callers and ignored.
+    matrix (node_cost), built once per solve before its first sweep, in
+    sweep order, and take the same steps in exact arithmetic.  Both start
+    the trace at dense_objective.  A node of at most DENSE_MAX_COLUMNS
+    columns runs dense_sweep, one matrix product per class, and reads the
+    objective from C V after every sweep.  A larger node runs sparse_sweep
+    on the nonzero entries of C's rows (sweep_plan) and subtracts each
+    sweep's decrease from the trace.  The cutoff is measured
+    (scripts/sweep_cutoff.py): on one x86-64 core with one BLAS thread, a
+    sweep of random MAX2SAT at m = 4n costs, sparse against dense, 38
+    against 19 us at n=28, 82 against 60 us at n=200, 95 against 97 us at
+    n=255, 160 against 340 us at n=400 and 425 against 1441 us at n=800.
+    No solve reads or writes the z-cache: `zcache` is accepted for
+    existing callers and ignored.
 
     `floor` is the caller's optional prune line: a lower bound above it
     discards the node.  After every unconverged sweep whose objective is
@@ -827,33 +782,27 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     final certificate of a solve that neither pruned nor hit the deadline
     is eigen-repaired: it is the one a ShiftLedger is built from.
 
-    Every certificate of one solve reads one dense cost matrix, built at
-    the start of a dense solve and at the first certificate of a sparse
-    one, and returned as `cost`: no sweep changes the assignment.
+    Every certificate of one solve reads the one cost matrix it swept, and
+    returns it as `cost`: no sweep changes the assignment.
     `certificates` counts the certificates taken, those below the floor
     included.  Any result that did not converge is flagged so; its
     certificate remains a valid bound either way.  Once the deadline has
     passed the solve takes no certificate at all: `cert` is None and the
     bound is -inf.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if max_sweeps is None:
         max_sweeps = MAX_SWEEPS
     dense = state.free_count < DENSE_MAX_COLUMNS
-    entries = cost_entries(state, order)
-    cost = None
-    if dense:
-        cost = node_cost(state, order, entries)
-        f_cur = dense_objective(cost, factor.cols[cost.index])
-    else:
-        plan = sweep_plan(entries)
-        f_cur = sparse_objective(entries, factor)
+    cost = node_cost(state, order)
+    plan = None if dense else sweep_plan(cost)
+    f_cur = dense_objective(cost, factor.cols[cost.index])
     trace = [f_cur]
     cert = None
     certificates = 0
-    # without an active clause there is nothing to sweep
-    converged = not entries.active.any()
+    # without an off-diagonal entry there is nothing to sweep
+    converged = not cost.matrix.any()
     est_gap = 0.0 if converged else math.inf
     prev_delta = None
     sweeps = 0
@@ -879,18 +828,13 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
                 break
         prev_delta = delta
         if floor is not None and f_cur > floor and not past(deadline):
-            if cost is None:
-                cost = node_cost(state, order, entries)
             certificates += 1
             cert = pruning_certificate(cost, factor, floor)
             if cert is not None:
                 break
     pruned = cert is not None
     if not pruned and not past(deadline):
-        if cost is None:
-            cost = node_cost(state, order, entries)
         cert = certificate(cost, factor)
         certificates += 1
-    return SdpResult(f_cur, cert, sweeps, est_gap, converged, trace,
-                     pruned=pruned, certificates=certificates, cost=cost,
-                     dense=dense)
+    return SdpResult(f_cur, cert, sweeps, est_gap, converged, cost, trace,
+                     pruned=pruned, certificates=certificates, dense=dense)

@@ -1,5 +1,5 @@
 import csv
-import importlib.util
+import importlib
 import io
 import json
 import math
@@ -14,14 +14,6 @@ from sdpsat import sdp
 from sdpsat.generate import random_clauses, render_dimacs
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_approx_ratio_curve_smoke():
@@ -97,39 +89,21 @@ def test_pool_counts_smoke():
     assert all(isinstance(value, int) for value in counters.values())
 
 
-def test_perfbench_trace_targets_exist():
-    """Every name the benchmark's tracer wraps is still where it looks it
-    up, so a rename cannot leave `--trace 1` without its spans."""
-    targets = load_perfbench("tracing")._targets()
-    assert targets
-    for owner, attr, name in targets:
-        assert callable(vars(owner).get(attr)), name
-
-
-def test_perfbench_layers_run():
-    """The benchmark's isolated layer timings run against the solver's
-    current API in both modes, so a changed name or signature cannot leave
-    `--trace 1` broken."""
-    layers = load_perfbench("layers")
-    text = render_dimacs(12, random_clauses(12, 48, 2,
-                                            np.random.default_rng(0)))
-    for anytime in (False, True):
-        metrics = layers.isolated(text, anytime)
-        assert "sdp.cert_repaired_s" in metrics
-        for name, value in metrics.items():
-            assert math.isfinite(value) and value >= 0.0, name
-
-
 def test_perfbench_hooks_install_and_time_both_layouts(monkeypatch):
-    """The benchmark's tracer installs over every name it wraps and puts
-    each original back, and its isolated layer timings run on one formula
-    of each cost layout: dense (n=14) and sparse (n=300, above
-    DENSE_MAX_COLUMNS).  A renamed hook fails here rather than in a
-    benchmark run."""
+    """Every name the benchmark's tracer wraps is a callable still where it
+    looks it up, the tracer installs over each and puts each original
+    back, and its isolated layer timings run on each cost layout: dense
+    (MAX2SAT n=12 in both modes, MAX3SAT n=14) and sparse (n=300, above
+    DENSE_MAX_COLUMNS).  A renamed hook or a changed signature fails here
+    rather than in a benchmark run."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracing = importlib.import_module("tracing")
     layers = importlib.import_module("layers")
-    originals = [vars(owner)[attr] for owner, attr, _ in tracing._targets()]
+    targets = tracing._targets()
+    assert targets
+    for owner, attr, name in targets:
+        assert callable(vars(owner).get(attr)), name
+    originals = [vars(owner)[attr] for owner, attr, _ in targets]
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -137,11 +111,13 @@ def test_perfbench_hooks_install_and_time_both_layouts(monkeypatch):
         tracer.uninstall()
     assert originals == [vars(owner)[attr]
                          for owner, attr, _ in tracing._targets()]
-    for n, m, length, anytime in ((14, 98, 3, False), (300, 1200, 2, True)):
+    for n, m, length, anytime in ((12, 48, 2, False), (12, 48, 2, True),
+                                  (14, 98, 3, False), (300, 1200, 2, True)):
         assert (n + 1 > sdp.DENSE_MAX_COLUMNS) == (n == 300)
         text = render_dimacs(n, random_clauses(n, m, length,
                                                np.random.default_rng(0)))
         metrics = layers.isolated(text, anytime)
+        assert "sdp.cert_repaired_s" in metrics
         for name, value in metrics.items():
             assert math.isfinite(value) and value >= 0.0, name
 

@@ -22,10 +22,10 @@ from sdpsat import sdp
 from sdpsat.rounding import node_unsat, round_once
 from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, LossTracker, ZCache,
                         active_losses, certificate, clause_loss,
-                        cost_entries, default_rank,
+                        default_rank, dense_objective,
                         dual_from_primal, init_factor, mixing_sweep,
                         node_cost, objective, pruning_certificate, solve,
-                        sparse_objective, sparse_sweep, sweep_plan)
+                        sparse_sweep, sweep_plan)
 from sdpsat.search import Searcher, solve_complete
 from tests.test_search import ceil_bound, small_formulas
 
@@ -429,32 +429,48 @@ def random_node(inst, data):
 def test_solve_sweeps_match_fresh_sweeps(inst, data):
     """A sparse solve builds one sweep plan for all of its sweeps; they
     must equal, bit for bit, as many sweeps that each build a fresh plan
-    from fresh entries, with the trace starting at sparse_objective and
-    falling by each sweep's decrease, at random partial nodes (fully
+    from a fresh cost matrix, with the trace starting at dense_objective
+    and falling by each sweep's decrease, at random partial nodes (fully
     assigned and clause-free ones included)."""
     state, factor, zc, order = random_node(inst, data)
     ref_factor = factor.copy()
     res = solve(state, factor, zc, eps=1e-300,
                 max_sweeps=data.draw(st.integers(1, 6)), order=order)
-    trace = [sparse_objective(cost_entries(state, order), ref_factor)]
+    cost = node_cost(state, order)
+    trace = [dense_objective(cost, ref_factor.cols[cost.index])]
     for _ in range(res.sweeps_used):
-        plan = sweep_plan(cost_entries(state, order))
+        plan = sweep_plan(node_cost(state, order))
         trace.append(trace[-1] - sparse_sweep(plan, ref_factor))
     assert not res.dense
     assert res.trace == trace
     assert np.array_equal(factor.cols, ref_factor.cols)
 
 
+@st.composite
+def cancelling_formulas(draw):
+    """(x | y), (-x | y), (x | -y), (-x | -y) on x = 1 and y = 2, plus a
+    small formula on the variables above them.  While x or y is free its
+    row of C cancels to exactly zero (its truth and pair entries are
+    +-w in equal numbers), so its update is zero."""
+    rest = draw(small_formulas())
+    clauses = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
+    clauses += [[lit + 2 if lit > 0 else lit - 2 for lit in clause.lits]
+                for clause in rest.clauses]
+    return instance_from_clauses(rest.num_vars + 2,
+                                 clauses + [[]] * rest.empty_count)
+
+
 @settings(max_examples=300, deadline=None)
-@given(inst=small_formulas(), data=st.data())
+@given(inst=st.one_of(small_formulas(), cancelling_formulas()),
+       data=st.data())
 def test_sparse_solve_matches_z_form(inst, data):
     """A sparse solve's sweeps are mixing_sweep's, the z-form reference:
     trace and factor within 1e-12, and after every sweep the trace is
     objective() on a freshly rebuilt z-cache within 1e-12.  Random partial
     nodes with an isolated variable cover unit-clause rows, rows whose only
-    live entries are truth entries, clauses of up to 4 literals, and fully
-    assigned and clause-free nodes.  The solve neither reads nor writes
-    the z-cache."""
+    live entries are truth entries, rows that cancel to exactly zero,
+    clauses of up to 4 literals, and fully assigned and clause-free nodes.
+    The solve neither reads nor writes the z-cache."""
     inst = with_isolated_variable(inst)
     state, factor, zc, order = random_node(inst, data)
     ref_factor, ref_zc = factor.copy(), ZCache(inst, factor.k)
@@ -621,6 +637,17 @@ def test_solve_zero_active_clauses():
     assert res.converged
 
 
+@pytest.mark.parametrize("eps", (0.0, -1.0, math.nan, math.inf))
+def test_solve_rejects_eps_the_config_rejects(eps):
+    """solve applies SolverConfig's rule, 0 < eps < inf: a NaN eps, which
+    no gap estimate could ever meet, is rejected too."""
+    state, ws, factor, zc = fresh_solver_state(parse_dimacs(TRIANGLE))
+    with pytest.raises(ValueError, match="eps"):
+        SolverConfig(eps=eps)
+    with pytest.raises(ValueError, match="eps"):
+        solve(state, factor, zc, eps=eps)
+
+
 def test_solve_monotone_trace_random_instances():
     for seed in range(20):
         inst = random_instance(15, 60, 2, seed=seed)
@@ -758,9 +785,8 @@ def test_node_cost_matches_dense_oracle(inst, data):
 
 
 def test_solve_builds_one_cost_matrix(monkeypatch):
-    inst = random_instance(20, 80, 2, seed=5)
-    state, ws, factor, zc = fresh_solver_state(inst, seed=5)
-    builds = counting(monkeypatch, sdp, "node_cost")
+    """On either layout (the sparse one with DENSE_MAX_COLUMNS at 0) the
+    sweeps and every certificate of a solve share one cost matrix."""
     real = sdp.pruning_certificate
     tested = []
 
@@ -769,53 +795,38 @@ def test_solve_builds_one_cost_matrix(monkeypatch):
         tested.append(real(cost, factor, floor) is not None)
 
     monkeypatch.setattr(sdp, "pruning_certificate", never_prunes)
-    # every objective and raw bound is above the floor: a pruning
-    # certificate is taken after each of the six sweeps, then the final one
-    res = solve(state, factor, zc, eps=1e-12, max_sweeps=6, floor=-1e6)
-    assert res.sweeps_used == 6 and not res.pruned
-    assert res.certificates == 7 and tested == [True] * 6
-    assert len(builds) == 1
-    # the borrowed diagonal is given back: the final certificate and the
-    # returned matrix are those of a fresh build
-    fresh = dual_from_primal(state, factor, zc)
-    assert np.array_equal(res.cert.lam, fresh.lam)
-    assert res.dual_bound == fresh.dual_bound
-    assert np.array_equal(res.cost.matrix, node_cost(state).matrix)
-
-
-@pytest.mark.parametrize("passes", ("before", "between sweeps"))
-def test_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
-    # the sparse path: a dense solve builds its cost matrix before sweeping
-    monkeypatch.setattr(sdp, "DENSE_MAX_COLUMNS", 0)
-    inst = random_instance(20, 80, 2, seed=5)
-    state, ws, factor, zc = fresh_solver_state(inst, seed=5)
     builds = counting(monkeypatch, sdp, "node_cost")
-    eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
-    factorizations = counting(monkeypatch, np.linalg, "cholesky")
-    if passes == "before":
-        deadline, floor = time.monotonic() - 1.0, None
-    else:
-        deadline, floor = time.monotonic() + 0.25, -1e6
-        sweep = sdp.sparse_sweep
-
-        def slow_sweep(*args):
-            # the deadline passes during the first sweep, whose objective
-            # is above the floor
-            time.sleep(max(deadline - time.monotonic(), 0.0) + 0.01)
-            return sweep(*args)
-
-        monkeypatch.setattr(sdp, "sparse_sweep", slow_sweep)
-    res = solve(state, factor, zc, deadline=deadline, floor=floor)
-    assert res.sweeps_used == (0 if passes == "before" else 1)
-    assert res.cert is None and res.certificates == 0
-    assert res.dual_bound == -math.inf
-    assert builds == [] and eigensolves == [] and factorizations == []
+    for dense_max in (sdp.DENSE_MAX_COLUMNS, 0):
+        monkeypatch.setattr(sdp, "DENSE_MAX_COLUMNS", dense_max)
+        inst = random_instance(20, 80, 2, seed=5)
+        state, ws, factor, zc = fresh_solver_state(inst, seed=5)
+        builds.clear()
+        tested.clear()
+        # every objective and raw bound is above the floor: a pruning
+        # certificate is taken after each of the six sweeps, then the
+        # final one
+        res = solve(state, factor, zc, eps=1e-12, max_sweeps=6, floor=-1e6)
+        assert res.dense == (dense_max > 0)
+        assert res.sweeps_used == 6 and not res.pruned
+        assert res.certificates == 7 and tested == [True] * 6
+        assert len(builds) == 1
+        # the borrowed diagonal is given back: the final certificate and
+        # the returned matrix are those of a fresh build
+        fresh = dual_from_primal(state, factor, zc)
+        assert np.array_equal(res.cert.lam, fresh.lam)
+        assert res.dual_bound == fresh.dual_bound
+        assert np.array_equal(res.cost.matrix, node_cost(state).matrix)
 
 
 @pytest.mark.parametrize("passes", ("before", "during the first sweep"))
-def test_dense_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
-    """The dense twin: the cost matrix is built up front, but past the
-    deadline no certificate is taken, and the z-cache is left as it was."""
+@pytest.mark.parametrize("layout", ("dense", "sparse"))
+def test_solve_past_deadline_takes_no_certificate(monkeypatch, layout,
+                                                  passes):
+    """Either layout builds its cost matrix once, before sweeping, but past
+    the deadline no certificate, eigensolve or Cholesky is taken, and the
+    z-cache is left as it was."""
+    if layout == "sparse":
+        monkeypatch.setattr(sdp, "DENSE_MAX_COLUMNS", 0)
     inst = random_instance(20, 80, 2, seed=5)
     state, ws, factor, zc = fresh_solver_state(inst, seed=5)
     builds = counting(monkeypatch, sdp, "node_cost")
@@ -825,17 +836,19 @@ def test_dense_solve_past_deadline_takes_no_certificate(monkeypatch, passes):
         deadline = time.monotonic() - 1.0
     else:
         deadline = time.monotonic() + 0.25
-        sweep = sdp.dense_sweep
+        name = f"{layout}_sweep"
+        sweep = getattr(sdp, name)
 
         def slow_sweep(*args):
-            # the first sweep's objective is above the floor
+            # the deadline passes during the first sweep, whose objective
+            # is above the floor
             time.sleep(max(deadline - time.monotonic(), 0.0) + 0.01)
             return sweep(*args)
 
-        monkeypatch.setattr(sdp, "dense_sweep", slow_sweep)
+        monkeypatch.setattr(sdp, name, slow_sweep)
     before = zc.z.copy()
     res = solve(state, factor, zc, deadline=deadline, floor=-1e6)
-    assert res.dense
+    assert res.dense == (layout == "dense")
     assert res.sweeps_used == (0 if passes == "before" else 1)
     assert res.cert is None and res.certificates == 0
     assert res.dual_bound == -math.inf
