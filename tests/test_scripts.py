@@ -89,21 +89,45 @@ def test_pool_counts_smoke():
     assert all(isinstance(value, int) for value in counters.values())
 
 
-def test_perfbench_hooks_install_and_time_both_layouts(monkeypatch):
-    """Every name the benchmark's tracer wraps is a callable still where it
-    looks it up, the tracer installs over each and puts each original
-    back, and its isolated layer timings run on each cost layout: dense
-    (MAX2SAT n=12 in both modes, MAX3SAT n=14) and sparse (n=300, above
-    DENSE_MAX_COLUMNS).  A renamed hook or a changed signature fails here
-    rather than in a benchmark run."""
+def import_perfbench(monkeypatch, name):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    tracing = importlib.import_module("tracing")
-    layers = importlib.import_module("layers")
-    targets = tracing._targets()
+    return importlib.import_module(name)
+
+
+def assert_layers_run(layers, n, m, length, anytime):
+    text = render_dimacs(n, random_clauses(n, m, length,
+                                           np.random.default_rng(0)))
+    metrics = layers.isolated(text, anytime)
+    assert "sdp.cert_repaired_s" in metrics
+    for name, value in metrics.items():
+        assert math.isfinite(value) and value >= 0.0, name
+
+
+def test_perfbench_trace_targets_exist(monkeypatch):
+    """Every name the benchmark's tracer wraps is still where it looks it
+    up, so a rename cannot leave `--trace 1` without its spans."""
+    targets = import_perfbench(monkeypatch, "tracing")._targets()
     assert targets
     for owner, attr, name in targets:
         assert callable(vars(owner).get(attr)), name
-    originals = [vars(owner)[attr] for owner, attr, _ in targets]
+
+
+def test_perfbench_layers_run(monkeypatch):
+    """The benchmark's isolated layer timings run against the solver's
+    current API in both modes, so a changed name or signature cannot leave
+    `--trace 1` broken."""
+    layers = import_perfbench(monkeypatch, "layers")
+    for anytime in (False, True):
+        assert_layers_run(layers, 12, 48, 2, anytime)
+
+
+def test_perfbench_hooks_install_and_time_both_layouts(monkeypatch):
+    """The tracer installs over every name it wraps and puts each original
+    back, and the isolated layer timings run on a dense MAX3SAT n=14
+    formula and on a sparse MAX2SAT n=300 one (above DENSE_MAX_COLUMNS)."""
+    tracing = import_perfbench(monkeypatch, "tracing")
+    layers = import_perfbench(monkeypatch, "layers")
+    originals = [vars(owner)[attr] for owner, attr, _ in tracing._targets()]
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -111,15 +135,9 @@ def test_perfbench_hooks_install_and_time_both_layouts(monkeypatch):
         tracer.uninstall()
     assert originals == [vars(owner)[attr]
                          for owner, attr, _ in tracing._targets()]
-    for n, m, length, anytime in ((12, 48, 2, False), (12, 48, 2, True),
-                                  (14, 98, 3, False), (300, 1200, 2, True)):
+    for n, m, length, anytime in ((14, 98, 3, False), (300, 1200, 2, True)):
         assert (n + 1 > sdp.DENSE_MAX_COLUMNS) == (n == 300)
-        text = render_dimacs(n, random_clauses(n, m, length,
-                                               np.random.default_rng(0)))
-        metrics = layers.isolated(text, anytime)
-        assert "sdp.cert_repaired_s" in metrics
-        for name, value in metrics.items():
-            assert math.isfinite(value) and value >= 0.0, name
+        assert_layers_run(layers, n, m, length, anytime)
 
 
 def test_perfbench_complete_workloads_answer_correctly():
