@@ -95,7 +95,11 @@ def cmd_generate(args) -> int:
         return 2
     text = render_dimacs(args.n, clauses)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 
@@ -32,12 +33,15 @@ class SolverConfig:
 
     def __post_init__(self):
         checks = (
-            (self.depth_limit >= 1, "depth_limit must be at least 1"),
-            (self.rank is None or self.rank >= 2, "rank must be at least 2"),
+            (isinstance(self.depth_limit, Integral) and self.depth_limit >= 1,
+             "depth_limit must be an integer of at least 1"),
+            (self.rank is None or isinstance(self.rank, Integral)
+             and self.rank >= 2, "rank must be an integer of at least 2"),
             (0 < self.eps < math.inf, "eps must be positive and finite"),
             (0 < self.rounding_c < math.inf,
              "rounding_c must be positive and finite"),
-            (self.seed >= 0, "seed must be non-negative"),
+            (isinstance(self.seed, Integral) and self.seed >= 0,
+             "seed must be a non-negative integer"),
             (self.time_limit is None or self.time_limit >= 0,
              "time_limit must be non-negative"),
         )

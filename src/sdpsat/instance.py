@@ -15,7 +15,7 @@ rule is computed) with L' - f literals false: its truth coefficient is
 -1 - (L' - f) = s0 + L - L' and its weight 1/(4L').  That is s0 itself
 for a clause of at most two literals or with none false; a longer clause
 with some literal false has -1 while f >= 2 and -2 at f = 1 (see sdp).
-NodeState.clause_terms applies the rule to every clause at once, and
+NodeState.view applies the rule to every clause at once, and
 NodeState.price tabulates it per (L, f) for the scalar steps of a DFS.
 """
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,13 +196,28 @@ def parse_dimacs(text: str) -> Instance:
 def current_length(length, free):
     """The length an active clause of `length` literals with `free` of them
     free is priced at, elementwise over arrays: min(length, max(free, 2)).
-    The one definition of the rule; NodeState's price table and
-    clause_terms read it."""
+    The one definition of the rule; NodeState's price table and view
+    read it."""
     return np.minimum(length, np.maximum(free, 2))
 
 
+class NodeView(NamedTuple):
+    """A node as arrays (NodeState.view): per clause, whether it is active
+    and its current length L' and weight 1/(4L') (meaningful while active);
+    the column mask; per literal-table entry, whether it is live (clause
+    active, column in the node) and its coefficient: its clause's truth
+    coefficient s0 + L - L' on a truth entry, the literal's sign elsewhere."""
+
+    active: np.ndarray
+    columns: np.ndarray
+    live: np.ndarray
+    length: np.ndarray
+    weight: np.ndarray
+    coeff: np.ndarray
+
+
 class NodeState:
-    """Mutable per-node view: assignment trail plus per-clause accumulators.
+    """Mutable node record: the trail (the node's path) and clause counters.
 
     Invariant: s0[j] = -1 + sum over assigned literals of sign*value, and
     base_unsat counts FALSIFIED clauses plus the instance's empty clauses.
@@ -212,8 +228,8 @@ class NodeState:
     entries of one clause (pair_a before pair_b), it turns whole-node sums
     into array arithmetic masked by the active clauses and free columns.  A
     clause of length L has L(L+1)/2 pairs, in a run that starts at
-    `pair_first[j]`.  clause_terms gives every clause's current length L',
-    truth coefficient and weight 1/(4L') as arrays.
+    `pair_first[j]`.  view gives the node's masks, every clause's current
+    length L' and weight 1/(4L') and every entry's coefficient as arrays.
 
     For the scalar steps of a DFS below a solved root the node keeps each
     clause's literal tuple (`clause_lits`) and one price table as plain
@@ -237,8 +253,7 @@ class NodeState:
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
                  "lit_sign", "clause_len", "price", "pair_a", "pair_b",
-                 "pair_first", "clause_lits", "color", "class_entries",
-                 "entry_error")
+                 "pair_first", "clause_lits", "color", "class_entries")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -280,7 +295,6 @@ class NodeState:
         self.pair_first = (np.cumsum(pairs) - pairs).tolist()
         self.clause_lits = [c.lits for c in instance.clauses]
         self._color_variables()
-        self.entry_error = None  # set by the first sdp.node_cost
 
     def _color_variables(self) -> None:
         """DSatur coloring of the variable-interaction graph (Brelaz, CACM
@@ -336,8 +350,9 @@ class NodeState:
         a = self.assignment
         return [v for v in range(1, self.instance.num_vars + 1) if a[v] == FREE]
 
-    def active_mask(self) -> np.ndarray:
-        return np.array(self.clause_status) == ACTIVE
+    def path(self, start: int = 0) -> tuple:
+        """The trail from position `start` on as (variable, value) steps."""
+        return tuple((v, self.assignment[v]) for v in self.trail[start:])
 
     def column_mask(self) -> np.ndarray:
         """The node's relaxation columns: truth column 0 and the free ones."""
@@ -345,32 +360,18 @@ class NodeState:
         columns[0] = True
         return columns
 
-    def live_entries(self, active: np.ndarray,
-                     columns: np.ndarray | None = None) -> np.ndarray:
-        """Table entries of active clauses whose column is in the node
-        (`columns`, the column mask, when the caller already has it)."""
-        if columns is None:
-            columns = self.column_mask()
-        return active[self.lit_clause] & columns[self.lit_var]
-
-    def clause_terms(self):
-        """Per clause: its current length L' (current_length of its length
-        and its f = L + 1 + s0 free literals), its truth coefficient
-        s0 + L - L' and its loss weight 1/(4L'); meaningful only for active
-        clauses."""
+    def view(self) -> NodeView:
+        """The node's NodeView, from scratch; a clause has L + 1 + s0 free."""
+        active = np.array(self.clause_status) == ACTIVE
+        columns = self.column_mask()
         s0 = np.array(self.s0, dtype=np.intp)
         length = self.clause_len
         current = current_length(length, length + 1 + s0)
-        return current, s0 + (length - current), 1.0 / (4.0 * current)
-
-    def lit_coeffs(self, truth: np.ndarray | None = None) -> np.ndarray:
-        """Per-entry coefficient: the clause's truth coefficient (`truth`,
-        clause_terms' when the caller already has them) on its truth
-        entry, the literal's sign elsewhere."""
-        if truth is None:
-            truth = self.clause_terms()[1]
-        return np.where(self.lit_var == 0, truth[self.lit_clause],
-                        self.lit_sign)
+        truth = s0 + (length - current)
+        return NodeView(
+            active, columns, active[self.lit_clause] & columns[self.lit_var],
+            current, 1.0 / (4.0 * current),
+            np.where(self.lit_var == 0, truth[self.lit_clause], self.lit_sign))
 
 
 class WatchedStack:

@@ -58,7 +58,7 @@ def node_unsat(state: NodeState, values):
     (returns the count of each column).
     """
     values = np.asarray(values)
-    live = np.flatnonzero(state.live_entries(state.active_mask()))
+    live = np.flatnonzero(state.view().live)
     var = state.lit_var[live]
     sign = state.lit_sign[live].astype(np.int8).reshape(
         (-1,) + (1,) * (values.ndim - 1))

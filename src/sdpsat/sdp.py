@@ -20,9 +20,9 @@ count over all completions.  Priced at its original length instead, a
 satisfied clause with all of its f = t free literals true, 2 <= t < L,
 would earn (t - 1)(t - L) / L < 0; at L' it earns 0, the tightest value.
 For L <= 2, L' = L and s0' = s0: the Goemans-Williamson MAX2SAT form.
-NodeState.clause_terms gives each clause's L', truth coefficient and
-weight, and NodeState.price the same terms per (L, f) for the scalar steps
-below a solved root.
+NodeState.view gives each clause's L' and weight and each literal-table
+entry's coefficient, and NodeState.price the same terms per (L, f) for the
+scalar steps below a solved root.
 
 Minimizing one column with the rest held fixed has a closed form: with C
 the node's zero-diagonal cost matrix over its columns, the new column is
@@ -184,8 +184,8 @@ class ZCache:
 
     def rebuild(self, state: NodeState, factor: Factor) -> None:
         """z_j = s0_j v_0 + sum of sign * v_i over the free literals."""
-        live = state.live_entries(state.active_mask())
-        rows = state.lit_coeffs()[live, None] * factor.cols[state.lit_var[live]]
+        _, _, live, _, _, coeff = state.view()
+        rows = coeff[live, None] * factor.cols[state.lit_var[live]]
         self.z[:] = _group_sum(state.lit_clause[live], rows, len(self.z))
 
     def assign_update(self, state: NodeState, factor: Factor, var: int,
@@ -261,10 +261,8 @@ class LossTracker:
 
     def __init__(self, state: NodeState, factor: Factor):
         a, b = state.pair_a, state.pair_b
-        active = state.active_mask()
-        live = state.live_entries(active)
-        lengths, truth, weight = state.clause_terms()
-        coeff = np.where(live, state.lit_coeffs(truth), 0.0)
+        active, _, live, lengths, weight, coeff = state.view()
+        coeff = np.where(live, coeff, 0.0)
         V = factor.cols
         dots = np.zeros(len(a))
         pairs = np.flatnonzero(live[a] & live[b])
@@ -340,8 +338,8 @@ class LossTracker:
 def active_losses(state: NodeState, zcache: ZCache) -> np.ndarray:
     """clause_loss of every active clause at its current length, in clause
     order."""
-    active = state.active_mask()
-    return clause_loss(zcache.z[active], state.clause_terms()[0][active])
+    view = state.view()
+    return clause_loss(zcache.z[view.active], view.length[view.active])
 
 
 def objective(state: NodeState, factor: Factor, zcache: ZCache) -> float:
@@ -374,8 +372,7 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
     entry, or whose update direction is below ZERO_UPDATE_NORM, is kept (any
     unit vector minimizes its block).  Returns the objective after the pass.
     """
-    live = state.live_entries(state.active_mask())
-    weight = state.clause_terms()[2]
+    _, _, live, _, weight, _ = state.view()
     V = factor.cols
     z = zcache.z
     for c in class_order(state, order):
@@ -470,11 +467,7 @@ def node_cost(state: NodeState, order=None) -> NodeCost:
     C, with each active clause's coefficients, weight and constant at its
     current length.  The free columns follow class_order, by variable
     within a class, then those of classes not swept."""
-    active = state.active_mask()
-    columns = state.column_mask()
-    live = state.live_entries(active, columns)
-    lengths, truth, weight = state.clause_terms()
-    coeff = state.lit_coeffs(truth)
+    active, columns, live, lengths, weight, coeff = state.view()
     classes = class_order(state, order)
     rank = np.full(len(state.class_entries), len(classes), dtype=np.intp)
     rank[classes] = np.arange(len(classes))
@@ -492,14 +485,12 @@ def node_cost(state: NodeState, order=None) -> NodeCost:
     value = coeff[a] * coeff[b] * weight[state.lit_clause[a]]
     diag = coeff[live] ** 2 * weight[state.lit_clause[live]]
     const = (lengths[active] - 1) ** 2 * weight[active]
-    if state.entry_error is None:
-        state.entry_error = entry_error_bound(state)
     matrix = pair_matrix(pos[state.lit_var[a]], pos[state.lit_var[b]],
                          value, len(index))
     return NodeCost(index, matrix, diag_sum=math.fsum(diag.tolist()),
                     const_offset=(state.base_unsat
                                   - math.fsum(const.tolist())),
-                    entry_error=state.entry_error, slices=slices)
+                    entry_error=entry_error_bound(state), slices=slices)
 
 
 def dense_objective(cost: NodeCost, W: np.ndarray) -> float:

@@ -57,10 +57,10 @@ class SearchNode:
     """Queue entry: assignment path from the original root plus its bounds
     (`dual` is at least the node's falsified-clause count).
 
-    The path is kept as the expanded root's path, one tuple shared by all
-    of that root's children, and the DFS steps below it, so a queued node
-    holds only its own few steps (the anytime queue holds tens of
-    thousands of nodes)."""
+    The path, read off the trail (NodeState.path), is kept as the expanded
+    root's path, one tuple shared by all of that root's children, and the
+    DFS steps below it, so a queued node holds only its own few steps (the
+    anytime queue holds tens of thousands of nodes)."""
 
     root_path: tuple
     steps: tuple
@@ -114,13 +114,13 @@ class Searcher:
         self.emit = emit
         n = instance.num_vars
         # a rank-(n+1) factor already spans the full relaxation
-        self.k = (min(config.rank, max(2, n + 1)) if config.rank
-                  else default_rank(max(n, 1)))
+        k = (min(config.rank, max(2, n + 1)) if config.rank
+             else default_rank(max(n, 1)))
         self.rng = np.random.default_rng(config.seed)
         self.state = NodeState(instance)
         self.ws = WatchedStack(instance)
-        self.factor = init_factor(n, self.k, self.rng)
-        self.zcache = ZCache(instance, self.k)
+        self.factor = init_factor(n, k, self.rng)
+        self.zcache = ZCache(instance, k)
         self.order = list(range(1, n + 1))
         self.best: Incumbent | None = None
         self.best_unsat = instance.num_clauses + instance.empty_count + 1
@@ -128,7 +128,6 @@ class Searcher:
         self.t0 = time.monotonic()
         self.deadline = (None if config.time_limit is None
                          else self.t0 + config.time_limit)
-        self.cur_path: list = []
         self.mode = COMPLETE
         # set where the deadline drops work that a proof needs
         self.cut_short = False
@@ -144,17 +143,15 @@ class Searcher:
         return bound > self.floor()
 
     def move_to(self, path) -> None:
-        """Rewind to the longest common prefix, then assign the remainder."""
+        """Rewind to the trail's longest prefix on `path`, assign the rest."""
         common = 0
-        for ours, theirs in zip(self.cur_path, path):
+        for ours, theirs in zip(self.state.path(), path):
             if ours != theirs:
                 break
             common += 1
         unassign_to(self.state, self.ws, common)
-        del self.cur_path[common:]
         for var, value in path[common:]:
             assign(self.state, self.ws, var, value)
-            self.cur_path.append((var, value))
 
     def update_best(self, values, unsat: int) -> None:
         if unsat >= self.best_unsat:
@@ -189,14 +186,9 @@ class Searcher:
         return res
 
     def round_root(self) -> None:
-        budget = rounding_budget(self.state.free_count, self.cfg.rounding_c)
-        if budget == 0:
-            self.update_best(list(self.state.assignment),
-                             self.state.base_unsat)
-            return
-        if past(self.deadline):
-            # past the deadline one trial is enough for an incumbent to report
-            budget = 1
+        # past the deadline one trial is enough for an incumbent to report
+        budget = (1 if past(self.deadline) else
+                  rounding_budget(self.state.free_count, self.cfg.rounding_c))
         values, unsat, trials = best_rounding(self.factor, self.state,
                                               budget, self.rng, self.deadline)
         self.stats.roundings += trials
@@ -212,7 +204,7 @@ class Searcher:
         self.order = free + assigned
 
     def expand_root(self, res, node_depth: int) -> list[SearchNode]:
-        """Depth-limited DFS below the solved root.
+        """Depth-limited DFS below the solved root, which has a free variable.
 
         Branches over the top depth_limit free variables in resolution order,
         trying the incumbent's value first.  Interior children are priced by
@@ -233,7 +225,7 @@ class Searcher:
         state, ws = self.state, self.ws
         ledger = ShiftLedger(res.cert)
         losses = LossTracker(state, self.factor)
-        root_path = tuple(self.cur_path)
+        root_path = state.path()
         split_vars = [v for v in self.order
                       if state.assignment[v] == FREE][:self.cfg.depth_limit]
         children: list[SearchNode] = []
@@ -254,10 +246,8 @@ class Searcher:
             priority = (state.base_unsat + max(losses.positive, 0.0)
                         if incomplete else 0.0)
             children.append(SearchNode(
-                root_path=root_path,
-                steps=tuple(self.cur_path[len(root_path):]),
-                primal=losses.objective,
-                dual=dual, priority=priority,
+                root_path=root_path, steps=state.path(len(root_path)),
+                primal=losses.objective, dual=dual, priority=priority,
                 depth=node_depth + depth))
 
         def descend(depth: int) -> None:
@@ -268,7 +258,6 @@ class Searcher:
                     self.cut_short = True
                     return
                 moved = assign(state, ws, var, value)
-                self.cur_path.append((var, value))
                 ledger.apply(state, var, value, moved)
                 losses.move(state, moved)
                 if state.free_count == 0:
@@ -287,11 +276,9 @@ class Searcher:
                         emit_child(depth + 1, dual)
                 losses.revert()
                 ledger.revert()
-                self.cur_path.pop()
                 unassign_to(state, ws, len(state.trail) - 1)
 
-        if split_vars:
-            descend(0)
+        descend(0)
         return children
 
     # -- drivers -----------------------------------------------------------

@@ -159,6 +159,15 @@ def test_generate_roundtrip(tmp_path, capsys):
         assert len({abs(l) for l in cl.lits}) == 2
 
 
+def test_generate_unwritable_output(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.cnf"
+    code, out, err = run_cli(["generate", "--n", "3", "--m", "2",
+                              "-o", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_generate_deterministic(capsys):
     code, out1, _ = run_cli(["generate", "--n", "10", "--m", "20",
                              "--length", "3", "--seed", "9"], capsys)

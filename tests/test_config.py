@@ -8,10 +8,10 @@ from sdpsat.config import SolverConfig
 
 
 @pytest.mark.parametrize("field, good, bad", [
-    ("depth_limit", (1, 8), (0, -3)),
-    ("rank", (None, 2, 17), (1, 0, -1)),
+    ("depth_limit", (1, 8), (0, -3, 2.5)),
+    ("rank", (None, 2, 17), (1, 0, -1, 2.5)),
     ("eps", (1e-12, 0.5), (0.0, -1e-3, math.nan, math.inf)),
-    ("seed", (0, 7), (-1,)),
+    ("seed", (0, 7), (-1, 1.5)),
     ("rounding_c", (1e-3, 4.0), (0.0, -1.0, math.nan, math.inf)),
     ("time_limit", (None, 0.0, 2.5), (-0.001, math.nan)),
 ])

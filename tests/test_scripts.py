@@ -16,16 +16,23 @@ from sdpsat.generate import random_clauses, render_dimacs
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_approx_ratio_curve_smoke():
+def run_script(name, *args):
+    """Run scripts/<name> with `args`, the repository's src first on
+    PYTHONPATH; returns the finished process, which must have exited 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "approx_ratio_curve.py"),
-         "--instances", "1", "--n", "12", "--m", "40", "--budget", "0.05",
-         "--samples", "2"],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_approx_ratio_curve_smoke():
+    proc = run_script("approx_ratio_curve.py", "--instances", "1",
+                      "--n", "12", "--m", "40", "--budget", "0.05",
+                      "--samples", "2")
     rows = list(csv.reader(io.StringIO(proc.stdout)))
     assert rows[0] == ["instance", "elapsed_seconds", "best_ratio"]
     assert len(rows) >= 2
@@ -35,14 +42,8 @@ def test_approx_ratio_curve_smoke():
 
 
 def test_sweep_cutoff_smoke():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "sweep_cutoff.py"),
-         "--sizes", "6", "12", "--sweeps", "2", "--rounds", "1"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_script("sweep_cutoff.py", "--sizes", "6", "12",
+                      "--sweeps", "2", "--rounds", "1")
     header, *rows = [line.split() for line in proc.stdout.splitlines()]
     assert header == ["n", "rank", "dense_us", "sparse_us",
                       "dense_setup_us", "sparse_setup_us"]
@@ -52,15 +53,8 @@ def test_sweep_cutoff_smoke():
 
 
 def test_step_cost_smoke():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "step_cost.py"),
-         "--n", "8", "--m", "30", "--length", "3", "--count", "2",
-         "--rounds", "2"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_script("step_cost.py", "--n", "8", "--m", "30",
+                      "--length", "3", "--count", "2", "--rounds", "2")
     header, row = [line.split() for line in proc.stdout.splitlines()]
     assert header == ["n", "m", "length", "roots", "steps", "us_per_step"]
     assert row[:5] == ["8", "30", "3", "2", "16"]
@@ -68,15 +62,9 @@ def test_step_cost_smoke():
 
 
 def test_pool_counts_smoke():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "pool_counts.py"),
-         "--n", "8", "--m", "40", "--length", "3", "--first", "3",
-         "--count", "2", "--oracle"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_script("pool_counts.py", "--n", "8", "--m", "40",
+                      "--length", "3", "--first", "3", "--count", "2",
+                      "--oracle")
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])

@@ -314,7 +314,7 @@ def test_zcache_consistent_after_sweeps(seed):
         mixing_sweep(state, factor, zc)
     fresh = ZCache(inst, factor.k)
     fresh.rebuild(state, factor)
-    for j in np.flatnonzero(state.active_mask()):
+    for j in np.flatnonzero(state.view().active):
         assert np.allclose(zc.z[j], fresh.z[j], atol=1e-9)
 
 
@@ -405,7 +405,7 @@ def test_colored_sweep_matches_sequential_sweep(inst, data):
         sequential = sequential_sweep(state, ref_factor, ref_zc, by_class)
         assert colored == pytest.approx(sequential, rel=0.0, abs=1e-12)
     assert np.allclose(factor.cols, ref_factor.cols, rtol=0.0, atol=1e-12)
-    active = state.active_mask()
+    active = state.view().active
     assert np.allclose(zc.z[active], ref_zc.z[active], rtol=0.0, atol=1e-12)
 
 
@@ -572,7 +572,7 @@ def test_prune_stopped_solve_is_sound(inst, data):
         zc.z[:] = rows
         res = solve(state, factor, zc, max_sweeps=sweeps, order=order,
                     floor=floor)
-        return res, factor.cols.copy(), zc.z[state.active_mask()]
+        return res, factor.cols.copy(), zc.z[state.view().active]
 
     plain, plain_cols, plain_z = run(max_sweeps)
     ceiling = ceil_bound(plain.dual_bound)
@@ -739,10 +739,10 @@ def z_based_multipliers(state, factor, zcache):
     """The raw multipliers as summed over the z-cache rows: ||g_i|| with
     g_i the sum over the live entries of column i of
     coeff * w * (z_j - coeff * v_i), w at the clause's current length."""
-    live = state.live_entries(state.active_mask())
+    view = state.view()
+    live, weight = view.live, view.weight
     clause, var = state.lit_clause[live], state.lit_var[live]
-    _, truth, weight = state.clause_terms()
-    coeff = state.lit_coeffs(truth)[live]
+    coeff = view.coeff[live]
     rows = zcache.z[clause] - coeff[:, None] * factor.cols[var]
     g = np.zeros_like(factor.cols)
     np.add.at(g, var, (coeff * weight[clause])[:, None] * rows)

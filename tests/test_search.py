@@ -12,7 +12,9 @@ from sdpsat import bounds, sdp
 from sdpsat.bounds import Decision, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
-from sdpsat.instance import evaluate, instance_from_clauses, parse_dimacs
+from sdpsat.instance import (FALSE, TRUE, assign, evaluate,
+                             instance_from_clauses, parse_dimacs,
+                             unassign_to)
 from sdpsat.oracle import (brute_force, brute_force_dense, dense_sdp_check,
                            min_unsat_completion)
 from sdpsat.search import (COMPLETE, OPTIMUM, TIMEOUT, Searcher,
@@ -37,13 +39,13 @@ def record_bounds(engine, records):
     real_certificate = sdpsat.search.pruning_certificate
 
     def decide(primal, dual, best_known):
-        records.append((tuple(engine.cur_path), dual))
+        records.append((engine.state.path(), dual))
         return real_decide(primal, dual, best_known)
 
     def pruning_certificate(cost, factor, floor):
         cert = real_certificate(cost, factor, floor)
         if cert is not None:
-            records.append((tuple(engine.cur_path), cert.dual_bound))
+            records.append((engine.state.path(), cert.dual_bound))
         return cert
 
     return mock.patch.multiple(sdpsat.search, decide=decide,
@@ -362,7 +364,7 @@ def test_node_priority_nonnegative_and_matches_dense():
     expected = engine.state.base_unsat + sum(
         max(0.0, (float(z[j] @ z[j]) - (inst.lengths[j] - 1) ** 2)
             / (4 * inst.lengths[j]))
-        for j in np.flatnonzero(engine.state.active_mask()))
+        for j in np.flatnonzero(engine.state.view().active))
     assert engine.clipped_loss() == pytest.approx(expected, abs=1e-9)
 
 
@@ -389,6 +391,28 @@ def test_determinism_identical_runs():
     assert runs[0] == runs[1]
 
 
+def test_move_to_reads_the_trail_after_direct_steps():
+    """move_to rewinds along the state's own trail, so it reaches its path
+    after steps taken on the state directly: the node then matches one
+    reached by move_to alone."""
+    inst = random_instance(6, 20, 2, seed=4)
+    target = ((1, TRUE), (2, FALSE), (3, TRUE))
+    fresh = Searcher(inst, SolverConfig(seed=0))
+    fresh.move_to(target)
+    for direct in (lambda s, ws: unassign_to(s, ws, 0),
+                   lambda s, ws: assign(s, ws, 3, FALSE)):
+        engine = Searcher(inst, SolverConfig(seed=0))
+        engine.move_to(target[:2])
+        direct(engine.state, engine.ws)
+        engine.move_to(target)
+        state = engine.state
+        assert state.path() == target
+        assert state.assignment == fresh.state.assignment
+        assert state.s0 == fresh.state.s0
+        assert state.clause_status == fresh.state.clause_status
+        assert state.base_unsat == fresh.state.base_unsat
+
+
 def test_rank_above_columns_is_clamped():
     """A rank above n + 1 runs the search of rank n + 1, whose factor
     already spans the full relaxation."""
@@ -396,7 +420,7 @@ def test_rank_above_columns_is_clamped():
     runs = []
     for rank in (10 ** 12, 13):
         engine = Searcher(inst, SolverConfig(seed=2, rank=rank))
-        assert engine.k == 13 and engine.factor.cols.shape == (13, 13)
+        assert engine.factor.k == 13 and engine.factor.cols.shape == (13, 13)
         status = engine.run_complete()
         stats = engine.stats.as_dict()
         del stats["wall_time"]
@@ -448,14 +472,14 @@ def test_children_dropped_by_own_certificate_are_sound(
     real_decide = sdpsat.search.decide
 
     def recorded_decide(primal, dual, best_known):
-        decided.add(tuple(engine.cur_path))
+        decided.add(engine.state.path())
         return real_decide(primal, dual, best_known)
 
     def audited(cost, factor, floor):
         cert = real(cost, factor, floor)
         if cert is not None:
             state = engine.state
-            dropped.append((tuple(engine.cur_path), cert.dual_bound,
+            dropped.append((engine.state.path(), cert.dual_bound,
                             engine.best_unsat,
                             dense_sdp_check(state, lam=cert.lam).min_eig,
                             min_unsat_completion(inst, state.assignment)))
