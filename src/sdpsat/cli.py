@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -29,28 +27,27 @@ BENCH_COLUMNS = ["kind", "name", "n", "m", "mode", "best_unsat",
                  "nodes", "sdp_solves", "ratio"]
 
 
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SDPSAT_SEED")
-    if env is not None:
-        if env.strip().isdecimal():
-            return int(env)
-        print(f"ignoring bad SDPSAT_SEED={env!r}", file=sys.stderr)
-    return SolverConfig.seed
-
-
 def _config_from(args) -> SolverConfig | None:
     """The solver settings, or None (reported on stderr) if they are invalid."""
     try:
-        return SolverConfig(eps=args.eps, rank=args.rank,
-                            seed=_seed_from(args),
+        return SolverConfig(eps=args.eps, rank=args.rank, seed=args.seed,
                             depth_limit=args.depth_limit,
                             rounding_c=args.rounding_c,
                             time_limit=args.timeout)
     except ValueError as exc:
         print(f"invalid solver setting: {exc}", file=sys.stderr)
         return None
+
+
+def _run(instance, config, mode, emit):
+    """One search in `mode`, calling emit(incumbent) on each improvement:
+    (best incumbent or None, whether it is a proved optimum, stats)."""
+    if mode == "complete":
+        best, status, stats = solve_complete(instance, config,
+                                             on_improve=emit)
+        return best, status == OPTIMUM, stats
+    best, stats = solve_incomplete(instance, config, emit=emit)
+    return best, False, stats
 
 
 def cmd_solve(args) -> int:
@@ -69,13 +66,7 @@ def cmd_solve(args) -> int:
     def emit(incumbent):
         print(f"o {incumbent.unsat}", flush=True)
 
-    if args.mode == "complete":
-        best, status, stats = solve_complete(instance, config,
-                                             on_improve=emit)
-        proved = status == OPTIMUM
-    else:
-        best, stats = solve_incomplete(instance, config, emit=emit)
-        proved = False
+    best, proved, stats = _run(instance, config, args.mode, emit)
     print("s OPTIMUM FOUND" if proved else "s UNKNOWN", flush=True)
     if best is not None:
         lits = (str(v if best.assignment[v] > 0 else -v)
@@ -88,7 +79,7 @@ def cmd_solve(args) -> int:
 
 def cmd_generate(args) -> int:
     try:
-        rng = np.random.default_rng(_seed_from(args))
+        rng = np.random.default_rng(args.seed)
         clauses = random_clauses(args.n, args.m, args.length, rng)
     except ValueError as exc:
         print(f"invalid generator setting: {exc}", file=sys.stderr)
@@ -112,9 +103,8 @@ def _bench_inputs(args):
                        if p.suffix in (".cnf", ".wcnf", ".dimacs"))
         return [(p.name, parse_dimacs(p.read_text())) for p in paths]
     if args.gen_count:
-        base_seed = _seed_from(args)
         out = []
-        for seed in range(base_seed, base_seed + args.gen_count):
+        for seed in range(args.seed, args.seed + args.gen_count):
             name = (f"rand-n{args.gen_n}-m{args.gen_m}"
                     f"-l{args.gen_length}-s{seed}")
             out.append((name, random_instance(args.gen_n, args.gen_m,
@@ -135,59 +125,49 @@ def cmd_bench(args) -> int:
     if not inputs:
         print("empty input set", file=sys.stderr)
         return 2
-    writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS)
+    writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS, restval="")
     writer.writeheader()
     solved_times = []
     ratio_rows = []
     for name, instance in inputs:
-        oracle_unsat = ""
+        oracle = ""
         if instance.num_vars <= BRUTE_FORCE_CAP:
-            oracle_unsat, _ = brute_force(instance)
+            oracle, _ = brute_force(instance)
+        clauses = instance.num_clauses + instance.empty_count
+
+        def ratio(unsat):
+            """Satisfied clauses over the optimum's ("" without an oracle)."""
+            if oracle == "":
+                return ""
+            opt = clauses - oracle
+            return 1.0 if opt == 0 else round((clauses - unsat) / opt, 6)
+
         emits = []
         t_start = time.monotonic()
-        if args.mode == "complete":
-            best, status, stats = solve_complete(
-                instance, config, on_improve=lambda inc: emits.append(inc))
-            proved = status == OPTIMUM
-        else:
-            best, stats = solve_incomplete(
-                instance, config, emit=lambda inc: emits.append(inc))
-            proved = False
+        best, proved, stats = _run(instance, config, args.mode, emits.append)
         total = time.monotonic() - t_start
-        best_unsat = best.unsat if best is not None else ""
-        ratio = ""
-        if best is not None and oracle_unsat != "":
-            sat_opt = instance.num_clauses + instance.empty_count - oracle_unsat
-            sat_got = instance.num_clauses + instance.empty_count - best.unsat
-            ratio = 1.0 if sat_opt == 0 else round(sat_got / sat_opt, 6)
-            for inc in emits:
-                got = instance.num_clauses + instance.empty_count - inc.unsat
-                r = 1.0 if sat_opt == 0 else round(got / sat_opt, 6)
-                ratio_rows.append({
-                    "kind": "ratio", "name": name, "n": instance.num_vars,
-                    "m": instance.num_clauses, "mode": args.mode,
-                    "best_unsat": inc.unsat, "oracle_unsat": oracle_unsat,
-                    "proved": "", "time_to_best": round(inc.found_at, 6),
-                    "time_total": "", "nodes": "", "sdp_solves": "",
-                    "ratio": r})
-        writer.writerow({
-            "kind": "instance", "name": name, "n": instance.num_vars,
-            "m": instance.num_clauses, "mode": args.mode,
-            "best_unsat": best_unsat, "oracle_unsat": oracle_unsat,
-            "proved": proved,
-            "time_to_best": round(best.found_at, 6) if best else "",
-            "time_total": round(total, 6), "nodes": stats.nodes_popped,
-            "sdp_solves": stats.sdp_solves, "ratio": ratio})
+        head = {"name": name, "n": instance.num_vars,
+                "m": instance.num_clauses, "mode": args.mode,
+                "oracle_unsat": oracle}
+        row = {"kind": "instance", **head, "proved": proved,
+               "time_total": round(total, 6), "nodes": stats.nodes_popped,
+               "sdp_solves": stats.sdp_solves}
+        if best is not None:
+            row.update(best_unsat=best.unsat, ratio=ratio(best.unsat),
+                       time_to_best=round(best.found_at, 6))
+        writer.writerow(row)
+        if oracle != "":
+            ratio_rows += [{"kind": "ratio", **head, "best_unsat": inc.unsat,
+                            "ratio": ratio(inc.unsat),
+                            "time_to_best": round(inc.found_at, 6)}
+                           for inc in emits]
         if proved:
             solved_times.append((total, name))
     for rank, (t, name) in enumerate(sorted(solved_times), start=1):
-        writer.writerow({
-            "kind": "cactus", "name": name, "n": rank, "m": "",
-            "mode": args.mode, "best_unsat": "", "oracle_unsat": "",
-            "proved": True, "time_to_best": "", "time_total": round(t, 6),
-            "nodes": "", "sdp_solves": "", "ratio": ""})
-    for row in ratio_rows:
-        writer.writerow(row)
+        writer.writerow({"kind": "cactus", "name": name, "n": rank,
+                         "mode": args.mode, "proved": True,
+                         "time_total": round(t, 6)})
+    writer.writerows(ratio_rows)
     return 0
 
 
@@ -204,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="complete")
         p.add_argument("--timeout", type=float, default=defaults.time_limit,
                        help="wall-clock limit in seconds")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (SDPSAT_SEED honored when omitted)")
+        p.add_argument("--seed", type=int, default=defaults.seed,
+                       help="RNG seed")
         p.add_argument("--eps", type=float, default=defaults.eps,
                        help="relaxation precision target in unsat units")
         p.add_argument("--rank", type=int, default=defaults.rank,
@@ -224,15 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--length", type=int, default=2)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=defaults.seed)
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=cmd_generate)
 
     p_bench = sub.add_parser("bench", help="run a batch and emit CSV")
-    p_bench.add_argument("--dir", default=None,
-                         help="directory of DIMACS files")
-    p_bench.add_argument("--gen-count", type=int, default=0,
-                         help="generate this many random instances instead")
+    inputs = p_bench.add_mutually_exclusive_group()
+    inputs.add_argument("--dir", default=None,
+                        help="directory of DIMACS files")
+    inputs.add_argument("--gen-count", type=int, default=0,
+                        help="generate this many random instances instead")
     p_bench.add_argument("--gen-n", type=int, default=16)
     p_bench.add_argument("--gen-m", type=int, default=64)
     p_bench.add_argument("--gen-length", type=int, default=2)

@@ -127,11 +127,13 @@ def parse_dimacs(text: str) -> Instance:
     """Parse DIMACS CNF or uniform-weight WCNF text into an Instance.
 
     Comment lines start with 'c'; a '%' line terminates the file (SATLIB
-    convention).  WCNF clauses must all carry the same weight -- weighted
-    MAXSAT is rejected explicitly rather than silently mis-solved.
+    convention).  WCNF clauses must all carry the same weight, below the
+    header's `top` if it gives one -- weighted and partial MAXSAT (a clause
+    of weight >= top is hard) are rejected rather than silently mis-solved.
     """
     num_vars = None
     is_wcnf = False
+    top = None
     clause_lists: list[list[int]] = []
     weight_seen: int | None = None
     current: list[int] = []
@@ -157,6 +159,10 @@ def parse_dimacs(text: str) -> Instance:
             if num_vars < 0:
                 raise ParseError("negative variable count")
             is_wcnf = tokens[1] == "wcnf"
+            if is_wcnf and len(tokens) > 4:
+                if not tokens[4].isdecimal() or int(tokens[4]) <= 0:
+                    raise ParseError(f"bad top weight {tokens[4]!r}")
+                top = int(tokens[4])
             expecting_weight = is_wcnf
             continue
         if num_vars is None:
@@ -169,6 +175,9 @@ def parse_dimacs(text: str) -> Instance:
                     raise ParseError(f"bad weight token {token!r}") from exc
                 if w <= 0:
                     raise ParseError(f"non-positive clause weight {w}")
+                if top is not None and w >= top:
+                    raise ParseError(f"hard clause (weight {w} >= top {top}):"
+                                     " partial MAXSAT unsupported")
                 if weight_seen is None:
                     weight_seen = w
                 elif w != weight_seen:
@@ -406,9 +415,8 @@ def assign(state: NodeState, ws: WatchedStack, var: int, value: int):
     status = state.clause_status
     lengths = inst.lengths
     moved: list[tuple[int, int, int]] = []
-    touches = 0
-    for j, sign in inst.occurrences[var]:
-        touches += 1
+    occurrences = inst.occurrences[var]
+    for j, sign in occurrences:
         if status[j] != ACTIVE:
             continue
         s0[j] += value * sign
@@ -421,7 +429,7 @@ def assign(state: NodeState, ws: WatchedStack, var: int, value: int):
             moved.append((j, sign, FALSIFIED))
         else:
             moved.append((j, sign, ACTIVE))
-    ws.touch_count += touches
+    ws.touch_count += len(occurrences)
     state.assignment[var] = value
     state.trail.append(var)
     state.free_count -= 1

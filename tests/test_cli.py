@@ -82,10 +82,15 @@ def test_solve_missing_file(capsys):
 
 def test_solve_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.cnf"
-    path.write_text("p cnf 1 1\n7 0\n")
-    code, _, err = run_cli(["solve", str(path)], capsys)
-    assert code == 2
-    assert "parse error" in err
+    # an out-of-range literal; two contradictory hard clauses (weight >= top),
+    # which are infeasible, not a soft optimum of 1
+    for text in ("p cnf 1 1\n7 0\n", "p wcnf 1 2 9\n9 1 0\n9 -1 0\n"):
+        path.write_text(text)
+        code, out, err = run_cli(["solve", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"parse error in {path}: ")
+        assert err.count("\n") == 1
     # out-of-range solver settings on a valid file are input errors too
     path.write_text(TRIANGLE)
     for flags in BAD_SETTINGS:
@@ -216,24 +221,72 @@ def test_generator_rejects_bad_counts(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_seed_env_var_flag_wins(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "tri.cnf"
-    path.write_text(TRIANGLE)
+def test_omitted_seed_is_seed_zero(tmp_path, capsys, monkeypatch):
+    """--seed defaults to SolverConfig.seed on generate, solve and bench;
+    no environment variable stands in for it."""
     monkeypatch.setenv("SDPSAT_SEED", "123")
-    _, out_env, _ = run_cli(["generate", "--n", "6", "--m", "6"], capsys)
-    monkeypatch.delenv("SDPSAT_SEED")
-    _, out_123, _ = run_cli(["generate", "--n", "6", "--m", "6",
-                             "--seed", "123"], capsys)
-    _, out_0, _ = run_cli(["generate", "--n", "6", "--m", "6",
-                           "--seed", "0"], capsys)
-    assert out_env == out_123
-    assert out_env != out_0
-    # a negative seed in the environment is ignored like any other bad value
-    monkeypatch.setenv("SDPSAT_SEED", "-1")
-    code, out_neg, err = run_cli(["generate", "--n", "6", "--m", "6"], capsys)
+    gen = ["generate", "--n", "12", "--m", "40"]
+    _, out_default, _ = run_cli(gen, capsys)
+    _, out_0, _ = run_cli(gen + ["--seed", "0"], capsys)
+    _, out_123, _ = run_cli(gen + ["--seed", "123"], capsys)
+    assert out_default == out_0 != out_123
+    path = tmp_path / "f.cnf"
+    path.write_text(out_123)
+    code, out_default, _ = run_cli(["solve", str(path)], capsys)
     assert code == 0
-    assert out_neg == out_0
-    assert "ignoring bad SDPSAT_SEED" in err
+    _, out_0, _ = run_cli(["solve", str(path), "--seed", "0"], capsys)
+    assert out_default == out_0
+    bench = ["bench", "--gen-count", "1", "--gen-n", "8", "--gen-m", "24"]
+    _, out_default, _ = run_cli(bench, capsys)
+    _, out_0, _ = run_cli(bench + ["--seed", "0"], capsys)
+    assert bench_cells(out_default) == bench_cells(out_0)
+    assert "rand-n8-m24-l2-s0" in out_default
+
+
+def bench_cells(out):
+    """The bench rows without their time cells, in a fixed order."""
+    return sorted(tuple(v for k, v in row.items() if not k.startswith("time_"))
+                  for row in csv.DictReader(io.StringIO(out)))
+
+
+BENCH_BLANKS = {
+    "instance": set(),
+    "cactus": {"m", "best_unsat", "oracle_unsat", "time_to_best", "nodes",
+               "sdp_solves", "ratio"},
+    "ratio": {"proved", "time_total", "nodes", "sdp_solves"},
+}
+
+
+def test_bench_row_layout(capsys):
+    """Each row kind leaves exactly its own cells blank, and a ratio is
+    satisfied clauses over the oracle's, rounded to 6 places."""
+    code, out, _ = run_cli(["bench", "--gen-count", "3", "--gen-n", "10",
+                            "--gen-m", "40", "--seed", "5"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["kind"] for r in rows[:6]] == ["instance"] * 3 + ["cactus"] * 3
+    assert {r["kind"] for r in rows[6:]} == {"ratio"}
+    for row in rows:
+        blank = {k for k, v in row.items() if v == ""}
+        assert blank == BENCH_BLANKS[row["kind"]], row
+        if row["kind"] != "cactus":
+            seed = int(row["name"].rsplit("-s", 1)[1])
+            inst = random_instance(10, 40, 2, seed)
+            total = inst.num_clauses + inst.empty_count
+            want = ((total - int(row["best_unsat"]))
+                    / (total - int(row["oracle_unsat"])))
+            assert float(row["ratio"]) == round(want, 6)
+    # above the brute-force cap there is no oracle, so no ratio anywhere
+    code, out, _ = run_cli(["bench", "--gen-count", "2", "--gen-n", "28",
+                            "--gen-m", "112"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["kind"] for r in rows] == ["instance"] * 2 + ["cactus"] * 2
+    for row in rows:
+        blank = {k for k, v in row.items() if v == ""}
+        extra = ({"oracle_unsat", "ratio"} if row["kind"] == "instance"
+                 else set())
+        assert blank == BENCH_BLANKS[row["kind"]] | extra, row
 
 
 def test_bench_generated(capsys):
@@ -284,6 +337,13 @@ def test_bench_empty_input(tmp_path, capsys):
         assert code == 2, flags
         assert out == ""
         assert "bench input error" in err
+    # a directory and generator settings at once are an input error too
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dir", str(tmp_path), "--gen-count", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_module_entry_point(tmp_path):

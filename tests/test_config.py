@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sdpsat.cli import _seed_from, build_parser
+from sdpsat.cli import build_parser
 from sdpsat.config import SolverConfig
 
 
@@ -23,15 +23,14 @@ def test_config_validates_field(field, good, bad):
             SolverConfig(**{field: value})
 
 
-def test_config_fields_are_the_cli_flags(monkeypatch):
+def test_config_fields_are_the_cli_flags():
     """The settings are the six solver flags, and each flag's default is
     the field's."""
-    monkeypatch.delenv("SDPSAT_SEED", raising=False)
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
     assert fields == ["eps", "rank", "seed", "depth_limit", "rounding_c",
                       "time_limit"]
     args = build_parser().parse_args(["solve", "in.cnf"])
     assert SolverConfig() == SolverConfig(
-        eps=args.eps, rank=args.rank, seed=_seed_from(args),
+        eps=args.eps, rank=args.rank, seed=args.seed,
         depth_limit=args.depth_limit, rounding_c=args.rounding_c,
         time_limit=args.timeout)

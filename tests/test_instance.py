@@ -98,6 +98,24 @@ def test_parse_wcnf_nonuniform_rejected():
         parse_dimacs("p wcnf 2 2 5\n1 1 2 0\n2 -1 0")
 
 
+@pytest.mark.parametrize("text", [
+    "p wcnf 1 2 9\n9 1 0\n9 -1 0",  # two contradictory hard clauses
+    "p wcnf 2 2 5\n7 1 2 0\n7 -1 0",  # uniform weights above top
+    "p wcnf 2 2 5\n1 1 2 0\n5 -1 0",  # a soft and a hard clause
+])
+def test_parse_wcnf_hard_clause_rejected(text):
+    """A clause of weight >= top is hard (partial MAXSAT): rejected, not
+    solved as a soft clause."""
+    with pytest.raises(ParseError, match="hard clause"):
+        parse_dimacs(text)
+
+
+@pytest.mark.parametrize("top", ["0", "-3", "x", "2.5"])
+def test_parse_wcnf_bad_top_rejected(top):
+    with pytest.raises(ParseError, match="bad top weight"):
+        parse_dimacs(f"p wcnf 1 1 {top}\n1 1 0")
+
+
 def test_evaluate_example():
     inst = parse_dimacs(EXAMPLE)
     # brute-check: v = (T, F) leaves exactly (-1, 2) unsatisfied
