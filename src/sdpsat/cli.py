@@ -19,8 +19,9 @@ import numpy as np
 from .config import SolverConfig
 from .generate import random_clauses, random_instance, render_dimacs
 from .instance import ParseError, parse_dimacs
-from .oracle import BRUTE_FORCE_CAP, brute_force
-from .search import OPTIMUM, solve_complete, solve_incomplete
+from .oracle import BRUTE_FORCE_CAP, brute_force_dense
+from .search import (COMPLETE, INCOMPLETE, OPTIMUM, solve_complete,
+                     solve_incomplete)
 
 BENCH_COLUMNS = ["kind", "name", "n", "m", "mode", "best_unsat",
                  "oracle_unsat", "proved", "time_to_best", "time_total",
@@ -42,7 +43,7 @@ def _config_from(args) -> SolverConfig | None:
 def _run(instance, config, mode, emit):
     """One search in `mode`, calling emit(incumbent) on each improvement:
     (best incumbent or None, whether it is a proved optimum, stats)."""
-    if mode == "complete":
+    if mode == COMPLETE:
         best, status, stats = solve_complete(instance, config,
                                              on_improve=emit)
         return best, status == OPTIMUM, stats
@@ -132,7 +133,7 @@ def cmd_bench(args) -> int:
     for name, instance in inputs:
         oracle = ""
         if instance.num_vars <= BRUTE_FORCE_CAP:
-            oracle, _ = brute_force(instance)
+            oracle, _ = brute_force_dense(instance)
         clauses = instance.num_clauses + instance.empty_count
 
         def ratio(unsat):
@@ -180,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SolverConfig
 
     def solver_flags(p):
-        p.add_argument("--mode", choices=("complete", "incomplete"),
-                       default="complete")
+        p.add_argument("--mode", choices=(COMPLETE, INCOMPLETE),
+                       default=COMPLETE)
         p.add_argument("--timeout", type=float, default=defaults.time_limit,
                        help="wall-clock limit in seconds")
         p.add_argument("--seed", type=int, default=defaults.seed,

@@ -392,10 +392,9 @@ class WatchedStack:
     occurrence entries.
     """
 
-    __slots__ = ("instance", "undo", "touch_count")
+    __slots__ = ("undo", "touch_count")
 
-    def __init__(self, instance: Instance):
-        self.instance = instance
+    def __init__(self):
         self.undo: list[list[tuple[int, int, int]]] = []
         self.touch_count = 0
 

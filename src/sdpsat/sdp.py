@@ -250,14 +250,13 @@ class LossTracker:
     assignment only kills entries, so no other pair is read below the root.
     move() then reprices each moved clause from its L(L+1)/2 pairs and its
     entry of NodeState.price in scalar steps, and keeps the objective
-    (base_unsat plus the active losses) and the sum of positive active
-    losses running; revert() restores them exactly.  `losses[j]` is
-    meaningful only while clause j is active.  The factor's columns must
-    stay as they were at the seed, as they do during an expansion.  No
-    z-cache is read or written.
+    (base_unsat plus the active losses) running; revert() restores it
+    exactly.  `losses[j]` is meaningful only while clause j is active.  The
+    factor's columns must stay as they were at the seed, as they do during
+    an expansion.  No z-cache is read or written.
     """
 
-    __slots__ = ("dots", "losses", "objective", "positive", "_undo")
+    __slots__ = ("dots", "losses", "objective", "_undo")
 
     def __init__(self, state: NodeState, factor: Factor):
         a, b = state.pair_a, state.pair_b
@@ -275,9 +274,7 @@ class LossTracker:
         losses = (norms - (lengths - 1) ** 2 + 2.0 * cross) * weight
         self.dots = dots.tolist()
         self.losses = losses.tolist()
-        losses = losses[active]
-        self.objective = state.base_unsat + math.fsum(losses.tolist())
-        self.positive = math.fsum(losses[losses > 0.0].tolist())
+        self.objective = state.base_unsat + math.fsum(losses[active].tolist())
         self._undo: list = []
 
     def move(self, state: NodeState, moved) -> float:
@@ -294,11 +291,8 @@ class LossTracker:
         pair_first = state.pair_first
         saved = []
         d_obj = 0.0
-        positive = self.positive
         for j, _, new_status in moved:
             old = losses[j]
-            if old > 0.0:
-                positive -= old
             if new_status != ACTIVE:
                 d_obj += (new_status == FALSIFIED) - old
                 continue
@@ -321,16 +315,13 @@ class LossTracker:
             new = (base + 2.0 * cross) * w
             saved.append((j, old))
             losses[j] = new
-            if new > 0.0:
-                positive += new
             d_obj += new - old
-        self._undo.append((saved, self.objective, self.positive))
+        self._undo.append((saved, self.objective))
         self.objective += d_obj
-        self.positive = positive
         return d_obj
 
     def revert(self) -> None:
-        saved, self.objective, self.positive = self._undo.pop()
+        saved, self.objective = self._undo.pop()
         for j, old in saved:
             self.losses[j] = old
 

@@ -1,9 +1,11 @@
 """Branch-and-bound driver over relaxation roots.
 
-Complete mode runs the root queue as a stack (DFS) and proves optimality by
-draining it; incomplete (anytime) mode orders roots by the clipped loss of
-their warm-started factors and reports every incumbent improvement as it
-happens.  Either way, each popped root is solved by sweeps, rounded, and then
+One depth-first search serves both modes: the root queue is a stack, and
+draining it proves optimality.  Complete mode returns that status;
+incomplete (anytime) mode runs the same search, reports every incumbent
+improvement as it happens, and claims no proof.  Each popped root is
+solved by sweeps from the factor the previous solve left (in DFS order
+mostly its parent's), rounded, and then
 expanded by one depth-limited DFS whose interior nodes are priced with the
 warm-started bound pair: prune on the dual ceiling, recurse on a primal that
 already ties the incumbent, and emit everything else as a new root.  The
@@ -17,8 +19,7 @@ being queued, replayed and re-solved.
 The child's cost matrix is derived from the one its root's solve built
 (ShiftLedger.child_cost), never rebuilt.  Every DFS step costs O(clauses it
 moves) in scalar steps: the ShiftLedger prices its dual side and a
-LossTracker its primal side and the anytime priority; neither a step nor
-a solve reads the z-cache.
+LossTracker its primal side; neither a step nor a solve reads the z-cache.
 
 Every prune compares a bound with one number, the floor best_unsat - 1 +
 PRUNE_TOL (bounds.prune_floor).  A prune decided by a certificate is
@@ -30,7 +31,6 @@ children.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -54,19 +54,17 @@ INCOMPLETE = "incomplete"
 
 @dataclass(frozen=True, slots=True)
 class SearchNode:
-    """Queue entry: assignment path from the original root plus its bounds
+    """Stack entry: assignment path from the original root plus its bounds
     (`dual` is at least the node's falsified-clause count).
 
     The path, read off the trail (NodeState.path), is kept as the expanded
     root's path, one tuple shared by all of that root's children, and the
-    DFS steps below it, so a queued node holds only its own few steps (the
-    anytime queue holds tens of thousands of nodes)."""
+    DFS steps below it, so a stacked node holds only its own few steps."""
 
     root_path: tuple
     steps: tuple
     primal: float
     dual: float
-    priority: float
     depth: int
 
     @property
@@ -106,7 +104,7 @@ class SearchStats:
 
 
 class Searcher:
-    """Single-owner engine: one state, one factor workspace, one queue."""
+    """Single-owner engine: one state, one factor workspace, one stack."""
 
     def __init__(self, instance: Instance, config: SolverConfig, emit=None):
         self.inst = instance
@@ -114,11 +112,10 @@ class Searcher:
         self.emit = emit
         n = instance.num_vars
         # a rank-(n+1) factor already spans the full relaxation
-        k = (min(config.rank, max(2, n + 1)) if config.rank
-             else default_rank(max(n, 1)))
+        k = min(config.rank or default_rank(max(n, 1)), max(2, n + 1))
         self.rng = np.random.default_rng(config.seed)
         self.state = NodeState(instance)
-        self.ws = WatchedStack(instance)
+        self.ws = WatchedStack()
         self.factor = init_factor(n, k, self.rng)
         self.zcache = ZCache(instance, k)
         self.order = list(range(1, n + 1))
@@ -128,7 +125,6 @@ class Searcher:
         self.t0 = time.monotonic()
         self.deadline = (None if config.time_limit is None
                          else self.t0 + config.time_limit)
-        self.mode = COMPLETE
         # set where the deadline drops work that a proof needs
         self.cut_short = False
 
@@ -167,7 +163,9 @@ class Searcher:
     def clipped_loss(self) -> float:
         """base_unsat plus the positive active losses, summed from scratch
         on the z-cache, which no solve keeps (always rebuild it first).
-        The reference for the running sum expansion keeps (LossTracker)."""
+        No search step calls it: it is a perfbench hook (tracing.py wraps
+        it, layers.py times it) with no live counterpart until the harness
+        times the paths the solver runs (ROADMAP Direction 1)."""
         losses = active_losses(self.state, self.zcache)
         positive = losses[losses > 0.0].tolist()
         return self.state.base_unsat + math.fsum(positive)
@@ -218,10 +216,9 @@ class Searcher:
 
         A step costs O(clauses it moves): the ledger prices the dual side,
         and a LossTracker seeded here from the solved factor keeps the
-        primal and, in anytime mode, the priority base_unsat plus the
-        positive active losses (what clipped_loss computes from scratch).
-        Neither reads the z-cache.  A deadline that stops the DFS with
-        branches left sets cut_short."""
+        primal.  Neither reads the z-cache.  The children come back in
+        search order; the caller pushes them so the first is popped first.
+        A deadline that stops the DFS with branches left sets cut_short."""
         state, ws = self.state, self.ws
         ledger = ShiftLedger(res.cert)
         losses = LossTracker(state, self.factor)
@@ -230,7 +227,6 @@ class Searcher:
                       if state.assignment[v] == FREE][:self.cfg.depth_limit]
         children: list[SearchNode] = []
         prefer = self.best.assignment if self.best is not None else None
-        incomplete = self.mode == INCOMPLETE
 
         def emit_child(depth: int, dual: float) -> None:
             if self.prunes(losses.objective) and not past(self.deadline):
@@ -242,12 +238,9 @@ class Searcher:
                     self.stats.prunes_by_dual += 1
                     self.stats.child_cert_prunes += 1
                     return
-            # a running sum of non-negative terms may drift below zero
-            priority = (state.base_unsat + max(losses.positive, 0.0)
-                        if incomplete else 0.0)
             children.append(SearchNode(
                 root_path=root_path, steps=state.path(len(root_path)),
-                primal=losses.objective, dual=dual, priority=priority,
+                primal=losses.objective, dual=dual,
                 depth=node_depth + depth))
 
         def descend(depth: int) -> None:
@@ -281,10 +274,10 @@ class Searcher:
         descend(0)
         return children
 
-    # -- drivers -----------------------------------------------------------
+    # -- driver ------------------------------------------------------------
 
     def process_root(self, node: SearchNode) -> list[SearchNode]:
-        """Pop-time handling shared by both modes; returns children to push."""
+        """Pop-time handling of one root; returns its children to push."""
         stats = self.stats
         stats.nodes_popped += 1
         if self.prunes(node.dual):
@@ -318,32 +311,18 @@ class Searcher:
         self.reorder(res.cert)
         return self.expand_root(res, node.depth)
 
-    def run_complete(self) -> str:
-        self.mode = COMPLETE
-        stack = [SearchNode((), (), math.inf, 0.0, 0.0, 0)]
+    def run(self) -> str:
+        """The DFS over the root stack, until it drains or the deadline."""
+        stack = [SearchNode((), (), math.inf, 0.0, 0)]
         while stack and not past(self.deadline):
-            node = stack.pop()
-            for child in reversed(self.process_root(node)):
-                stack.append(child)
+            stack.extend(reversed(self.process_root(stack.pop())))
         self.cut_short |= bool(stack)
-        return self.finish()
-
-    def run_incomplete(self) -> str:
-        self.mode = INCOMPLETE
-        counter = 0
-        heap = [(0.0, counter, SearchNode((), (), math.inf, 0.0, 0.0, 0))]
-        while heap and not past(self.deadline):
-            _, _, node = heapq.heappop(heap)
-            for child in self.process_root(node):
-                counter += 1
-                heapq.heappush(heap, (child.priority, counter, child))
-        self.cut_short |= bool(heap)
         return self.finish()
 
     def finish(self) -> str:
         """A drained queue is a proof only if the deadline never cut work
         short (cut_short): a solve that ran past it, an expansion that it
-        stopped with branches left or a queue loop that it ended with
+        stopped with branches left or a stack loop that it ended with
         nodes left.  Work that merely ends after the deadline, such as the
         last rounding or prune, leaves the proof whole."""
         self.stats.wall_time = time.monotonic() - self.t0
@@ -354,13 +333,13 @@ def solve_complete(instance: Instance, config: SolverConfig | None = None,
                    on_improve=None):
     """DFS to a proved optimum (or the best incumbent at the time limit)."""
     engine = Searcher(instance, config or SolverConfig(), emit=on_improve)
-    status = engine.run_complete()
+    status = engine.run()
     return engine.best, status, engine.stats
 
 
 def solve_incomplete(instance: Instance, config: SolverConfig | None = None,
                      emit=None):
-    """Anytime best-first search; emit fires on every incumbent improvement."""
-    engine = Searcher(instance, config or SolverConfig(), emit=emit)
-    engine.run_incomplete()
-    return engine.best, engine.stats
+    """Anytime mode: the same search, stopped at the time limit with no
+    proof claimed; emit fires on every incumbent improvement."""
+    best, _, stats = solve_complete(instance, config, on_improve=emit)
+    return best, stats

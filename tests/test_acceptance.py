@@ -60,7 +60,7 @@ def test_criterion_02_lower_bound_soundness():
         bucket = []
         engine = Searcher(inst, SolverConfig(seed=seed))
         with record_bounds(engine, bucket):
-            engine.run_complete()
+            engine.run()
         records.extend((inst, path, dual) for path, dual in bucket[:400])
         seed += 1
     sample = random.Random(0).sample(records, 1000)
@@ -146,7 +146,7 @@ def test_criterion_05_dual_warm_start_feasibility():
     sample = random.Random(1).sample(collected, 200)
     worst = 0.0
     for inst, path, cert in sample:
-        state, ws = NodeState(inst), WatchedStack(inst)
+        state, ws = NodeState(inst), WatchedStack()
         for var, val in path:
             assign(state, ws, var, val)
         check = dense_sdp_check(state, lam=cert.lam)
@@ -198,7 +198,7 @@ def test_criterion_07_anytime_behavior():
 
 def test_criterion_08_watched_stack_equivalence():
     inst = random_instance(500, 2000, 2, seed=0)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     rng = np.random.default_rng(0)
     checkpoints = set(rng.choice(100_000, size=100, replace=False).tolist())
     for step in range(100_000):
@@ -213,7 +213,7 @@ def test_criterion_08_watched_stack_equivalence():
             assert statuses == state.clause_status
             assert base == state.base_unsat
     # instrumented touch count over a fresh full assignment
-    state2, ws2 = NodeState(inst), WatchedStack(inst)
+    state2, ws2 = NodeState(inst), WatchedStack()
     order = rng.permutation(np.arange(1, 501))
     for v in order:
         assign(state2, ws2, int(v), TRUE if rng.random() < 0.5 else FALSE)

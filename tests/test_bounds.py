@@ -117,7 +117,7 @@ def test_primal_init_integral_substitution_invariance():
     inst = random_instance(9, 27, 2, seed=4)
     encoded = (1,) + tuple(1 if i % 3 else -1 for i in range(9))
     factor = integral_factor(inst, encoded)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     zc = ZCache(inst, 3)
     zc.rebuild(state, factor)
     before = objective(state, factor, zc)
@@ -422,7 +422,7 @@ def ledger_state(ledger):
 def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
     """Along a random DFS path below a root solved densely or sparsely,
     each step's running figures match from-scratch ones: the tracker's
-    objective and clipped sum those of a freshly rebuilt z-cache, the
+    objective that of a freshly rebuilt z-cache, the
     ledger's O(1) bound its materialized certificate's, and the ledger's
     moves since the root (folded diagonal, constant offset and the
     truth-row entry of every free column) the independent dense
@@ -445,7 +445,7 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
     ledger = ShiftLedger(res.cert)
     losses = LossTracker(state, factor)
     root_ledger = ledger_state(ledger)
-    root_losses = (list(losses.losses), losses.objective, losses.positive)
+    root_losses = (list(losses.losses), losses.objective)
     root = dense_sdp_check(state)
     root_truth = dict(zip(root.index, root.cost[0]))
 
@@ -464,8 +464,6 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
         zc.rebuild(state, factor)
         assert losses.objective == pytest.approx(
             objective(state, factor, zc), abs=1e-9)
-        assert state.base_unsat + losses.positive == pytest.approx(
-            engine.clipped_loss(), abs=1e-9)
         assert ledger.dual_bound() == pytest.approx(
             ledger.cert_snapshot().dual_bound, abs=1e-9)
         child = dense_sdp_check(state)
@@ -481,5 +479,4 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
         ledger.revert()
         unassign_to(state, ws, state.mark() - 1)
     assert ledger_state(ledger) == root_ledger
-    assert (list(losses.losses), losses.objective,
-            losses.positive) == root_losses
+    assert (list(losses.losses), losses.objective) == root_losses

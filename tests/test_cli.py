@@ -258,8 +258,9 @@ BENCH_BLANKS = {
 
 
 def test_bench_row_layout(capsys):
-    """Each row kind leaves exactly its own cells blank, and a ratio is
-    satisfied clauses over the oracle's, rounded to 6 places."""
+    """Each row kind leaves exactly its own cells blank, the oracle column
+    holds the exact optimum, and a ratio is satisfied clauses over the
+    oracle's, rounded to 6 places."""
     code, out, _ = run_cli(["bench", "--gen-count", "3", "--gen-n", "10",
                             "--gen-m", "40", "--seed", "5"], capsys)
     assert code == 0
@@ -272,6 +273,8 @@ def test_bench_row_layout(capsys):
         if row["kind"] != "cactus":
             seed = int(row["name"].rsplit("-s", 1)[1])
             inst = random_instance(10, 40, 2, seed)
+            # the oracle column is the Gray-code reference's optimum
+            assert int(row["oracle_unsat"]) == brute_force(inst)[0]
             total = inst.num_clauses + inst.empty_count
             want = ((total - int(row["best_unsat"]))
                     / (total - int(row["oracle_unsat"])))

@@ -153,7 +153,7 @@ def test_evaluate_touch_count_is_nnz():
 
 def test_assign_coefficient_move():
     inst = parse_dimacs("p cnf 2 1\n1 2 0")
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     assert state.s0[0] == -1
     assign(state, ws, 1, FALSE)
     assert state.s0[0] == -2
@@ -166,7 +166,7 @@ def test_assign_coefficient_move():
 
 def test_assign_satisfies():
     inst = parse_dimacs("p cnf 2 1\n1 2 0")
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     assign(state, ws, 1, TRUE)
     assert state.clause_status[0] == SATISFIED
     assert state.s0[0] == 0
@@ -174,7 +174,7 @@ def test_assign_satisfies():
 
 def test_assign_non_free_rejected():
     inst = parse_dimacs("p cnf 2 1\n1 2 0")
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     assign(state, ws, 1, TRUE)
     with pytest.raises(ValueError):
         assign(state, ws, 1, FALSE)
@@ -182,7 +182,7 @@ def test_assign_non_free_rejected():
 
 def test_unassign_involution():
     inst = parse_dimacs(EXAMPLE)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     snapshot = (list(state.assignment), list(state.s0),
                 list(state.clause_status), state.base_unsat, state.free_count)
     mark = state.mark()
@@ -196,7 +196,7 @@ def test_unassign_involution():
 
 def test_unassign_noop_and_bad_mark():
     inst = parse_dimacs(EXAMPLE)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     assign(state, ws, 1, TRUE)
     unassign_to(state, ws, state.mark())  # no-op
     assert state.trail == [1]
@@ -209,7 +209,7 @@ def test_unassign_noop_and_bad_mark():
 def test_random_ops_match_naive_rescan(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(12, 40, int(rng.integers(1, 4)), seed=seed)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     for _ in range(50):
         if state.trail and (state.free_count == 0 or rng.random() < 0.4):
             unassign_to(state, ws, int(rng.integers(0, len(state.trail))))
@@ -237,7 +237,7 @@ def test_random_ops_match_naive_rescan(seed):
 
 def test_full_assignment_touches_equal_nnz():
     inst = random_instance(30, 90, 2, seed=3)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     rng = np.random.default_rng(0)
     order = rng.permutation(np.arange(1, 31))
     for v in order:

@@ -48,7 +48,7 @@ def test_round_once_sign_flip_invariance():
 
 def test_round_once_keeps_assigned_values():
     inst = random_instance(6, 12, 2, seed=8)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     assign(state, ws, 2, TRUE)
     assign(state, ws, 5, FALSE)
     factor = init_factor(6, 4, seed=0)
@@ -116,7 +116,7 @@ def test_rounding_blocks_bound_the_factor_rows(monkeypatch):
 
 def test_node_unsat_matches_full_evaluate():
     inst = random_instance(10, 40, 2, seed=12)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     rng = np.random.default_rng(7)
     for v in (1, 4, 7):
         assign(state, ws, v, TRUE if rng.random() < 0.5 else FALSE)

@@ -34,7 +34,7 @@ TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0"
 
 def fresh_solver_state(instance, seed=0, k=None):
     state = NodeState(instance)
-    ws = WatchedStack(instance)
+    ws = WatchedStack()
     k = k or default_rank(max(instance.num_vars, 1))
     factor = init_factor(instance.num_vars, k, seed)
     zcache = ZCache(instance, k)
@@ -159,7 +159,7 @@ def test_loss_case_table_at_partial_nodes():
                     for lit, value in zip(free, values):
                         full[abs(lit)] = value
                     factor = integral_factor(inst, full)
-                    state, ws = NodeState(inst), WatchedStack(inst)
+                    state, ws = NodeState(inst), WatchedStack()
                     moved_tracker = LossTracker(state, factor)
                     moved_zc = ZCache(inst, factor.k)
                     moved_zc.rebuild(state, factor)
@@ -203,7 +203,7 @@ def test_price_table_matches_rule():
     clauses = [[first + i for i in range(length)]
                for length, first in zip(range(1, 6), (1, 2, 4, 7, 11))]
     inst = instance_from_clauses(15, clauses)
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     u = Fraction(2) ** -53
     for clause in inst.clauses:
         length = clause.length
@@ -234,7 +234,7 @@ def test_node_objective_at_completions(inst, data):
     that completion's unsat count, and equal to it when no active clause
     has three or more free literals."""
     n = inst.num_vars
-    state, ws = NodeState(inst), WatchedStack(inst)
+    state, ws = NodeState(inst), WatchedStack()
     path = data.draw(st.permutations(range(1, n + 1)))
     for var in path[:data.draw(st.integers(max(n - 4, 0), n))]:
         assign(state, ws, var, data.draw(st.sampled_from((TRUE, FALSE))))

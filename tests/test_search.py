@@ -17,8 +17,8 @@ from sdpsat.instance import (FALSE, TRUE, assign, evaluate,
                              unassign_to)
 from sdpsat.oracle import (brute_force, brute_force_dense, dense_sdp_check,
                            min_unsat_completion)
-from sdpsat.search import (COMPLETE, OPTIMUM, TIMEOUT, Searcher,
-                           solve_complete, solve_incomplete)
+from sdpsat.search import (OPTIMUM, TIMEOUT, Searcher, solve_complete,
+                           solve_incomplete)
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0"
 
@@ -132,7 +132,7 @@ def test_deadline_inside_first_root_rounds_once():
         return real_solve(*args, **dict(kwargs, deadline=engine.deadline))
 
     with mock.patch.object(sdpsat.search, "solve", solve_past_deadline):
-        status = engine.run_complete()
+        status = engine.run()
     assert status == TIMEOUT
     assert engine.stats.sdp_solves == 1
     assert engine.stats.roundings == 1
@@ -218,18 +218,16 @@ def small_formulas(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(inst=small_formulas(), mode=st.sampled_from(("complete", "incomplete")),
-       max_sweeps=st.sampled_from((1, 3, 400)),
+@given(inst=small_formulas(), max_sweeps=st.sampled_from((1, 3, 400)),
        depth_limit=st.integers(1, 10),
        time_limit=st.sampled_from((None, 0.001, 0.005)),
        seed=st.integers(0, 1000))
-def test_any_optimum_is_the_true_optimum(inst, mode, max_sweeps, depth_limit,
+def test_any_optimum_is_the_true_optimum(inst, max_sweeps, depth_limit,
                                          time_limit, seed):
     engine = Searcher(inst, SolverConfig(
         seed=seed, depth_limit=depth_limit, time_limit=time_limit))
     with mock.patch.object(sdp, "MAX_SWEEPS", max_sweeps):
-        status = (engine.run_complete() if mode == COMPLETE
-                  else engine.run_incomplete())
+        status = engine.run()
     optimum, _ = brute_force(inst)
     if engine.best is not None:
         assert engine.best.unsat >= optimum
@@ -281,6 +279,23 @@ def test_incomplete_drained_queue_reaches_oracle():
         best, _ = solve_incomplete(inst, SolverConfig(seed=seed))
         oracle_best, _ = brute_force(inst)
         assert best.unsat == oracle_best
+
+
+def test_incomplete_runs_the_complete_search():
+    """With no time limit, anytime mode searches the complete mode's tree:
+    the same incumbents, final assignment and counters."""
+    for seed in range(20):
+        n = 12 + seed % 5
+        inst = random_instance(n, 5 * n, 2, seed=seed + 300)
+        runs = []
+        for solver in (solve_complete, solve_incomplete):
+            seen = []
+            best, *_, stats = solver(inst, SolverConfig(seed=seed),
+                                     lambda inc: seen.append(inc.unsat))
+            counters = stats.as_dict()
+            del counters["wall_time"]
+            runs.append((best.assignment, best.unsat, seen, counters))
+        assert runs[0] == runs[1], f"seed {seed}"
 
 
 def test_expand_root_bound_saturation_gives_no_children():
@@ -341,24 +356,12 @@ def test_expansion_prices_children_after_a_dense_solve():
             dense_sdp_check(engine.state, engine.factor).objective, abs=1e-9)
 
 
-def test_node_priority_nonnegative_and_matches_dense():
+def test_clipped_loss_matches_dense():
+    """The clipped loss at a solved root against the loss formula written
+    out on the z-cache's rows."""
     inst = random_instance(12, 48, 2, seed=33)
     engine = Searcher(inst, SolverConfig(seed=33))
-    engine.mode = "incomplete"
-    res = engine.solve_root()
-    engine.round_root()
-    engine.reorder(res.cert)
-    children = engine.expand_root(res, 0)
-    assert children
-    for child in children:
-        assert child.priority >= 0.0
-        # the running priority is the clipped loss from scratch
-        engine.move_to(child.path)
-        engine.zcache.rebuild(engine.state, engine.factor)
-        assert child.priority == pytest.approx(engine.clipped_loss(),
-                                               abs=1e-9)
-    # dense recomputation of the clipped loss at the root itself
-    engine.move_to(())
+    engine.solve_root()
     engine.zcache.rebuild(engine.state, engine.factor)
     z = engine.zcache.z
     expected = engine.state.base_unsat + sum(
@@ -414,20 +417,28 @@ def test_move_to_reads_the_trail_after_direct_steps():
 
 
 def test_rank_above_columns_is_clamped():
-    """A rank above n + 1 runs the search of rank n + 1, whose factor
-    already spans the full relaxation."""
+    """A rank above n + 1, given or default, runs the search of rank
+    n + 1, whose factor already spans the full relaxation."""
     inst = random_instance(12, 48, 2, seed=3)
     runs = []
     for rank in (10 ** 12, 13):
         engine = Searcher(inst, SolverConfig(seed=2, rank=rank))
         assert engine.factor.k == 13 and engine.factor.cols.shape == (13, 13)
-        status = engine.run_complete()
+        status = engine.run()
         stats = engine.stats.as_dict()
         del stats["wall_time"]
         runs.append((engine.best.assignment, engine.best.unsat, status,
                      stats))
     assert runs[0] == runs[1]
     assert runs[0][1] == brute_force(inst)[0]
+    # the default rank is capped the same way: k = n + 1 at n = 1 and 2
+    for n, clauses in ((1, [[1], [-1]]), (2, [[1, 2], [-1, 2], [-2]])):
+        inst = instance_from_clauses(n, clauses)
+        engine = Searcher(inst, SolverConfig(seed=0))
+        assert engine.factor.k == n + 1
+        assert engine.factor.cols.shape == (n + 1, n + 1)
+        assert engine.run() == OPTIMUM
+        assert engine.best.unsat == brute_force(inst)[0] == 1
 
 
 def test_recorded_bounds_sound_on_small_instance():
@@ -439,7 +450,7 @@ def test_recorded_bounds_sound_on_small_instance():
         records = []
         engine = Searcher(inst, SolverConfig(seed=seed))
         with record_bounds(engine, records):
-            status = engine.run_complete()
+            status = engine.run()
         assert status == OPTIMUM
         for path, dual in records[:50]:
             values = [0] * 13
@@ -452,12 +463,11 @@ def test_recorded_bounds_sound_on_small_instance():
 
 
 @settings(max_examples=1000, deadline=None)
-@given(inst=small_formulas(), mode=st.sampled_from((COMPLETE, "incomplete")),
-       max_sweeps=st.sampled_from((1, 3, 400)),
+@given(inst=small_formulas(), max_sweeps=st.sampled_from((1, 3, 400)),
        depth_limit=st.integers(1, 10), seed=st.integers(0, 99),
        data=st.data())
 def test_children_dropped_by_own_certificate_are_sound(
-        inst, mode, max_sweeps, depth_limit, seed, data):
+        inst, max_sweeps, depth_limit, seed, data):
     """Every child that expansion drops by its own certificate, in a search
     started from a random incumbent count, has a certificate that is PSD by
     the dense probe without tolerance, that passes the prune test, and whose
@@ -488,10 +498,7 @@ def test_children_dropped_by_own_certificate_are_sound(
     with mock.patch.multiple(sdpsat.search, pruning_certificate=audited,
                              decide=recorded_decide), \
             mock.patch.object(sdp, "MAX_SWEEPS", max_sweeps):
-        if mode == COMPLETE:
-            engine.run_complete()
-        else:
-            engine.run_incomplete()
+        engine.run()
     assert len(dropped) == engine.stats.child_cert_prunes
     for path, bound, best_unsat, min_eig, exact in dropped:
         assert min_eig >= 0.0
