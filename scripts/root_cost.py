@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Cost of the numpy layers of one dense root, in us per call.
+
+For every seed in [first, first + count), solves the root of
+`sdpsat.generate.random_instance(n, m, length, seed)` as the search does
+(Searcher.solve_root, SolverConfig(seed=0)) and times, at that solved
+root, each layer the search runs on it:
+
+    node_cost      the solve's cost matrix, in the solve's sweep order
+    dense_sweep    one sweep of that matrix (on a copy of the factor)
+    cert_raw       certificate(cost, factor, repair=False)
+    prune_cert     pruning_certificate at a floor 1 below the raw bound,
+                   so its Cholesky runs
+    cert_repaired  certificate(cost, factor), eigen-repaired
+    loss_tracker   LossTracker(state, factor), as expand_root seeds one
+    rounding       one best_rounding block of rounding_budget trials
+
+node_cost is the first reader of a node's view in a root solve, so before
+each of its calls the trail is moved away and back (one assign and one
+unassign_to, not timed); the other layers find the view as the search
+does.  One round calls every layer once at every root; a layer's figure is
+the median over the rounds of its mean time per call.  BLAS runs on one
+thread, set before numpy loads.
+
+Output: a header and one whitespace-separated row on stdout: n, m,
+length, roots, then one column per layer above, in us per call.
+
+    python3 scripts/root_cost.py --n 14 --m 98 --length 3 --count 20
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from sdpsat import sdp  # noqa: E402
+from sdpsat.config import SolverConfig  # noqa: E402
+from sdpsat.generate import random_instance  # noqa: E402
+from sdpsat.instance import TRUE, assign, unassign_to  # noqa: E402
+from sdpsat.rounding import best_rounding, rounding_budget  # noqa: E402
+from sdpsat.search import Searcher  # noqa: E402
+
+LAYERS = ("node_cost", "dense_sweep", "cert_raw", "prune_cert",
+          "cert_repaired", "loss_tracker", "rounding")
+
+
+def root_layers(n: int, m: int, length: int, seed: int) -> list:
+    """The solved root of one formula as (setup, call) per layer, in LAYERS
+    order; setup is None or an untimed step run before each call."""
+    engine = Searcher(random_instance(n, m, length, seed),
+                      SolverConfig(seed=0))
+    res = engine.solve_root()
+    state, ws, factor, cost = engine.state, engine.ws, engine.factor, res.cost
+    swept = sdp.Factor(factor.cols.copy())
+    floor = sdp.certificate(cost, factor, repair=False).dual_bound - 1.0
+    budget = rounding_budget(state.free_count, engine.cfg.rounding_c)
+    var = state.free_vars()[0]
+
+    def move_away_and_back():
+        assign(state, ws, var, TRUE)
+        unassign_to(state, ws, 0)
+
+    return [
+        (move_away_and_back, lambda: sdp.node_cost(state, engine.order)),
+        (None, lambda: sdp.dense_sweep(cost, swept)),
+        (None, lambda: sdp.certificate(cost, factor, repair=False)),
+        (None, lambda: sdp.pruning_certificate(cost, factor, floor)),
+        (None, lambda: sdp.certificate(cost, factor)),
+        (None, lambda: sdp.LossTracker(state, factor)),
+        (None, lambda: best_rounding(factor, state, budget,
+                                     np.random.default_rng(0))),
+    ]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--n", type=int, required=True)
+    ap.add_argument("--m", type=int, required=True)
+    ap.add_argument("--length", type=int, required=True)
+    ap.add_argument("--first", type=int, default=0, help="first seed")
+    ap.add_argument("--count", type=int, default=20, help="roots")
+    ap.add_argument("--rounds", type=int, default=15,
+                    help="timed calls per layer and root (median taken)")
+    args = ap.parse_args()
+    if args.count < 1 or args.rounds < 1:
+        ap.error("--count and --rounds must be at least 1")
+    if args.n < 1:
+        ap.error("--n must be at least 1")
+
+    roots = [root_layers(args.n, args.m, args.length, seed)
+             for seed in range(args.first, args.first + args.count)]
+    rounds = [[0.0] * len(LAYERS) for _ in range(args.rounds)]
+    for spent in rounds:
+        for layers in roots:
+            for i, (setup, call) in enumerate(layers):
+                if setup is not None:
+                    setup()
+                start = time.perf_counter()
+                call()
+                spent[i] += time.perf_counter() - start
+    medians = [statistics.median(spent[i] for spent in rounds) / len(roots)
+               for i in range(len(LAYERS))]
+    print("n m length roots " + " ".join(LAYERS))
+    print(args.n, args.m, args.length, len(roots),
+          *(f"{1e6 * t:.1f}" for t in medians))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

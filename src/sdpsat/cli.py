@@ -1,9 +1,11 @@
 """Command-line front end: solve, generate, bench.
 
-Solve output follows the evaluation text protocol: one "o <unsat>" line per
+Solve output follows the evaluation text protocol: one "o <cost>" line per
 incumbent improvement, a final "s OPTIMUM FOUND" / "s UNKNOWN" status line,
-then "v <literals>" for the best assignment.  Stats go to stderr so stdout
-stays machine-readable.
+then "v <literals>" for the best assignment.  The cost is the unsat count
+times the formula's uniform clause weight (Instance.weight, 1 for CNF);
+bench rows report unsat counts.  Stats go to stderr so stdout stays
+machine-readable.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def cmd_solve(args) -> int:
         return 2
 
     def emit(incumbent):
-        print(f"o {incumbent.unsat}", flush=True)
+        print(f"o {instance.weight * incumbent.unsat}", flush=True)
 
     best, proved, stats = _run(instance, config, args.mode, emit)
     print("s OPTIMUM FOUND" if proved else "s UNKNOWN", flush=True)

@@ -17,6 +17,8 @@ for a clause of at most two literals or with none false; a longer clause
 with some literal false has -1 while f >= 2 and -2 at f = 1 (see sdp).
 NodeState.view applies the rule to every clause at once, and
 NodeState.price tabulates it per (L, f) for the scalar steps of a DFS.
+A node's view is built once and kept, read-only, until the trail moves;
+what depends only on the formula is built once per NodeState.
 """
 
 from __future__ import annotations
@@ -60,19 +62,23 @@ class Instance:
     occurrences[v] holds (clause_index, sign) for every clause containing
     variable v; it is the exact transpose of the clause-literal relation.
     Tautological clauses are dropped at construction (always satisfied) and
-    empty clauses are counted separately (always falsified).
+    empty clauses are counted separately (always falsified).  `weight` is
+    the one clause weight of a uniform WCNF (1 for CNF): a cost is weight
+    times the unsat count.
     """
 
     __slots__ = ("num_vars", "clauses", "occurrences", "lengths",
-                 "tautology_count", "empty_count")
+                 "tautology_count", "empty_count", "weight")
 
     def __init__(self, num_vars: int, clauses: list[Clause],
-                 tautology_count: int = 0, empty_count: int = 0):
+                 tautology_count: int = 0, empty_count: int = 0,
+                 weight: int = 1):
         self.num_vars = num_vars
         self.clauses = clauses
         self.lengths = tuple(c.length for c in clauses)
         self.tautology_count = tautology_count
         self.empty_count = empty_count
+        self.weight = weight
         occ: list[list[tuple[int, int]]] = [[] for _ in range(num_vars + 1)]
         for j, cl in enumerate(clauses):
             for lit in cl.lits:
@@ -92,7 +98,8 @@ class Instance:
                 f"nnz={self.nnz})")
 
 
-def instance_from_clauses(num_vars: int, clause_lists) -> Instance:
+def instance_from_clauses(num_vars: int, clause_lists,
+                          weight: int = 1) -> Instance:
     """Build an Instance from raw literal lists, normalizing as parsed input.
 
     Duplicate literals inside a clause are removed, tautologies (v and -v in
@@ -120,7 +127,7 @@ def instance_from_clauses(num_vars: int, clause_lists) -> Instance:
             empties += 1
             continue
         clauses.append(Clause(lits))
-    return Instance(num_vars, clauses, tautologies, empties)
+    return Instance(num_vars, clauses, tautologies, empties, weight)
 
 
 def parse_dimacs(text: str) -> Instance:
@@ -199,7 +206,7 @@ def parse_dimacs(text: str) -> Instance:
         raise ParseError("missing problem line")
     if current:
         raise ParseError("last clause not zero-terminated")
-    return instance_from_clauses(num_vars, clause_lists)
+    return instance_from_clauses(num_vars, clause_lists, weight_seen or 1)
 
 
 def current_length(length, free):
@@ -215,7 +222,8 @@ class NodeView(NamedTuple):
     and its current length L' and weight 1/(4L') (meaningful while active);
     the column mask; per literal-table entry, whether it is live (clause
     active, column in the node) and its coefficient: its clause's truth
-    coefficient s0 + L - L' on a truth entry, the literal's sign elsewhere."""
+    coefficient s0 + L - L' on a truth entry, the literal's sign elsewhere.
+    Its arrays are read-only: one view serves every reader of the node."""
 
     active: np.ndarray
     columns: np.ndarray
@@ -237,8 +245,11 @@ class NodeState:
     entries of one clause (pair_a before pair_b), it turns whole-node sums
     into array arithmetic masked by the active clauses and free columns.  A
     clause of length L has L(L+1)/2 pairs, in a run that starts at
-    `pair_first[j]`.  view gives the node's masks, every clause's current
-    length L' and weight 1/(4L') and every entry's coefficient as arrays.
+    `pair_first[j]`; per pair the node also keeps the clause
+    (`pair_clause`) and the two entries' variables (`pair_var_a`,
+    `pair_var_b`), and `entry_error` is sdp.entry_error_bound of the
+    formula.  view gives the node's masks, every clause's current length L'
+    and weight 1/(4L') and every entry's coefficient as arrays.
 
     For the scalar steps of a DFS below a solved root the node keeps each
     clause's literal tuple (`clause_lits`) and one price table as plain
@@ -262,7 +273,9 @@ class NodeState:
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
                  "lit_sign", "clause_len", "price", "pair_a", "pair_b",
-                 "pair_first", "clause_lits", "color", "class_entries")
+                 "pair_first", "pair_clause", "pair_var_a", "pair_var_b",
+                 "entry_error", "clause_lits", "color", "class_entries",
+                 "_view")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -302,7 +315,13 @@ class NodeState:
                        - np.repeat(np.cumsum(later) - later, later))
         pairs = size * (size - 1) // 2
         self.pair_first = (np.cumsum(pairs) - pairs).tolist()
+        self.pair_clause = self.lit_clause[self.pair_a]
+        self.pair_var_a = self.lit_var[self.pair_a]
+        self.pair_var_b = self.lit_var[self.pair_b]
+        from .sdp import entry_error_bound  # sdp imports this module
+        self.entry_error = entry_error_bound(self)
         self.clause_lits = [c.lits for c in instance.clauses]
+        self._view: NodeView | None = None
         self._color_variables()
 
     def _color_variables(self) -> None:
@@ -316,10 +335,10 @@ class NodeState:
         """
         n = self.instance.num_vars
         # a truth entry leads its clause, so only pair_a can be one
-        real = self.lit_var[self.pair_a] > 0
+        real = self.pair_var_a > 0
         neighbours: list[set[int]] = [set() for _ in range(n + 1)]
-        for a, b in zip(self.lit_var[self.pair_a[real]].tolist(),
-                        self.lit_var[self.pair_b[real]].tolist()):
+        for a, b in zip(self.pair_var_a[real].tolist(),
+                        self.pair_var_b[real].tolist()):
             neighbours[a].add(b)
             neighbours[b].add(a)
         color = [-1] * (n + 1)
@@ -370,17 +389,23 @@ class NodeState:
         return columns
 
     def view(self) -> NodeView:
-        """The node's NodeView, from scratch; a clause has L + 1 + s0 free."""
+        """The node's NodeView (a clause has L + 1 + s0 free), built on the
+        first call and kept until assign or unassign_to moves the trail."""
+        if self._view is not None:
+            return self._view
         active = np.array(self.clause_status) == ACTIVE
         columns = self.column_mask()
         s0 = np.array(self.s0, dtype=np.intp)
         length = self.clause_len
         current = current_length(length, length + 1 + s0)
         truth = s0 + (length - current)
-        return NodeView(
+        self._view = NodeView(
             active, columns, active[self.lit_clause] & columns[self.lit_var],
             current, 1.0 / (4.0 * current),
             np.where(self.lit_var == 0, truth[self.lit_clause], self.lit_sign))
+        for array in self._view:
+            array.setflags(write=False)
+        return self._view
 
 
 class WatchedStack:
@@ -431,6 +456,7 @@ def assign(state: NodeState, ws: WatchedStack, var: int, value: int):
     ws.touch_count += len(occurrences)
     state.assignment[var] = value
     state.trail.append(var)
+    state._view = None
     state.free_count -= 1
     ws.undo.append(moved)
     return moved
@@ -442,6 +468,8 @@ def unassign_to(state: NodeState, ws: WatchedStack, trail_mark: int) -> None:
         raise ValueError(f"bad trail mark {trail_mark}")
     s0 = state.s0
     status = state.clause_status
+    if trail_mark < len(state.trail):
+        state._view = None
     while len(state.trail) > trail_mark:
         var = state.trail.pop()
         value = state.assignment[var]

@@ -64,7 +64,7 @@ def node_unsat(state: NodeState, values):
         (-1,) + (1,) * (values.ndim - 1))
     # the truth entry (variable 0, sign 0) leads each active clause's run
     # and is never a true literal
-    true_lits = values[var] == sign
+    true_lits = values.take(var, axis=0) == sign
     satisfied = np.logical_or.reduceat(true_lits, np.flatnonzero(var == 0),
                                        axis=0)
     unsat = state.base_unsat + np.count_nonzero(~satisfied, axis=0)

@@ -21,8 +21,9 @@ satisfied clause with all of its f = t free literals true, 2 <= t < L,
 would earn (t - 1)(t - L) / L < 0; at L' it earns 0, the tightest value.
 For L <= 2, L' = L and s0' = s0: the Goemans-Williamson MAX2SAT form.
 NodeState.view gives each clause's L' and weight and each literal-table
-entry's coefficient, and NodeState.price the same terms per (L, f) for the
-scalar steps below a solved root.
+entry's coefficient, built once per node and shared by every reader here
+(node_cost, LossTracker, rounding.node_unsat), and NodeState.price the same
+terms per (L, f) for the scalar steps below a solved root.
 
 Minimizing one column with the rest held fixed has a closed form: with C
 the node's zero-diagonal cost matrix over its columns, the new column is
@@ -39,14 +40,14 @@ by class), and computes the assignment-only bound terms; NodeCost is the
 one record of them.  A solve builds it once, before its first sweep, on
 either layout.  A node of at most DENSE_MAX_COLUMNS (256) columns sweeps
 on the dense matrix (dense_sweep: one class step is the product C[class
-rows] V), a larger one on the nonzero entries of each class's rows of C
-(sweep_plan, then sparse_sweep: one gather, one multiply and one
-reduceat per class); at small sizes the dense product costs less, above a
-few hundred columns more (measured in solve).  A solve returns its cost,
-and a child's C is derived from its root's and keeps the root's column
-order (bounds.ShiftLedger.child_cost).  A solve sweeps until the
-estimated gap drops below eps, max_sweeps run out, the deadline passes,
-or a certificate taken between sweeps prunes.
+rows] V, a vector product for a class of one column), a larger one on the
+nonzero entries of each class's rows of C (sweep_plan, then sparse_sweep:
+one gather, one multiply and one reduceat per class); at small sizes the
+dense product costs less, above a few hundred columns more (measured in
+solve).  A solve returns its cost, and a child's C is derived from its
+root's and keeps the root's column order (bounds.ShiftLedger.child_cost).
+A solve sweeps until the estimated gap drops below eps, max_sweeps run
+out, the deadline passes, or a certificate taken between sweeps prunes.
 
 The dual certificate reads the dense C.  The row norms of C V are the
 per-column update magnitudes; at a sweep fixed point they are feasible
@@ -265,12 +266,13 @@ class LossTracker:
         V = factor.cols
         dots = np.zeros(len(a))
         pairs = np.flatnonzero(live[a] & live[b])
-        dots[pairs] = np.vecdot(V[state.lit_var[a[pairs]]],
-                                V[state.lit_var[b[pairs]]])
+        # take gathers rows at about a third of the cost of V[...]
+        dots[pairs] = np.vecdot(V.take(state.pair_var_a[pairs], axis=0),
+                                V.take(state.pair_var_b[pairs], axis=0))
         m = len(state.clause_len)
         norms = np.bincount(state.lit_clause, coeff * coeff, minlength=m)
-        cross = np.bincount(state.lit_clause.take(a),
-                            coeff[a] * coeff[b] * dots, minlength=m)
+        cross = np.bincount(state.pair_clause, coeff[a] * coeff[b] * dots,
+                            minlength=m)
         losses = (norms - (lengths - 1) ** 2 + 2.0 * cross) * weight
         self.dots = dots.tolist()
         self.losses = losses.tolist()
@@ -466,22 +468,22 @@ def node_cost(state: NodeState, order=None) -> NodeCost:
     rank[0] = -1  # the truth column leads and is never swept
     index = np.flatnonzero(columns)
     index = index[np.argsort(rank[index], kind="stable")]
-    bounds = np.searchsorted(rank[index], range(len(classes) + 1)).tolist()
+    bounds = np.searchsorted(rank[index], np.arange(len(classes) + 1)).tolist()
     slices = tuple((lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo)
     pos = np.empty(len(columns), dtype=np.intp)
     pos[index] = np.arange(len(index))
     a, b = state.pair_a, state.pair_b
-    keep = live[a] & live[b]
-    a, b = a[keep], b[keep]
-    value = coeff[a] * coeff[b] * weight[state.lit_clause[a]]
+    keep = np.flatnonzero(live[a] & live[b])
+    value = (coeff[a[keep]] * coeff[b[keep]]
+             * weight[state.pair_clause[keep]])
     diag = coeff[live] ** 2 * weight[state.lit_clause[live]]
     const = (lengths[active] - 1) ** 2 * weight[active]
-    matrix = pair_matrix(pos[state.lit_var[a]], pos[state.lit_var[b]],
-                         value, len(index))
+    matrix = pair_matrix(pos[state.pair_var_a[keep]],
+                         pos[state.pair_var_b[keep]], value, len(index))
     return NodeCost(index, matrix, diag_sum=math.fsum(diag.tolist()),
                     const_offset=(state.base_unsat
                                   - math.fsum(const.tolist())),
-                    entry_error=entry_error_bound(state), slices=slices)
+                    entry_error=state.entry_error, slices=slices)
 
 
 def dense_objective(cost: NodeCost, W: np.ndarray) -> float:
@@ -498,12 +500,21 @@ def dense_sweep(cost: NodeCost, factor: Factor) -> float:
     `cost` is node_cost's for the sweep order.  Columns of one class share
     no clause, so C is zero on the class's own block and g is the update
     direction of every member at once; members with ||g|| below
-    ZERO_UPDATE_NORM are kept.  The factor's columns are read and written
-    back once.  Returns the objective after the pass (dense_objective).
+    ZERO_UPDATE_NORM are kept.  A class of one column steps as a vector
+    (g = C[lo] W): the matrix step's bits at half its numpy overhead.  The
+    factor's columns are read and written back once.  Returns the objective
+    after the pass (dense_objective).
     """
     W = factor.cols.take(cost.index, axis=0)
     matrix = cost.matrix
     for lo, hi in cost.slices:
+        if hi - lo == 1:
+            g = matrix[lo].dot(W)
+            norm = math.sqrt(g.dot(g))
+            if norm >= ZERO_UPDATE_NORM:
+                g /= -norm
+                W[lo] = g
+            continue
         g = matrix[lo:hi] @ W
         norm = np.sqrt(np.vecdot(g, g))[:, None]
         np.divide(g, -norm, out=W[lo:hi], where=norm >= ZERO_UPDATE_NORM)
@@ -622,8 +633,9 @@ def certificate(cost: NodeCost, factor: Factor,
     default the multipliers are repaired (_repair_multipliers).
     """
     lam = np.zeros(len(factor.cols))
-    lam[cost.index] = np.linalg.norm(
-        cost.matrix @ factor.cols[cost.index], axis=1)
+    rows = cost.matrix @ factor.cols.take(cost.index, axis=0)
+    # np.linalg.norm(rows, axis=1) without its argument handling, bit for bit
+    lam[cost.index] = np.sqrt(np.add.reduce(rows * rows, axis=1))
     cert = DualCert(lam, cost.const_offset, cost.diag_sum)
     if repair:
         _repair_multipliers(cost, lam)

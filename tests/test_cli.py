@@ -63,6 +63,24 @@ def test_solve_satisfiable(tmp_path, capsys):
     assert "s OPTIMUM FOUND" in lines
 
 
+def test_solve_wcnf_reports_cost(tmp_path, capsys):
+    """On a uniform-weight WCNF an o line reports the cost, weight times
+    unsat: here one of the two weight-3 clauses is unsat, so 3, not 1.
+    A bench row of the same file keeps the unsat count."""
+    path = tmp_path / "w.wcnf"
+    path.write_text("p wcnf 1 2\n3 1 0\n3 -1 0\n")
+    code, out, _ = run_cli(["solve", str(path)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("o ")] == ["o 3"]
+    assert "s OPTIMUM FOUND" in lines
+    code, out, _ = run_cli(["bench", "--dir", str(tmp_path)], capsys)
+    assert code == 0
+    row, = (r for r in csv.DictReader(io.StringIO(out))
+            if r["kind"] == "instance")
+    assert row["best_unsat"] == "1"
+
+
 def test_solve_huge_rank_is_clamped(tmp_path, capsys):
     path = tmp_path / "tri.cnf"
     path.write_text(TRIANGLE)

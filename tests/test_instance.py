@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSIFIED, FREE, SATISFIED, FALSE, TRUE,
                              Instance, NodeState, ParseError, WatchedStack,
                              assign, evaluate, instance_from_clauses,
                              parse_dimacs, unassign_to)
+from sdpsat.search import Searcher
 
 EXAMPLE = "p cnf 2 3 \n 1 2 0 \n -1 2 0 \n -2 0"
 
@@ -88,9 +90,11 @@ def test_parse_percent_tail():
 
 
 def test_parse_wcnf_uniform():
-    inst = parse_dimacs("p wcnf 2 2 5\n1 1 2 0\n1 -1 0")
+    inst = parse_dimacs("p wcnf 2 2 5\n3 1 2 0\n3 -1 0")
     assert inst.num_clauses == 2
     assert inst.clauses[0].lits == (1, 2)
+    assert inst.weight == 3
+    assert parse_dimacs(EXAMPLE).weight == 1
 
 
 def test_parse_wcnf_nonuniform_rejected():
@@ -259,3 +263,58 @@ def test_occurrence_transpose_consistency():
 def test_instance_from_clauses_rejects_zero_literal():
     with pytest.raises(ParseError):
         instance_from_clauses(2, [[1, 0]])
+
+
+def assert_view_matches_replay(state):
+    """state.view() equals, array for array (dtype included), the view of a
+    fresh NodeState that replays the state's trail."""
+    fresh, ws = NodeState(state.instance), WatchedStack()
+    for var, value in state.path():
+        assign(fresh, ws, var, value)
+    for ours, theirs in zip(state.view(), fresh.view(), strict=True):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_view_is_kept_until_the_trail_moves(seed):
+    """view() returns one object per node, rebuilt after assign, after an
+    unassign_to that pops the trail and after a move_to onto a path that
+    shares a prefix with the trail; each equals a fresh replay of the
+    trail, and an unassign_to that pops nothing keeps it."""
+    rng = np.random.default_rng(seed)
+    engine = Searcher(random_instance(10, 40, 1 + seed % 3, seed=seed),
+                      SolverConfig(seed=0))
+    state, ws = engine.state, engine.ws
+    view = state.view()
+    assert state.view() is view
+    for var in rng.permutation(np.arange(1, 11))[:6].tolist():
+        assign(state, ws, var, TRUE if rng.random() < 0.5 else FALSE)
+        assert state.view() is not view
+        view = state.view()
+        assert state.view() is view
+        assert_view_matches_replay(state)
+    unassign_to(state, ws, state.mark())
+    assert state.view() is view
+    path = state.path()
+    unassign_to(state, ws, 3)
+    assert state.view() is not view
+    assert_view_matches_replay(state)
+    view = state.view()
+    free = state.free_vars()[:2]
+    engine.move_to(path[:2] + tuple((v, FALSE) for v in free))
+    assert state.path() == path[:2] + tuple((v, FALSE) for v in free)
+    assert state.view() is not view
+    assert_view_matches_replay(state)
+
+
+def test_view_arrays_are_read_only():
+    """Every array of a view is read-only, so a reader that writes into one
+    raises instead of corrupting the node's other readers."""
+    state, ws = NodeState(random_instance(8, 30, 3, seed=2)), WatchedStack()
+    assign(state, ws, 3, TRUE)
+    view = state.view()
+    for array in view:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = array[0]

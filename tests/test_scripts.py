@@ -61,6 +61,17 @@ def test_step_cost_smoke():
     assert float(row[5]) > 0.0
 
 
+def test_root_cost_smoke():
+    proc = run_script("root_cost.py", "--n", "8", "--m", "56",
+                      "--length", "3", "--count", "2", "--rounds", "2")
+    header, row = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["n", "m", "length", "roots", "node_cost",
+                      "dense_sweep", "cert_raw", "prune_cert",
+                      "cert_repaired", "loss_tracker", "rounding"]
+    assert row[:4] == ["8", "56", "3", "2"]
+    assert all(float(x) > 0.0 for x in row[4:])
+
+
 def test_pool_counts_smoke():
     proc = run_script("pool_counts.py", "--n", "8", "--m", "40",
                       "--length", "3", "--first", "3", "--count", "2",

@@ -22,7 +22,7 @@ from sdpsat import sdp
 from sdpsat.rounding import node_unsat, round_once
 from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, LossTracker, ZCache,
                         active_losses, certificate, clause_loss,
-                        default_rank, dense_objective,
+                        default_rank, dense_objective, dense_sweep,
                         dual_from_primal, init_factor, mixing_sweep,
                         node_cost, objective, pruning_certificate, solve,
                         sparse_sweep, sweep_plan)
@@ -529,6 +529,68 @@ def test_dense_solve_matches_sequential_sweeps(inst, data):
     assert res.trace == pytest.approx(reference, rel=0.0, abs=1e-12)
     assert np.allclose(factor.cols, ref_factor.cols, rtol=0.0, atol=1e-12)
     assert np.array_equal(zc.z, stale)
+
+
+def masked_dense_sweep(cost, factor):
+    """dense_sweep with every class step the masked matrix step: g =
+    C[class] W, its row norms, and a divide masked by ZERO_UPDATE_NORM."""
+    W = factor.cols.take(cost.index, axis=0)
+    for lo, hi in cost.slices:
+        g = cost.matrix[lo:hi] @ W
+        norm = np.sqrt(np.vecdot(g, g))[:, None]
+        np.divide(g, -norm, out=W[lo:hi], where=norm >= ZERO_UPDATE_NORM)
+    factor.cols[cost.index] = W
+    return dense_objective(cost, W)
+
+
+def dense_max3sat_node(seed):
+    """A random MAX3SAT n=14, m=98 node, 0-3 assignments below the root,
+    with its factor and its cost in a seeded sweep order."""
+    rng = np.random.default_rng(seed)
+    state, ws, factor, _ = fresh_solver_state(
+        random_instance(14, 98, 3, seed=seed), seed=seed)
+    for var in rng.permutation(np.arange(1, 15))[:seed % 4].tolist():
+        assign(state, ws, var, TRUE if rng.random() < 0.5 else FALSE)
+    return state, factor, node_cost(state, rng.permutation(
+        np.arange(1, 15)).tolist())
+
+
+def test_dense_sweep_matches_masked_class_steps():
+    """dense_sweep's vector step for a one-column class gives the masked
+    matrix step's bits: objective and factor after each of four sweeps, at
+    ten dense nodes, most of them with classes of both kinds."""
+    mixed = 0
+    for seed in range(10):
+        _, factor, cost = dense_max3sat_node(seed)
+        sizes = {hi - lo for lo, hi in cost.slices}
+        mixed += 1 in sizes and max(sizes) > 1
+        reference = factor.copy()
+        for _ in range(4):
+            assert dense_sweep(cost, factor) == masked_dense_sweep(
+                cost, reference)
+            assert np.array_equal(factor.cols, reference.cols)
+    assert mixed >= 5
+
+
+def test_dense_sweep_keeps_columns_without_live_entries():
+    """A column whose row of C is zero, as one with no live entry has,
+    keeps its exact value in a one-column class and in a larger one, and
+    the sweep still matches the masked reference bit for bit."""
+    _, factor, cost = dense_max3sat_node(1)
+    single = next(lo for lo, hi in cost.slices if hi - lo == 1)
+    shared = next(lo for lo, hi in cost.slices if hi - lo > 1)
+    matrix = cost.matrix.copy()
+    matrix[[single, shared]] = 0.0
+    matrix[:, [single, shared]] = 0.0
+    cost = replace(cost, matrix=matrix)
+    columns = cost.index[[single, shared]]
+    kept = factor.cols[columns].copy()
+    reference = factor.copy()
+    for _ in range(2):
+        assert dense_sweep(cost, factor) == masked_dense_sweep(cost,
+                                                               reference)
+    assert np.array_equal(factor.cols[columns], kept)
+    assert np.array_equal(factor.cols, reference.cols)
 
 
 def test_solve_sweeps_dense_up_to_the_cutoff(monkeypatch):
