@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Cost of the numpy layers of one dense root, in us per call.
+"""Cost of the numpy layers of one dense root, in us per call, and of one
+DFS step below it, in us per step.
 
 For every seed in [first, first + count), solves the root of
 `sdpsat.generate.random_instance(n, m, length, seed)` as the search does
@@ -14,16 +15,22 @@ root, each layer the search runs on it:
     cert_repaired  certificate(cost, factor), eigen-repaired
     loss_tracker   LossTracker(state, factor), as expand_root seeds one
     rounding       one best_rounding block of rounding_budget trials
+    dfs_step       one step of a seeded full-depth walk (every free
+                   variable, in a seeded order, with a seeded value) and
+                   back: instance.assign, ShiftLedger.apply and
+                   LossTracker.move on the way down, both reverts and
+                   instance.unassign_to on the way back
 
 node_cost is the first reader of a node's view in a root solve, so before
 each of its calls the trail is moved away and back (one assign and one
 unassign_to, not timed); the other layers find the view as the search
-does.  One round calls every layer once at every root; a layer's figure is
-the median over the rounds of its mean time per call.  BLAS runs on one
-thread, set before numpy loads.
+does.  One round calls every layer once at every root, the walk last; a
+layer's figure is the median over the rounds of its mean time per call
+(per step for dfs_step).  BLAS runs on one thread, set before numpy loads.
 
 Output: a header and one whitespace-separated row on stdout: n, m,
-length, roots, then one column per layer above, in us per call.
+length, roots, then one column per layer above, in us per call (per
+step for dfs_step).
 
     python3 scripts/root_cost.py --n 14 --m 98 --length 3 --count 20
 """
@@ -41,41 +48,58 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from sdpsat import sdp  # noqa: E402
+from sdpsat.bounds import ShiftLedger  # noqa: E402
 from sdpsat.config import SolverConfig  # noqa: E402
 from sdpsat.generate import random_instance  # noqa: E402
-from sdpsat.instance import TRUE, assign, unassign_to  # noqa: E402
+from sdpsat.instance import FALSE, TRUE, assign, unassign_to  # noqa: E402
 from sdpsat.rounding import best_rounding, rounding_budget  # noqa: E402
 from sdpsat.search import Searcher  # noqa: E402
 
 LAYERS = ("node_cost", "dense_sweep", "cert_raw", "prune_cert",
-          "cert_repaired", "loss_tracker", "rounding")
+          "cert_repaired", "loss_tracker", "rounding", "dfs_step")
 
 
 def root_layers(n: int, m: int, length: int, seed: int) -> list:
-    """The solved root of one formula as (setup, call) per layer, in LAYERS
-    order; setup is None or an untimed step run before each call."""
+    """The solved root of one formula as (setup, call, units) per layer, in
+    LAYERS order; setup is None or an untimed step run before each call,
+    and units counts what one call does (1, or the walk's steps)."""
     engine = Searcher(random_instance(n, m, length, seed),
                       SolverConfig(seed=0))
     res = engine.solve_root()
     state, ws, factor, cost = engine.state, engine.ws, engine.factor, res.cost
     swept = sdp.Factor(factor.cols.copy())
     floor = sdp.certificate(cost, factor, repair=False).dual_bound - 1.0
-    budget = rounding_budget(state.free_count, engine.cfg.rounding_c)
-    var = state.free_vars()[0]
+    budget = rounding_budget(state.free_count)
+    away = state.free_vars()[0]
+    ledger, tracker = ShiftLedger(res.cert), sdp.LossTracker(state, factor)
+    rng = np.random.default_rng(seed)
+    path = [(int(v), TRUE if rng.random() < 0.5 else FALSE)
+            for v in rng.permutation(state.free_vars())]
 
     def move_away_and_back():
-        assign(state, ws, var, TRUE)
+        assign(state, ws, away, TRUE)
         unassign_to(state, ws, 0)
 
+    def walk():
+        for var, value in path:
+            moved = assign(state, ws, var, value)
+            ledger.apply(state, var, value, moved)
+            tracker.move(state, moved)
+        for _ in path:
+            tracker.revert()
+            ledger.revert()
+            unassign_to(state, ws, len(state.trail) - 1)
+
     return [
-        (move_away_and_back, lambda: sdp.node_cost(state, engine.order)),
-        (None, lambda: sdp.dense_sweep(cost, swept)),
-        (None, lambda: sdp.certificate(cost, factor, repair=False)),
-        (None, lambda: sdp.pruning_certificate(cost, factor, floor)),
-        (None, lambda: sdp.certificate(cost, factor)),
-        (None, lambda: sdp.LossTracker(state, factor)),
+        (move_away_and_back, lambda: sdp.node_cost(state, engine.order), 1),
+        (None, lambda: sdp.dense_sweep(cost, swept), 1),
+        (None, lambda: sdp.certificate(cost, factor, repair=False), 1),
+        (None, lambda: sdp.pruning_certificate(cost, factor, floor), 1),
+        (None, lambda: sdp.certificate(cost, factor), 1),
+        (None, lambda: sdp.LossTracker(state, factor), 1),
         (None, lambda: best_rounding(factor, state, budget,
-                                     np.random.default_rng(0))),
+                                     np.random.default_rng(0)), 1),
+        (None, walk, len(path)),
     ]
 
 
@@ -96,16 +120,18 @@ def main() -> int:
 
     roots = [root_layers(args.n, args.m, args.length, seed)
              for seed in range(args.first, args.first + args.count)]
+    units = [sum(layers[i][2] for layers in roots)
+             for i in range(len(LAYERS))]
     rounds = [[0.0] * len(LAYERS) for _ in range(args.rounds)]
     for spent in rounds:
         for layers in roots:
-            for i, (setup, call) in enumerate(layers):
+            for i, (setup, call, _) in enumerate(layers):
                 if setup is not None:
                     setup()
                 start = time.perf_counter()
                 call()
                 spent[i] += time.perf_counter() - start
-    medians = [statistics.median(spent[i] for spent in rounds) / len(roots)
+    medians = [statistics.median(spent[i] for spent in rounds) / units[i]
                for i in range(len(LAYERS))]
     print("n m length roots " + " ".join(LAYERS))
     print(args.n, args.m, args.length, len(roots),

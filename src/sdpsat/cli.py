@@ -33,9 +33,7 @@ BENCH_COLUMNS = ["kind", "name", "n", "m", "mode", "best_unsat",
 def _config_from(args) -> SolverConfig | None:
     """The solver settings, or None (reported on stderr) if they are invalid."""
     try:
-        return SolverConfig(eps=args.eps, rank=args.rank, seed=args.seed,
-                            depth_limit=args.depth_limit,
-                            rounding_c=args.rounding_c,
+        return SolverConfig(eps=args.eps, seed=args.seed,
                             time_limit=args.timeout)
     except ValueError as exc:
         print(f"invalid solver setting: {exc}", file=sys.stderr)
@@ -106,6 +104,8 @@ def _bench_inputs(args):
                        if p.suffix in (".cnf", ".wcnf", ".dimacs"))
         return [(p.name, parse_dimacs(p.read_text())) for p in paths]
     if args.gen_count:
+        if args.gen_count < 0:
+            raise ValueError(f"negative instance count {args.gen_count}")
         out = []
         for seed in range(args.seed, args.seed + args.gen_count):
             name = (f"rand-n{args.gen_n}-m{args.gen_m}"
@@ -191,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RNG seed")
         p.add_argument("--eps", type=float, default=defaults.eps,
                        help="relaxation precision target in unsat units")
-        p.add_argument("--rank", type=int, default=defaults.rank,
-                       help="factor rank override")
-        p.add_argument("--depth-limit", type=int,
-                       default=defaults.depth_limit)
-        p.add_argument("--rounding-c", type=float, default=defaults.rounding_c,
-                       help="rounding trials per root: c * sqrt(free)")
 
     p_solve = sub.add_parser("solve", help="solve one DIMACS file")
     p_solve.add_argument("input")

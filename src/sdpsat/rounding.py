@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import math
-from sys import float_info
 
 import numpy as np
 
-from .config import SolverConfig
 from .instance import FREE, NodeState
 from .sdp import Factor, past
 
@@ -15,6 +13,9 @@ from .sdp import Factor, past
 # (whichever are more): bounds the boolean matrices of one node_unsat call
 # (about 4 MB each) and the dot products of one trial_values call
 TRIAL_CELLS = 1 << 22
+
+# rounding trials per root: ROUNDING_C * sqrt(free variables)
+ROUNDING_C = 4.0
 
 
 def trial_values(factor: Factor, state: NodeState,
@@ -38,15 +39,14 @@ def round_once(factor: Factor, state: NodeState,
     return trial_values(factor, state, r)[:, 0].tolist()
 
 
-def rounding_budget(free_count: int,
-                    c: float = SolverConfig.rounding_c) -> int:
-    """ceil(c * sqrt(free_count)) trials, finite for every finite c; 0
-    when nothing is free."""
+def rounding_budget(free_count: int) -> int:
+    """ceil(ROUNDING_C * sqrt(free_count)) trials, 0 when nothing is free.
+    ROUNDING_C is read at call time, so tests can patch it."""
     if free_count < 0:
         raise ValueError("negative free count")
     if free_count == 0:
         return 0
-    return max(1, math.ceil(min(c * math.sqrt(free_count), float_info.max)))
+    return math.ceil(ROUNDING_C * math.sqrt(free_count))
 
 
 def node_unsat(state: NodeState, values):

@@ -45,6 +45,10 @@ from .rounding import best_rounding, rounding_budget
 from .sdp import (LossTracker, ZCache, active_losses, default_rank,
                   init_factor, past, pruning_certificate, solve)
 
+# free variables split below each solved root (expand_root); read at call
+# time, so tests can patch it
+DEPTH_LIMIT = 8
+
 OPTIMUM = "OPTIMUM"
 TIMEOUT = "TIMEOUT"
 
@@ -112,7 +116,7 @@ class Searcher:
         self.emit = emit
         n = instance.num_vars
         # a rank-(n+1) factor already spans the full relaxation
-        k = min(config.rank or default_rank(max(n, 1)), max(2, n + 1))
+        k = min(default_rank(max(n, 1)), max(2, n + 1))
         self.rng = np.random.default_rng(config.seed)
         self.state = NodeState(instance)
         self.ws = WatchedStack()
@@ -186,7 +190,7 @@ class Searcher:
     def round_root(self) -> None:
         # past the deadline one trial is enough for an incumbent to report
         budget = (1 if past(self.deadline) else
-                  rounding_budget(self.state.free_count, self.cfg.rounding_c))
+                  rounding_budget(self.state.free_count))
         values, unsat, trials = best_rounding(self.factor, self.state,
                                               budget, self.rng, self.deadline)
         self.stats.roundings += trials
@@ -204,7 +208,7 @@ class Searcher:
     def expand_root(self, res, node_depth: int) -> list[SearchNode]:
         """Depth-limited DFS below the solved root, which has a free variable.
 
-        Branches over the top depth_limit free variables in resolution order,
+        Branches over the top DEPTH_LIMIT free variables in resolution order,
         trying the incumbent's value first.  Interior children are priced by
         the warm-started bound pair; the frontier (depth limit, or a SOLVE
         decision) emits queue nodes, and fully assigned leaves update the
@@ -224,7 +228,7 @@ class Searcher:
         losses = LossTracker(state, self.factor)
         root_path = state.path()
         split_vars = [v for v in self.order
-                      if state.assignment[v] == FREE][:self.cfg.depth_limit]
+                      if state.assignment[v] == FREE][:DEPTH_LIMIT]
         children: list[SearchNode] = []
         prefer = self.best.assignment if self.best is not None else None
 

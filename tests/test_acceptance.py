@@ -162,7 +162,7 @@ def test_criterion_06_approximation_quality():
         inst = random_instance(40, 160, 2, seed=seed)
         engine = Searcher(inst, SolverConfig(seed=seed))
         res = engine.solve_root()
-        budget = rounding_budget(engine.state.free_count, 4.0)
+        budget = rounding_budget(engine.state.free_count)
         _, unsat, _ = best_rounding(engine.factor, engine.state, budget,
                                     engine.rng)
         # n=40 is beyond the brute-force cap; the certified dual bound gives

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpsat import bounds, sdp
+from sdpsat import bounds, sdp, search
 from sdpsat.bounds import Decision, ShiftLedger, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
@@ -348,7 +348,7 @@ def mixed_formulas(draw):
 @settings(max_examples=150, deadline=None)
 @given(inst=mixed_formulas(), data=st.data())
 def test_child_cost_matches_fresh_build(inst, data):
-    """Along a path of up to depth_limit assignments below a solved root,
+    """Along a path of up to DEPTH_LIMIT assignments below a solved root,
     the child cost derived from the root's has the fresh build's columns,
     entries within entry_error of the exact costs (as the fresh build's
     are) and the same bound terms, and the shifted certificate is PSD for
@@ -359,8 +359,7 @@ def test_child_cost_matches_fresh_build(inst, data):
     more literals free.  Expansion then tests the root's children and
     leaves the root's matrix bit for bit as it was."""
     n = inst.num_vars
-    cfg = SolverConfig(seed=data.draw(st.integers(0, 99)))
-    engine = Searcher(inst, cfg)
+    engine = Searcher(inst, SolverConfig(seed=data.draw(st.integers(0, 99))))
     state, ws = engine.state, engine.ws
     factor, zc = engine.factor, engine.zcache
     order = data.draw(st.permutations(range(1, n + 1)))
@@ -373,7 +372,7 @@ def test_child_cost_matches_fresh_build(inst, data):
     ledger = ShiftLedger(res.cert)
 
     path = []
-    for step in range(min(cfg.depth_limit, state.free_count - 1)):
+    for step in range(min(search.DEPTH_LIMIT, state.free_count - 1)):
         lit = wide_literal(state, data) if step < 2 else None
         if lit is not None:
             # first a literal false (a rescaling step), then one true

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import sdpsat.rounding
 from sdpsat.cli import main
 from sdpsat.generate import random_instance
 from sdpsat.instance import evaluate, parse_dimacs
@@ -14,16 +15,29 @@ from sdpsat.oracle import brute_force
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0\n"
 
-BAD_SETTINGS = (["--rank", "1"], ["--eps", "0"], ["--eps", "inf"],
-                ["--depth-limit", "0"], ["--depth-limit", "-2"],
-                ["--rounding-c", "0"], ["--rounding-c", "inf"],
-                ["--timeout", "-1"], ["--seed", "-1"])
+BAD_SETTINGS = (["--eps", "0"], ["--eps", "inf"], ["--timeout", "-1"],
+                ["--seed", "-1"])
+# not flags: the rank, the expansion depth and the rounding constant are
+# fixed by the code
+REMOVED_FLAGS = (["--rank", "3"], ["--depth-limit", "8"],
+                 ["--rounding-c", "4"])
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_unrecognized(argv, capsys):
+    """argparse rejects argv: exit 2, its usage error, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_solve_triangle_complete(tmp_path, capsys):
@@ -81,17 +95,6 @@ def test_solve_wcnf_reports_cost(tmp_path, capsys):
     assert row["best_unsat"] == "1"
 
 
-def test_solve_huge_rank_is_clamped(tmp_path, capsys):
-    path = tmp_path / "tri.cnf"
-    path.write_text(TRIANGLE)
-    code, out, _ = run_cli(["solve", str(path), "--rank", "1000000000000"],
-                           capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert "o 1" in lines
-    assert "s OPTIMUM FOUND" in lines
-
-
 def test_solve_missing_file(capsys):
     code, out, err = run_cli(["solve", "/nonexistent/file.cnf"], capsys)
     assert code == 2
@@ -116,6 +119,8 @@ def test_solve_parse_error(tmp_path, capsys):
         assert code == 2, flags
         assert out == ""
         assert "invalid solver setting" in err
+    for flags in REMOVED_FLAGS:
+        assert_unrecognized(["solve", str(path), *flags], capsys)
 
 
 def test_solve_undecodable_input(tmp_path, capsys):
@@ -128,14 +133,15 @@ def test_solve_undecodable_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("c", ("1e9", "1e300"))
-def test_solve_huge_rounding_budget_stops_at_timeout(tmp_path, capsys, c):
+def test_solve_huge_rounding_budget_stops_at_timeout(tmp_path, capsys,
+                                                     monkeypatch, c):
     """A rounding budget too large to draw at once runs block by block
     and stops at the deadline.  The only root was solved before it and is
     pruned after the rounding, so the proof is whole."""
+    monkeypatch.setattr(sdpsat.rounding, "ROUNDING_C", float(c))
     path = tmp_path / "pair.cnf"
     path.write_text("p cnf 2 1\n1 2 0\n")
-    code, out, _ = run_cli(["solve", str(path), "--rounding-c", c,
-                            "--timeout", "1"], capsys)
+    code, out, _ = run_cli(["solve", str(path), "--timeout", "1"], capsys)
     assert code == 0
     assert "o 0" in out.splitlines()
     assert "s OPTIMUM FOUND" in out.splitlines()
@@ -229,6 +235,7 @@ def test_generate_any_clause_length(capsys):
      "--gen-length", "0"],
     ["bench", "--gen-count", "1", "--gen-n", "3", "--gen-m", "-1"],
     ["generate", "--n", "3", "--m", "2", "--length", "0"],
+    ["bench", "--gen-count", "-1"],
 ])
 def test_generator_rejects_bad_counts(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -236,6 +243,7 @@ def test_generator_rejects_bad_counts(argv, capsys):
     assert out == ""
     assert ("invalid generator setting" in err
             or "bench input error" in err)
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -350,6 +358,9 @@ def test_bench_empty_input(tmp_path, capsys):
         assert code == 2, flags
         assert out == ""
         assert "invalid solver setting" in err
+    for flags in REMOVED_FLAGS:
+        assert_unrecognized(["bench", "--gen-count", "1", "--gen-n", "6",
+                             "--gen-m", "12", *flags], capsys)
     # generator settings the generator cannot honour are input errors too
     for flags in (["--gen-n", "2", "--gen-m", "3", "--gen-length", "3"],
                   ["--gen-length", "-1"]):

@@ -8,11 +8,8 @@ from sdpsat.config import SolverConfig
 
 
 @pytest.mark.parametrize("field, good, bad", [
-    ("depth_limit", (1, 8), (0, -3, 2.5)),
-    ("rank", (None, 2, 17), (1, 0, -1, 2.5)),
     ("eps", (1e-12, 0.5), (0.0, -1e-3, math.nan, math.inf)),
     ("seed", (0, 7), (-1, 1.5)),
-    ("rounding_c", (1e-3, 4.0), (0.0, -1.0, math.nan, math.inf)),
     ("time_limit", (None, 0.0, 2.5), (-0.001, math.nan)),
 ])
 def test_config_validates_field(field, good, bad):
@@ -24,13 +21,10 @@ def test_config_validates_field(field, good, bad):
 
 
 def test_config_fields_are_the_cli_flags():
-    """The settings are the six solver flags, and each flag's default is
-    the field's."""
+    """The settings are the three solver flags besides --mode, and each
+    flag's default is the field's."""
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
-    assert fields == ["eps", "rank", "seed", "depth_limit", "rounding_c",
-                      "time_limit"]
+    assert fields == ["eps", "seed", "time_limit"]
     args = build_parser().parse_args(["solve", "in.cnf"])
     assert SolverConfig() == SolverConfig(
-        eps=args.eps, rank=args.rank, seed=args.seed,
-        depth_limit=args.depth_limit, rounding_c=args.rounding_c,
-        time_limit=args.timeout)
+        eps=args.eps, seed=args.seed, time_limit=args.timeout)

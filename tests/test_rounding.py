@@ -1,5 +1,4 @@
 import math
-import sys
 import time
 
 import numpy as np
@@ -58,13 +57,12 @@ def test_round_once_keeps_assigned_values():
         assert values[2] == TRUE and values[5] == FALSE
 
 
-def test_rounding_budget_rule():
+def test_rounding_budget_rule(monkeypatch):
     assert rounding_budget(0) == 0
-    assert rounding_budget(100, c=4.0) == 40
-    assert rounding_budget(10_000, c=4.0) // rounding_budget(100, c=4.0) == 10
-    assert rounding_budget(1, c=0.1) == 1
-    # finite for every c a SolverConfig accepts
-    assert rounding_budget(100, c=sys.float_info.max) >= 10 ** 308
+    assert rounding_budget(100) == 40
+    assert rounding_budget(10_000) // rounding_budget(100) == 10
+    monkeypatch.setattr(sdpsat.rounding, "ROUNDING_C", 0.1)
+    assert rounding_budget(1) == 1
 
 
 def test_blockwise_rounding_matches_one_block(monkeypatch):

@@ -52,22 +52,14 @@ def test_sweep_cutoff_smoke():
         assert all(float(x) > 0.0 for x in row)
 
 
-def test_step_cost_smoke():
-    proc = run_script("step_cost.py", "--n", "8", "--m", "30",
-                      "--length", "3", "--count", "2", "--rounds", "2")
-    header, row = [line.split() for line in proc.stdout.splitlines()]
-    assert header == ["n", "m", "length", "roots", "steps", "us_per_step"]
-    assert row[:5] == ["8", "30", "3", "2", "16"]
-    assert float(row[5]) > 0.0
-
-
 def test_root_cost_smoke():
     proc = run_script("root_cost.py", "--n", "8", "--m", "56",
                       "--length", "3", "--count", "2", "--rounds", "2")
     header, row = [line.split() for line in proc.stdout.splitlines()]
     assert header == ["n", "m", "length", "roots", "node_cost",
                       "dense_sweep", "cert_raw", "prune_cert",
-                      "cert_repaired", "loss_tracker", "rounding"]
+                      "cert_repaired", "loss_tracker", "rounding",
+                      "dfs_step"]
     assert row[:4] == ["8", "56", "3", "2"]
     assert all(float(x) > 0.0 for x in row[4:])
 

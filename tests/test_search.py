@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpsat.search
-from sdpsat import bounds, sdp
+from sdpsat import bounds, rounding, sdp
 from sdpsat.bounds import Decision, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
@@ -165,9 +165,9 @@ def test_complete_optimum_under_time_limit_is_exact():
     for seed in range(20):
         inst = random_instance(20, 120, 2, seed=seed)
         for time_limit in (0.002, 0.005, 0.01, 0.02, 0.05):
-            best, status, _ = solve_complete(
-                inst, SolverConfig(seed=seed, time_limit=time_limit,
-                                   rounding_c=0.2))
+            with mock.patch.object(rounding, "ROUNDING_C", 0.2):
+                best, status, _ = solve_complete(
+                    inst, SolverConfig(seed=seed, time_limit=time_limit))
             if status != OPTIMUM:
                 continue
             if seed not in optima:
@@ -224,9 +224,9 @@ def small_formulas(draw):
        seed=st.integers(0, 1000))
 def test_any_optimum_is_the_true_optimum(inst, max_sweeps, depth_limit,
                                          time_limit, seed):
-    engine = Searcher(inst, SolverConfig(
-        seed=seed, depth_limit=depth_limit, time_limit=time_limit))
-    with mock.patch.object(sdp, "MAX_SWEEPS", max_sweeps):
+    engine = Searcher(inst, SolverConfig(seed=seed, time_limit=time_limit))
+    with mock.patch.object(sdp, "MAX_SWEEPS", max_sweeps), \
+            mock.patch.object(sdpsat.search, "DEPTH_LIMIT", depth_limit):
         status = engine.run()
     optimum, _ = brute_force(inst)
     if engine.best is not None:
@@ -309,9 +309,10 @@ def test_expand_root_bound_saturation_gives_no_children():
     assert children == []
 
 
-def test_expand_root_depth_limit_one():
+def test_expand_root_depth_limit_one(monkeypatch):
+    monkeypatch.setattr(sdpsat.search, "DEPTH_LIMIT", 1)
     inst = random_instance(12, 48, 2, seed=13)
-    engine = Searcher(inst, SolverConfig(seed=13, depth_limit=1))
+    engine = Searcher(inst, SolverConfig(seed=13))
     res = engine.solve_root()
     engine.round_root()
     engine.reorder(res.cert)
@@ -322,9 +323,10 @@ def test_expand_root_depth_limit_one():
         assert child.primal >= child.dual - 1e-6
 
 
-def test_expand_root_partition_when_nothing_prunes():
+def test_expand_root_partition_when_nothing_prunes(monkeypatch):
+    monkeypatch.setattr(sdpsat.search, "DEPTH_LIMIT", 4)
     inst = random_instance(10, 40, 2, seed=17)
-    engine = Searcher(inst, SolverConfig(seed=17, depth_limit=4))
+    engine = Searcher(inst, SolverConfig(seed=17))
     res = engine.solve_root()
     engine.reorder(res.cert)
     # huge incumbent: nothing prunes, everything expands to the frontier
@@ -417,21 +419,8 @@ def test_move_to_reads_the_trail_after_direct_steps():
 
 
 def test_rank_above_columns_is_clamped():
-    """A rank above n + 1, given or default, runs the search of rank
-    n + 1, whose factor already spans the full relaxation."""
-    inst = random_instance(12, 48, 2, seed=3)
-    runs = []
-    for rank in (10 ** 12, 13):
-        engine = Searcher(inst, SolverConfig(seed=2, rank=rank))
-        assert engine.factor.k == 13 and engine.factor.cols.shape == (13, 13)
-        status = engine.run()
-        stats = engine.stats.as_dict()
-        del stats["wall_time"]
-        runs.append((engine.best.assignment, engine.best.unsat, status,
-                     stats))
-    assert runs[0] == runs[1]
-    assert runs[0][1] == brute_force(inst)[0]
-    # the default rank is capped the same way: k = n + 1 at n = 1 and 2
+    """A default rank above n + 1 is capped there: the rank-(n + 1) factor
+    already spans the full relaxation.  Here k = n + 1 at n = 1 and 2."""
     for n, clauses in ((1, [[1], [-1]]), (2, [[1, 2], [-1, 2], [-2]])):
         inst = instance_from_clauses(n, clauses)
         engine = Searcher(inst, SolverConfig(seed=0))
@@ -474,7 +463,7 @@ def test_children_dropped_by_own_certificate_are_sound(
     ceiling is at most the child's exact minimum; each of them was decided
     (by bounds.decide) before it was tested."""
     decided = set()
-    engine = Searcher(inst, SolverConfig(seed=seed, depth_limit=depth_limit))
+    engine = Searcher(inst, SolverConfig(seed=seed))
     engine.best_unsat = data.draw(st.integers(
         0, inst.num_clauses + inst.empty_count + 1))
     dropped = []
@@ -496,7 +485,8 @@ def test_children_dropped_by_own_certificate_are_sound(
         return cert
 
     with mock.patch.multiple(sdpsat.search, pruning_certificate=audited,
-                             decide=recorded_decide), \
+                             decide=recorded_decide,
+                             DEPTH_LIMIT=depth_limit), \
             mock.patch.object(sdp, "MAX_SWEEPS", max_sweeps):
         engine.run()
     assert len(dropped) == engine.stats.child_cert_prunes
