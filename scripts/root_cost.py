@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Cost of the numpy layers of one dense root, in us per call, and of one
-DFS step below it, in us per step.
+"""Cost of the numpy layers of one dense root and of one unit-propagation
+core count below it, in us per call, and of one DFS step below it, in us
+per step.
 
-For every seed in [first, first + count), solves the root of
+For every seed in [first, first + count), solves and rounds the root of
 `sdpsat.generate.random_instance(n, m, length, seed)` as the search does
-(Searcher.solve_root, SolverConfig(seed=0)) and times, at that solved
-root, each layer the search runs on it:
+(Searcher.solve_root and round_root, SolverConfig(seed=0)) and times, at
+that solved root, each layer the search runs on it:
 
     node_cost      the solve's cost matrix, in the solve's sweep order
     dense_sweep    one sweep of that matrix (on a copy of the factor)
@@ -15,6 +16,11 @@ root, each layer the search runs on it:
     cert_repaired  certificate(cost, factor), eigen-repaired
     loss_tracker   LossTracker(state, factor), as expand_root seeds one
     rounding       one best_rounding block of rounding_budget trials
+    up_cores       bounds.up_cores at the node the walk below reaches
+                   after DEPTH_LIMIT steps (one fewer than its length at
+                   most), as a popped root one expansion deep, with need
+                   = incumbent - base_unsat as Searcher.process_root sets
+                   it
     dfs_step       one step of a seeded full-depth walk (every free
                    variable, in a seeded order, with a seeded value) and
                    back: instance.assign, ShiftLedger.apply and
@@ -24,9 +30,10 @@ root, each layer the search runs on it:
 node_cost is the first reader of a node's view in a root solve, so before
 each of its calls the trail is moved away and back (one assign and one
 unassign_to, not timed); the other layers find the view as the search
-does.  One round calls every layer once at every root, the walk last; a
-layer's figure is the median over the rounds of its mean time per call
-(per step for dfs_step).  BLAS runs on one thread, set before numpy loads.
+does.  The trail is moved to up_cores' node before its calls and back
+to the root before the walk's, untimed.  One round calls every layer once
+at every root, the walk last; a layer's figure is the median over the
+rounds of its mean time per call (per step for dfs_step).  BLAS runs on one thread, set before numpy loads.
 
 Output: a header and one whitespace-separated row on stdout: n, m,
 length, roots, then one column per layer above, in us per call (per
@@ -47,8 +54,8 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from sdpsat import sdp  # noqa: E402
-from sdpsat.bounds import ShiftLedger  # noqa: E402
+from sdpsat import sdp, search  # noqa: E402
+from sdpsat.bounds import ShiftLedger, up_cores  # noqa: E402
 from sdpsat.config import SolverConfig  # noqa: E402
 from sdpsat.generate import random_instance  # noqa: E402
 from sdpsat.instance import FALSE, TRUE, assign, unassign_to  # noqa: E402
@@ -56,7 +63,8 @@ from sdpsat.rounding import best_rounding, rounding_budget  # noqa: E402
 from sdpsat.search import Searcher  # noqa: E402
 
 LAYERS = ("node_cost", "dense_sweep", "cert_raw", "prune_cert",
-          "cert_repaired", "loss_tracker", "rounding", "dfs_step")
+          "cert_repaired", "loss_tracker", "rounding", "up_cores",
+          "dfs_step")
 
 
 def root_layers(n: int, m: int, length: int, seed: int) -> list:
@@ -66,6 +74,7 @@ def root_layers(n: int, m: int, length: int, seed: int) -> list:
     engine = Searcher(random_instance(n, m, length, seed),
                       SolverConfig(seed=0))
     res = engine.solve_root()
+    engine.round_root()
     state, ws, factor, cost = engine.state, engine.ws, engine.factor, res.cost
     swept = sdp.Factor(factor.cols.copy())
     floor = sdp.certificate(cost, factor, repair=False).dual_bound - 1.0
@@ -75,6 +84,15 @@ def root_layers(n: int, m: int, length: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     path = [(int(v), TRUE if rng.random() < 0.5 else FALSE)
             for v in rng.permutation(state.free_vars())]
+    below = path[:min(search.DEPTH_LIMIT, len(path) - 1)]
+
+    def move_below():
+        for var, value in below:
+            assign(state, ws, var, value)
+
+    move_below()
+    need = engine.best_unsat - state.base_unsat
+    unassign_to(state, ws, 0)
 
     def move_away_and_back():
         assign(state, ws, away, TRUE)
@@ -99,7 +117,8 @@ def root_layers(n: int, m: int, length: int, seed: int) -> list:
         (None, lambda: sdp.LossTracker(state, factor), 1),
         (None, lambda: best_rounding(factor, state, budget,
                                      np.random.default_rng(0)), 1),
-        (None, walk, len(path)),
+        (move_below, lambda: up_cores(state, need), 1),
+        (lambda: unassign_to(state, ws, 0), walk, len(path)),
     ]
 
 

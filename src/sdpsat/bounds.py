@@ -218,3 +218,107 @@ class ShiftLedger:
             matrix += pair_matrix(pos[a], pos[b], value, len(index))
         return NodeCost(index, matrix, self.diag_sum, self.const_offset,
                         root.entry_error)
+
+
+def up_cores(state: NodeState, need: int | None = None) -> list[tuple]:
+    """Disjoint unit-propagation cores of the node's active clauses, each
+    clause reduced to its free literals (it has f = L + 1 + s0 of them).
+
+    Every completion falsifies a clause of each core, so base_unsat plus
+    the number of cores is a lower bound (Li, Manya and Planes, CP 2005
+    and AAAI 2006).  From each unit clause (f = 1) not yet in a core, one
+    propagation of its own runs on the clauses outside the earlier cores:
+    each clause it reaches keeps a counter of its free literals not yet
+    walked false and is dropped once satisfied.  A clause whose free
+    literals are all false is a conflict; its reasons, traced back to the
+    unit, are the core.
+
+    Cores are disjoint and each holds the unit it started from, so with a
+    `need` the search stops once it has `need` cores, or once the cores
+    plus the units left to try fall short of it; the cores returned are
+    then a prefix of those found without one.
+    """
+    s0 = state.s0
+    # f = 1 exactly when s0 = -L: a clause with a true literal has s0 > -L
+    units = np.flatnonzero(np.array(s0) == -state.clause_len).tolist()
+    assignment = state.assignment
+    occurrences, lengths = state.instance.occurrences, state.instance.lengths
+    clause_lits = state.clause_lits
+    # per clause: -1 once inactive or in a core, else the last propagation
+    # (numbered from 1) that found it satisfied or took it as a reason
+    mark = [0 if status == ACTIVE else -1 for status in state.clause_status]
+    # per variable, the propagation's value (0: none) and reason clause
+    value = [0] * len(assignment)
+    reason = [0] * len(assignment)
+    cores: list[tuple] = []
+    for stamp, unit in enumerate(units, 1):
+        # the units from this one on can add a core each at most
+        if need is not None and (len(cores) >= need or
+                                 len(cores) + len(units) - stamp + 1 < need):
+            break
+        if mark[unit] < 0:
+            continue
+        lit = next(lit for lit in clause_lits[unit]
+                   if assignment[abs(lit)] == FREE)
+        value[abs(lit)] = 1 if lit > 0 else -1
+        reason[abs(lit)] = unit
+        mark[unit] = stamp
+        queue = [abs(lit)]
+        count: dict[int, int] = {}
+        conflict = -1
+        for var in queue:
+            val = value[var]
+            for j, sign in occurrences[var]:
+                seen = mark[j]
+                if seen < 0 or seen == stamp:
+                    continue
+                if sign == val:
+                    mark[j] = stamp
+                    continue
+                left = count.get(j, lengths[j] + 1 + s0[j]) - 1
+                count[j] = left
+                if left > 1:
+                    continue
+                # at most one free literal is not walked yet: derive it,
+                # find it true, or find every free literal false (conflict)
+                for other in clause_lits[j]:
+                    u = abs(other)
+                    if assignment[u] != FREE:
+                        continue
+                    want = 1 if other > 0 else -1
+                    got = value[u]
+                    if got == 0:
+                        value[u] = want
+                        reason[u] = j
+                        queue.append(u)
+                        mark[j] = stamp
+                        break
+                    if got == want:
+                        mark[j] = stamp
+                        break
+                else:
+                    conflict = j
+                    break
+            if conflict >= 0:
+                break
+        if conflict >= 0:
+            core = [conflict]
+            mark[conflict] = -1
+            stack = [abs(x) for x in clause_lits[conflict]
+                     if assignment[abs(x)] == FREE]
+            traced = set()
+            while stack:
+                var = stack.pop()
+                if var in traced:
+                    continue
+                traced.add(var)
+                j = reason[var]
+                if mark[j] >= 0:
+                    mark[j] = -1
+                    core.append(j)
+                    stack += [abs(x) for x in clause_lits[j]
+                              if assignment[abs(x)] == FREE]
+            cores.append(tuple(core))
+        for var in queue:
+            value[var] = 0
+    return cores

@@ -80,31 +80,62 @@ def min_unsat_completion(instance: Instance, values) -> int:
     return best
 
 
-def brute_force_dense(instance: Instance, chunk_bits: int = 16):
-    """Exact (min_unsat, witness) by chunked dense enumeration (numpy path)."""
+def brute_force_dense(instance: Instance, chunk_bits: int = 20):
+    """Exact (min_unsat, witness) by bit-sliced enumeration (numpy path).
+
+    Assignment code c (bit i of c set: variable i + 1 true) is bit c % 64
+    of word c // 64, and words are enumerated 2**chunk_bits assignments at
+    a time.  Each variable is a uint64 word array: variables 1-6 a fixed
+    bit pattern, the others all ones or all zeros by word.  A clause's
+    unsat bits are the complement of the OR of its literals, and the unsat
+    count of every assignment is a bit-sliced binary counter, one word
+    array per bit, added to by ripple carry.  Its minimum and the first
+    assignment that reaches it are read from the top bit down.
+    """
     n = instance.num_vars
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute_force_dense capped at n={BRUTE_FORCE_CAP}")
     if n == 0:
         return instance.empty_count, (1,)
+    ones = np.uint64(2 ** 64 - 1)
+    # variables 1-6 by the bit position within a word
+    low = [np.uint64(sum(1 << b for b in range(64) if (b >> i) & 1))
+           for i in range(min(n, 6))]
+    # in the one word of n < 6 variables only the first 2**n codes exist
+    valid = np.uint64(2 ** (1 << n) - 1) if n < 6 else ones
+    planes = len(instance.clauses).bit_length()
+    total = 1 << max(n - 6, 0)
+    step = 1 << max(chunk_bits - 6, 0)
     best = None
     best_code = 0
-    shifts = np.arange(n, dtype=np.uint64)
-    for base in range(0, 1 << n, 1 << min(chunk_bits, n)):
-        size = min(1 << chunk_bits, (1 << n) - base)
-        codes = np.arange(base, base + size, dtype=np.uint64)
-        vals = (((codes[:, None] >> shifts) & 1) * 2 - 1).astype(np.int8)
-        unsat = np.zeros(size, dtype=np.int32)
-        for cl in instance.clauses:
-            sat = np.zeros(size, dtype=bool)
+    for base in range(0, total, step):
+        words = np.arange(base, min(base + step, total), dtype=np.uint64)
+        column = low + [((words >> np.uint64(i - 6)) & np.uint64(1)) * ones
+                        for i in range(6, n)]
+        count = [np.zeros(len(words), dtype=np.uint64)
+                 for _ in range(planes)]
+        for added, cl in enumerate(instance.clauses, 1):
+            sat = np.zeros(len(words), dtype=np.uint64)
             for lit in cl.lits:
-                col = vals[:, abs(lit) - 1]
-                sat |= (col > 0) if lit > 0 else (col < 0)
-            unsat += ~sat
-        idx = int(np.argmin(unsat))
-        if best is None or unsat[idx] < best:
-            best = int(unsat[idx])
-            best_code = base + idx
+                col = column[abs(lit) - 1]
+                sat |= col if lit > 0 else ~col
+            carry = ~sat
+            for plane in count[:added.bit_length()]:
+                plane ^= carry
+                carry &= ~plane
+        reach = np.full(len(words), valid)
+        unsat = 0
+        for bit in reversed(range(planes)):
+            zero = reach & ~count[bit]
+            if zero.any():
+                reach = zero
+            else:
+                unsat |= 1 << bit
+        if best is None or unsat < best:
+            first = int(np.flatnonzero(reach)[0])
+            mask = int(reach[first])
+            best = unsat
+            best_code = (base + first) * 64 + (mask & -mask).bit_length() - 1
     witness = tuple(
         [1] + [1 if (best_code >> i) & 1 else -1 for i in range(n)])
     return best + instance.empty_count, witness

@@ -78,6 +78,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .config import SolverConfig
 from .instance import ACTIVE, FALSIFIED, FREE, NodeState
@@ -701,12 +702,22 @@ def _verified_psd(cost: NodeCost, lam: np.ndarray) -> bool:
     rump = g / (1.0 - g) * trace + 4 * dim * (2 * (dim + 1) + trace) * TINY
     matrix.flat[::dim + 1] = diag - (2.0 * rump + dim * cost.entry_error)
     try:
-        np.linalg.cholesky(matrix)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+        return cholesky_factor(matrix) is not None
     finally:
         matrix.flat[::dim + 1] = 0.0
+
+
+def cholesky_factor(matrix: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of a symmetric matrix, or None where
+    LAPACK's potrf finds it not positive definite.
+
+    The gufunc np.linalg.cholesky calls, without the wrapper's checks and
+    its exception: it fills the whole factor with NaN where potrf fails,
+    and a NaN in any entry of a factor reaches its last diagonal entry.
+    """
+    with np.errstate(invalid="ignore"):
+        factor = _cholesky_lo(matrix, signature="d->d")
+    return None if math.isnan(factor[-1, -1]) else factor
 
 
 def _repair_multipliers(cost: NodeCost, lam: np.ndarray) -> None:

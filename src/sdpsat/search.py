@@ -11,11 +11,14 @@ warm-started bound pair: prune on the dual ceiling, recurse on a primal that
 already ties the incumbent, and emit everything else as a new root.  The
 dual side is the ledger's bound or the node's falsified-clause count
 (base_unsat), whichever is higher: the falsified clauses alone are unsat in
-every completion.  A child about to be emitted whose warm-started objective
-already meets the incumbent is first decided by its own certificate, taken
-from the parent's factor and the child's cost matrix exactly as a solve
-takes one between sweeps; when it prunes, the child is dropped instead of
-being queued, replayed and re-solved.
+every completion.  A popped root is first priced by base_unsat plus its
+disjoint unit-propagation cores (bounds.up_cores), once, before its solve:
+each core holds a clause that every completion falsifies, so a root whose
+count meets the incumbent is pruned unsolved.  A child about to be emitted
+whose warm-started objective already meets the incumbent is first decided
+by its own certificate, taken from the parent's factor and the child's cost
+matrix exactly as a solve takes one between sweeps; when it prunes, the
+child is dropped instead of being queued, replayed and re-solved.
 The child's cost matrix is derived from the one its root's solve built
 (ShiftLedger.child_cost), never rebuilt.  Every DFS step costs O(clauses it
 moves) in scalar steps: the ShiftLedger prices its dual side and a
@@ -37,7 +40,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import Decision, ShiftLedger, decide, prune_floor
+from .bounds import Decision, ShiftLedger, decide, prune_floor, up_cores
 from .config import SolverConfig
 from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack, assign,
                        evaluate, unassign_to)
@@ -98,6 +101,8 @@ class SearchStats:
     early_prunes: int = 0
     # children dropped at expansion by their own certificate
     child_cert_prunes: int = 0
+    # popped roots pruned by unit-propagation cores before their solve
+    up_core_prunes: int = 0
     # certificates taken, in solves and at expansion
     certificates: int = 0
     roundings: int = 0
@@ -293,6 +298,13 @@ class Searcher:
             stats.leaf_pops += 1
             self.update_best(list(self.state.assignment),
                              self.state.base_unsat)
+            return []
+        base = self.state.base_unsat
+        cores = up_cores(self.state, self.best_unsat - base)
+        if self.prunes(base + len(cores)):
+            stats.up_core_prunes += 1
+            stats.pruned_at_pop += 1
+            stats.prunes_by_dual += 1
             return []
         res = self.solve_root()
         if past(self.deadline):

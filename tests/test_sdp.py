@@ -957,6 +957,36 @@ def test_cholesky_prune_boundary():
     assert tested >= 30
 
 
+def test_cholesky_factor_matches_numpy():
+    """sdp.cholesky_factor gives np.linalg.cholesky's verdict and, where
+    that succeeds, its factor bit for bit: on positive definite matrices,
+    on indefinite ones, and on PD matrices shifted to the singular
+    boundary, where rounding decides either way."""
+    rng = np.random.default_rng(5)
+    matrices = []
+    for dim in (1, 2, 15, 29, 61):
+        for _ in range(4):
+            half = rng.standard_normal((dim, dim))
+            pd = half @ half.T + 0.1 * np.eye(dim)
+            low = float(np.linalg.eigvalsh(pd)[0])
+            matrices += [pd, pd - 2.0 * low * np.eye(dim),
+                         pd - low * np.eye(dim),
+                         pd - low * (1 - 1e-12) * np.eye(dim)]
+    passed = failed = 0
+    for matrix in matrices:
+        factor = sdp.cholesky_factor(matrix)
+        try:
+            expected = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            assert factor is None
+            failed += 1
+            continue
+        assert factor is not None
+        assert np.array_equal(factor, expected)
+        passed += 1
+    assert passed >= 20 and failed >= 20
+
+
 def test_repair_margin_covers_entry_error():
     """The eigen repair leaves room for the rounding of C's entries: with
     entry_error set to 1e-3 the repaired multipliers keep the dense
@@ -1010,7 +1040,7 @@ def test_search_eigensolves_only_final_certificates(monkeypatch):
     inst = random_instance(24, 96, 2, seed=11)
     builds = counting(monkeypatch, sdp, "node_cost")
     eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
-    factorizations = counting(monkeypatch, np.linalg, "cholesky")
+    factorizations = counting(monkeypatch, sdp, "cholesky_factor")
     best, status, stats = solve_complete(inst, SolverConfig(seed=0))
     assert status == "OPTIMUM"
     assert stats.early_prunes > 0 and stats.child_cert_prunes > 0
