@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Cost of the numpy layers of one dense root and of one unit-propagation
-core count below it, in us per call, and of one DFS step below it, in us
-per step.
+"""Cost of the numpy layers of one dense root, of one unit-propagation
+core count and one derived child cost matrix below it, in us per call, and
+of one DFS step below it, in us per step.
 
 For every seed in [first, first + count), solves and rounds the root of
 `sdpsat.generate.random_instance(n, m, length, seed)` as the search does
@@ -21,6 +21,9 @@ that solved root, each layer the search runs on it:
                    most), as a popped root one expansion deep, with need
                    = incumbent - base_unsat as Searcher.process_root sets
                    it
+    child_cost     ShiftLedger.child_cost(res.cost, state) at that node,
+                   with the ledger applied along those steps, as
+                   expand_root derives a frontier child's cost matrix
     dfs_step       one step of a seeded full-depth walk (every free
                    variable, in a seeded order, with a seeded value) and
                    back: instance.assign, ShiftLedger.apply and
@@ -30,10 +33,12 @@ that solved root, each layer the search runs on it:
 node_cost is the first reader of a node's view in a root solve, so before
 each of its calls the trail is moved away and back (one assign and one
 unassign_to, not timed); the other layers find the view as the search
-does.  The trail is moved to up_cores' node before its calls and back
-to the root before the walk's, untimed.  One round calls every layer once
-at every root, the walk last; a layer's figure is the median over the
-rounds of its mean time per call (per step for dfs_step).  BLAS runs on one thread, set before numpy loads.
+does.  The trail is moved to up_cores' node (the ledger applied along
+it) before its calls, and back to the root (the ledger reverted) before
+the walk's, untimed.  One round calls every layer once at every root,
+the walk last; a layer's figure is the median over the rounds of its
+mean time per call (per step for dfs_step).  BLAS runs on one thread,
+set before numpy loads.
 
 Output: a header and one whitespace-separated row on stdout: n, m,
 length, roots, then one column per layer above, in us per call (per
@@ -64,7 +69,7 @@ from sdpsat.search import Searcher  # noqa: E402
 
 LAYERS = ("node_cost", "dense_sweep", "cert_raw", "prune_cert",
           "cert_repaired", "loss_tracker", "rounding", "up_cores",
-          "dfs_step")
+          "child_cost", "dfs_step")
 
 
 def root_layers(n: int, m: int, length: int, seed: int) -> list:
@@ -88,11 +93,16 @@ def root_layers(n: int, m: int, length: int, seed: int) -> list:
 
     def move_below():
         for var, value in below:
-            assign(state, ws, var, value)
+            ledger.apply(state, var, value, assign(state, ws, var, value))
+
+    def back_to_root():
+        for _ in below:
+            ledger.revert()
+        unassign_to(state, ws, 0)
 
     move_below()
     need = engine.best_unsat - state.base_unsat
-    unassign_to(state, ws, 0)
+    back_to_root()
 
     def move_away_and_back():
         assign(state, ws, away, TRUE)
@@ -118,7 +128,8 @@ def root_layers(n: int, m: int, length: int, seed: int) -> list:
         (None, lambda: best_rounding(factor, state, budget,
                                      np.random.default_rng(0)), 1),
         (move_below, lambda: up_cores(state, need), 1),
-        (lambda: unassign_to(state, ws, 0), walk, len(path)),
+        (None, lambda: ledger.child_cost(cost, state), 1),
+        (back_to_root, walk, len(path)),
     ]
 
 

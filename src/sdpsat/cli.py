@@ -33,8 +33,7 @@ BENCH_COLUMNS = ["kind", "name", "n", "m", "mode", "best_unsat",
 def _config_from(args) -> SolverConfig | None:
     """The solver settings, or None (reported on stderr) if they are invalid."""
     try:
-        return SolverConfig(eps=args.eps, seed=args.seed,
-                            time_limit=args.timeout)
+        return SolverConfig(seed=args.seed, time_limit=args.timeout)
     except ValueError as exc:
         print(f"invalid solver setting: {exc}", file=sys.stderr)
         return None
@@ -189,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock limit in seconds")
         p.add_argument("--seed", type=int, default=defaults.seed,
                        help="RNG seed")
-        p.add_argument("--eps", type=float, default=defaults.eps,
-                       help="relaxation precision target in unsat units")
 
     p_solve = sub.add_parser("solve", help="solve one DIMACS file")
     p_solve.add_argument("input")

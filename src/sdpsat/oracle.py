@@ -16,6 +16,7 @@ import numpy as np
 from .instance import ACTIVE, FREE, Instance, NodeState
 
 BRUTE_FORCE_CAP = 26
+DENSE_CHUNK_BITS = 20
 DENSE_CHECK_CAP = 200
 
 
@@ -80,17 +81,17 @@ def min_unsat_completion(instance: Instance, values) -> int:
     return best
 
 
-def brute_force_dense(instance: Instance, chunk_bits: int = 20):
+def brute_force_dense(instance: Instance):
     """Exact (min_unsat, witness) by bit-sliced enumeration (numpy path).
 
     Assignment code c (bit i of c set: variable i + 1 true) is bit c % 64
-    of word c // 64, and words are enumerated 2**chunk_bits assignments at
-    a time.  Each variable is a uint64 word array: variables 1-6 a fixed
-    bit pattern, the others all ones or all zeros by word.  A clause's
-    unsat bits are the complement of the OR of its literals, and the unsat
-    count of every assignment is a bit-sliced binary counter, one word
-    array per bit, added to by ripple carry.  Its minimum and the first
-    assignment that reaches it are read from the top bit down.
+    of word c // 64; 2**DENSE_CHUNK_BITS codes are enumerated at a time.
+    Each variable is a uint64 word array: variables 1-6 a fixed bit
+    pattern, the others all ones or all zeros by word.  A clause's unsat
+    bits are the complement of the OR of its literals, and the unsat count
+    of every assignment is a bit-sliced binary counter, one word array per
+    bit, added to by ripple carry.  Its minimum and the first assignment
+    that reaches it are read from the top bit down.
     """
     n = instance.num_vars
     if n > BRUTE_FORCE_CAP:
@@ -105,7 +106,7 @@ def brute_force_dense(instance: Instance, chunk_bits: int = 20):
     valid = np.uint64(2 ** (1 << n) - 1) if n < 6 else ones
     planes = len(instance.clauses).bit_length()
     total = 1 << max(n - 6, 0)
-    step = 1 << max(chunk_bits - 6, 0)
+    step = 1 << (DENSE_CHUNK_BITS - 6)
     best = None
     best_code = 0
     for base in range(0, total, step):

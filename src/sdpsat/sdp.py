@@ -46,7 +46,7 @@ one gather, one multiply and one reduceat per class); at small sizes the
 dense product costs less, above a few hundred columns more (measured in
 solve).  A solve returns its cost, and a child's C is derived from its
 root's and keeps the root's column order (bounds.ShiftLedger.child_cost).
-A solve sweeps until the estimated gap drops below eps, max_sweeps run
+A solve sweeps until the estimated gap drops below EPS, MAX_SWEEPS run
 out, the deadline passes, or a certificate taken between sweeps prunes.
 
 The dual certificate reads the dense C.  The row norms of C V are the
@@ -80,7 +80,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
-from .config import SolverConfig
 from .instance import ACTIVE, FALSIFIED, FREE, NodeState
 
 ZERO_UPDATE_NORM = 1e-12
@@ -95,6 +94,8 @@ PRUNE_SLACK = 1e-9
 DENSE_MAX_COLUMNS = 256
 # sweeps a solve runs at most unless its caller asks for another cap
 MAX_SWEEPS = 400
+# gap estimate (unsat units) a solve stops at; 1e-3 was slower to proofs
+EPS = 1e-2
 
 
 def gamma(k: int) -> float:
@@ -752,12 +753,12 @@ def past(deadline: float | None) -> bool:
 
 
 def solve(state: NodeState, factor: Factor, zcache: ZCache,
-          eps: float = SolverConfig.eps, max_sweeps: int | None = None,
+          eps: float | None = None, max_sweeps: int | None = None,
           order=None, deadline: float | None = None,
           floor: float | None = None) -> SdpResult:
-    """Sweep until the estimated distance to the optimum drops below eps,
-    max_sweeps (by default MAX_SWEEPS, read at each call) run out, the
-    deadline passes or a certificate prunes.
+    """Sweep until the estimated distance to the optimum drops below eps
+    (by default EPS), max_sweeps (by default MAX_SWEEPS; both read at each
+    call) run out, the deadline passes or a certificate prunes.
 
     The distance is estimated from the per-sweep decreases delta_t assuming a
     linear rate: gap ~ delta_t * rho / (1 - rho) with rho = delta_t /
@@ -795,6 +796,8 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     passed the solve takes no certificate at all: `cert` is None and the
     bound is -inf.
     """
+    if eps is None:
+        eps = EPS
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     if max_sweeps is None:

@@ -72,7 +72,6 @@ class SearchNode:
     steps: tuple
     primal: float
     dual: float
-    depth: int
 
     @property
     def path(self) -> tuple:
@@ -182,9 +181,8 @@ class Searcher:
     # -- per-root work -----------------------------------------------------
 
     def solve_root(self):
-        res = solve(self.state, self.factor, self.zcache, eps=self.cfg.eps,
-                    order=self.order, deadline=self.deadline,
-                    floor=self.floor())
+        res = solve(self.state, self.factor, self.zcache, order=self.order,
+                    deadline=self.deadline, floor=self.floor())
         self.stats.sdp_solves += 1
         self.stats.dense_solves += res.dense
         self.stats.sweeps_total += res.sweeps_used
@@ -227,7 +225,8 @@ class Searcher:
         and a LossTracker seeded here from the solved factor keeps the
         primal.  Neither reads the z-cache.  The children come back in
         search order; the caller pushes them so the first is popped first.
-        A deadline that stops the DFS with branches left sets cut_short."""
+        A deadline that stops the DFS with branches left sets cut_short.
+        `node_depth` is ignored: perfbench/layers.py still passes one."""
         state, ws = self.state, self.ws
         ledger = ShiftLedger(res.cert)
         losses = LossTracker(state, self.factor)
@@ -237,7 +236,7 @@ class Searcher:
         children: list[SearchNode] = []
         prefer = self.best.assignment if self.best is not None else None
 
-        def emit_child(depth: int, dual: float) -> None:
+        def emit_child(dual: float) -> None:
             if self.prunes(losses.objective) and not past(self.deadline):
                 self.stats.certificates += 1
                 cert = pruning_certificate(
@@ -249,8 +248,7 @@ class Searcher:
                     return
             children.append(SearchNode(
                 root_path=root_path, steps=state.path(len(root_path)),
-                primal=losses.objective, dual=dual,
-                depth=node_depth + depth))
+                primal=losses.objective, dual=dual))
 
         def descend(depth: int) -> None:
             var = split_vars[depth]
@@ -269,13 +267,12 @@ class Searcher:
                     verdict = decide(losses.objective, dual, self.best_unsat)
                     if verdict == Decision.PRUNE:
                         self.stats.prunes_by_dual += 1
-                    elif depth + 1 >= len(split_vars):
-                        emit_child(depth + 1, dual)
-                    elif verdict == Decision.EXPAND:
+                    elif (verdict == Decision.EXPAND
+                          and depth + 1 < len(split_vars)):
                         self.stats.expands_by_primal += 1
                         descend(depth + 1)
                     else:
-                        emit_child(depth + 1, dual)
+                        emit_child(dual)
                 losses.revert()
                 ledger.revert()
                 unassign_to(state, ws, len(state.trail) - 1)
@@ -325,11 +322,11 @@ class Searcher:
             stats.prunes_by_dual += 1
             return []
         self.reorder(res.cert)
-        return self.expand_root(res, node.depth)
+        return self.expand_root(res, 0)
 
     def run(self) -> str:
         """The DFS over the root stack, until it drains or the deadline."""
-        stack = [SearchNode((), (), math.inf, 0.0, 0)]
+        stack = [SearchNode((), (), math.inf, 0.0)]
         while stack and not past(self.deadline):
             stack.extend(reversed(self.process_root(stack.pop())))
         self.cut_short |= bool(stack)

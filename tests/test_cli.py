@@ -15,12 +15,11 @@ from sdpsat.oracle import brute_force
 
 TRIANGLE = "p cnf 2 3\n1 2 0\n-1 2 0\n-2 0\n"
 
-BAD_SETTINGS = (["--eps", "0"], ["--eps", "inf"], ["--timeout", "-1"],
-                ["--seed", "-1"])
-# not flags: the rank, the expansion depth and the rounding constant are
-# fixed by the code
+BAD_SETTINGS = (["--timeout", "-1"], ["--seed", "-1"])
+# not flags: the rank, the expansion depth, the rounding constant and the
+# per-solve precision are fixed by the code
 REMOVED_FLAGS = (["--rank", "3"], ["--depth-limit", "8"],
-                 ["--rounding-c", "4"])
+                 ["--rounding-c", "4"], ["--eps", "0.01"])
 
 
 def run_cli(argv, capsys):

@@ -59,7 +59,7 @@ def test_root_cost_smoke():
     assert header == ["n", "m", "length", "roots", "node_cost",
                       "dense_sweep", "cert_raw", "prune_cert",
                       "cert_repaired", "loss_tracker", "rounding",
-                      "up_cores", "dfs_step"]
+                      "up_cores", "child_cost", "dfs_step"]
     assert row[:4] == ["8", "56", "3", "2"]
     assert all(float(x) > 0.0 for x in row[4:])
 

@@ -701,13 +701,27 @@ def test_solve_zero_active_clauses():
 
 @pytest.mark.parametrize("eps", (0.0, -1.0, math.nan, math.inf))
 def test_solve_rejects_eps_the_config_rejects(eps):
-    """solve applies SolverConfig's rule, 0 < eps < inf: a NaN eps, which
-    no gap estimate could ever meet, is rejected too."""
+    """solve takes only 0 < eps < inf: a NaN eps, which no gap estimate
+    could ever meet, is rejected too."""
     state, ws, factor, zc = fresh_solver_state(parse_dimacs(TRIANGLE))
     with pytest.raises(ValueError, match="eps"):
-        SolverConfig(eps=eps)
-    with pytest.raises(ValueError, match="eps"):
         solve(state, factor, zc, eps=eps)
+
+
+def test_solve_reads_eps_at_each_call():
+    """Without an eps a solve stops at sdp.EPS as it is at the call: a
+    tighter EPS runs more sweeps from the same start, as many as a solve
+    passed that eps."""
+    inst = random_instance(20, 80, 2, seed=5)
+
+    def sweeps(**passed):
+        state, ws, factor, zc = fresh_solver_state(inst, seed=5)
+        return solve(state, factor, zc, **passed).sweeps_used
+
+    default = sweeps()
+    with mock.patch.object(sdp, "EPS", 1e-6):
+        tight = sweeps()
+    assert default < tight == sweeps(eps=1e-6)
 
 
 def test_solve_monotone_trace_random_instances():
