@@ -45,10 +45,15 @@ def main() -> int:
                     help="also brute-force every optimum (n <= 26)")
     args = ap.parse_args()
 
+    try:
+        formulas = [random_instance(args.n, args.m, args.length, seed)
+                    for seed in range(args.first, args.first + args.count)]
+    except ValueError as exc:
+        ap.error(f"invalid generator setting: {exc}")
+
     optima, statuses, oracle = [], [], []
     totals = dict.fromkeys(COUNTERS, 0)
-    for seed in range(args.first, args.first + args.count):
-        inst = random_instance(args.n, args.m, args.length, seed)
+    for inst in formulas:
         best, status, stats = solve_complete(inst, SolverConfig(seed=0))
         optima.append(best.unsat)
         statuses.append(status)

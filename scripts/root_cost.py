@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Cost of the numpy layers of one dense root, of one unit-propagation
-core count and one derived child cost matrix below it, in us per call, and
-of one DFS step below it, in us per step.
+"""Cost of the numpy layers of one solved root, on either layout, of one
+unit-propagation core count and one derived child cost matrix below it,
+in us per call, and of one DFS step below it, in us per step.
 
 For every seed in [first, first + count), solves and rounds the root of
 `sdpsat.generate.random_instance(n, m, length, seed)` as the search does
@@ -10,6 +10,8 @@ that solved root, each layer the search runs on it:
 
     node_cost      the solve's cost matrix, in the solve's sweep order
     dense_sweep    one sweep of that matrix (on a copy of the factor)
+    sweep_plan     sweep_plan(cost), that matrix stored by rows
+    sparse_sweep   one sweep of that plan (on another copy of the factor)
     cert_raw       certificate(cost, factor, repair=False)
     prune_cert     pruning_certificate at a floor 1 below the raw bound,
                    so its Cholesky runs
@@ -29,6 +31,10 @@ that solved root, each layer the search runs on it:
                    back: instance.assign, ShiftLedger.apply and
                    LossTracker.move on the way down, both reverts and
                    instance.unassign_to on the way back
+
+A solve sweeps a root of at most sdp.DENSE_MAX_COLUMNS columns dense and
+a larger one sparse; both layouts are timed at every n, so rows at a few
+n (m = 4n, length 2) show where the cutoff belongs.
 
 node_cost is the first reader of a node's view in a root solve, so before
 each of its calls the trail is moved away and back (one assign and one
@@ -63,25 +69,26 @@ from sdpsat import sdp, search  # noqa: E402
 from sdpsat.bounds import ShiftLedger, up_cores  # noqa: E402
 from sdpsat.config import SolverConfig  # noqa: E402
 from sdpsat.generate import random_instance  # noqa: E402
-from sdpsat.instance import FALSE, TRUE, assign, unassign_to  # noqa: E402
+from sdpsat.instance import (FALSE, TRUE, Instance, assign,  # noqa: E402
+                             unassign_to)
 from sdpsat.rounding import best_rounding, rounding_budget  # noqa: E402
 from sdpsat.search import Searcher  # noqa: E402
 
-LAYERS = ("node_cost", "dense_sweep", "cert_raw", "prune_cert",
-          "cert_repaired", "loss_tracker", "rounding", "up_cores",
-          "child_cost", "dfs_step")
+LAYERS = ("node_cost", "dense_sweep", "sweep_plan", "sparse_sweep",
+          "cert_raw", "prune_cert", "cert_repaired", "loss_tracker",
+          "rounding", "up_cores", "child_cost", "dfs_step")
 
 
-def root_layers(n: int, m: int, length: int, seed: int) -> list:
+def root_layers(inst: Instance, seed: int) -> list:
     """The solved root of one formula as (setup, call, units) per layer, in
     LAYERS order; setup is None or an untimed step run before each call,
     and units counts what one call does (1, or the walk's steps)."""
-    engine = Searcher(random_instance(n, m, length, seed),
-                      SolverConfig(seed=0))
+    engine = Searcher(inst, SolverConfig(seed=0))
     res = engine.solve_root()
     engine.round_root()
     state, ws, factor, cost = engine.state, engine.ws, engine.factor, res.cost
     swept = sdp.Factor(factor.cols.copy())
+    plan, swept_sparse = sdp.sweep_plan(cost), sdp.Factor(factor.cols.copy())
     floor = sdp.certificate(cost, factor, repair=False).dual_bound - 1.0
     budget = rounding_budget(state.free_count)
     away = state.free_vars()[0]
@@ -121,6 +128,8 @@ def root_layers(n: int, m: int, length: int, seed: int) -> list:
     return [
         (move_away_and_back, lambda: sdp.node_cost(state, engine.order), 1),
         (None, lambda: sdp.dense_sweep(cost, swept), 1),
+        (None, lambda: sdp.sweep_plan(cost), 1),
+        (None, lambda: sdp.sparse_sweep(plan, swept_sparse), 1),
         (None, lambda: sdp.certificate(cost, factor, repair=False), 1),
         (None, lambda: sdp.pruning_certificate(cost, factor, floor), 1),
         (None, lambda: sdp.certificate(cost, factor), 1),
@@ -145,11 +154,14 @@ def main() -> int:
     args = ap.parse_args()
     if args.count < 1 or args.rounds < 1:
         ap.error("--count and --rounds must be at least 1")
-    if args.n < 1:
-        ap.error("--n must be at least 1")
+    seeds = range(args.first, args.first + args.count)
+    try:
+        formulas = [random_instance(args.n, args.m, args.length, seed)
+                    for seed in seeds]
+    except ValueError as exc:
+        ap.error(f"invalid generator setting: {exc}")
 
-    roots = [root_layers(args.n, args.m, args.length, seed)
-             for seed in range(args.first, args.first + args.count)]
+    roots = [root_layers(inst, seed) for inst, seed in zip(formulas, seeds)]
     units = [sum(layers[i][2] for layers in roots)
              for i in range(len(LAYERS))]
     rounds = [[0.0] * len(LAYERS) for _ in range(args.rounds)]

@@ -772,10 +772,11 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     objective from C V after every sweep.  A larger node runs sparse_sweep
     on the nonzero entries of C's rows (sweep_plan) and subtracts each
     sweep's decrease from the trace.  The cutoff is measured
-    (scripts/sweep_cutoff.py): on one x86-64 core with one BLAS thread, a
-    sweep of random MAX2SAT at m = 4n costs, sparse against dense, 38
-    against 19 us at n=28, 82 against 60 us at n=200, 95 against 97 us at
-    n=255, 160 against 340 us at n=400 and 425 against 1441 us at n=800.
+    (scripts/root_cost.py, --count 3, median of three runs): on a 2-vCPU
+    x86-64 host with one BLAS thread, a sweep of a solved random MAX2SAT
+    root at m = 4n costs, sparse against dense, 141 against 75 us at n=28,
+    397 against 341 us at n=200, 499 against 522 us at n=255, 723 against
+    1490 us at n=400 and 1712 against 5515 us at n=800.
     No solve reads or writes the z-cache: `zcache` is accepted for
     existing callers and ignored.
 

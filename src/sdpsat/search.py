@@ -330,6 +330,10 @@ class Searcher:
         while stack and not past(self.deadline):
             stack.extend(reversed(self.process_root(stack.pop())))
         self.cut_short |= bool(stack)
+        if self.stats.nodes_popped == 0:
+            # the deadline passed before the first pop: round the untouched
+            # root (one trial) only to have an incumbent to report
+            self.round_root()
         return self.finish()
 
     def finish(self) -> str:

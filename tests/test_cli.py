@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sdpsat.rounding
 from sdpsat.cli import main
-from sdpsat.generate import random_instance
+from sdpsat.generate import random_clauses, random_instance, render_dimacs
 from sdpsat.instance import evaluate, parse_dimacs
 from sdpsat.oracle import brute_force
 
@@ -161,6 +162,26 @@ def test_solve_timeout_reports_unknown(tmp_path, capsys):
         assert code == 0
         values = [int(l.split()[1]) for l in o_lines]
         assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("mode", ["complete", "incomplete"])
+def test_solve_zero_timeout_reports_an_incumbent(tmp_path, capsys, mode):
+    """A deadline that has passed at the start still answers: one o line,
+    s UNKNOWN, and a v line that re-evaluates to the o value."""
+    path = tmp_path / "rand.cnf"
+    path.write_text(render_dimacs(
+        28, random_clauses(28, 112, 2, np.random.default_rng(1))))
+    inst = parse_dimacs(path.read_text())
+    code, out, _ = run_cli(
+        ["solve", str(path), "--timeout", "0", "--mode", mode], capsys)
+    assert code == 0
+    o_lines = [l for l in out.splitlines() if l.startswith("o ")]
+    v_lines = [l for l in out.splitlines() if l.startswith("v ")]
+    assert len(o_lines) == 1 and len(v_lines) == 1
+    assert "s UNKNOWN" in out.splitlines()
+    values = [0] + [1 if int(lit) > 0 else -1
+                    for lit in v_lines[0].split()[1:]]
+    assert evaluate(inst, values) == int(o_lines[0].split()[1])
 
 
 def test_solve_incomplete_mode(tmp_path, capsys):

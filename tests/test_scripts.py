@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sdpsat import sdp
 from sdpsat.generate import random_clauses, render_dimacs
@@ -16,16 +17,17 @@ from sdpsat.generate import random_clauses, render_dimacs
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     """Run scripts/<name> with `args`, the repository's src first on
-    PYTHONPATH; returns the finished process, which must have exited 0."""
+    PYTHONPATH; returns the finished process, which must have exited with
+    `returncode`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 
@@ -41,27 +43,30 @@ def test_approx_ratio_curve_smoke():
         assert 0.0 < float(ratio) <= 1.0
 
 
-def test_sweep_cutoff_smoke():
-    proc = run_script("sweep_cutoff.py", "--sizes", "6", "12",
-                      "--sweeps", "2", "--rounds", "1")
-    header, *rows = [line.split() for line in proc.stdout.splitlines()]
-    assert header == ["n", "rank", "dense_us", "sparse_us",
-                      "dense_setup_us", "sparse_setup_us"]
-    assert [row[0] for row in rows] == ["6", "12"]
-    for row in rows:
-        assert all(float(x) > 0.0 for x in row)
-
-
-def test_root_cost_smoke():
-    proc = run_script("root_cost.py", "--n", "8", "--m", "56",
-                      "--length", "3", "--count", "2", "--rounds", "2")
+@pytest.mark.parametrize("n, m, length, count, rounds", [
+    ("8", "56", "3", "2", "2"),
+    # above DENSE_MAX_COLUMNS: the search sweeps this root sparse
+    ("300", "1200", "2", "1", "1"),
+], ids=["dense", "sparse"])
+def test_root_cost_smoke(n, m, length, count, rounds):
+    proc = run_script("root_cost.py", "--n", n, "--m", m, "--length", length,
+                      "--count", count, "--rounds", rounds)
     header, row = [line.split() for line in proc.stdout.splitlines()]
     assert header == ["n", "m", "length", "roots", "node_cost",
-                      "dense_sweep", "cert_raw", "prune_cert",
-                      "cert_repaired", "loss_tracker", "rounding",
-                      "up_cores", "child_cost", "dfs_step"]
-    assert row[:4] == ["8", "56", "3", "2"]
+                      "dense_sweep", "sweep_plan", "sparse_sweep",
+                      "cert_raw", "prune_cert", "cert_repaired",
+                      "loss_tracker", "rounding", "up_cores", "child_cost",
+                      "dfs_step"]
+    assert row[:4] == [n, m, length, count]
     assert all(float(x) > 0.0 for x in row[4:])
+
+
+@pytest.mark.parametrize("name", ["root_cost.py", "pool_counts.py"])
+def test_scripts_reject_bad_generator_settings(name):
+    proc = run_script(name, "--n", "3", "--m", "10", "--length", "5",
+                      returncode=2)
+    assert "invalid generator setting" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_pool_counts_smoke():

@@ -98,10 +98,15 @@ def test_complete_timeout_returns_incumbent():
 
 def test_zero_time_limit_reports_timeout():
     """A deadline that has passed before the first root is solved leaves
-    the search undone, so it proves nothing."""
+    the search undone, so it proves nothing, but one rounding of the
+    untouched root still gives an incumbent to report."""
     inst = random_instance(28, 112, 2, seed=1)
-    _, status, _ = solve_complete(inst, SolverConfig(seed=1, time_limit=0.0))
+    best, status, stats = solve_complete(
+        inst, SolverConfig(seed=1, time_limit=0.0))
     assert status == TIMEOUT
+    assert best is not None
+    assert evaluate(inst, best.assignment) == best.unsat
+    assert (stats.nodes_popped, stats.roundings) == (0, 1)
 
 
 def test_timeout_skips_certificate_repair_and_rounding_at_scale():
