@@ -5,7 +5,8 @@ Generates random MAX2SAT instances, solves the root relaxation once, then
 keeps drawing rounding trials for a fixed budget, sampling the best
 satisfied-count ratio seen so far.  The denominator is the certified upper
 bound on the satisfiable count (exact optima are out of reach above the
-brute-force cap), so every reported ratio is a lower bound on the true one.
+brute-force cap), so every reported ratio is a lower bound on the true one;
+it is 1.0 when that bound is 0.
 
 Output: CSV rows (instance, elapsed_seconds, best_ratio) on stdout.
 """
@@ -24,6 +25,12 @@ from sdpsat.rounding import node_unsat, round_once
 from sdpsat.search import Searcher
 
 
+def ratio(sat: int, sat_upper: int) -> float:
+    """sat / sat_upper, rounded; 1.0 when the bound is 0, as in sdpsat
+    bench."""
+    return 1.0 if sat_upper == 0 else round(sat / sat_upper, 6)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=10)
@@ -34,12 +41,20 @@ def main() -> int:
                     help="rounding seconds per instance after the solve")
     ap.add_argument("--samples", type=int, default=20)
     args = ap.parse_args()
+    if args.instances < 1 or args.samples < 1:
+        ap.error("--instances and --samples must be at least 1")
+    if not args.budget > 0:
+        ap.error("--budget must be positive")
+    seeds = range(args.seed, args.seed + args.instances)
+    try:
+        formulas = [random_instance(args.n, args.m, 2, seed=seed)
+                    for seed in seeds]
+    except ValueError as exc:
+        ap.error(f"invalid generator setting: {exc}")
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance", "elapsed_seconds", "best_ratio"])
-    for i in range(args.instances):
-        seed = args.seed + i
-        inst = random_instance(args.n, args.m, 2, seed=seed)
+    for seed, inst in zip(seeds, formulas):
         engine = Searcher(inst, SolverConfig(seed=seed))
         t0 = time.monotonic()
         res = engine.solve_root()
@@ -55,11 +70,11 @@ def main() -> int:
             elapsed = time.monotonic() - t0
             if elapsed >= next_sample:
                 writer.writerow([f"rand-s{seed}", round(elapsed, 4),
-                                 round(best / sat_upper, 6)])
+                                 ratio(best, sat_upper)])
                 next_sample = elapsed + step
         writer.writerow([f"rand-s{seed}",
                          round(time.monotonic() - t0, 4),
-                         round(best / sat_upper, 6)])
+                         ratio(best, sat_upper)])
     return 0
 
 

@@ -44,7 +44,8 @@ def main() -> int:
     ap.add_argument("--oracle", action="store_true",
                     help="also brute-force every optimum (n <= 26)")
     args = ap.parse_args()
-
+    if args.count < 1:
+        ap.error("--count must be at least 1")
     try:
         formulas = [random_instance(args.n, args.m, args.length, seed)
                     for seed in range(args.first, args.first + args.count)]

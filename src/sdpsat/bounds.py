@@ -8,14 +8,14 @@ Dual side: assigning variables moves clause coefficients in the truth
 row/column of the cost matrix (entries delta_i per free column i) and
 changes free-free pair coefficients.  Each active clause is priced at its
 current length L' (see sdp); NodeState.price tabulates, per clause length
-L and free count f, its truth coefficient t, its weight w and its shares
-of the folded diagonal and of the loss constants.  One rule covers every
-transition: a moved clause goes from f + 1 free literals to f, so its
-price goes from price[L][f + 1] to price[L][f] while it stays active and
-to zero once it leaves, and the step adds the difference: s_i (t'w' - t w)
-to the truth-row entry of each free column i, s_a s_b (w' - w) to each
-free pair when f >= 2, and the shares' differences to the folded diagonal
-and the constant offset (plus 1, its loss, for a falsified clause).
+L and free count f, its truth coefficient t, its weight w and its share
+of the bound's offset.  One rule covers every transition: a moved clause
+goes from f + 1 free literals to f, so its price goes from price[L][f + 1]
+to price[L][f] while it stays active and to zero once it leaves, and the
+step adds the difference: s_i (t'w' - t w) to the truth-row entry of each
+free column i, s_a s_b (w' - w) to each free pair when f >= 2, and
+share' - share to the offset (plus 1, its loss, for a falsified
+clause).
 
 Shifting the parent multipliers by
 
@@ -86,7 +86,7 @@ class ShiftLedger:
     """
 
     __slots__ = ("lam", "delta", "eta", "lam_sum", "abs_delta_sum",
-                 "eta_sum", "diag_sum", "const_offset", "pairs", "_undo")
+                 "eta_sum", "offset", "pairs", "_undo")
 
     def __init__(self, cert: DualCert):
         self.lam = cert.lam.tolist()
@@ -95,8 +95,7 @@ class ShiftLedger:
         self.lam_sum = float(cert.lam.sum())
         self.abs_delta_sum = 0.0
         self.eta_sum = 0.0
-        self.diag_sum = cert.diag_sum
-        self.const_offset = cert.const_offset
+        self.offset = cert.offset
         self.pairs: list[tuple[int, int, float]] = []
         self._undo: list = []
 
@@ -107,11 +106,10 @@ class ShiftLedger:
         Each moved clause had f + 1 free literals and has f now.  Its old
         price is state.price[L][f + 1] and its new one price[L][f] while it
         is still active, zero once it left (price[L][0]); the step adds the
-        difference: diag' - diag to the folded diagonal, const - const' to
-        the constant offset (plus 1 for a falsified clause), s (tw' - tw) to
-        the truth-row entry of each free column and, with f >= 2 free,
-        s_a s_b (w' - w) to each free pair, with eta (f - 1)|w' - w| on
-        each of their columns.
+        difference: share' - share to the offset (plus 1 for a falsified
+        clause), s (tw' - tw) to the truth-row entry of each free column
+        and, with f >= 2 free, s_a s_b (w' - w) to each free pair, with
+        eta (f - 1)|w' - w| on each of their columns.
         """
         lam, delta, eta = self.lam, self.delta, self.eta
         assignment, s0 = state.assignment, state.s0
@@ -120,13 +118,11 @@ class ShiftLedger:
         saved = [(var, delta[var], eta[var])]
         save = saved.append
         self._undo.append((saved, lam[var], len(pairs), self.lam_sum,
-                           self.abs_delta_sum, self.eta_sum, self.diag_sum,
-                           self.const_offset))
+                           self.abs_delta_sum, self.eta_sum, self.offset))
         lam_sum = self.lam_sum - lam[var]
         abs_sum = self.abs_delta_sum - abs(delta[var])
         eta_sum = self.eta_sum - eta[var]
         lam[var] = delta[var] = eta[var] = 0.0
-        d_diag = 0.0
         d_offset = 0.0
         for j, sign, new_status in moved:
             lits = clause_lits[j]
@@ -134,11 +130,10 @@ class ShiftLedger:
             # s0 absorbed value * sign: L + 1 + s0 free before, one fewer now
             f = size + s0[j] - value * sign
             row = price[size]
-            _, _, w, tw, diag, const, _ = row[f + 1]
-            _, _, w_new, tw_new, diag_new, const_new, _ = row[
+            _, _, w, tw, share, _ = row[f + 1]
+            _, _, w_new, tw_new, share_new, _ = row[
                 f if new_status == ACTIVE else 0]
-            d_diag += diag_new - diag
-            d_offset += const - const_new + (new_status == FALSIFIED)
+            d_offset += share_new - share + (new_status == FALSIFIED)
             truth = tw_new - tw
             if f >= 2:
                 pair = w_new - w
@@ -165,12 +160,11 @@ class ShiftLedger:
         self.lam_sum = lam_sum
         self.abs_delta_sum = abs_sum
         self.eta_sum = eta_sum
-        self.diag_sum += d_diag
-        self.const_offset += d_offset
+        self.offset += d_offset
 
     def revert(self) -> None:
         (saved, lam_var, num_pairs, self.lam_sum, self.abs_delta_sum,
-         self.eta_sum, self.diag_sum, self.const_offset) = self._undo.pop()
+         self.eta_sum, self.offset) = self._undo.pop()
         delta, eta = self.delta, self.eta
         for v, old_delta, old_eta in reversed(saved):
             delta[v] = old_delta
@@ -180,15 +174,14 @@ class ShiftLedger:
 
     def dual_bound(self) -> float:
         return (-(self.lam_sum + 2.0 * self.abs_delta_sum + self.eta_sum)
-                + self.diag_sum + self.const_offset)
+                + self.offset)
 
     def cert_snapshot(self) -> DualCert:
         """Materialize the current shifted certificate."""
         abs_delta = np.abs(self.delta)
         lam = np.array(self.lam) + abs_delta + np.array(self.eta)
         lam[0] += abs_delta.sum()
-        return DualCert(lam=lam, const_offset=self.const_offset,
-                        diag_sum=self.diag_sum)
+        return DualCert(lam=lam, offset=self.offset)
 
     def child_cost(self, root: NodeCost, state: NodeState) -> NodeCost:
         """The cost matrix of the node at the end of the path, derived from
@@ -216,8 +209,7 @@ class ShiftLedger:
             pos = np.empty(len(columns), dtype=np.intp)
             pos[index] = np.arange(len(index))
             matrix += pair_matrix(pos[a], pos[b], value, len(index))
-        return NodeCost(index, matrix, self.diag_sum, self.const_offset,
-                        root.entry_error)
+        return NodeCost(index, matrix, self.offset, root.entry_error)
 
 
 def up_cores(state: NodeState, need: int | None = None) -> list[tuple]:

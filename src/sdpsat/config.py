@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import ClassVar, Optional
 
 from . import sdp
@@ -27,11 +27,13 @@ class SolverConfig:
     time_limit: Optional[float] = None
 
     def __post_init__(self):
+        seed, limit = self.seed, self.time_limit
         checks = (
-            (isinstance(self.seed, Integral) and self.seed >= 0,
-             "seed must be a non-negative integer"),
-            (self.time_limit is None or self.time_limit >= 0,
-             "time_limit must be non-negative"),
+            (isinstance(seed, Integral) and not isinstance(seed, bool)
+             and seed >= 0, "seed must be a non-negative integer"),
+            (limit is None or isinstance(limit, Real)
+             and not isinstance(limit, bool) and limit >= 0,
+             "time_limit must be None or a non-negative number"),
         )
         for ok, message in checks:
             if not ok:

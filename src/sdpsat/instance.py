@@ -10,13 +10,12 @@ time one of its literals is assigned true/false.  A clause is falsified exactly
 when s0 reaches -1 - L (all L literals assigned, none true).  While it is
 active, each literal gone false has taken 1 off s0, so the clause has
 f = L + 1 + s0 free literals.  The relaxation prices it as a clause of its
-current length L' = min(L, max(f, 2)) (current_length, the one place the
-rule is computed) with L' - f literals false: its truth coefficient is
--1 - (L' - f) = s0 + L - L' and its weight 1/(4L').  That is s0 itself
-for a clause of at most two literals or with none false; a longer clause
-with some literal false has -1 while f >= 2 and -2 at f = 1 (see sdp).
-NodeState.view applies the rule to every clause at once, and
-NodeState.price tabulates it per (L, f) for the scalar steps of a DFS.
+current length L' = min(L, max(f, 2)) (current_length) with L' - f
+literals false: its truth coefficient is -1 - (L' - f) = s0 + L - L' and
+its weight 1/(4L').  That is s0 itself for a clause of at most two
+literals or with none false; a longer clause with some literal false has
+-1 while f >= 2 and -2 at f = 1 (see sdp).  NodeState's price table,
+the one place the rule is evaluated, prices each (L, f) once.
 A node's view is built once and kept, read-only, until the trail moves;
 what depends only on the formula is built once per NodeState.
 """
@@ -212,24 +211,23 @@ def parse_dimacs(text: str) -> Instance:
 def current_length(length, free):
     """The length an active clause of `length` literals with `free` of them
     free is priced at, elementwise over arrays: min(length, max(free, 2)).
-    The one definition of the rule; NodeState's price table and view
-    read it."""
+    The one definition of the rule; NodeState's price table reads it."""
     return np.minimum(length, np.maximum(free, 2))
 
 
 class NodeView(NamedTuple):
     """A node as arrays (NodeState.view): per clause, whether it is active
-    and its current length L' and weight 1/(4L') (meaningful while active);
-    the column mask; per literal-table entry, whether it is live (clause
-    active, column in the node) and its coefficient: its clause's truth
-    coefficient s0 + L - L' on a truth entry, the literal's sign elsewhere.
-    Its arrays are read-only: one view serves every reader of the node."""
+    and its row of the price table (see NodeState) at its free count, all
+    zeros once it left; the column mask; per literal-table entry, whether
+    it is live (clause active, column in the node) and its coefficient:
+    its clause's truth coefficient t on a truth entry, the literal's sign
+    elsewhere.  Its arrays are read-only: one view serves every reader of
+    the node."""
 
     active: np.ndarray
     columns: np.ndarray
     live: np.ndarray
-    length: np.ndarray
-    weight: np.ndarray
+    price: np.ndarray
     coeff: np.ndarray
 
 
@@ -248,20 +246,20 @@ class NodeState:
     `pair_first[j]`; per pair the node also keeps the clause
     (`pair_clause`) and the two entries' variables (`pair_var_a`,
     `pair_var_b`), and `entry_error` is sdp.entry_error_bound of the
-    formula.  view gives the node's masks, every clause's current length L'
-    and weight 1/(4L') and every entry's coefficient as arrays.
+    formula.  view gives the node's masks, every clause's price row and
+    every entry's coefficient as arrays.
 
-    For the scalar steps of a DFS below a solved root the node keeps each
-    clause's literal tuple (`clause_lits`) and one price table as plain
-    Python values: `price[L][f]`, for a clause of L literals with f >= 1
-    free, is the tuple (L', t, w, t w, (t^2 + f) w, (L' - 1)^2 w,
-    t^2 + f - (L' - 1)^2) with L' = current_length(L, f), truth
-    coefficient t = f - 1 - L' and weight w = 1/(4L'): what the clause adds
-    to the folded diagonal and to the loss constants, and the integer part
-    of its loss at unit columns.  `price[L][0]` is all zeros, the price of
-    a clause that left the active set.  Every step prices a moved clause
-    as the difference of two entries (bounds.ShiftLedger, sdp.LossTracker,
-    sdp.ZCache); rows exist for the lengths the formula has.
+    The price table holds a row per clause length L of the formula and
+    free count f = 0..L (`price_rows`; clause j's row for f free is
+    `price_first[j] + f`): (L', t, w, t w, share, base) with
+    L' = current_length(L, f), t = f - 1 - L', w = 1/(4L'),
+    base = t^2 + f - (L' - 1)^2 (the integer part of the clause's loss at
+    unit columns) and share = base w (its part of the bound's offset, see
+    sdp.NodeCost); the row for f = 0, a clause that left, is all zeros.
+    `price[L][f]` is the same row as a Python list, for the scalar steps
+    of a DFS below a solved root, with each clause's literal tuple
+    (`clause_lits`); every step prices a moved clause as the difference
+    of two rows (bounds.ShiftLedger, sdp.LossTracker, sdp.ZCache).
 
     The variables are also colored by DSatur so that two variables sharing
     a clause never share a color.  A proper coloring of the whole formula
@@ -272,10 +270,10 @@ class NodeState:
 
     __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
                  "base_unsat", "free_count", "lit_clause", "lit_var",
-                 "lit_sign", "clause_len", "price", "pair_a", "pair_b",
-                 "pair_first", "pair_clause", "pair_var_a", "pair_var_b",
-                 "entry_error", "clause_lits", "color", "class_entries",
-                 "_view")
+                 "lit_sign", "clause_len", "price_rows", "price_first",
+                 "price", "pair_a", "pair_b", "pair_first", "pair_clause",
+                 "pair_var_a", "pair_var_b", "entry_error", "clause_lits",
+                 "color", "class_entries", "_view")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -289,16 +287,25 @@ class NodeState:
         self.free_count = n
 
         self.clause_len = np.array(instance.lengths, dtype=np.intp)
-        self.price = [[] for _ in range(max(instance.lengths, default=0) + 1)]
-        for length in set(instance.lengths):
-            row = self.price[length] = [(0, 0, 0.0, 0.0, 0.0, 0.0, 0)]
-            free = np.arange(1, length + 1)
-            for f, cur in zip(free.tolist(),
-                              current_length(length, free).tolist()):
-                t = f - 1 - cur
-                w = 1.0 / (4.0 * cur)
-                row.append((cur, t, w, t * w, (t * t + f) * w,
-                            (cur - 1) ** 2 * w, t * t + f - (cur - 1) ** 2))
+        sizes = np.unique(self.clause_len)
+        first = np.zeros(int(self.clause_len.max(initial=0)) + 1,
+                         dtype=np.intp)
+        first[sizes] = np.cumsum(sizes + 1) - (sizes + 1)
+        length = np.repeat(sizes, sizes + 1)
+        free = np.arange(len(length)) - first[length]
+        cur = current_length(length, free)
+        t = free - 1 - cur
+        w = 1.0 / (4.0 * cur)
+        base = t * t + free - (cur - 1) ** 2
+        table = np.column_stack((cur, t, w, t * w, base * w, base))
+        table[free == 0] = 0.0
+        table.setflags(write=False)
+        self.price_rows = table
+        self.price_first = first[self.clause_len]
+        rows = table.tolist()
+        # a length the formula does not have gets no rows
+        self.price = [rows[lo:lo + L + 1] if L in sizes else []
+                      for L, lo in enumerate(first.tolist())]
         size = self.clause_len + 1
         total = int(size.sum())
         lits = np.fromiter(
@@ -396,13 +403,12 @@ class NodeState:
         active = np.array(self.clause_status) == ACTIVE
         columns = self.column_mask()
         s0 = np.array(self.s0, dtype=np.intp)
-        length = self.clause_len
-        current = current_length(length, length + 1 + s0)
-        truth = s0 + (length - current)
+        free = np.where(active, self.clause_len + 1 + s0, 0)
+        price = self.price_rows.take(self.price_first + free, axis=0)
         self._view = NodeView(
             active, columns, active[self.lit_clause] & columns[self.lit_var],
-            current, 1.0 / (4.0 * current),
-            np.where(self.lit_var == 0, truth[self.lit_clause], self.lit_sign))
+            price, np.where(self.lit_var == 0,
+                            price[:, 1].take(self.lit_clause), self.lit_sign))
         for array in self._view:
             array.setflags(write=False)
         return self._view

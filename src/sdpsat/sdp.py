@@ -20,10 +20,10 @@ count over all completions.  Priced at its original length instead, a
 satisfied clause with all of its f = t free literals true, 2 <= t < L,
 would earn (t - 1)(t - L) / L < 0; at L' it earns 0, the tightest value.
 For L <= 2, L' = L and s0' = s0: the Goemans-Williamson MAX2SAT form.
-NodeState.view gives each clause's L' and weight and each literal-table
-entry's coefficient, built once per node and shared by every reader here
-(node_cost, LossTracker, rounding.node_unsat), and NodeState.price the same
-terms per (L, f) for the scalar steps below a solved root.
+NodeState's price table holds that loss's terms per (L, f): its view
+gathers each clause's row and each entry's coefficient once per node for
+every reader here (node_cost, LossTracker, rounding.node_unsat), and
+NodeState.price holds the rows for the scalar steps below a solved root.
 
 Minimizing one column with the rest held fixed has a closed form: with C
 the node's zero-diagonal cost matrix over its columns, the new column is
@@ -36,18 +36,20 @@ column-at-a-time (Gauss-Seidel) sweep in class order.
 C depends only on the assignment.  node_cost, its one builder, sums its
 entries (one per live pair of an active clause) into a dense matrix, with
 its columns in sweep order (the truth column, then the free columns class
-by class), and computes the assignment-only bound terms; NodeCost is the
-one record of them.  A solve builds it once, before its first sweep, on
-either layout.  A node of at most DENSE_MAX_COLUMNS (256) columns sweeps
-on the dense matrix (dense_sweep: one class step is the product C[class
-rows] V, a vector product for a class of one column), a larger one on the
-nonzero entries of each class's rows of C (sweep_plan, then sparse_sweep:
-one gather, one multiply and one reduceat per class); at small sizes the
-dense product costs less, above a few hundred columns more (measured in
-solve).  A solve returns its cost, and a child's C is derived from its
-root's and keeps the root's column order (bounds.ShiftLedger.child_cost).
-A solve sweeps until the estimated gap drops below EPS, MAX_SWEEPS run
-out, the deadline passes, or a certificate taken between sweeps prunes.
+by class), and sums the bound's offset: base_unsat plus each active
+clause's share, the loss terms C leaves out (the would-be diagonal and
+the loss constant).  NodeCost is the one record of them.  A solve builds
+it once, before its first sweep, on either layout.  A node of at most
+DENSE_MAX_COLUMNS (256) columns sweeps on the dense matrix (dense_sweep:
+one class step is the product C[class rows] V, a vector product for a
+class of one column), a larger one on the nonzero entries of each
+class's rows of C (sweep_plan, then sparse_sweep: one gather, one
+multiply and one reduceat per class); at small sizes the dense product
+costs less, above a few hundred columns more (measured in solve).  A
+solve returns its cost, and a child's C is derived from its root's and
+keeps the root's column order (bounds.ShiftLedger.child_cost).  A solve
+sweeps until the estimated gap drops below EPS, MAX_SWEEPS run out, the
+deadline passes, or a certificate taken between sweeps prunes.
 
 The dual certificate reads the dense C.  The row norms of C V are the
 per-column update magnitudes; at a sweep fixed point they are feasible
@@ -187,7 +189,7 @@ class ZCache:
 
     def rebuild(self, state: NodeState, factor: Factor) -> None:
         """z_j = s0_j v_0 + sum of sign * v_i over the free literals."""
-        _, _, live, _, _, coeff = state.view()
+        _, _, live, _, coeff = state.view()
         rows = coeff[live, None] * factor.cols[state.lit_var[live]]
         self.z[:] = _group_sum(state.lit_clause[live], rows, len(self.z))
 
@@ -246,8 +248,8 @@ class LossTracker:
 
     ||z_j||^2 expands into the squared coefficients of the clause's live
     entries (every column has unit norm) plus twice the coefficient-weighted
-    dot products of its live pairs; the coefficients, weight and constant
-    are those of the clause's current length L'.  The tracker takes the
+    dot products of its live pairs, so the loss is (base + 2 cross) w with
+    base and w from the clause's price row.  The tracker takes the
     factor's dot product over every pair of the literal table that is live
     at the root (truth pairs included) in one vectorized pass; an
     assignment only kills entries, so no other pair is read below the root.
@@ -263,7 +265,8 @@ class LossTracker:
 
     def __init__(self, state: NodeState, factor: Factor):
         a, b = state.pair_a, state.pair_b
-        active, _, live, lengths, weight, coeff = state.view()
+        active, _, live, price, coeff = state.view()
+        _, _, weight, _, _, base = price.T
         coeff = np.where(live, coeff, 0.0)
         V = factor.cols
         dots = np.zeros(len(a))
@@ -271,11 +274,9 @@ class LossTracker:
         # take gathers rows at about a third of the cost of V[...]
         dots[pairs] = np.vecdot(V.take(state.pair_var_a[pairs], axis=0),
                                 V.take(state.pair_var_b[pairs], axis=0))
-        m = len(state.clause_len)
-        norms = np.bincount(state.lit_clause, coeff * coeff, minlength=m)
         cross = np.bincount(state.pair_clause, coeff[a] * coeff[b] * dots,
-                            minlength=m)
-        losses = (norms - (lengths - 1) ** 2 + 2.0 * cross) * weight
+                            minlength=len(state.clause_len))
+        losses = (base + 2.0 * cross) * weight
         self.dots = dots.tolist()
         self.losses = losses.tolist()
         self.objective = state.base_unsat + math.fsum(losses[active].tolist())
@@ -310,7 +311,7 @@ class LossTracker:
                     free += 1
                     coeff.append(1 if lit > 0 else -1)
             L = len(lits)
-            _, coeff[0], w, _, _, _, base = price[L][free]
+            _, coeff[0], w, _, _, base = price[L][free]
             pairs = clause_pairs(L)
             t = pair_first[j]
             cross = 0.0
@@ -334,7 +335,7 @@ def active_losses(state: NodeState, zcache: ZCache) -> np.ndarray:
     """clause_loss of every active clause at its current length, in clause
     order."""
     view = state.view()
-    return clause_loss(zcache.z[view.active], view.length[view.active])
+    return clause_loss(zcache.z[view.active], view.price[view.active, 0])
 
 
 def objective(state: NodeState, factor: Factor, zcache: ZCache) -> float:
@@ -367,7 +368,8 @@ def mixing_sweep(state: NodeState, factor: Factor, zcache: ZCache,
     entry, or whose update direction is below ZERO_UPDATE_NORM, is kept (any
     unit vector minimizes its block).  Returns the objective after the pass.
     """
-    _, _, live, _, weight, _ = state.view()
+    _, _, live, price, _ = state.view()
+    _, _, weight, _, _, _ = price.T
     V = factor.cols
     z = zcache.z
     for c in class_order(state, order):
@@ -397,9 +399,10 @@ class NodeCost:
     variables class by class; `slices` holds each swept class's rows and
     is empty on a derived cost, which is never swept), and `matrix` is the
     zero-diagonal cost over them: entry (a, b) sums coeff_a * coeff_b * w_j
-    over the active clauses j holding both columns.
-    The would-be diagonal is folded into `diag_sum`; `const_offset` is
-    base_unsat minus the per-clause loss constants.  `entry_error` bounds
+    over the active clauses j holding both columns.  `offset` is the rest
+    of the objective at unit columns: base_unsat plus every active
+    clause's share (its price row), which holds the would-be diagonal
+    (t^2 + f) w and the loss constant -(L' - 1)^2 w.  `entry_error` bounds
     how far any entry of `matrix` is from its exact value, for this cost and
     for every cost derived from it.  Every solve builds one before its
     first sweep and returns it (SdpResult.cost).  A cost is valid only
@@ -408,8 +411,7 @@ class NodeCost:
 
     index: np.ndarray
     matrix: np.ndarray
-    diag_sum: float
-    const_offset: float
+    offset: float
     entry_error: float
     slices: tuple = ()
 
@@ -459,10 +461,12 @@ def pair_matrix(pa: np.ndarray, pb: np.ndarray, value: np.ndarray,
 
 def node_cost(state: NodeState, order=None) -> NodeCost:
     """The node's cost matrix, computed from scratch: the one builder of
-    C, with each active clause's coefficients, weight and constant at its
-    current length.  The free columns follow class_order, by variable
-    within a class, then those of classes not swept."""
-    active, columns, live, lengths, weight, coeff = state.view()
+    C, with each active clause's coefficients and weight from its price
+    row, and the offset, summed exactly (fsum).  The free columns follow
+    class_order, by variable within a class, then those of classes not
+    swept."""
+    active, columns, live, price, coeff = state.view()
+    _, _, weight, _, share, _ = price.T
     classes = class_order(state, order)
     rank = np.full(len(state.class_entries), len(classes), dtype=np.intp)
     rank[classes] = np.arange(len(classes))
@@ -478,22 +482,18 @@ def node_cost(state: NodeState, order=None) -> NodeCost:
     keep = np.flatnonzero(live[a] & live[b])
     value = (coeff[a[keep]] * coeff[b[keep]]
              * weight[state.pair_clause[keep]])
-    diag = coeff[live] ** 2 * weight[state.lit_clause[live]]
-    const = (lengths[active] - 1) ** 2 * weight[active]
     matrix = pair_matrix(pos[state.pair_var_a[keep]],
                          pos[state.pair_var_b[keep]], value, len(index))
-    return NodeCost(index, matrix, diag_sum=math.fsum(diag.tolist()),
-                    const_offset=(state.base_unsat
-                                  - math.fsum(const.tolist())),
-                    entry_error=state.entry_error, slices=slices)
+    offset = math.fsum(share[active].tolist()) + state.base_unsat
+    return NodeCost(index, matrix, offset, state.entry_error, slices)
 
 
 def dense_objective(cost: NodeCost, W: np.ndarray) -> float:
     """The objective at the node's columns W = V[cost.index], summed
-    exactly (fsum): const_offset + diag_sum + sum of W_a . (C W)_a.  The
-    diagonal term takes every column at unit norm."""
+    exactly (fsum): offset + sum of W_a . (C W)_a.  The offset takes
+    every column at unit norm."""
     terms = np.vecdot(W, cost.matrix @ W).tolist()
-    return math.fsum(terms + [cost.const_offset, cost.diag_sum])
+    return math.fsum(terms + [cost.offset])
 
 
 def dense_sweep(cost: NodeCost, factor: Factor) -> float:
@@ -588,17 +588,15 @@ class DualCert:
     """Multipliers certifying a lower bound on the node's relaxation.
 
     lam covers columns 0..n (zero outside the node's support).  The bound in
-    unsat units is -sum(lam) plus the folded diagonal of the cost matrix plus
-    const_offset = base_unsat - sum of per-clause loss constants.
+    unsat units is -sum(lam) plus the cost's offset (NodeCost).
     """
 
     lam: np.ndarray
-    const_offset: float
-    diag_sum: float
+    offset: float
 
     @property
     def dual_bound(self) -> float:
-        return float(-self.lam.sum() + self.diag_sum + self.const_offset)
+        return float(-self.lam.sum() + self.offset)
 
 
 @dataclass
@@ -638,7 +636,7 @@ def certificate(cost: NodeCost, factor: Factor,
     rows = cost.matrix @ factor.cols.take(cost.index, axis=0)
     # np.linalg.norm(rows, axis=1) without its argument handling, bit for bit
     lam[cost.index] = np.sqrt(np.add.reduce(rows * rows, axis=1))
-    cert = DualCert(lam, cost.const_offset, cost.diag_sum)
+    cert = DualCert(lam, cost.offset)
     if repair:
         _repair_multipliers(cost, lam)
     return cert

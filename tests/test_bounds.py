@@ -167,9 +167,7 @@ def test_rescale_worked_example():
     assert np.allclose(derived.matrix, fresh.matrix, rtol=0.0, atol=1e-15)
     # the clause now reads -v0 - v2 + v3 at weight 1/8
     assert fresh.matrix[0, 1:].tolist() == pytest.approx([1 / 8, -1 / 8])
-    assert derived.diag_sum == pytest.approx(fresh.diag_sum, abs=1e-15)
-    assert derived.const_offset == pytest.approx(fresh.const_offset,
-                                                 abs=1e-15)
+    assert derived.offset == pytest.approx(fresh.offset, abs=1e-15)
     assert_ledger_matches_dense(ledger, state, tol=0.0)
     assert ledger.dual_bound() <= 0.0
 
@@ -203,9 +201,9 @@ def test_dual_init_no_coefficient_movement():
                 [(1, TRUE)])
     assert not any(ledger.delta) and not any(ledger.eta)
     assert_ledger_matches_dense(ledger, state)
-    # no xi shift; the bound moves only by the constant bookkeeping of the
-    # satisfied unit clause (folded diagonal 1/2 leaves, multiplier 1/4 of the
-    # dropped column is recovered by masking): 0 - 1/2 + 1/4
+    # no xi shift; the bound moves only by the offset of the satisfied
+    # unit clause (its share 1/2 leaves, multiplier 1/4 of the dropped
+    # column is recovered by masking): 0 - 1/2 + 1/4
     assert ledger.dual_bound() == pytest.approx(-0.25, abs=1e-6)
     assert ledger.dual_bound() <= 0.0 + 1e-9  # still below the child optimum
 
@@ -330,11 +328,11 @@ def wide_literal(state, data):
 
 @st.composite
 def mixed_formulas(draw):
-    """n = 4..10 with clauses of length 2, 3 or both, 1 to 3, or 3 and 4,
-    m = n..4n."""
+    """n = 4..10, at least the longest clause, with clauses of length 2, 3
+    or both, 1 to 3, 3 and 4, or 5 to 7, m = n..4n."""
     lengths = draw(st.sampled_from(((2,), (3,), (2, 3), (1, 2, 3),
-                                    (3, 4))))
-    n = draw(st.integers(4, 10))
+                                    (3, 4), (5, 6, 7))))
+    n = draw(st.integers(max(4, *lengths), 10))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     clauses = []
     for _ in range(draw(st.integers(n, 4 * n))):
@@ -396,9 +394,7 @@ def test_child_cost_matches_fresh_build(inst, data):
         assert_within(derived.matrix, exact, derived.entry_error)
         assert np.array_equal(derived.matrix, derived.matrix.T)
         assert np.all(np.diag(derived.matrix) == 0.0)
-        assert derived.diag_sum == pytest.approx(fresh.diag_sum, abs=1e-12)
-        assert derived.const_offset == pytest.approx(fresh.const_offset,
-                                                     abs=1e-12)
+        assert derived.offset == pytest.approx(fresh.offset, abs=1e-12)
     for _ in path:
         ledger.revert()
         unassign_to(state, ws, state.mark() - 1)
@@ -413,7 +409,7 @@ def test_child_cost_matches_fresh_build(inst, data):
 def ledger_state(ledger):
     return (list(ledger.lam), list(ledger.delta), list(ledger.eta),
             ledger.lam_sum, ledger.abs_delta_sum, ledger.eta_sum,
-            ledger.diag_sum, ledger.const_offset, list(ledger.pairs))
+            ledger.offset, list(ledger.pairs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,13 +419,12 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
     each step's running figures match from-scratch ones: the tracker's
     objective that of a freshly rebuilt z-cache, the
     ledger's O(1) bound its materialized certificate's, and the ledger's
-    moves since the root (folded diagonal, constant offset and the
-    truth-row entry of every free column) the independent dense
-    reference's change from the root.  Where a clause has
-    three or more free literals, the path starts by setting one of them
-    false (an f >= 3 -> f - 1 rescaling step).  Unwinding the path
-    restores the ledger's lists and sums and the tracker's losses bit for
-    bit."""
+    moves since the root (offset and the truth-row entry of every free
+    column) the independent dense reference's change from the root.
+    Where a clause has three or more free literals, the path starts by
+    setting one of them false (an f >= 3 -> f - 1 rescaling step).
+    Unwinding the path restores the ledger's lists and sums and the
+    tracker's losses bit for bit."""
     n = inst.num_vars
     engine = Searcher(inst, SolverConfig(seed=data.draw(st.integers(0, 99))))
     state, ws = engine.state, engine.ws
@@ -466,10 +461,9 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
         assert ledger.dual_bound() == pytest.approx(
             ledger.cert_snapshot().dual_bound, abs=1e-9)
         child = dense_sdp_check(state)
-        assert ledger.diag_sum - res.cert.diag_sum == pytest.approx(
-            child.diag_sum - root.diag_sum, abs=1e-9)
-        assert ledger.const_offset - res.cert.const_offset == pytest.approx(
-            child.const_offset - root.const_offset, abs=1e-9)
+        assert ledger.offset - res.cert.offset == pytest.approx(
+            child.diag_sum + child.const_offset
+            - (root.diag_sum + root.const_offset), abs=1e-9)
         for v, entry in zip(child.index[1:], child.cost[0, 1:]):
             assert ledger.delta[v] == pytest.approx(entry - root_truth[v],
                                                     abs=1e-9)

@@ -9,8 +9,8 @@ from sdpsat.config import SolverConfig
 
 
 @pytest.mark.parametrize("field, good, bad", [
-    ("seed", (0, 7), (-1, 1.5)),
-    ("time_limit", (None, 0.0, 2.5), (-0.001, math.nan)),
+    ("seed", (0, 7), (-1, 1.5, True, "5")),
+    ("time_limit", (None, 0.0, 2.5), (-0.001, math.nan, True, "5")),
 ])
 def test_config_validates_field(field, good, bad):
     for value in good:

@@ -32,15 +32,19 @@ def run_script(name, *args, returncode=0):
 
 
 def test_approx_ratio_curve_smoke():
-    proc = run_script("approx_ratio_curve.py", "--instances", "1",
-                      "--n", "12", "--m", "40", "--budget", "0.05",
-                      "--samples", "2")
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert rows[0] == ["instance", "elapsed_seconds", "best_ratio"]
-    assert len(rows) >= 2
-    for name, _, ratio in rows[1:]:
-        assert name == "rand-s0"
-        assert 0.0 < float(ratio) <= 1.0
+    """Ratios in (0, 1]; with no clause the satisfiable bound is 0 and
+    the ratio reads 1.0, as in sdpsat bench."""
+    for m in ("40", "0"):
+        proc = run_script("approx_ratio_curve.py", "--instances", "1",
+                          "--n", "12", "--m", m, "--budget", "0.05",
+                          "--samples", "2")
+        rows = list(csv.reader(io.StringIO(proc.stdout)))
+        assert rows[0] == ["instance", "elapsed_seconds", "best_ratio"]
+        assert len(rows) >= 2
+        for name, _, ratio in rows[1:]:
+            assert name == "rand-s0"
+            assert 0.0 < float(ratio) <= 1.0
+            assert m != "0" or float(ratio) == 1.0
 
 
 @pytest.mark.parametrize("n, m, length, count, rounds", [
@@ -61,11 +65,29 @@ def test_root_cost_smoke(n, m, length, count, rounds):
     assert all(float(x) > 0.0 for x in row[4:])
 
 
-@pytest.mark.parametrize("name", ["root_cost.py", "pool_counts.py"])
-def test_scripts_reject_bad_generator_settings(name):
-    proc = run_script(name, "--n", "3", "--m", "10", "--length", "5",
-                      returncode=2)
+@pytest.mark.parametrize("name, args", [
+    ("root_cost.py", ("--n", "3", "--m", "10", "--length", "5")),
+    ("pool_counts.py", ("--n", "3", "--m", "10", "--length", "5")),
+    # its clauses have two literals
+    ("approx_ratio_curve.py", ("--n", "1")),
+], ids=["root_cost.py", "pool_counts.py", "approx_ratio_curve.py"])
+def test_scripts_reject_bad_generator_settings(name, args):
+    proc = run_script(name, *args, returncode=2)
     assert "invalid generator setting" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, args", [
+    ("pool_counts.py", ("--n", "8", "--m", "40", "--length", "3",
+                        "--count", "0")),
+    ("approx_ratio_curve.py", ("--samples", "0")),
+    ("approx_ratio_curve.py", ("--instances", "0")),
+    ("approx_ratio_curve.py", ("--budget", "0")),
+], ids=["pool_counts-count", "approx_ratio_curve-samples",
+        "approx_ratio_curve-instances", "approx_ratio_curve-budget"])
+def test_scripts_reject_bad_counts(name, args):
+    proc = run_script(name, *args, returncode=2)
+    assert "must be" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -195,14 +195,16 @@ def test_loss_case_table_at_partial_nodes():
 
 
 def test_price_table_matches_rule():
-    """Every entry price[L][f], 1 <= f <= L <= 5, against the rule walked
+    """Every entry price[L][f], 1 <= f <= L <= 7, against the rule walked
     from the assignment (priced_length) in exact arithmetic: L', t and the
-    integer part exactly, w within one rounding of 1/(4L') and each
-    product within one rounding of its exact value at the table's w.
-    price[L][0], the price of a clause that left, is all zeros."""
+    integer part base exactly, w within one rounding of 1/(4L'), t w
+    within one rounding of its exact value at the table's w and the share
+    within one rounding of base/(4L').  price[L][0], the price of a clause
+    that left, is all zeros."""
     clauses = [[first + i for i in range(length)]
-               for length, first in zip(range(1, 6), (1, 2, 4, 7, 11))]
-    inst = instance_from_clauses(15, clauses)
+               for length, first in zip(range(1, 8),
+                                        (1, 2, 4, 7, 11, 16, 22))]
+    inst = instance_from_clauses(28, clauses)
     state, ws = NodeState(inst), WatchedStack()
     u = Fraction(2) ** -53
     for clause in inst.clauses:
@@ -215,15 +217,15 @@ def test_price_table_matches_rule():
             current = priced_length(state, clause)
             unassign_to(state, ws, mark)
             t = -1 - (current - free)
-            cur, t_table, w, tw, diag, const, base = state.price[length][free]
+            cur, t_table, w, tw, share, base = state.price[length][free]
             assert (cur, t_table) == (current, t)
             assert base == t * t + free - (current - 1) ** 2
             exact_w = Fraction(1, 4 * current)
             assert abs(Fraction(w) - exact_w) <= u * exact_w
-            w = Fraction(w)
-            for value, factor in ((tw, t), (diag, t * t + free),
-                                  (const, (current - 1) ** 2)):
-                assert abs(Fraction(value) - factor * w) <= u * abs(factor * w)
+            assert abs(Fraction(tw) - t * Fraction(w)) <= u * abs(
+                t * Fraction(w))
+            exact_share = base * exact_w
+            assert abs(Fraction(share) - exact_share) <= u * abs(exact_share)
 
 
 @settings(max_examples=100, deadline=None)
@@ -816,7 +818,7 @@ def z_based_multipliers(state, factor, zcache):
     g_i the sum over the live entries of column i of
     coeff * w * (z_j - coeff * v_i), w at the clause's current length."""
     view = state.view()
-    live, weight = view.live, view.weight
+    live, weight = view.live, view.price[:, 2]
     clause, var = state.lit_clause[live], state.lit_var[live]
     coeff = view.coeff[live]
     rows = zcache.z[clause] - coeff[:, None] * factor.cols[var]
@@ -849,9 +851,8 @@ def test_node_cost_matches_dense_oracle(inst, data):
     at = [dense.index.index(v) for v in cost.index.tolist()]
     assert np.allclose(cost.matrix, dense.cost[np.ix_(at, at)], rtol=0.0,
                        atol=1e-12)
-    assert cost.diag_sum == pytest.approx(dense.diag_sum, rel=0.0, abs=1e-12)
-    assert cost.const_offset == pytest.approx(dense.const_offset, rel=0.0,
-                                              abs=1e-12)
+    assert cost.offset == pytest.approx(dense.diag_sum + dense.const_offset,
+                                        rel=0.0, abs=1e-12)
     raw = certificate(cost, factor, repair=False)
     assert np.allclose(raw.lam, z_based_multipliers(state, factor, zc))
     repaired = certificate(cost, factor)
@@ -1112,8 +1113,8 @@ def test_node_arrays_match_clause_walks(inst, data):
     res = solve(state, factor, zc, eps=0.5, max_sweeps=3)
     cert = res.cert
     check = dense_sdp_check(state, lam=cert.lam)
-    assert cert.diag_sum == pytest.approx(check.diag_sum, abs=1e-12)
-    assert cert.const_offset == pytest.approx(check.const_offset, abs=1e-12)
+    assert cert.offset == pytest.approx(check.diag_sum + check.const_offset,
+                                        abs=1e-12)
     assert check.min_eig >= 0.0
 
     values = round_once(factor, state, np.random.default_rng(0))
