@@ -28,7 +28,7 @@ from dataclasses import fields  # noqa: E402
 
 from sdpsat.config import SolverConfig  # noqa: E402
 from sdpsat.generate import random_instance  # noqa: E402
-from sdpsat.oracle import brute_force  # noqa: E402
+from sdpsat.oracle import BRUTE_FORCE_CAP, brute_force  # noqa: E402
 from sdpsat.search import SearchStats, solve_complete  # noqa: E402
 
 COUNTERS = [f.name for f in fields(SearchStats) if f.type in (int, "int")]
@@ -42,10 +42,13 @@ def main() -> int:
     ap.add_argument("--first", type=int, default=0, help="first seed")
     ap.add_argument("--count", type=int, default=40, help="formulas")
     ap.add_argument("--oracle", action="store_true",
-                    help="also brute-force every optimum (n <= 26)")
+                    help="also brute-force every optimum "
+                         f"(n <= {BRUTE_FORCE_CAP})")
     args = ap.parse_args()
     if args.count < 1:
         ap.error("--count must be at least 1")
+    if args.oracle and args.n > BRUTE_FORCE_CAP:
+        ap.error(f"--n must be at most {BRUTE_FORCE_CAP} with --oracle")
     try:
         formulas = [random_instance(args.n, args.m, args.length, seed)
                     for seed in range(args.first, args.first + args.count)]

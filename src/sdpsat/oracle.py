@@ -148,8 +148,8 @@ class DenseCheck:
 
     index: list[int]           # column order: 0 then the free variables
     cost: np.ndarray           # zero-diagonal cost matrix over `index`
-    diag_sum: float            # folded diagonal constant
-    const_offset: float        # base_unsat minus the per-clause loss constants
+    offset: float              # folded diagonal plus base_unsat minus the
+                               # per-clause loss constants
     objective: float | None    # quadratic-form objective at the given factor
     min_eig: float | None      # smallest eigenvalue of cost + diag(lam)
 
@@ -162,7 +162,7 @@ def dense_sdp_check(state: NodeState, factor=None, lam=None) -> DenseCheck:
     of L' = min(L, max(f, 2)) literals, all but the f free ones false, so
     its truth coefficient is -1 - (L' - f), its weight 1/(4L') and its
     constant (L' - 1)^2 / (4L').  The diagonal is zero by construction, with
-    the would-be diagonal folded into diag_sum (the solver's convention).
+    the would-be diagonal folded into offset (the solver's convention).
     """
     inst = state.instance
     if inst.num_vars > DENSE_CHECK_CAP:
@@ -171,8 +171,7 @@ def dense_sdp_check(state: NodeState, factor=None, lam=None) -> DenseCheck:
     pos = {v: p for p, v in enumerate(index)}
     dim = len(index)
     cost = np.zeros((dim, dim))
-    diag_terms: list[float] = []
-    const_terms: list[float] = []
+    offset_terms = [float(state.base_unsat)]
     for j in range(inst.num_clauses):
         if state.clause_status[j] != ACTIVE:
             continue
@@ -183,22 +182,21 @@ def dense_sdp_check(state: NodeState, factor=None, lam=None) -> DenseCheck:
         w = 1.0 / (4.0 * length)
         entries = [(0, float(-1 - (length - len(free))))] + free
         for a, (pa, sa) in enumerate(entries):
-            diag_terms.append(sa * sa * w)
+            offset_terms.append(sa * sa * w)
             for pb, sb in entries[a + 1:]:
                 cost[pa, pb] += sa * sb * w
                 cost[pb, pa] += sa * sb * w
-        const_terms.append((length - 1) ** 2 * w)
-    diag_sum = math.fsum(diag_terms)
-    const_offset = state.base_unsat - math.fsum(const_terms)
+        offset_terms.append(-(length - 1) ** 2 * w)
+    offset = math.fsum(offset_terms)
 
     objective = None
     if factor is not None:
         sub = factor.cols[index]
         gram = sub @ sub.T
-        objective = float((cost * gram).sum()) + diag_sum + const_offset
+        objective = float((cost * gram).sum()) + offset
 
     min_eig = None
     if lam is not None:
         lam_sub = np.array([lam[v] for v in index], dtype=float)
         min_eig = float(np.linalg.eigvalsh(cost + np.diag(lam_sub))[0])
-    return DenseCheck(index, cost, diag_sum, const_offset, objective, min_eig)
+    return DenseCheck(index, cost, offset, objective, min_eig)

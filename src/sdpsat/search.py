@@ -1,7 +1,8 @@
 """Branch-and-bound driver over relaxation roots.
 
 One depth-first search serves both modes: the root queue is a stack, and
-draining it proves optimality.  Complete mode returns that status;
+a run is a proof exactly when its stack drains: work the deadline cuts
+short stays on it (Searcher.run).  Complete mode returns that status;
 incomplete (anytime) mode runs the same search, reports every incumbent
 improvement as it happens, and claims no proof.  Each popped root is
 solved by sweeps from the factor the previous solve left (in DFS order
@@ -61,8 +62,8 @@ INCOMPLETE = "incomplete"
 
 @dataclass(frozen=True, slots=True)
 class SearchNode:
-    """Stack entry: assignment path from the original root plus its bounds
-    (`dual` is at least the node's falsified-clause count).
+    """Stack entry: assignment path from the original root plus its dual
+    bound (at least the node's falsified-clause count).
 
     The path, read off the trail (NodeState.path), is kept as the expanded
     root's path, one tuple shared by all of that root's children, and the
@@ -70,7 +71,6 @@ class SearchNode:
 
     root_path: tuple
     steps: tuple
-    primal: float
     dual: float
 
     @property
@@ -133,8 +133,6 @@ class Searcher:
         self.t0 = time.monotonic()
         self.deadline = (None if config.time_limit is None
                          else self.t0 + config.time_limit)
-        # set where the deadline drops work that a proof needs
-        self.cut_short = False
 
     # -- plumbing ----------------------------------------------------------
 
@@ -225,7 +223,9 @@ class Searcher:
         and a LossTracker seeded here from the solved factor keeps the
         primal.  Neither reads the z-cache.  The children come back in
         search order; the caller pushes them so the first is popped first.
-        A deadline that stops the DFS with branches left sets cut_short.
+        A deadline that stops the DFS with branches left emits the node
+        where it stopped; each ancestor with a branch left then emits
+        itself as well.
         `node_depth` is ignored: perfbench/layers.py still passes one."""
         state, ws = self.state, self.ws
         ledger = ShiftLedger(res.cert)
@@ -248,14 +248,14 @@ class Searcher:
                     return
             children.append(SearchNode(
                 root_path=root_path, steps=state.path(len(root_path)),
-                primal=losses.objective, dual=dual))
+                dual=dual))
 
         def descend(depth: int) -> None:
             var = split_vars[depth]
             first = int(prefer[var]) if prefer is not None else TRUE
             for value in (first, -first):
                 if past(self.deadline):
-                    self.cut_short = True
+                    emit_child(max(ledger.dual_bound(), state.base_unsat))
                     return
                 moved = assign(state, ws, var, value)
                 ledger.apply(state, var, value, moved)
@@ -305,19 +305,12 @@ class Searcher:
             return []
         res = self.solve_root()
         if past(self.deadline):
-            # past the deadline the solve may have taken no certificate, so
-            # nothing is pruned; round (once) only to have an incumbent to
-            # report
-            self.cut_short = True
-            if self.best is None:
-                self.round_root()
-            return []
-        if self.prunes(res.dual_bound):
-            stats.prunes_by_dual += 1
-            return []
-        self.round_root()
-        # re-fire with the possibly improved incumbent; also catches the
-        # bound-match case where a rounding attains the dual ceiling
+            # the solve may have taken no certificate: the root stays undone
+            return [node]
+        # the test after the rounding also catches a rounding that attains
+        # the dual ceiling
+        if not self.prunes(res.dual_bound):
+            self.round_root()
         if self.prunes(res.dual_bound):
             stats.prunes_by_dual += 1
             return []
@@ -325,25 +318,21 @@ class Searcher:
         return self.expand_root(res, 0)
 
     def run(self) -> str:
-        """The DFS over the root stack, until it drains or the deadline."""
-        stack = [SearchNode((), (), math.inf, 0.0)]
+        """The DFS over the root stack, until it drains or the deadline.
+
+        A drained stack is a proof: work the deadline cut short (a solve
+        that ran past it, an expansion it stopped with branches left) stays
+        on the stack, so a run it ends leaves nodes there.  Work that merely
+        ends after the deadline, such as the last rounding or prune, leaves
+        the proof whole.  A run that ends with no incumbent rounds the
+        current node once (one trial) only to have one to report."""
+        stack = [SearchNode((), (), 0.0)]
         while stack and not past(self.deadline):
             stack.extend(reversed(self.process_root(stack.pop())))
-        self.cut_short |= bool(stack)
-        if self.stats.nodes_popped == 0:
-            # the deadline passed before the first pop: round the untouched
-            # root (one trial) only to have an incumbent to report
+        if stack and self.best is None:
             self.round_root()
-        return self.finish()
-
-    def finish(self) -> str:
-        """A drained queue is a proof only if the deadline never cut work
-        short (cut_short): a solve that ran past it, an expansion that it
-        stopped with branches left or a stack loop that it ended with
-        nodes left.  Work that merely ends after the deadline, such as the
-        last rounding or prune, leaves the proof whole."""
         self.stats.wall_time = time.monotonic() - self.t0
-        return TIMEOUT if self.cut_short else OPTIMUM
+        return TIMEOUT if stack else OPTIMUM
 
 
 def solve_complete(instance: Instance, config: SolverConfig | None = None,

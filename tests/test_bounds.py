@@ -57,7 +57,7 @@ def assert_ledger_matches_dense(ledger, state, tol=1e-6):
     recomputed densely, and the snapshot is feasible for the child."""
     snap = ledger.cert_snapshot()
     dense = dense_sdp_check(state, lam=snap.lam)
-    expected = -snap.lam.sum() + dense.diag_sum + dense.const_offset
+    expected = -snap.lam.sum() + dense.offset
     assert ledger.dual_bound() == pytest.approx(expected, abs=1e-9)
     assert snap.dual_bound == pytest.approx(expected, abs=1e-9)
     assert dense.min_eig >= -tol
@@ -462,8 +462,7 @@ def test_step_pricing_matches_fresh_recomputation(inst, sparse, data):
             ledger.cert_snapshot().dual_bound, abs=1e-9)
         child = dense_sdp_check(state)
         assert ledger.offset - res.cert.offset == pytest.approx(
-            child.diag_sum + child.const_offset
-            - (root.diag_sum + root.const_offset), abs=1e-9)
+            child.offset - root.offset, abs=1e-9)
         for v, entry in zip(child.index[1:], child.cost[0, 1:]):
             assert ledger.delta[v] == pytest.approx(entry - root_truth[v],
                                                     abs=1e-9)

@@ -80,11 +80,14 @@ def test_scripts_reject_bad_generator_settings(name, args):
 @pytest.mark.parametrize("name, args", [
     ("pool_counts.py", ("--n", "8", "--m", "40", "--length", "3",
                         "--count", "0")),
+    ("pool_counts.py", ("--n", "30", "--m", "60", "--length", "2",
+                        "--count", "1", "--oracle")),
     ("approx_ratio_curve.py", ("--samples", "0")),
     ("approx_ratio_curve.py", ("--instances", "0")),
     ("approx_ratio_curve.py", ("--budget", "0")),
-], ids=["pool_counts-count", "approx_ratio_curve-samples",
-        "approx_ratio_curve-instances", "approx_ratio_curve-budget"])
+], ids=["pool_counts-count", "pool_counts-oracle-n",
+        "approx_ratio_curve-samples", "approx_ratio_curve-instances",
+        "approx_ratio_curve-budget"])
 def test_scripts_reject_bad_counts(name, args):
     proc = run_script(name, *args, returncode=2)
     assert "must be" in proc.stderr

@@ -851,8 +851,7 @@ def test_node_cost_matches_dense_oracle(inst, data):
     at = [dense.index.index(v) for v in cost.index.tolist()]
     assert np.allclose(cost.matrix, dense.cost[np.ix_(at, at)], rtol=0.0,
                        atol=1e-12)
-    assert cost.offset == pytest.approx(dense.diag_sum + dense.const_offset,
-                                        rel=0.0, abs=1e-12)
+    assert cost.offset == pytest.approx(dense.offset, rel=0.0, abs=1e-12)
     raw = certificate(cost, factor, repair=False)
     assert np.allclose(raw.lam, z_based_multipliers(state, factor, zc))
     repaired = certificate(cost, factor)
@@ -1113,8 +1112,7 @@ def test_node_arrays_match_clause_walks(inst, data):
     res = solve(state, factor, zc, eps=0.5, max_sweeps=3)
     cert = res.cert
     check = dense_sdp_check(state, lam=cert.lam)
-    assert cert.offset == pytest.approx(check.diag_sum + check.const_offset,
-                                        abs=1e-12)
+    assert cert.offset == pytest.approx(check.offset, abs=1e-12)
     assert check.min_eig >= 0.0
 
     values = round_once(factor, state, np.random.default_rng(0))

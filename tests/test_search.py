@@ -183,6 +183,37 @@ def test_complete_optimum_under_time_limit_is_exact():
     assert proved > 0
 
 
+def test_every_deadline_exit_under_a_counter_clock():
+    """A deadline clock that passes after K checks, for K = 0, 1, ...
+    until a run proves: every exit the deadline can take (before the first
+    pop, inside a solve, a rounding or an expansion) leaves a checked
+    incumbent, K = 0 proves nothing, and the first OPTIMUM is the true one."""
+    inst = random_instance(14, 98, 3, seed=3)
+    optimum, _ = brute_force(inst)
+    checks = [0]
+
+    def past(deadline):
+        if deadline is None:
+            return False
+        checks[0] += 1
+        return checks[0] > limit
+
+    with mock.patch.object(sdp, "past", past), \
+            mock.patch.object(sdpsat.search, "past", past), \
+            mock.patch.object(rounding, "past", past):
+        for limit in range(1000):
+            checks[0] = 0
+            best, status, _ = solve_complete(
+                inst, SolverConfig(seed=0, time_limit=1e9))
+            assert evaluate(inst, best.assignment) == best.unsat, limit
+            if status == OPTIMUM:
+                break
+        else:
+            pytest.fail("no run proved")
+    assert limit > 0
+    assert best.unsat == optimum
+
+
 @pytest.mark.parametrize("tol", (0.0, 1e-6))
 def test_prunes_is_the_floor(tol):
     """The search's prune test, decide's prune verdict and the floor a
@@ -325,7 +356,9 @@ def test_expand_root_depth_limit_one(monkeypatch):
     assert len(children) <= 2
     for child in children:
         assert len(child.path) == 1
-        assert child.primal >= child.dual - 1e-6
+        engine.move_to(child.path)
+        assert dense_sdp_check(engine.state, engine.factor).objective \
+            >= child.dual - 1e-6
 
 
 def test_expand_root_partition_when_nothing_prunes(monkeypatch):
@@ -346,8 +379,8 @@ def test_expand_root_partition_when_nothing_prunes(monkeypatch):
 
 def test_expansion_prices_children_after_a_dense_solve():
     """A dense solve leaves the z-cache as it was (here all zero) and
-    expansion reads none of it, yet every emitted child's primal is its
-    objective at the solved factor by the dense oracle."""
+    expansion reads none of it, yet every emitted child's dual is at most
+    its objective at the solved factor by the dense oracle."""
     inst = random_instance(12, 48, 2, seed=33)
     engine = Searcher(inst, SolverConfig(seed=33))
     res = engine.solve_root()
@@ -359,8 +392,8 @@ def test_expansion_prices_children_after_a_dense_solve():
     assert not engine.zcache.z.any()
     for child in children:
         engine.move_to(child.path)
-        assert child.primal == pytest.approx(
-            dense_sdp_check(engine.state, engine.factor).objective, abs=1e-9)
+        assert child.dual <= (
+            dense_sdp_check(engine.state, engine.factor).objective + 1e-6)
 
 
 def test_clipped_loss_matches_dense():
