@@ -212,7 +212,8 @@ class ShiftLedger:
         return NodeCost(index, matrix, self.offset, root.entry_error)
 
 
-def up_cores(state: NodeState, need: int | None = None) -> list[tuple]:
+def up_cores(state: NodeState, need: int | None = None, units=None,
+             taken=()) -> list[tuple]:
     """Disjoint unit-propagation cores of the node's active clauses, each
     clause reduced to its free literals (it has f = L + 1 + s0 of them).
 
@@ -225,20 +226,34 @@ def up_cores(state: NodeState, need: int | None = None) -> list[tuple]:
     literals are all false is a conflict; its reasons, traced back to the
     unit, are the core.
 
+    `units` lists the unit clauses to start from, in order (default: every
+    unit clause of the node), and the clauses in `taken` are left out as
+    if already in a core.  The search passes both below a solved root:
+    the cores it carries down stay cores of every descendant whose step
+    leaves all their clauses active (a clause that shrinks only
+    strengthens propagation), so a step propagates only its new units,
+    outside the carried cores, and the new cores are disjoint from them.
+
     Cores are disjoint and each holds the unit it started from, so with a
     `need` the search stops once it has `need` cores, or once the cores
     plus the units left to try fall short of it; the cores returned are
     then a prefix of those found without one.
     """
+    if units is None:
+        # f = 1 exactly when s0 = -L: a clause with a true literal has s0 > -L
+        units = np.flatnonzero(
+            np.array(state.s0) == -state.clause_len).tolist()
+    if need is not None and len(units) < need:
+        return []
     s0 = state.s0
-    # f = 1 exactly when s0 = -L: a clause with a true literal has s0 > -L
-    units = np.flatnonzero(np.array(s0) == -state.clause_len).tolist()
     assignment = state.assignment
-    occurrences, lengths = state.instance.occurrences, state.instance.lengths
+    falsifies, lengths = state.falsifies, state.instance.lengths
     clause_lits = state.clause_lits
     # per clause: -1 once inactive or in a core, else the last propagation
     # (numbered from 1) that found it satisfied or took it as a reason
     mark = [0 if status == ACTIVE else -1 for status in state.clause_status]
+    for j in taken:
+        mark[j] = -1
     # per variable, the propagation's value (0: none) and reason clause
     value = [0] * len(assignment)
     reason = [0] * len(assignment)
@@ -259,13 +274,11 @@ def up_cores(state: NodeState, need: int | None = None) -> list[tuple]:
         count: dict[int, int] = {}
         conflict = -1
         for var in queue:
-            val = value[var]
-            for j, sign in occurrences[var]:
+            # a clause the walk satisfies is left alone: if it ever has
+            # one literal not walked false, that is the true one
+            for j in falsifies[2 * var + (value[var] > 0)]:
                 seen = mark[j]
                 if seen < 0 or seen == stamp:
-                    continue
-                if sign == val:
-                    mark[j] = stamp
                     continue
                 left = count.get(j, lengths[j] + 1 + s0[j]) - 1
                 count[j] = left

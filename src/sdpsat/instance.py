@@ -260,6 +260,9 @@ class NodeState:
     of a DFS below a solved root, with each clause's literal tuple
     (`clause_lits`); every step prices a moved clause as the difference
     of two rows (bounds.ShiftLedger, sdp.LossTracker, sdp.ZCache).
+    `falsifies[2 v + (value > 0)]` lists, in occurrence order, the clauses
+    in which variable v taking `value` makes a literal false (for
+    bounds.up_cores).
 
     The variables are also colored by DSatur so that two variables sharing
     a clause never share a color.  A proper coloring of the whole formula
@@ -273,7 +276,7 @@ class NodeState:
                  "lit_sign", "clause_len", "price_rows", "price_first",
                  "price", "pair_a", "pair_b", "pair_first", "pair_clause",
                  "pair_var_a", "pair_var_b", "entry_error", "clause_lits",
-                 "color", "class_entries", "_view")
+                 "falsifies", "color", "class_entries", "_view")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -328,6 +331,9 @@ class NodeState:
         from .sdp import entry_error_bound  # sdp imports this module
         self.entry_error = entry_error_bound(self)
         self.clause_lits = [c.lits for c in instance.clauses]
+        self.falsifies = [[j for j, sign in occ if sign != value]
+                          for occ in instance.occurrences
+                          for value in (FALSE, TRUE)]
         self._view: NodeView | None = None
         self._color_variables()
 

@@ -10,20 +10,29 @@ mostly its parent's), rounded, and then
 expanded by one depth-limited DFS whose interior nodes are priced with the
 warm-started bound pair: prune on the dual ceiling, recurse on a primal that
 already ties the incumbent, and emit everything else as a new root.  The
-dual side is the ledger's bound or the node's falsified-clause count
-(base_unsat), whichever is higher: the falsified clauses alone are unsat in
-every completion.  A popped root is first priced by base_unsat plus its
-disjoint unit-propagation cores (bounds.up_cores), once, before its solve:
-each core holds a clause that every completion falsifies, so a root whose
-count meets the incumbent is pruned unsolved.  A child about to be emitted
-whose warm-started objective already meets the incumbent is first decided
-by its own certificate, taken from the parent's factor and the child's cost
-matrix exactly as a solve takes one between sweeps; when it prunes, the
-child is dropped instead of being queued, replayed and re-solved.
+dual side is the highest of the ledger's bound, the node's falsified-clause
+count (base_unsat) and base_unsat plus the node's disjoint
+unit-propagation cores (bounds.up_cores): the falsified clauses are unsat
+in every completion, and so is a clause of each core.  A popped root is
+priced by base_unsat plus its cores once, before its solve, and a root
+whose count meets the incumbent is pruned unsolved.  Otherwise its cores
+are carried down the DFS below it: a step drops the cores holding a clause
+it satisfied or falsified (a core whose clauses all stay active still
+refutes, as a shrunk clause only strengthens propagation) and adds its new
+unit clauses to a pending list, from which it drops those it removed.
+The pending units are propagated, outside the carried cores, only when
+there are at least as many as the cores a prune still lacks (each core
+holds its own unit, so fewer cannot prune), and are then cleared.  A
+child about to be emitted whose warm-started objective already meets the
+incumbent is first decided by its own certificate, taken from the parent's
+factor and the child's cost matrix exactly as a solve takes one between
+sweeps; when it prunes, the child is dropped instead of being queued,
+replayed and re-solved.
 The child's cost matrix is derived from the one its root's solve built
 (ShiftLedger.child_cost), never rebuilt.  Every DFS step costs O(clauses it
-moves) in scalar steps: the ShiftLedger prices its dual side and a
-LossTracker its primal side; neither a step nor a solve reads the z-cache.
+moves) in scalar steps, plus a propagation only where one could prune: the
+ShiftLedger prices its dual side and a LossTracker its primal side; neither
+a step nor a solve reads the z-cache.
 
 Every prune compares a bound with one number, the floor best_unsat - 1 +
 PRUNE_TOL (bounds.prune_floor).  A prune decided by a certificate is
@@ -43,8 +52,8 @@ import numpy as np
 
 from .bounds import Decision, ShiftLedger, decide, prune_floor, up_cores
 from .config import SolverConfig
-from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack, assign,
-                       evaluate, unassign_to)
+from .instance import (ACTIVE, FREE, TRUE, Instance, NodeState,
+                       WatchedStack, assign, evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
 from .sdp import (LossTracker, ZCache, active_losses, default_rank,
                   init_factor, past, pruning_certificate, solve)
@@ -102,6 +111,8 @@ class SearchStats:
     child_cert_prunes: int = 0
     # popped roots pruned by unit-propagation cores before their solve
     up_core_prunes: int = 0
+    # decided DFS nodes pruned by their carried cores, not the ledger
+    dfs_core_prunes: int = 0
     # certificates taken, in solves and at expansion
     certificates: int = 0
     roundings: int = 0
@@ -206,7 +217,8 @@ class Searcher:
                     if self.state.assignment[v] != FREE]
         self.order = free + assigned
 
-    def expand_root(self, res, node_depth: int) -> list[SearchNode]:
+    def expand_root(self, res, node_depth: int,
+                    cores=()) -> list[SearchNode]:
         """Depth-limited DFS below the solved root, which has a free variable.
 
         Branches over the top DEPTH_LIMIT free variables in resolution order,
@@ -221,13 +233,16 @@ class Searcher:
 
         A step costs O(clauses it moves): the ledger prices the dual side,
         and a LossTracker seeded here from the solved factor keeps the
-        primal.  Neither reads the z-cache.  The children come back in
-        search order; the caller pushes them so the first is popped first.
-        A deadline that stops the DFS with branches left emits the node
-        where it stopped; each ancestor with a branch left then emits
-        itself as well.
-        `node_depth` is ignored: perfbench/layers.py still passes one."""
+        primal.  Neither reads the z-cache.  `cores`, the root's
+        unit-propagation cores from its pop, are carried down the DFS
+        (see the module doc).  The children come back in search order;
+        the caller pushes them so the first is popped first.  A deadline
+        that stops the DFS with branches left emits the node where it
+        stopped; each ancestor with a branch left then emits itself as
+        well.  `node_depth` is ignored: perfbench/layers.py still passes
+        one."""
         state, ws = self.state, self.ws
+        s0, lengths = state.s0, self.inst.lengths
         ledger = ShiftLedger(res.cert)
         losses = LossTracker(state, self.factor)
         root_path = state.path()
@@ -250,12 +265,31 @@ class Searcher:
                 root_path=root_path, steps=state.path(len(root_path)),
                 dual=dual))
 
-        def descend(depth: int) -> None:
+        def carry_cores(moved, cores: list, units: list):
+            """The cores and pending units one step down (module doc)."""
+            gone = {j for j, _, status in moved if status != ACTIVE}
+            if gone:
+                cores = [core for core in cores if gone.isdisjoint(core)]
+                units = [j for j in units if j not in gone]
+            units = units + [j for j, _, status in moved
+                             if status == ACTIVE and s0[j] == -lengths[j]]
+            missing = self.best_unsat - state.base_unsat - len(cores)
+            if 0 < missing <= len(units):
+                cores = cores + up_cores(
+                    state, units=units,
+                    taken=[j for core in cores for j in core])
+                units = []
+            return cores, units
+
+        def descend(depth: int, cores: list, units: list) -> None:
+            # cores: disjoint UP cores of the node, outside its base_unsat;
+            # units: its unit clauses not yet propagated outside the cores
             var = split_vars[depth]
             first = int(prefer[var]) if prefer is not None else TRUE
             for value in (first, -first):
                 if past(self.deadline):
-                    emit_child(max(ledger.dual_bound(), state.base_unsat))
+                    emit_child(max(ledger.dual_bound(),
+                                   state.base_unsat + len(cores)))
                     return
                 moved = assign(state, ws, var, value)
                 ledger.apply(state, var, value, moved)
@@ -264,20 +298,26 @@ class Searcher:
                     self.update_best(list(state.assignment), state.base_unsat)
                 else:
                     dual = max(ledger.dual_bound(), state.base_unsat)
+                    by_cores = not self.prunes(dual)
+                    if by_cores:
+                        # a node the ledger prunes needs no cores
+                        kept, pending = carry_cores(moved, cores, units)
+                        dual = max(dual, state.base_unsat + len(kept))
                     verdict = decide(losses.objective, dual, self.best_unsat)
                     if verdict == Decision.PRUNE:
                         self.stats.prunes_by_dual += 1
+                        self.stats.dfs_core_prunes += by_cores
                     elif (verdict == Decision.EXPAND
                           and depth + 1 < len(split_vars)):
                         self.stats.expands_by_primal += 1
-                        descend(depth + 1)
+                        descend(depth + 1, kept, pending)
                     else:
                         emit_child(dual)
                 losses.revert()
                 ledger.revert()
                 unassign_to(state, ws, len(state.trail) - 1)
 
-        descend(0)
+        descend(0, list(cores), [])
         return children
 
     # -- driver ------------------------------------------------------------
@@ -315,7 +355,7 @@ class Searcher:
             stats.prunes_by_dual += 1
             return []
         self.reorder(res.cert)
-        return self.expand_root(res, 0)
+        return self.expand_root(res, 0, cores=cores)
 
     def run(self) -> str:
         """The DFS over the root stack, until it drains or the deadline.

@@ -54,7 +54,7 @@ def test_criterion_02_lower_bound_soundness():
     certificate, the first 400 of each formula's search."""
     records = []
     seed = 0
-    while len(records) < 1200 and seed < 40:
+    while len(records) < 1200 and seed < 200:
         n = 12 + seed % 3  # n in {12, 13, 14}
         inst = random_instance(n, 5 * n, 3, seed=seed)
         bucket = []

@@ -59,6 +59,7 @@ def test_solve_triangle_complete(tmp_path, capsys):
     assert evaluate(inst, values) == 1
     assert "stats nodes_popped" in err
     assert "stats child_cert_prunes=" in err
+    assert "stats dfs_core_prunes=" in err
     stats = dict(line[len("stats "):].split("=", 1)
                  for line in err.splitlines() if line.startswith("stats "))
     # the root solve takes at least its final certificate

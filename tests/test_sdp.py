@@ -1051,7 +1051,7 @@ def test_search_eigensolves_only_final_certificates(monkeypatch):
     expansion builds none; eigensolves come only from the final
     certificates of solves that did not prune, and every certificate that
     pruned was decided by Cholesky."""
-    inst = random_instance(24, 96, 2, seed=11)
+    inst = random_instance(24, 96, 2, seed=33)
     builds = counting(monkeypatch, sdp, "node_cost")
     eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
     factorizations = counting(monkeypatch, sdp, "cholesky_factor")

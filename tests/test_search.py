@@ -146,8 +146,8 @@ def test_deadline_inside_first_root_rounds_once():
 
 
 def test_child_cert_prunes_counted_among_dual_prunes():
-    inst = random_instance(28, 112, 2, seed=1)
-    _, status, stats = solve_complete(inst, SolverConfig(seed=1))
+    inst = random_instance(28, 112, 2, seed=8)
+    _, status, stats = solve_complete(inst, SolverConfig(seed=8))
     assert status == OPTIMUM
     assert stats.child_cert_prunes > 0
     assert (stats.pruned_at_pop + stats.early_prunes + stats.child_cert_prunes
@@ -472,7 +472,7 @@ def test_recorded_bounds_sound_on_small_instance():
     """The bound of every decided child, and of every child dropped by its
     own certificate, is at most the child's exact minimum."""
     checked = 0
-    for seed in range(55, 59):
+    for seed in range(55, 63):
         inst = random_instance(12, 60, 3, seed=seed)
         records = []
         engine = Searcher(inst, SolverConfig(seed=seed))

@@ -2,6 +2,7 @@
 decide, checked against brute force."""
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpsat.search
-from sdpsat.bounds import up_cores
+from sdpsat.bounds import ShiftLedger, up_cores
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
@@ -113,6 +114,82 @@ def test_need_exits_early_and_never_over_counts(inst, data):
         assert len(got) == need
 
 
+def unit_clauses(state):
+    return [j for j, status in enumerate(state.clause_status)
+            if status == ACTIVE and len(free_literals(state, j)) == 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=random_formulas(), data=st.data())
+def test_default_units_are_every_unit_clause(inst, data):
+    state = partial_state(inst, data)
+    assert up_cores(state) == up_cores(state, units=unit_clauses(state))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=random_formulas(), data=st.data())
+def test_cores_outside_taken_are_sound(inst, data):
+    """Cores found from some of the unit clauses, with a drawn set of
+    clauses taken, avoid the taken clauses and are disjoint, active and
+    refuted by brute force over their own free variables."""
+    state = partial_state(inst, data)
+    units = data.draw(st.lists(st.sampled_from(unit_clauses(state)),
+                               unique=True)
+                      if unit_clauses(state) else st.just([]))
+    taken = data.draw(st.sets(st.integers(0, inst.num_clauses - 1)))
+    cores = up_cores(state, units=units, taken=taken)
+    flat = [j for core in cores for j in core]
+    assert len(flat) == len(set(flat)), "cores overlap"
+    assert taken.isdisjoint(flat)
+    for core in cores:
+        assert all(state.clause_status[j] == ACTIVE for j in core)
+        assert refuted(state, core), core
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=random_formulas(), depth_limit=st.integers(1, 8),
+       data=st.data())
+def test_carried_cores_bound_every_decided_node(inst, depth_limit, data):
+    """With the ledger's bound switched off, every node the DFS below a
+    solved root (a drawn partial assignment) decides is priced by
+    base_unsat plus the cores carried to it, which is at most the node's
+    exact minimum; the incumbent count is drawn, so the propagation gate
+    opens at varying depths."""
+    engine = sdpsat.search.Searcher(
+        inst, SolverConfig(seed=data.draw(st.integers(0, 99))))
+    order = data.draw(st.permutations(range(1, inst.num_vars + 1)))
+    depth = data.draw(st.integers(0, inst.num_vars - 1))
+    engine.move_to([(var, data.draw(st.sampled_from((TRUE, FALSE))))
+                    for var in order[:depth]])
+    res = engine.solve_root()
+    engine.reorder(res.cert)
+    engine.best_unsat = data.draw(st.integers(1, inst.num_clauses + 1))
+    records = []
+    real_decide = sdpsat.search.decide
+
+    def decide(primal, dual, best_known):
+        state = engine.state
+        records.append((list(state.assignment), state.base_unsat, dual))
+        return real_decide(primal, dual, best_known)
+
+    with mock.patch.multiple(sdpsat.search, decide=decide,
+                             DEPTH_LIMIT=depth_limit), \
+            mock.patch.object(ShiftLedger, "dual_bound",
+                              lambda ledger: -math.inf):
+        engine.expand_root(res, 0, cores=up_cores(engine.state))
+    for values, base, dual in records:
+        assert dual == int(dual) >= base
+        assert dual <= min_unsat_completion(inst, values)
+
+
+def test_dfs_core_prunes_counted_among_dual_prunes():
+    for seed in range(10):
+        inst = random_instance(14, 98, 3, seed)
+        _, status, stats = solve_complete(inst, SolverConfig(seed=0))
+        assert status == OPTIMUM
+        assert 0 < stats.dfs_core_prunes <= stats.prunes_by_dual, seed
+
+
 def test_complete_optimum_matches_brute_force():
     for length in (2, 3, (1, 2, 3)):
         for seed in range(12):
@@ -132,29 +209,35 @@ def test_complete_optimum_matches_brute_force():
 
 
 def test_up_cores_runs_once_per_solved_pop():
-    """up_cores runs once per popped root that is neither pruned by its
-    own dual nor a leaf, before its solve, and never while a root's
-    children are priced; its prunes count as pop-time dual prunes."""
+    """The full up_cores (from every unit clause) runs once per popped
+    root that is neither pruned by its own dual nor a leaf, before its
+    solve, and never while a root's children are priced: there, only
+    calls that name their units run.  Its prunes count as pop-time dual
+    prunes."""
     calls = []
     real = sdpsat.search.up_cores
     totals = dict.fromkeys(("calls", "popped", "leaf", "pop", "core",
-                            "dual"), 0)
+                            "dual", "carried"), 0)
     for seed in range(10):
         inst = random_instance(14, 98, 3, seed)
         engine = sdpsat.search.Searcher(inst, SolverConfig(seed=0))
         real_expand = engine.expand_root
 
-        def expand_root(res, depth):
+        def expand_root(res, depth, **kwargs):
             calls.append("expand")
             try:
-                return real_expand(res, depth)
+                return real_expand(res, depth, **kwargs)
             finally:
                 calls.append("done")
 
-        def counted(state, need):
-            assert calls[-1:] != ["expand"], "called while expanding"
-            calls.append("up")
-            return real(state, need)
+        def counted(state, need=None, units=None, taken=()):
+            expanding = calls[-1:] == ["expand"]
+            assert expanding == (units is not None), "full call expanding"
+            if units is None:
+                calls.append("up")
+            else:
+                totals["carried"] += 1
+            return real(state, need, units, taken)
 
         engine.expand_root = expand_root
         with mock.patch.object(sdpsat.search, "up_cores", counted):
@@ -172,3 +255,4 @@ def test_up_cores_runs_once_per_solved_pop():
     assert totals["calls"] == (totals["popped"] - totals["leaf"]
                                - (totals["pop"] - totals["core"]))
     assert 0 < totals["core"] <= totals["pop"] <= totals["dual"]
+    assert totals["carried"] > 0
