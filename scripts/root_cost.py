@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Cost of the numpy layers of one solved root, on either layout, of one
-unit-propagation core count and one derived child cost matrix below it,
+"""Cost of the numpy layers of one solved root, on either layout, of two
+unit-propagation core counts and one derived child cost matrix below it,
 in us per call, and of one DFS step below it, in us per step.
 
 For every seed in [first, first + count), solves and rounds the root of
@@ -23,6 +23,13 @@ that solved root, each layer the search runs on it:
                    most), as a popped root one expansion deep, with need
                    = incumbent - base_unsat as Searcher.process_root sets
                    it
+    carried_cores  bounds.up_cores at that node in the DFS's form,
+                   up_cores(state, units=pending, taken=carried), as
+                   expand_root's step (search.carry_step) propagates:
+                   carried holds the clauses of the root's cores (its
+                   pop-time call above, at the root) that every step
+                   left active, pending the unit clauses the steps made,
+                   with no propagation on the way
     child_cost     ShiftLedger.child_cost(res.cost, state) at that node,
                    with the ledger applied along those steps, as
                    expand_root derives a frontier child's cost matrix
@@ -76,7 +83,8 @@ from sdpsat.search import Searcher  # noqa: E402
 
 LAYERS = ("node_cost", "dense_sweep", "sweep_plan", "sparse_sweep",
           "cert_raw", "prune_cert", "cert_repaired", "loss_tracker",
-          "rounding", "up_cores", "child_cost", "dfs_step")
+          "rounding", "up_cores", "carried_cores", "child_cost",
+          "dfs_step")
 
 
 def root_layers(inst: Instance, seed: int) -> list:
@@ -107,7 +115,13 @@ def root_layers(inst: Instance, seed: int) -> list:
             ledger.revert()
         unassign_to(state, ws, 0)
 
-    move_below()
+    cores = up_cores(state, engine.best_unsat - state.base_unsat)
+    pending = []
+    for var, value in below:
+        moved = assign(state, ws, var, value)
+        ledger.apply(state, var, value, moved)
+        cores, pending = search.carry_step(state, moved, cores, pending)
+    carried = [j for core in cores for j in core]
     need = engine.best_unsat - state.base_unsat
     back_to_root()
 
@@ -137,6 +151,7 @@ def root_layers(inst: Instance, seed: int) -> list:
         (None, lambda: best_rounding(factor, state, budget,
                                      np.random.default_rng(0)), 1),
         (move_below, lambda: up_cores(state, need), 1),
+        (None, lambda: up_cores(state, units=pending, taken=carried), 1),
         (None, lambda: ledger.child_cost(cost, state), 1),
         (back_to_root, walk, len(path)),
     ]

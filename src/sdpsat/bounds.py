@@ -153,7 +153,11 @@ class ShiftLedger:
                 if f >= 2:
                     eta[v] += e
                     free.append(lit)
-            if f >= 2:
+            if f == 2:
+                a, b = free
+                pairs.append((abs(a), abs(b),
+                              pair if (a > 0) == (b > 0) else -pair))
+            elif f > 2:
                 pairs += [(abs(a), abs(b),
                            pair if (a > 0) == (b > 0) else -pair)
                           for a, b in combinations(free, 2)]
@@ -238,6 +242,11 @@ def up_cores(state: NodeState, need: int | None = None, units=None,
     `need` the search stops once it has `need` cores, or once the cores
     plus the units left to try fall short of it; the cores returned are
     then a prefix of those found without one.
+
+    The marks, values and reasons live on the node (NodeState.core_mark,
+    core_value and core_reason) across calls, so a call costs what it
+    walks, not O(m + n): each call takes fresh stamps above the last
+    call's, which leave every older mark stale.
     """
     if units is None:
         # f = 1 exactly when s0 = -L: a clause with a true literal has s0 > -L
@@ -245,45 +254,54 @@ def up_cores(state: NodeState, need: int | None = None, units=None,
             np.array(state.s0) == -state.clause_len).tolist()
     if need is not None and len(units) < need:
         return []
-    s0 = state.s0
+    s0, status = state.s0, state.clause_status
     assignment = state.assignment
     falsifies, lengths = state.falsifies, state.instance.lengths
     clause_lits = state.clause_lits
-    # per clause: -1 once inactive or in a core, else the last propagation
-    # (numbered from 1) that found it satisfied or took it as a reason
-    mark = [0 if status == ACTIVE else -1 for status in state.clause_status]
+    mark, value, reason = state.core_mark, state.core_value, state.core_reason
+    # this call's propagations are numbered first + 1, first + 2, ... and
+    # a clause in a core (or taken) is marked `dead`, above them all, so a
+    # mark below first + 1 is a stale one from an earlier call
+    first = state.core_stamp
+    dead = first + len(units) + 1
+    state.core_stamp = dead
     for j in taken:
-        mark[j] = -1
-    # per variable, the propagation's value (0: none) and reason clause
-    value = [0] * len(assignment)
-    reason = [0] * len(assignment)
+        mark[j] = dead
     cores: list[tuple] = []
-    for stamp, unit in enumerate(units, 1):
+    for i, unit in enumerate(units):
         # the units from this one on can add a core each at most
         if need is not None and (len(cores) >= need or
-                                 len(cores) + len(units) - stamp + 1 < need):
+                                 len(cores) + len(units) - i < need):
             break
-        if mark[unit] < 0:
+        if mark[unit] == dead or status[unit] != ACTIVE:
             continue
-        lit = next(lit for lit in clause_lits[unit]
-                   if assignment[abs(lit)] == FREE)
+        stamp = first + 1 + i
+        for lit in clause_lits[unit]:
+            if assignment[abs(lit)] == FREE:
+                break
         value[abs(lit)] = 1 if lit > 0 else -1
         reason[abs(lit)] = unit
         mark[unit] = stamp
         queue = [abs(lit)]
+        # per clause reached with three or more free literals, those not
+        # yet walked false
         count: dict[int, int] = {}
         conflict = -1
         for var in queue:
             # a clause the walk satisfies is left alone: if it ever has
             # one literal not walked false, that is the true one
             for j in falsifies[2 * var + (value[var] > 0)]:
-                seen = mark[j]
-                if seen < 0 or seen == stamp:
+                # marks of this call are at most `stamp` except `dead`
+                if mark[j] >= stamp or status[j] != ACTIVE:
                     continue
-                left = count.get(j, lengths[j] + 1 + s0[j]) - 1
-                count[j] = left
+                # f - 1 free literals left once this one is walked false;
+                # a clause with f <= 2 is settled now, so needs no count
+                left = lengths[j] + s0[j]
                 if left > 1:
-                    continue
+                    left = count.get(j, left + 1) - 1
+                    if left > 1:
+                        count[j] = left
+                        continue
                 # at most one free literal is not walked yet: derive it,
                 # find it true, or find every free literal false (conflict)
                 for other in clause_lits[j]:
@@ -308,21 +326,20 @@ def up_cores(state: NodeState, need: int | None = None, units=None,
                 break
         if conflict >= 0:
             core = [conflict]
-            mark[conflict] = -1
-            stack = [abs(x) for x in clause_lits[conflict]
-                     if assignment[abs(x)] == FREE]
-            traced = set()
+            mark[conflict] = dead
+            # a variable with a value is free and not traced yet: clear
+            # its value once traced (an assigned variable never has one)
+            stack = list(map(abs, clause_lits[conflict]))
             while stack:
                 var = stack.pop()
-                if var in traced:
+                if not value[var]:
                     continue
-                traced.add(var)
+                value[var] = 0
                 j = reason[var]
-                if mark[j] >= 0:
-                    mark[j] = -1
+                if mark[j] != dead:
+                    mark[j] = dead
                     core.append(j)
-                    stack += [abs(x) for x in clause_lits[j]
-                              if assignment[abs(x)] == FREE]
+                    stack += map(abs, clause_lits[j])
             cores.append(tuple(core))
         for var in queue:
             value[var] = 0

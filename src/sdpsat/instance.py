@@ -262,7 +262,11 @@ class NodeState:
     of two rows (bounds.ShiftLedger, sdp.LossTracker, sdp.ZCache).
     `falsifies[2 v + (value > 0)]` lists, in occurrence order, the clauses
     in which variable v taking `value` makes a literal false (for
-    bounds.up_cores).
+    bounds.up_cores).  up_cores keeps its scratch on the node, so a call
+    allocates nothing of size m or n: a mark per clause (`core_mark`),
+    stamped from `core_stamp`, which grows across calls, and a propagated
+    value and reason clause per variable (`core_value`, all zero between
+    calls, and `core_reason`).
 
     The variables are also colored by DSatur so that two variables sharing
     a clause never share a color.  A proper coloring of the whole formula
@@ -276,7 +280,8 @@ class NodeState:
                  "lit_sign", "clause_len", "price_rows", "price_first",
                  "price", "pair_a", "pair_b", "pair_first", "pair_clause",
                  "pair_var_a", "pair_var_b", "entry_error", "clause_lits",
-                 "falsifies", "color", "class_entries", "_view")
+                 "falsifies", "core_mark", "core_value", "core_reason",
+                 "core_stamp", "color", "class_entries", "_view")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -334,6 +339,10 @@ class NodeState:
         self.falsifies = [[j for j, sign in occ if sign != value]
                           for occ in instance.occurrences
                           for value in (FALSE, TRUE)]
+        self.core_mark = [0] * instance.num_clauses
+        self.core_value = [0] * (n + 1)
+        self.core_reason = [0] * (n + 1)
+        self.core_stamp = 0
         self._view: NodeView | None = None
         self._color_variables()
 

@@ -32,7 +32,14 @@ The child's cost matrix is derived from the one its root's solve built
 (ShiftLedger.child_cost), never rebuilt.  Every DFS step costs O(clauses it
 moves) in scalar steps, plus a propagation only where one could prune: the
 ShiftLedger prices its dual side and a LossTracker its primal side; neither
-a step nor a solve reads the z-cache.
+a step nor a solve reads the z-cache.  A node is priced in stages, cheapest
+first, and the first stage that prunes ends its pricing: a leaf (no free
+variable) only updates the incumbent; any other node is first priced by
+base_unsat plus its carried cores, then, only if that does not prune, by
+the ledger's walk (the dual is the higher of the two), and only if that
+does not prune either by the tracker's walk, whose primal decides between
+expanding and emitting.  A walk is reverted only where it ran.  Every
+decided node, pruned at any stage, reaches bounds.decide once.
 
 Every prune compares a bound with one number, the floor best_unsat - 1 +
 PRUNE_TOL (bounds.prune_floor).  A prune decided by a certificate is
@@ -111,7 +118,8 @@ class SearchStats:
     child_cert_prunes: int = 0
     # popped roots pruned by unit-propagation cores before their solve
     up_core_prunes: int = 0
-    # decided DFS nodes pruned by their carried cores, not the ledger
+    # decided DFS nodes pruned by base_unsat plus their carried cores, the
+    # first pricing stage, where base_unsat alone would not prune
     dfs_core_prunes: int = 0
     # certificates taken, in solves and at expansion
     certificates: int = 0
@@ -120,6 +128,21 @@ class SearchStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def carry_step(state: NodeState, moved, cores: list,
+               units: list) -> tuple[list, list]:
+    """The carried cores and pending unit clauses after one DFS step
+    (`moved`, instance.assign's transition list; module doc): the cores
+    and units holding no clause the step satisfied or falsified, and the
+    step's new unit clauses added to the units."""
+    gone = {j for j, _, status in moved if status != ACTIVE}
+    if gone:
+        cores = [core for core in cores if gone.isdisjoint(core)]
+        units = [j for j in units if j not in gone]
+    s0, lengths = state.s0, state.instance.lengths
+    return cores, units + [j for j, _, status in moved
+                           if status == ACTIVE and s0[j] == -lengths[j]]
 
 
 class Searcher:
@@ -235,14 +258,16 @@ class Searcher:
         and a LossTracker seeded here from the solved factor keeps the
         primal.  Neither reads the z-cache.  `cores`, the root's
         unit-propagation cores from its pop, are carried down the DFS
-        (see the module doc).  The children come back in search order;
+        (see the module doc).  Each decided node is priced cheapest first
+        and stops at the first stage that prunes: base_unsat plus its
+        carried cores, then ShiftLedger.apply, then LossTracker.move; a
+        leaf runs neither walk.  The children come back in search order;
         the caller pushes them so the first is popped first.  A deadline
         that stops the DFS with branches left emits the node where it
         stopped; each ancestor with a branch left then emits itself as
         well.  `node_depth` is ignored: perfbench/layers.py still passes
         one."""
         state, ws = self.state, self.ws
-        s0, lengths = state.s0, self.inst.lengths
         ledger = ShiftLedger(res.cert)
         losses = LossTracker(state, self.factor)
         root_path = state.path()
@@ -267,12 +292,7 @@ class Searcher:
 
         def carry_cores(moved, cores: list, units: list):
             """The cores and pending units one step down (module doc)."""
-            gone = {j for j, _, status in moved if status != ACTIVE}
-            if gone:
-                cores = [core for core in cores if gone.isdisjoint(core)]
-                units = [j for j in units if j not in gone]
-            units = units + [j for j, _, status in moved
-                             if status == ACTIVE and s0[j] == -lengths[j]]
+            cores, units = carry_step(state, moved, cores, units)
             missing = self.best_unsat - state.base_unsat - len(cores)
             if 0 < missing <= len(units):
                 cores = cores + up_cores(
@@ -292,29 +312,39 @@ class Searcher:
                                    state.base_unsat + len(cores)))
                     return
                 moved = assign(state, ws, var, value)
-                ledger.apply(state, var, value, moved)
-                losses.move(state, moved)
                 if state.free_count == 0:
                     self.update_best(list(state.assignment), state.base_unsat)
                 else:
-                    dual = max(ledger.dual_bound(), state.base_unsat)
-                    by_cores = not self.prunes(dual)
-                    if by_cores:
-                        # a node the ledger prunes needs no cores
-                        kept, pending = carry_cores(moved, cores, units)
-                        dual = max(dual, state.base_unsat + len(kept))
-                    verdict = decide(losses.objective, dual, self.best_unsat)
+                    # priced cheapest first, each walk only where the bound so
+                    # far does not prune: base_unsat plus the carried cores,
+                    # then the ledger, then the tracker's primal, which decide
+                    # reads only where the dual does not prune
+                    kept, pending = carry_cores(moved, cores, units)
+                    floor = self.floor()
+                    dual = state.base_unsat + len(kept)
+                    primal = math.inf
+                    core_pruned = dual > floor
+                    if not core_pruned:
+                        ledger.apply(state, var, value, moved)
+                        dual = max(ledger.dual_bound(), dual)
+                        if dual <= floor:
+                            losses.move(state, moved)
+                            primal = losses.objective
+                    verdict = decide(primal, dual, self.best_unsat)
                     if verdict == Decision.PRUNE:
                         self.stats.prunes_by_dual += 1
-                        self.stats.dfs_core_prunes += by_cores
+                        self.stats.dfs_core_prunes += (
+                            core_pruned and state.base_unsat <= floor)
                     elif (verdict == Decision.EXPAND
                           and depth + 1 < len(split_vars)):
                         self.stats.expands_by_primal += 1
                         descend(depth + 1, kept, pending)
                     else:
                         emit_child(dual)
-                losses.revert()
-                ledger.revert()
+                    if verdict != Decision.PRUNE:
+                        losses.revert()
+                    if not core_pruned:
+                        ledger.revert()
                 unassign_to(state, ws, len(state.trail) - 1)
 
         descend(0, list(cores), [])

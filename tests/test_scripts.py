@@ -59,8 +59,8 @@ def test_root_cost_smoke(n, m, length, count, rounds):
     assert header == ["n", "m", "length", "roots", "node_cost",
                       "dense_sweep", "sweep_plan", "sparse_sweep",
                       "cert_raw", "prune_cert", "cert_repaired",
-                      "loss_tracker", "rounding", "up_cores", "child_cost",
-                      "dfs_step"]
+                      "loss_tracker", "rounding", "up_cores",
+                      "carried_cores", "child_cost", "dfs_step"]
     assert row[:4] == [n, m, length, count]
     assert all(float(x) > 0.0 for x in row[4:])
 

@@ -31,16 +31,20 @@ def ceil_bound(x: float, tol: float = 1e-6) -> int:
     return math.ceil(x - tol)
 
 
-def record_bounds(engine, records):
+def record_bounds(engine, records, verdicts=None):
     """A patch of the search that appends (path, bound), in search order,
     for every child its DFS decides (the child's dual) and every child
-    dropped by its own certificate (the certificate's bound)."""
+    dropped by its own certificate (the certificate's bound), and each
+    decided child's verdict to `verdicts` if one is given."""
     real_decide = sdpsat.search.decide
     real_certificate = sdpsat.search.pruning_certificate
 
     def decide(primal, dual, best_known):
         records.append((engine.state.path(), dual))
-        return real_decide(primal, dual, best_known)
+        verdict = real_decide(primal, dual, best_known)
+        if verdicts is not None:
+            verdicts.append(verdict)
+        return verdict
 
     def pruning_certificate(cost, factor, floor):
         cert = real_certificate(cost, factor, floor)
@@ -468,17 +472,45 @@ def test_rank_above_columns_is_clamped():
         assert engine.best.unsat == brute_force(inst)[0] == 1
 
 
+def count_expansions(engine) -> list:
+    """Wrap the engine's expand_root; the list returned grows by one entry
+    per call."""
+    calls = []
+    real = engine.expand_root
+
+    def expand_root(res, depth, **kwargs):
+        calls.append(depth)
+        return real(res, depth, **kwargs)
+
+    engine.expand_root = expand_root
+    return calls
+
+
+def dfs_prunes(stats, expansions: int) -> int:
+    """The prunes SearchStats counts in the DFS below solved roots: every
+    dual prune but those at pop, of a root's own solve (a solved root is
+    pruned or expanded when no deadline is set) and of a child's own
+    certificate."""
+    return (stats.prunes_by_dual - stats.pruned_at_pop
+            - stats.child_cert_prunes - (stats.sdp_solves - expansions))
+
+
 def test_recorded_bounds_sound_on_small_instance():
     """The bound of every decided child, and of every child dropped by its
-    own certificate, is at most the child's exact minimum."""
+    own certificate, is at most the child's exact minimum.  Every DFS
+    node the stats count as pruned, by its carried cores or otherwise,
+    reaches decide, so the records miss none of them."""
     checked = 0
     for seed in range(55, 63):
         inst = random_instance(12, 60, 3, seed=seed)
-        records = []
+        records, verdicts = [], []
         engine = Searcher(inst, SolverConfig(seed=seed))
-        with record_bounds(engine, records):
+        expansions = count_expansions(engine)
+        with record_bounds(engine, records, verdicts):
             status = engine.run()
         assert status == OPTIMUM
+        assert verdicts.count(Decision.PRUNE) == dfs_prunes(
+            engine.stats, len(expansions))
         for path, dual in records[:50]:
             values = [0] * 13
             values[0] = 1
@@ -487,6 +519,75 @@ def test_recorded_bounds_sound_on_small_instance():
             assert math.ceil(dual - 1e-6) <= min_unsat_completion(inst, values)
             checked += 1
     assert checked >= 100
+
+
+def test_walks_run_only_where_cheaper_stages_do_not_prune():
+    """Each decided DFS node is priced cheapest first.  ShiftLedger.apply
+    runs at no leaf and at no node that base_unsat plus its carried cores
+    prunes (only those count in dfs_core_prunes, unless base_unsat alone
+    prunes), and LossTracker.move only at nodes whose dual does not
+    prune; the walk counts equal the matching verdict counts."""
+    totals = dict.fromkeys(("decided", "apply", "move", "solved"), 0)
+    for seed in range(6):
+        inst = random_instance(14, 98, 3, seed)
+        engine = Searcher(inst, SolverConfig(seed=0))
+        expansions = count_expansions(engine)
+        walks = []  # (walk, path, free count, bound) since the last decide
+        nodes = []  # ({walk: bound}, dual, verdict, base_unsat, floor)
+        real_apply = bounds.ShiftLedger.apply
+        real_move = sdp.LossTracker.move
+        real_decide = sdpsat.search.decide
+
+        def apply(ledger, state, var, value, moved):
+            real_apply(ledger, state, var, value, moved)
+            walks.append(("apply", state.path(), state.free_count,
+                          ledger.dual_bound()))
+
+        def move(tracker, state, moved):
+            walks.append(("move", state.path(), state.free_count, None))
+            return real_move(tracker, state, moved)
+
+        def decide(primal, dual, best_known):
+            verdict = real_decide(primal, dual, best_known)
+            state = engine.state
+            # a walk at a leaf would be charged to the next decided node
+            assert all(path == state.path() and free > 0
+                       for _, path, free, _ in walks)
+            nodes.append(({name: bound for name, _, _, bound in walks},
+                          dual, verdict, state.base_unsat,
+                          bounds.prune_floor(best_known)))
+            walks.clear()
+            return verdict
+
+        with mock.patch.object(bounds.ShiftLedger, "apply", apply), \
+                mock.patch.object(sdp.LossTracker, "move", move), \
+                mock.patch.object(sdpsat.search, "decide", decide):
+            assert engine.run() == OPTIMUM
+        assert walks == []
+        by_cores = by_base = 0
+        for walked, dual, verdict, base, floor in nodes:
+            pruned = verdict == Decision.PRUNE
+            assert ("move" in walked) == (not pruned)
+            if "apply" in walked:
+                # the dual beyond the ledger's is base_unsat plus the
+                # cores, which did not prune
+                assert dual == walked["apply"] or dual <= floor
+            else:
+                assert pruned and "move" not in walked
+                assert dual == int(dual) > floor
+                by_cores += 1
+                by_base += base > floor
+        verdicts = [verdict for _, _, verdict, _, _ in nodes]
+        stats = engine.stats
+        assert by_cores == stats.dfs_core_prunes + by_base
+        assert verdicts.count(Decision.PRUNE) == dfs_prunes(
+            stats, len(expansions))
+        totals["decided"] += len(nodes)
+        totals["apply"] += sum("apply" in walked for walked, *_ in nodes)
+        totals["move"] += sum("move" in walked for walked, *_ in nodes)
+        totals["solved"] += len(nodes) - verdicts.count(Decision.PRUNE)
+    assert totals["move"] == totals["solved"]
+    assert 0 < totals["move"] <= totals["apply"] < totals["decided"]
 
 
 @settings(max_examples=1000, deadline=None)
