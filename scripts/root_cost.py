@@ -53,9 +53,15 @@ the walk last; a layer's figure is the median over the rounds of its
 mean time per call (per step for dfs_step).  BLAS runs on one thread,
 set before numpy loads.
 
+Times are in reference us, so rows taken in different processes compare
+even while the host's speed drifts: perfbench/speed.py's calibration
+kernel is timed before the first round and after every round, and each
+round's times are scaled by speed.REFERENCE_S over the mean of the two
+calibrations around it.
+
 Output: a header and one whitespace-separated row on stdout: n, m,
-length, roots, then one column per layer above, in us per call (per
-step for dfs_step).
+length, roots, then one column per layer above, in reference us per call
+(per step for dfs_step).
 
     python3 scripts/root_cost.py --n 14 --m 98 --length 3 --count 20
 """
@@ -69,6 +75,7 @@ import argparse  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -80,6 +87,9 @@ from sdpsat.instance import (FALSE, TRUE, Instance, assign,  # noqa: E402
                              unassign_to)
 from sdpsat.rounding import best_rounding, rounding_budget  # noqa: E402
 from sdpsat.search import Searcher  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from speed import REFERENCE_S, calibrate  # noqa: E402
 
 LAYERS = ("node_cost", "dense_sweep", "sweep_plan", "sparse_sweep",
           "cert_raw", "prune_cert", "cert_repaired", "loss_tracker",
@@ -180,6 +190,7 @@ def main() -> int:
     units = [sum(layers[i][2] for layers in roots)
              for i in range(len(LAYERS))]
     rounds = [[0.0] * len(LAYERS) for _ in range(args.rounds)]
+    before = calibrate()
     for spent in rounds:
         for layers in roots:
             for i, (setup, call, _) in enumerate(layers):
@@ -188,6 +199,10 @@ def main() -> int:
                 start = time.perf_counter()
                 call()
                 spent[i] += time.perf_counter() - start
+        after = calibrate()
+        scale = REFERENCE_S / statistics.fmean((before, after))
+        spent[:] = [t * scale for t in spent]
+        before = after
     medians = [statistics.median(spent[i] for spent in rounds) / units[i]
                for i in range(len(LAYERS))]
     print("n m length roots " + " ".join(LAYERS))

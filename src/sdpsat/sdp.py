@@ -60,9 +60,10 @@ only needs the bound above the caller's floor: it spends the bound's
 excess over the floor as a uniform shift of the multipliers and verifies
 the result by one floating-point Cholesky, shifted down by Rump's a-priori
 error term and a bound on the rounding of C's entries, so an accepted
-prune is sound by construction.  Only the final certificate of a solve
-that did not prune, the one a ShiftLedger is built from, is repaired by
-the smallest eigenvalue shift (an eigensolve).
+prune is sound by construction.  The Cholesky is numpy's
+np.linalg.cholesky, and its LinAlgError is the rejection.  Only the final
+certificate of a solve that did not prune, the one a ShiftLedger is built
+from, is repaired by the smallest eigenvalue shift (an eigensolve).
 
 The z-cache (per-clause sums z_j) and mixing_sweep, which updates the
 columns from it, are the z-form of the same sweep: a reference that no
@@ -80,7 +81,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .instance import ACTIVE, FALSIFIED, FREE, NodeState
 
@@ -683,8 +683,9 @@ def pruning_certificate(cost: NodeCost, factor: Factor,
 def _verified_psd(cost: NodeCost, lam: np.ndarray) -> bool:
     """True only if the exact cost matrix plus diag(lam) is PSD.
 
-    The floating-point Cholesky of A - c I, A = cost + diag(lam), runs to
-    completion only if A is positive definite once c covers Cholesky's
+    The floating-point Cholesky of A - c I, A = cost + diag(lam), is
+    numpy's np.linalg.cholesky, whose LinAlgError is the rejection.  It
+    runs to completion only if A is positive definite once c covers its
     backward error: gamma_{d+1} / (1 - gamma_{d+1}) tr(A) plus an underflow
     term (Rump, Verification of positive definiteness, BIT Numer. Math.
     2006), doubled here to also cover the rounding of A - c I.  c further
@@ -701,22 +702,12 @@ def _verified_psd(cost: NodeCost, lam: np.ndarray) -> bool:
     rump = g / (1.0 - g) * trace + 4 * dim * (2 * (dim + 1) + trace) * TINY
     matrix.flat[::dim + 1] = diag - (2.0 * rump + dim * cost.entry_error)
     try:
-        return cholesky_factor(matrix) is not None
+        np.linalg.cholesky(matrix)
+        return True
+    except np.linalg.LinAlgError:
+        return False
     finally:
         matrix.flat[::dim + 1] = 0.0
-
-
-def cholesky_factor(matrix: np.ndarray) -> np.ndarray | None:
-    """The lower Cholesky factor of a symmetric matrix, or None where
-    LAPACK's potrf finds it not positive definite.
-
-    The gufunc np.linalg.cholesky calls, without the wrapper's checks and
-    its exception: it fills the whole factor with NaN where potrf fails,
-    and a NaN in any entry of a factor reaches its last diagonal entry.
-    """
-    with np.errstate(invalid="ignore"):
-        factor = _cholesky_lo(matrix, signature="d->d")
-    return None if math.isnan(factor[-1, -1]) else factor
 
 
 def _repair_multipliers(cost: NodeCost, lam: np.ndarray) -> None:

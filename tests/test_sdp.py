@@ -971,34 +971,47 @@ def test_cholesky_prune_boundary():
     assert tested >= 30
 
 
-def test_cholesky_factor_matches_numpy():
-    """sdp.cholesky_factor gives np.linalg.cholesky's verdict and, where
-    that succeeds, its factor bit for bit: on positive definite matrices,
-    on indefinite ones, and on PD matrices shifted to the singular
-    boundary, where rounding decides either way."""
-    rng = np.random.default_rng(5)
-    matrices = []
-    for dim in (1, 2, 15, 29, 61):
-        for _ in range(4):
-            half = rng.standard_normal((dim, dim))
-            pd = half @ half.T + 0.1 * np.eye(dim)
-            low = float(np.linalg.eigvalsh(pd)[0])
-            matrices += [pd, pd - 2.0 * low * np.eye(dim),
-                         pd - low * np.eye(dim),
-                         pd - low * (1 - 1e-12) * np.eye(dim)]
-    passed = failed = 0
-    for matrix in matrices:
-        factor = sdp.cholesky_factor(matrix)
+def test_borrowed_diagonal_is_restored(monkeypatch):
+    """pruning_certificate and _repair_multipliers borrow the cost
+    matrix's zero diagonal and give it back bit for bit: at a floor whose
+    Cholesky accepts, at one where np.linalg.cholesky raises, and around
+    the eigensolve."""
+    verdicts = []
+    cholesky = np.linalg.cholesky
+
+    def recording(matrix):
         try:
-            expected = np.linalg.cholesky(matrix)
+            lower = cholesky(matrix)
         except np.linalg.LinAlgError:
-            assert factor is None
-            failed += 1
+            verdicts.append(False)
+            raise
+        verdicts.append(True)
+        return lower
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    tested = 0
+    for seed in range(12):
+        _, factor, res = solved_node(seed, 14 + seed % 2 * 7,
+                                     2 + seed % 2, 0, 1 + seed % 3)
+        cost = res.cost
+        before = cost.matrix.tobytes()
+        raw = certificate(cost, factor, repair=False)
+        dim = len(cost.index)
+        s_star = float(np.mean(res.cert.lam[cost.index]
+                               - raw.lam[cost.index]))
+        if s_star < 1e-4:
             continue
-        assert factor is not None
-        assert np.array_equal(factor, expected)
-        passed += 1
-    assert passed >= 20 and failed >= 20
+        tested += 1
+        for room, accepted in ((1 + 1e-6, True), (1 - 1e-6, False)):
+            verdicts.clear()
+            floor = raw.dual_bound - dim * s_star * room
+            cert = pruning_certificate(cost, factor, floor)
+            assert verdicts == [accepted], seed
+            assert (cert is not None) == accepted, seed
+            assert cost.matrix.tobytes() == before, seed
+        sdp._repair_multipliers(cost, raw.lam.copy())
+        assert cost.matrix.tobytes() == before, seed
+    assert tested >= 10
 
 
 def test_repair_margin_covers_entry_error():
@@ -1054,7 +1067,7 @@ def test_search_eigensolves_only_final_certificates(monkeypatch):
     inst = random_instance(24, 96, 2, seed=33)
     builds = counting(monkeypatch, sdp, "node_cost")
     eigensolves = counting(monkeypatch, np.linalg, "eigvalsh")
-    factorizations = counting(monkeypatch, sdp, "cholesky_factor")
+    factorizations = counting(monkeypatch, np.linalg, "cholesky")
     best, status, stats = solve_complete(inst, SolverConfig(seed=0))
     assert status == "OPTIMUM"
     assert stats.early_prunes > 0 and stats.child_cert_prunes > 0
