@@ -53,11 +53,13 @@ the walk last; a layer's figure is the median over the rounds of its
 mean time per call (per step for dfs_step).  BLAS runs on one thread,
 set before numpy loads.
 
-Times are in reference us, so rows taken in different processes compare
-even while the host's speed drifts: perfbench/speed.py's calibration
-kernel is timed before the first round and after every round, and each
-round's times are scaled by speed.REFERENCE_S over the mean of the two
-calibrations around it.
+Times are in reference us: perfbench/speed.py's calibration kernel is
+timed before the first round and after every round, and each round's
+times are scaled by speed.REFERENCE_S over the mean of the two
+calibrations around it.  The calibration does not track every drift of
+the host's speed (all columns have moved about 30% together between
+runs), so compare rows taken in separate processes in alternation (A,
+B, A, B, ...), or as a ratio to a column the change leaves alone.
 
 Output: a header and one whitespace-separated row on stdout: n, m,
 length, roots, then one column per layer above, in reference us per call

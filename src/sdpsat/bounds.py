@@ -101,18 +101,20 @@ class ShiftLedger:
 
     def apply(self, state: NodeState, var: int, value: int, moved) -> None:
         """Account for one assignment (state already updated; `moved` is
-        instance.assign's transition list).
+        instance.assign's transition list).  `value` is ignored: the state
+        holds it; the parameter stays for callers that pass it.
 
-        Each moved clause had f + 1 free literals and has f now.  Its old
-        price is state.price[L][f + 1] and its new one price[L][f] while it
-        is still active, zero once it left (price[L][0]); the step adds the
-        difference: share' - share to the offset (plus 1 for a falsified
-        clause), s (tw' - tw) to the truth-row entry of each free column
-        and, with f >= 2 free, s_a s_b (w' - w) to each free pair, with
-        eta (f - 1)|w' - w| on each of their columns.
+        Each moved clause had f + 1 free literals and has f = clause_free
+        now.  Its old price is state.price[L][f + 1] and its new one
+        price[L][f] while it is still active, zero once it left
+        (price[L][0]); the step adds the difference: share' - share to the
+        offset (plus 1 for a falsified clause), s (tw' - tw) to the
+        truth-row entry of each free column and, with f >= 2 free,
+        s_a s_b (w' - w) to each free pair, with eta (f - 1)|w' - w| on
+        each of their columns.
         """
         lam, delta, eta = self.lam, self.delta, self.eta
-        assignment, s0 = state.assignment, state.s0
+        assignment, clause_free = state.assignment, state.clause_free
         clause_lits, price = state.clause_lits, state.price
         pairs = self.pairs
         saved = [(var, delta[var], eta[var])]
@@ -124,12 +126,10 @@ class ShiftLedger:
         eta_sum = self.eta_sum - eta[var]
         lam[var] = delta[var] = eta[var] = 0.0
         d_offset = 0.0
-        for j, sign, new_status in moved:
+        for j, new_status in moved:
             lits = clause_lits[j]
-            size = len(lits)
-            # s0 absorbed value * sign: L + 1 + s0 free before, one fewer now
-            f = size + s0[j] - value * sign
-            row = price[size]
+            f = clause_free[j]
+            row = price[len(lits)]
             _, _, w, tw, share, _ = row[f + 1]
             _, _, w_new, tw_new, share_new, _ = row[
                 f if new_status == ACTIVE else 0]
@@ -219,7 +219,7 @@ class ShiftLedger:
 def up_cores(state: NodeState, need: int | None = None, units=None,
              taken=()) -> list[tuple]:
     """Disjoint unit-propagation cores of the node's active clauses, each
-    clause reduced to its free literals (it has f = L + 1 + s0 of them).
+    clause reduced to its free literals (NodeState.clause_free of them).
 
     Every completion falsifies a clause of each core, so base_unsat plus
     the number of cores is a lower bound (Li, Manya and Planes, CP 2005
@@ -231,12 +231,13 @@ def up_cores(state: NodeState, need: int | None = None, units=None,
     unit, are the core.
 
     `units` lists the unit clauses to start from, in order (default: every
-    unit clause of the node), and the clauses in `taken` are left out as
-    if already in a core.  The search passes both below a solved root:
-    the cores it carries down stay cores of every descendant whose step
-    leaves all their clauses active (a clause that shrinks only
-    strengthens propagation), so a step propagates only its new units,
-    outside the carried cores, and the new cores are disjoint from them.
+    active clause with one free literal, in index order), and the clauses
+    in `taken` are left out as if already in a core.  The search passes
+    both below a solved root: the cores it carries down stay cores of
+    every descendant whose step leaves all their clauses active (a clause
+    that shrinks only strengthens propagation), so a step propagates only
+    its new units, outside the carried cores, and the new cores are
+    disjoint from them.
 
     Cores are disjoint and each holds the unit it started from, so with a
     `need` the search stops once it has `need` cores, or once the cores
@@ -248,15 +249,14 @@ def up_cores(state: NodeState, need: int | None = None, units=None,
     walks, not O(m + n): each call takes fresh stamps above the last
     call's, which leave every older mark stale.
     """
+    clause_free, status = state.clause_free, state.clause_status
     if units is None:
-        # f = 1 exactly when s0 = -L: a clause with a true literal has s0 > -L
-        units = np.flatnonzero(
-            np.array(state.s0) == -state.clause_len).tolist()
+        # a satisfied clause keeps its count, so may read 1 too
+        units = [j for j, f in enumerate(clause_free)
+                 if f == 1 and status[j] == ACTIVE]
     if need is not None and len(units) < need:
         return []
-    s0, status = state.s0, state.clause_status
-    assignment = state.assignment
-    falsifies, lengths = state.falsifies, state.instance.lengths
+    assignment, falsifies = state.assignment, state.falsifies
     clause_lits = state.clause_lits
     mark, value, reason = state.core_mark, state.core_value, state.core_reason
     # this call's propagations are numbered first + 1, first + 2, ... and
@@ -296,7 +296,7 @@ def up_cores(state: NodeState, need: int | None = None, units=None,
                     continue
                 # f - 1 free literals left once this one is walked false;
                 # a clause with f <= 2 is settled now, so needs no count
-                left = lengths[j] + s0[j]
+                left = clause_free[j] - 1
                 if left > 1:
                     left = count.get(j, left + 1) - 1
                     if left > 1:

@@ -4,18 +4,18 @@ Literals are signed DIMACS integers: +v for the variable, -v for its negation.
 An Instance is immutable after construction; NodeState/WatchedStack are the
 single-owner mutable view a search worker drives via assign()/unassign_to().
 
-Clause bookkeeping follows the coefficient-move picture: every clause carries
-an integer accumulator s0 that starts at -1 and absorbs +sign/-sign each
-time one of its literals is assigned true/false.  A clause is falsified exactly
-when s0 reaches -1 - L (all L literals assigned, none true).  While it is
-active, each literal gone false has taken 1 off s0, so the clause has
-f = L + 1 + s0 free literals.  The relaxation prices it as a clause of its
-current length L' = min(L, max(f, 2)) (current_length) with L' - f
-literals false: its truth coefficient is -1 - (L' - f) = s0 + L - L' and
-its weight 1/(4L').  That is s0 itself for a clause of at most two
-literals or with none false; a longer clause with some literal false has
--1 while f >= 2 and -2 at f = 1 (see sdp).  NodeState's price table,
-the one place the rule is evaluated, prices each (L, f) once.
+Clause bookkeeping counts free literals: every clause carries clause_free,
+which starts at its length L and loses 1 each time one of its literals is
+assigned while the clause is active.  The first literal assigned true
+satisfies the clause; it is falsified when its count reaches 0 with none
+true.  An active clause with f free literals has L - f of them false.  The
+relaxation prices it as a clause of its current length
+L' = min(L, max(f, 2)) (current_length) with L' - f literals false: its
+truth coefficient is t = -1 - (L' - f) and its weight 1/(4L').  That is
+-1 - (L - f) for a clause of at most two literals or with none false; a
+longer clause with some literal false has -1 while f >= 2 and -2 at f = 1
+(see sdp).  NodeState's price table, the one place the rule is
+evaluated, prices each (L, f) once.
 A node's view is built once and kept, read-only, until the trail moves;
 what depends only on the formula is built once per NodeState.
 """
@@ -234,8 +234,9 @@ class NodeView(NamedTuple):
 class NodeState:
     """Mutable node record: the trail (the node's path) and clause counters.
 
-    Invariant: s0[j] = -1 + sum over assigned literals of sign*value, and
-    base_unsat counts FALSIFIED clauses plus the instance's empty clauses.
+    Invariant: clause_free[j] counts clause j's free literals, frozen once
+    it is satisfied (later assignments skip it), and base_unsat counts
+    FALSIFIED clauses plus the instance's empty clauses.
 
     The literal table lists, clause by clause, a truth entry (variable 0,
     sign 0, the clause's truth coefficient) and then each literal: its
@@ -275,13 +276,14 @@ class NodeState:
     (`class_entries`); `color[v]` is the class of variable v.
     """
 
-    __slots__ = ("instance", "assignment", "trail", "s0", "clause_status",
-                 "base_unsat", "free_count", "lit_clause", "lit_var",
-                 "lit_sign", "clause_len", "price_rows", "price_first",
-                 "price", "pair_a", "pair_b", "pair_first", "pair_clause",
-                 "pair_var_a", "pair_var_b", "entry_error", "clause_lits",
-                 "falsifies", "core_mark", "core_value", "core_reason",
-                 "core_stamp", "color", "class_entries", "_view")
+    __slots__ = ("instance", "assignment", "trail", "clause_free",
+                 "clause_status", "base_unsat", "free_count", "lit_clause",
+                 "lit_var", "lit_sign", "clause_len", "price_rows",
+                 "price_first", "price", "pair_a", "pair_b", "pair_first",
+                 "pair_clause", "pair_var_a", "pair_var_b", "entry_error",
+                 "clause_lits", "falsifies", "core_mark", "core_value",
+                 "core_reason", "core_stamp", "color", "class_entries",
+                 "_view")
 
     def __init__(self, instance: Instance):
         n = instance.num_vars
@@ -289,7 +291,7 @@ class NodeState:
         self.assignment = [FREE] * (n + 1)
         self.assignment[0] = TRUE  # truth slot, never reassigned
         self.trail: list[int] = []
-        self.s0 = [-1] * instance.num_clauses
+        self.clause_free = list(instance.lengths)
         self.clause_status = [ACTIVE] * instance.num_clauses
         self.base_unsat = instance.empty_count
         self.free_count = n
@@ -411,14 +413,14 @@ class NodeState:
         return columns
 
     def view(self) -> NodeView:
-        """The node's NodeView (a clause has L + 1 + s0 free), built on the
-        first call and kept until assign or unassign_to moves the trail."""
+        """The node's NodeView, built on the first call and kept until
+        assign or unassign_to moves the trail."""
         if self._view is not None:
             return self._view
         active = np.array(self.clause_status) == ACTIVE
         columns = self.column_mask()
-        s0 = np.array(self.s0, dtype=np.intp)
-        free = np.where(active, self.clause_len + 1 + s0, 0)
+        # intp also when there are no clauses (np.array([]) is float64)
+        free = np.where(active, np.array(self.clause_free, dtype=np.intp), 0)
         price = self.price_rows.take(self.price_first + free, axis=0)
         self._view = NodeView(
             active, columns, active[self.lit_clause] & columns[self.lit_var],
@@ -441,39 +443,39 @@ class WatchedStack:
     __slots__ = ("undo", "touch_count")
 
     def __init__(self):
-        self.undo: list[list[tuple[int, int, int]]] = []
+        self.undo: list[list[tuple[int, int]]] = []
         self.touch_count = 0
 
 
 def assign(state: NodeState, ws: WatchedStack, var: int, value: int):
     """Assign a free variable and update every incident non-satisfied clause.
 
-    Returns the list of (clause_index, sign, new_status) moves so callers can
-    maintain derived caches; new_status == ACTIVE means only s0 moved.
+    Returns the list of (clause_index, new_status) moves, in occurrence
+    order, so callers can maintain derived caches: every moved clause has
+    one free literal fewer, and new_status == ACTIVE means only that moved.
     """
     if state.assignment[var] != FREE:
         raise ValueError(f"variable {var} is not free")
     if value not in (TRUE, FALSE):
         raise ValueError(f"bad assignment value {value}")
     inst = state.instance
-    s0 = state.s0
+    free = state.clause_free
     status = state.clause_status
-    lengths = inst.lengths
-    moved: list[tuple[int, int, int]] = []
+    moved: list[tuple[int, int]] = []
     occurrences = inst.occurrences[var]
     for j, sign in occurrences:
         if status[j] != ACTIVE:
             continue
-        s0[j] += value * sign
-        if value * sign > 0:
+        free[j] -= 1
+        if sign == value:
             status[j] = SATISFIED
-            moved.append((j, sign, SATISFIED))
-        elif s0[j] == -1 - lengths[j]:
+            moved.append((j, SATISFIED))
+        elif free[j] == 0:
             status[j] = FALSIFIED
             state.base_unsat += 1
-            moved.append((j, sign, FALSIFIED))
+            moved.append((j, FALSIFIED))
         else:
-            moved.append((j, sign, ACTIVE))
+            moved.append((j, ACTIVE))
     ws.touch_count += len(occurrences)
     state.assignment[var] = value
     state.trail.append(var)
@@ -487,17 +489,16 @@ def unassign_to(state: NodeState, ws: WatchedStack, trail_mark: int) -> None:
     """Roll the trail back to a recorded mark; exact involution of assign()."""
     if trail_mark > len(state.trail) or trail_mark < 0:
         raise ValueError(f"bad trail mark {trail_mark}")
-    s0 = state.s0
+    free = state.clause_free
     status = state.clause_status
     if trail_mark < len(state.trail):
         state._view = None
     while len(state.trail) > trail_mark:
         var = state.trail.pop()
-        value = state.assignment[var]
         moved = ws.undo.pop()
         ws.touch_count += len(moved)
-        for j, sign, new_status in reversed(moved):
-            s0[j] -= value * sign
+        for j, new_status in moved:
+            free[j] += 1
             if new_status != ACTIVE:
                 status[j] = ACTIVE
                 if new_status == FALSIFIED:

@@ -7,19 +7,20 @@ L' = min(L, max(f, 2)), as a clause of L' literals whose L' - f others are
 false.  It contributes the quadratic loss
 
     loss_j = (||z_j||^2 - (L' - 1)^2) / (4 L'),
-    z_j    = s0'_j * v_0 + sum over free literals of sign * v_i,
-    s0'_j  = -1 - (L' - f),
+    z_j    = t_j * v_0 + sum over free literals of sign * v_i,
+    t_j    = -1 - (L' - f),
 
-which at integral columns (v_i = +/-v_0) with t free literals true is
-((L' + 1 - 2t)^2 - (L' - 1)^2) / (4 L'): exactly 1 when t = 0, 0 when t = 1
-or t = L', and negative in between.  So it is 1 when every free literal is
+which at integral columns (v_i = +/-v_0) with r free literals true is
+((L' + 1 - 2r)^2 - (L' - 1)^2) / (4 L'): exactly 1 when r = 0, 0 when r = 1
+or r = L', and negative in between.  So it is 1 when every free literal is
 false, 0 when exactly one is true or when f <= 2 and the clause is
 satisfied, and at most 0 otherwise; the total objective, base_unsat plus
 the sum of active losses, therefore lower-bounds the node's minimum unsat
 count over all completions.  Priced at its original length instead, a
-satisfied clause with all of its f = t free literals true, 2 <= t < L,
-would earn (t - 1)(t - L) / L < 0; at L' it earns 0, the tightest value.
-For L <= 2, L' = L and s0' = s0: the Goemans-Williamson MAX2SAT form.
+satisfied clause with all of its f = r free literals true, 2 <= r < L,
+would earn (r - 1)(r - L) / L < 0; at L' it earns 0, the tightest value.
+For L <= 2, L' = L and t_j = -1 - (L - f), with L - f literals false:
+the Goemans-Williamson MAX2SAT form.
 NodeState's price table holds that loss's terms per (L, f): its view
 gathers each clause's row and each entry's coefficient once per node for
 every reader here (node_cost, LossTracker, rounding.node_unsat), and
@@ -188,7 +189,7 @@ class ZCache:
         self.z = np.zeros((instance.num_clauses, k))
 
     def rebuild(self, state: NodeState, factor: Factor) -> None:
-        """z_j = s0_j v_0 + sum of sign * v_i over the free literals."""
+        """z_j = t_j v_0 + sum of sign * v_i over the free literals."""
         _, _, live, _, coeff = state.view()
         rows = coeff[live, None] * factor.cols[state.lit_var[live]]
         self.z[:] = _group_sum(state.lit_clause[live], rows, len(self.z))
@@ -199,8 +200,9 @@ class ZCache:
 
         `moved` is the transition list returned by instance.assign (already
         applied to the state).  A clause with f + 1 free literals before
-        and f after reads L' and t from state.price[L][f + 1] and, still
-        active, price[L][f]: z_j moves by (t' - t) v_0 - s v_var.  Returns
+        and f = clause_free after reads L' and t from state.price[L][f + 1]
+        and, still active, price[L][f]: z_j moves by (t' - t) v_0 - s v_var,
+        s = 1 when var is one of its literals and -1 when -var is.  Returns
         (undo, d_objective): saved rows to restore on backtrack and the
         change in the active-loss objective.
         """
@@ -208,25 +210,24 @@ class ZCache:
         v0 = V[0]
         vv = V[var]
         z = self.z
-        value = state.assignment[var]
-        lengths, s0, price = self.instance.lengths, state.s0, state.price
+        clause_lits, price = state.clause_lits, state.price
+        clause_free = state.clause_free
         undo = []
         d_obj = 0.0
-        for j, sign, new_status in moved:
-            L = lengths[j]
+        for j, new_status in moved:
+            lits = clause_lits[j]
             zj = z[j]
-            # s0 absorbed value * sign: L + 1 + s0 free before, one fewer now
-            free = L + 1 + s0[j] - value * sign
-            row = price[L]
-            length, t = row[free][:2]
+            f = clause_free[j]
+            row = price[len(lits)]
+            length, t = row[f + 1][:2]
             old_loss = clause_loss(zj, length)
             if new_status != ACTIVE:
                 # a falsified clause's loss becomes 1, a satisfied one leaves
                 d_obj += (new_status == FALSIFIED) - old_loss
                 continue
-            new_length, new_t = row[free - 1][:2]
+            new_length, new_t = row[f][:2]
             undo.append((j, zj.copy()))
-            zj -= sign * vv
+            zj -= (1 if var in lits else -1) * vv
             zj += (new_t - t) * v0
             d_obj += clause_loss(zj, new_length) - old_loss
         return undo, d_obj
@@ -291,27 +292,23 @@ class LossTracker:
         dot products.  A clause that left has loss 1 when falsified and
         leaves the objective when satisfied."""
         losses, dots = self.losses, self.dots
-        assignment = state.assignment
+        assignment, clause_free = state.assignment, state.clause_free
         clause_lits, price = state.clause_lits, state.price
         pair_first = state.pair_first
         saved = []
         d_obj = 0.0
-        for j, _, new_status in moved:
+        for j, new_status in moved:
             old = losses[j]
             if new_status != ACTIVE:
                 d_obj += (new_status == FALSIFIED) - old
                 continue
             lits = clause_lits[j]
             coeff = [0]
-            free = 0
             for lit in lits:
-                if assignment[abs(lit)] != FREE:
-                    coeff.append(0)
-                else:
-                    free += 1
-                    coeff.append(1 if lit > 0 else -1)
+                coeff.append(0 if assignment[abs(lit)] != FREE
+                             else 1 if lit > 0 else -1)
             L = len(lits)
-            _, coeff[0], w, _, _, base = price[L][free]
+            _, coeff[0], w, _, _, base = price[L][clause_free[j]]
             pairs = clause_pairs(L)
             t = pair_first[j]
             cross = 0.0
@@ -422,7 +419,7 @@ def entry_error_bound(state: NodeState) -> float:
     An entry is a signed sum of terms, each at most 1/4 in magnitude and
     within gamma_2 / 4 of its exact value.  Built fresh, it sums one term
     coeff_a * coeff_b * w_j per active clause j holding both columns
-    (|s0'_j| <= L'_j and w_j = 1/(4 L'_j) at the clause's current length),
+    (|t_j| <= L'_j and w_j = 1/(4 L'_j) at the clause's current length),
     rounded twice (w_j, then the product).  Derived along a DFS path
     (bounds.ShiftLedger), each assignment on the path adds to an entry one
     price difference per moved clause holding both of its columns: the

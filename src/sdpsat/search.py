@@ -136,13 +136,13 @@ def carry_step(state: NodeState, moved, cores: list,
     (`moved`, instance.assign's transition list; module doc): the cores
     and units holding no clause the step satisfied or falsified, and the
     step's new unit clauses added to the units."""
-    gone = {j for j, _, status in moved if status != ACTIVE}
+    gone = {j for j, status in moved if status != ACTIVE}
     if gone:
         cores = [core for core in cores if gone.isdisjoint(core)]
         units = [j for j in units if j not in gone]
-    s0, lengths = state.s0, state.instance.lengths
-    return cores, units + [j for j, _, status in moved
-                           if status == ACTIVE and s0[j] == -lengths[j]]
+    free = state.clause_free
+    return cores, units + [j for j, status in moved
+                           if status == ACTIVE and free[j] == 1]
 
 
 class Searcher:

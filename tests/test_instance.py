@@ -158,12 +158,12 @@ def test_evaluate_touch_count_is_nnz():
 def test_assign_coefficient_move():
     inst = parse_dimacs("p cnf 2 1\n1 2 0")
     state, ws = NodeState(inst), WatchedStack()
-    assert state.s0[0] == -1
+    assert state.clause_free[0] == 2
     assign(state, ws, 1, FALSE)
-    assert state.s0[0] == -2
+    assert state.clause_free[0] == 1
     assert state.clause_status[0] == ACTIVE
     assign(state, ws, 2, FALSE)
-    assert state.s0[0] == -3
+    assert state.clause_free[0] == 0
     assert state.clause_status[0] == FALSIFIED
     assert state.base_unsat == 1
 
@@ -173,7 +173,7 @@ def test_assign_satisfies():
     state, ws = NodeState(inst), WatchedStack()
     assign(state, ws, 1, TRUE)
     assert state.clause_status[0] == SATISFIED
-    assert state.s0[0] == 0
+    assert state.clause_free[0] == 1
 
 
 def test_assign_non_free_rejected():
@@ -187,14 +187,15 @@ def test_assign_non_free_rejected():
 def test_unassign_involution():
     inst = parse_dimacs(EXAMPLE)
     state, ws = NodeState(inst), WatchedStack()
-    snapshot = (list(state.assignment), list(state.s0),
+    snapshot = (list(state.assignment), list(state.clause_free),
                 list(state.clause_status), state.base_unsat, state.free_count)
     mark = state.mark()
     assign(state, ws, 1, FALSE)
     assign(state, ws, 2, TRUE)
     unassign_to(state, ws, mark)
-    assert (list(state.assignment), list(state.s0), list(state.clause_status),
-            state.base_unsat, state.free_count) == snapshot
+    assert (list(state.assignment), list(state.clause_free),
+            list(state.clause_status), state.base_unsat,
+            state.free_count) == snapshot
     assert state.trail == []
 
 
@@ -215,28 +216,34 @@ def test_random_ops_match_naive_rescan(seed):
     inst = random_instance(12, 40, int(rng.integers(1, 4)), seed=seed)
     state, ws = NodeState(inst), WatchedStack()
     for _ in range(50):
+        moved = None
         if state.trail and (state.free_count == 0 or rng.random() < 0.4):
             unassign_to(state, ws, int(rng.integers(0, len(state.trail))))
         else:
             free = state.free_vars()
             var = free[int(rng.integers(0, len(free)))]
-            assign(state, ws, var, TRUE if rng.random() < 0.5 else FALSE)
+            before = list(state.clause_status)
+            moved = assign(state, ws, var,
+                           TRUE if rng.random() < 0.5 else FALSE)
         statuses, base = naive_statuses(inst, state.assignment)
         assert statuses == state.clause_status
         assert base == state.base_unsat
-        # s0 identity: -1 plus the signed sum over assigned literals.  It is
-        # asserted for non-satisfied clauses only: a satisfied clause freezes
-        # its s0 (later assignments skip it), and LIFO undo guarantees the
-        # frozen value is exact again whenever the clause reactivates.
+        if moved is not None:
+            # the clauses active before the step, in occurrence order
+            assert moved == [(j, statuses[j]) for j, _ in inst.occurrences[var]
+                             if before[j] == ACTIVE]
+        # the free count is asserted for non-satisfied clauses only: a
+        # satisfied clause freezes its count (later assignments skip it),
+        # and LIFO undo makes the frozen count exact again whenever the
+        # clause reactivates.
         for j, cl in enumerate(inst.clauses):
             if state.clause_status[j] == SATISFIED:
                 continue
-            expected = -1 + sum(
-                (1 if lit > 0 else -1) * state.assignment[abs(lit)]
-                for lit in cl.lits if state.assignment[abs(lit)] != FREE)
-            assert state.s0[j] == expected
+            expected = sum(state.assignment[abs(lit)] == FREE
+                           for lit in cl.lits)
+            assert state.clause_free[j] == expected
             if state.clause_status[j] == FALSIFIED:
-                assert state.s0[j] == -1 - cl.length
+                assert state.clause_free[j] == 0
 
 
 def test_full_assignment_touches_equal_nnz():

@@ -455,7 +455,7 @@ def test_move_to_reads_the_trail_after_direct_steps():
         state = engine.state
         assert state.path() == target
         assert state.assignment == fresh.state.assignment
-        assert state.s0 == fresh.state.s0
+        assert state.clause_free == fresh.state.clause_free
         assert state.clause_status == fresh.state.clause_status
         assert state.base_unsat == fresh.state.base_unsat
 
