@@ -16,7 +16,8 @@ that solved root, each layer the search runs on it:
     prune_cert     pruning_certificate at a floor 1 below the raw bound,
                    so its Cholesky runs
     cert_repaired  certificate(cost, factor), eigen-repaired
-    loss_tracker   LossTracker(state, factor), as expand_root seeds one
+    loss_tracker   bounds.LossTracker(state, factor), as expand_root
+                   seeds one
     rounding       one best_rounding block of rounding_budget trials
     up_cores       bounds.up_cores at the node the walk below reaches
                    after DEPTH_LIMIT steps (one fewer than its length at
@@ -25,7 +26,7 @@ that solved root, each layer the search runs on it:
                    it
     carried_cores  bounds.up_cores at that node in the DFS's form,
                    up_cores(state, units=pending, taken=carried), as
-                   expand_root's step (search.carry_step) propagates:
+                   expand_root's step (bounds.carry_step) propagates:
                    carried holds the clauses of the root's cores (its
                    pop-time call above, at the root) that every step
                    left active, pending the unit clauses the steps made,
@@ -37,7 +38,11 @@ that solved root, each layer the search runs on it:
                    variable, in a seeded order, with a seeded value) and
                    back: instance.assign, ShiftLedger.apply and
                    LossTracker.move on the way down, both reverts and
-                   instance.unassign_to on the way back
+                   instance.unassign_to on the way back.  It runs both
+                   walks at every step, where the search stages them
+                   cheapest first and runs each only where the cheaper
+                   stages do not prune, so it times a step the search
+                   takes only at nodes that nothing cheaper prunes
 
 A solve sweeps a root of at most sdp.DENSE_MAX_COLUMNS columns dense and
 a larger one sparse; both layouts are timed at every n, so rows at a few
@@ -82,7 +87,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from sdpsat import sdp, search  # noqa: E402
-from sdpsat.bounds import ShiftLedger, up_cores  # noqa: E402
+from sdpsat.bounds import (LossTracker, ShiftLedger, carry_step,  # noqa: E402
+                           up_cores)
 from sdpsat.config import SolverConfig  # noqa: E402
 from sdpsat.generate import random_instance  # noqa: E402
 from sdpsat.instance import (FALSE, TRUE, Instance, assign,  # noqa: E402
@@ -112,7 +118,7 @@ def root_layers(inst: Instance, seed: int) -> list:
     floor = sdp.certificate(cost, factor, repair=False).dual_bound - 1.0
     budget = rounding_budget(state.free_count)
     away = state.free_vars()[0]
-    ledger, tracker = ShiftLedger(res.cert), sdp.LossTracker(state, factor)
+    ledger, tracker = ShiftLedger(res.cert), LossTracker(state, factor)
     rng = np.random.default_rng(seed)
     path = [(int(v), TRUE if rng.random() < 0.5 else FALSE)
             for v in rng.permutation(state.free_vars())]
@@ -132,7 +138,7 @@ def root_layers(inst: Instance, seed: int) -> list:
     for var, value in below:
         moved = assign(state, ws, var, value)
         ledger.apply(state, var, value, moved)
-        cores, pending = search.carry_step(state, moved, cores, pending)
+        cores, pending = carry_step(state, moved, cores, pending)
     carried = [j for core in cores for j in core]
     need = engine.best_unsat - state.base_unsat
     back_to_root()
@@ -159,7 +165,7 @@ def root_layers(inst: Instance, seed: int) -> list:
         (None, lambda: sdp.certificate(cost, factor, repair=False), 1),
         (None, lambda: sdp.pruning_certificate(cost, factor, floor), 1),
         (None, lambda: sdp.certificate(cost, factor), 1),
-        (None, lambda: sdp.LossTracker(state, factor), 1),
+        (None, lambda: LossTracker(state, factor), 1),
         (None, lambda: best_rounding(factor, state, budget,
                                      np.random.default_rng(0)), 1),
         (move_below, lambda: up_cores(state, need), 1),

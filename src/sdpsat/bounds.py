@@ -1,8 +1,11 @@
-"""Expand/prune bounds for subproblems, warm-started from a solved parent.
+"""Expand/prune bounds for subproblems, warm-started from a solved parent,
+and every walker that decodes a DFS step (instance.assign's transition
+list): ShiftLedger, LossTracker and carry_step.  Outside this module only
+the z-form reference sdp.ZCache.assign_update reads one.
 
 Primal side: the parent's free columns are already feasible for the child, so
 the child objective after the coefficient moves is an upper bound on the
-child's relaxation optimum.
+child's relaxation optimum, which a LossTracker keeps along a DFS path.
 
 Dual side: assigning variables moves clause coefficients in the truth
 row/column of the cost matrix (entries delta_i per free column i) and
@@ -32,13 +35,15 @@ recorded signed pair changes (ShiftLedger.child_cost).
 
 from __future__ import annotations
 
+import math
 from enum import Enum
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
 from .instance import ACTIVE, FALSIFIED, FREE, NodeState
-from .sdp import DualCert, NodeCost, pair_matrix
+from .sdp import DualCert, Factor, NodeCost, pair_matrix
 
 
 # guard against float noise at integer boundaries in the prune tests
@@ -214,6 +219,112 @@ class ShiftLedger:
             pos[index] = np.arange(len(index))
             matrix += pair_matrix(pos[a], pos[b], value, len(index))
         return NodeCost(index, matrix, self.offset, root.entry_error)
+
+
+@cache
+def clause_pairs(length: int) -> tuple:
+    """The entry pairs (p, q) of a clause of `length` literals, entry 0
+    being its truth entry, in the literal table's pair order."""
+    return tuple(combinations(range(length + 1), 2))
+
+
+class LossTracker:
+    """Active-clause losses along a DFS path below one solved root.
+
+    ||z_j||^2 expands into the squared coefficients of the clause's live
+    entries (every column has unit norm) plus twice the coefficient-weighted
+    dot products of its live pairs, so the loss is (base + 2 cross) w with
+    base and w from the clause's price row.  The tracker takes the
+    factor's dot product over every pair of the literal table that is live
+    at the root (truth pairs included) in one vectorized pass; an
+    assignment only kills entries, so no other pair is read below the root.
+    move() then reprices each moved clause from its L(L+1)/2 pairs and its
+    entry of NodeState.price in scalar steps, and keeps the objective
+    (base_unsat plus the active losses) running; revert() restores it
+    exactly.  `losses[j]` is meaningful only while clause j is active.  The
+    factor's columns must stay as they were at the seed, as in an expansion.
+    """
+
+    __slots__ = ("dots", "losses", "objective", "_undo")
+
+    def __init__(self, state: NodeState, factor: Factor):
+        a, b = state.pair_a, state.pair_b
+        active, _, live, price, coeff = state.view()
+        _, _, weight, _, _, base = price.T
+        coeff = np.where(live, coeff, 0.0)
+        V = factor.cols
+        dots = np.zeros(len(a))
+        pairs = np.flatnonzero(live[a] & live[b])
+        # take gathers rows at about a third of the cost of V[...]
+        dots[pairs] = np.vecdot(V.take(state.pair_var_a[pairs], axis=0),
+                                V.take(state.pair_var_b[pairs], axis=0))
+        cross = np.bincount(state.pair_clause, coeff[a] * coeff[b] * dots,
+                            minlength=len(state.clause_len))
+        losses = (base + 2.0 * cross) * weight
+        self.dots = dots.tolist()
+        self.losses = losses.tolist()
+        self.objective = state.base_unsat + math.fsum(losses[active].tolist())
+        self._undo: list = []
+
+    def move(self, state: NodeState, moved) -> float:
+        """Reprice the clauses of one assignment's transition list `moved`
+        (instance.assign's, already applied); returns the objective change.
+        An active clause with f free takes its coefficients, weight w and
+        integer part base from state.price[L][f]: its loss is
+        (base + 2 cross) w, cross the coefficient-weighted sum of its pair
+        dot products.  A clause that left has loss 1 when falsified and
+        leaves the objective when satisfied."""
+        losses, dots = self.losses, self.dots
+        assignment, clause_free = state.assignment, state.clause_free
+        clause_lits, price = state.clause_lits, state.price
+        pair_first = state.pair_first
+        saved = []
+        d_obj = 0.0
+        for j, new_status in moved:
+            old = losses[j]
+            if new_status != ACTIVE:
+                d_obj += (new_status == FALSIFIED) - old
+                continue
+            lits = clause_lits[j]
+            coeff = [0]
+            for lit in lits:
+                coeff.append(0 if assignment[abs(lit)] != FREE
+                             else 1 if lit > 0 else -1)
+            L = len(lits)
+            _, coeff[0], w, _, _, base = price[L][clause_free[j]]
+            pairs = clause_pairs(L)
+            t = pair_first[j]
+            cross = 0.0
+            for (p, q), dot in zip(pairs, dots[t:t + len(pairs)]):
+                cross += coeff[p] * coeff[q] * dot
+            new = (base + 2.0 * cross) * w
+            saved.append((j, old))
+            losses[j] = new
+            d_obj += new - old
+        self._undo.append((saved, self.objective))
+        self.objective += d_obj
+        return d_obj
+
+    def revert(self) -> None:
+        saved, self.objective = self._undo.pop()
+        for j, old in saved:
+            self.losses[j] = old
+
+
+def carry_step(state: NodeState, moved, cores: list,
+               units: list) -> tuple[list, list]:
+    """The carried cores and pending unit clauses after one DFS step
+    (`moved`, instance.assign's transition list): the cores and units
+    holding no clause the step satisfied or falsified (a core whose clauses
+    all stay active still refutes, as a shrunk clause only strengthens
+    propagation), and the step's new unit clauses added to the units."""
+    gone = {j for j, status in moved if status != ACTIVE}
+    if gone:
+        cores = [core for core in cores if gone.isdisjoint(core)]
+        units = [j for j in units if j not in gone]
+    free = state.clause_free
+    return cores, units + [j for j, status in moved
+                           if status == ACTIVE and free[j] == 1]
 
 
 def up_cores(state: NodeState, need: int | None = None, units=None,

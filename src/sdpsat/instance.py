@@ -1,8 +1,8 @@
 """CNF instances and the mutable assignment machinery shared by all search nodes.
 
 Literals are signed DIMACS integers: +v for the variable, -v for its negation.
-An Instance is immutable after construction; NodeState/WatchedStack are the
-single-owner mutable view a search worker drives via assign()/unassign_to().
+An Instance is immutable; NodeState is the single-owner mutable node that
+assign() and unassign_to() move.  No other module of the package is imported.
 
 Clause bookkeeping counts free literals: every clause carries clause_free,
 which starts at its length L and loses 1 each time one of its literals is
@@ -232,7 +232,8 @@ class NodeView(NamedTuple):
 
 
 class NodeState:
-    """Mutable node record: the trail (the node's path) and clause counters.
+    """Mutable node record: clause counters and the trail, one (var, moved)
+    entry per step, moved being assign's list (the step's undo record).
 
     Invariant: clause_free[j] counts clause j's free literals, frozen once
     it is satisfied (later assignments skip it), and base_unsat counts
@@ -246,9 +247,9 @@ class NodeState:
     clause of length L has L(L+1)/2 pairs, in a run that starts at
     `pair_first[j]`; per pair the node also keeps the clause
     (`pair_clause`) and the two entries' variables (`pair_var_a`,
-    `pair_var_b`), and `entry_error` is sdp.entry_error_bound of the
-    formula.  view gives the node's masks, every clause's price row and
-    every entry's coefficient as arrays.
+    `pair_var_b`), and `entry_terms` is the term count N of
+    sdp.entry_error_bound.  view gives the node's masks, every clause's
+    price row and every entry's coefficient as arrays.
 
     The price table holds a row per clause length L of the formula and
     free count f = 0..L (`price_rows`; clause j's row for f free is
@@ -260,7 +261,7 @@ class NodeState:
     `price[L][f]` is the same row as a Python list, for the scalar steps
     of a DFS below a solved root, with each clause's literal tuple
     (`clause_lits`); every step prices a moved clause as the difference
-    of two rows (bounds.ShiftLedger, sdp.LossTracker, sdp.ZCache).
+    of two rows (bounds.ShiftLedger, bounds.LossTracker, sdp.ZCache).
     `falsifies[2 v + (value > 0)]` lists, in occurrence order, the clauses
     in which variable v taking `value` makes a literal false (for
     bounds.up_cores).  up_cores keeps its scratch on the node, so a call
@@ -280,7 +281,7 @@ class NodeState:
                  "clause_status", "base_unsat", "free_count", "lit_clause",
                  "lit_var", "lit_sign", "clause_len", "price_rows",
                  "price_first", "price", "pair_a", "pair_b", "pair_first",
-                 "pair_clause", "pair_var_a", "pair_var_b", "entry_error",
+                 "pair_clause", "pair_var_a", "pair_var_b", "entry_terms",
                  "clause_lits", "falsifies", "core_mark", "core_value",
                  "core_reason", "core_stamp", "color", "class_entries",
                  "_view")
@@ -290,7 +291,7 @@ class NodeState:
         self.instance = instance
         self.assignment = [FREE] * (n + 1)
         self.assignment[0] = TRUE  # truth slot, never reassigned
-        self.trail: list[int] = []
+        self.trail: list[tuple[int, list]] = []
         self.clause_free = list(instance.lengths)
         self.clause_status = [ACTIVE] * instance.num_clauses
         self.base_unsat = instance.empty_count
@@ -335,8 +336,9 @@ class NodeState:
         self.pair_clause = self.lit_clause[self.pair_a]
         self.pair_var_a = self.lit_var[self.pair_a]
         self.pair_var_b = self.lit_var[self.pair_b]
-        from .sdp import entry_error_bound  # sdp imports this module
-        self.entry_error = entry_error_bound(self)
+        self.entry_terms = (
+            int(np.bincount(self.lit_var)[1:].max(initial=0))
+            * (int(self.clause_len.max(initial=0)) + 1))
         self.clause_lits = [c.lits for c in instance.clauses]
         self.falsifies = [[j for j, sign in occ if sign != value]
                           for occ in instance.occurrences
@@ -404,7 +406,7 @@ class NodeState:
 
     def path(self, start: int = 0) -> tuple:
         """The trail from position `start` on as (variable, value) steps."""
-        return tuple((v, self.assignment[v]) for v in self.trail[start:])
+        return tuple((v, self.assignment[v]) for v, _ in self.trail[start:])
 
     def column_mask(self) -> np.ndarray:
         """The node's relaxation columns: truth column 0 and the free ones."""
@@ -432,18 +434,18 @@ class NodeState:
 
 
 class WatchedStack:
-    """Per-assignment undo records plus the instrumentation counter.
+    """The instrumentation counter of assign() and unassign_to().
 
-    assign() walks the assigned variable's occurrence list once; clauses that
-    are already satisfied or falsified cost a single status read (the O(1)
-    skip), so a full assignment of every variable touches exactly nnz
-    occurrence entries.
+    The undo records live on the node's trail, so any counter can roll a
+    node back.  assign() walks the assigned variable's occurrence list
+    once; clauses that are already satisfied or falsified cost a single
+    status read (the O(1) skip), so a full assignment of every variable
+    touches exactly nnz occurrence entries.
     """
 
-    __slots__ = ("undo", "touch_count")
+    __slots__ = ("touch_count",)
 
     def __init__(self):
-        self.undo: list[list[tuple[int, int]]] = []
         self.touch_count = 0
 
 
@@ -478,10 +480,9 @@ def assign(state: NodeState, ws: WatchedStack, var: int, value: int):
             moved.append((j, ACTIVE))
     ws.touch_count += len(occurrences)
     state.assignment[var] = value
-    state.trail.append(var)
+    state.trail.append((var, moved))
     state._view = None
     state.free_count -= 1
-    ws.undo.append(moved)
     return moved
 
 
@@ -494,8 +495,7 @@ def unassign_to(state: NodeState, ws: WatchedStack, trail_mark: int) -> None:
     if trail_mark < len(state.trail):
         state._view = None
     while len(state.trail) > trail_mark:
-        var = state.trail.pop()
-        moved = ws.undo.pop()
+        var, moved = state.trail.pop()
         ws.touch_count += len(moved)
         for j, new_status in moved:
             free[j] += 1

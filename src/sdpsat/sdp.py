@@ -23,7 +23,7 @@ For L <= 2, L' = L and t_j = -1 - (L - f), with L - f literals false:
 the Goemans-Williamson MAX2SAT form.
 NodeState's price table holds that loss's terms per (L, f): its view
 gathers each clause's row and each entry's coefficient once per node for
-every reader here (node_cost, LossTracker, rounding.node_unsat), and
+every reader (node_cost, bounds.LossTracker, rounding.node_unsat), and
 NodeState.price holds the rows for the scalar steps below a solved root.
 
 Minimizing one column with the rest held fixed has a closed form: with C
@@ -69,14 +69,12 @@ from, is repaired by the smallest eigenvalue shift (an eigensolve).
 The z-cache (per-clause sums z_j) and mixing_sweep, which updates the
 columns from it, are the z-form of the same sweep: a reference that no
 solve reads or writes.  The search's expansion below a solved root reads
-none of it either: a LossTracker prices each step from the factor's pair
-dot products, in O(clauses the step moves).
+none of it either: a bounds.LossTracker prices each step.  ZCache's
+assign_update is the one reader of a DFS step outside bounds.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -173,8 +171,8 @@ class ZCache:
     The z-form reference of the objective and the sweep (objective,
     mixing_sweep); no solve reads or writes it, so a reader rebuilds it
     first.  assign_update and revert move the rows along a descent; the
-    search prices its descents with a LossTracker instead, and the two are
-    independent references for each other.
+    search prices its descents with bounds.LossTracker instead, and the two
+    are independent references for each other.
 
     Rows are only read for ACTIVE clauses.  During a branch-and-bound descent
     the factor columns are frozen, so a clause that leaves the active set
@@ -235,97 +233,6 @@ class ZCache:
     def revert(self, undo) -> None:
         for j, row in undo:
             self.z[j] = row
-
-
-@functools.cache
-def clause_pairs(length: int) -> tuple:
-    """The entry pairs (p, q) of a clause of `length` literals, entry 0
-    being its truth entry, in the literal table's pair order."""
-    return tuple(itertools.combinations(range(length + 1), 2))
-
-
-class LossTracker:
-    """Active-clause losses along a DFS path below one solved root.
-
-    ||z_j||^2 expands into the squared coefficients of the clause's live
-    entries (every column has unit norm) plus twice the coefficient-weighted
-    dot products of its live pairs, so the loss is (base + 2 cross) w with
-    base and w from the clause's price row.  The tracker takes the
-    factor's dot product over every pair of the literal table that is live
-    at the root (truth pairs included) in one vectorized pass; an
-    assignment only kills entries, so no other pair is read below the root.
-    move() then reprices each moved clause from its L(L+1)/2 pairs and its
-    entry of NodeState.price in scalar steps, and keeps the objective
-    (base_unsat plus the active losses) running; revert() restores it
-    exactly.  `losses[j]` is meaningful only while clause j is active.  The
-    factor's columns must stay as they were at the seed, as they do during
-    an expansion.  No z-cache is read or written.
-    """
-
-    __slots__ = ("dots", "losses", "objective", "_undo")
-
-    def __init__(self, state: NodeState, factor: Factor):
-        a, b = state.pair_a, state.pair_b
-        active, _, live, price, coeff = state.view()
-        _, _, weight, _, _, base = price.T
-        coeff = np.where(live, coeff, 0.0)
-        V = factor.cols
-        dots = np.zeros(len(a))
-        pairs = np.flatnonzero(live[a] & live[b])
-        # take gathers rows at about a third of the cost of V[...]
-        dots[pairs] = np.vecdot(V.take(state.pair_var_a[pairs], axis=0),
-                                V.take(state.pair_var_b[pairs], axis=0))
-        cross = np.bincount(state.pair_clause, coeff[a] * coeff[b] * dots,
-                            minlength=len(state.clause_len))
-        losses = (base + 2.0 * cross) * weight
-        self.dots = dots.tolist()
-        self.losses = losses.tolist()
-        self.objective = state.base_unsat + math.fsum(losses[active].tolist())
-        self._undo: list = []
-
-    def move(self, state: NodeState, moved) -> float:
-        """Reprice the clauses of one assignment's transition list `moved`
-        (instance.assign's, already applied); returns the objective change.
-        An active clause with f free takes its coefficients, weight w and
-        integer part base from state.price[L][f]: its loss is
-        (base + 2 cross) w, cross the coefficient-weighted sum of its pair
-        dot products.  A clause that left has loss 1 when falsified and
-        leaves the objective when satisfied."""
-        losses, dots = self.losses, self.dots
-        assignment, clause_free = state.assignment, state.clause_free
-        clause_lits, price = state.clause_lits, state.price
-        pair_first = state.pair_first
-        saved = []
-        d_obj = 0.0
-        for j, new_status in moved:
-            old = losses[j]
-            if new_status != ACTIVE:
-                d_obj += (new_status == FALSIFIED) - old
-                continue
-            lits = clause_lits[j]
-            coeff = [0]
-            for lit in lits:
-                coeff.append(0 if assignment[abs(lit)] != FREE
-                             else 1 if lit > 0 else -1)
-            L = len(lits)
-            _, coeff[0], w, _, _, base = price[L][clause_free[j]]
-            pairs = clause_pairs(L)
-            t = pair_first[j]
-            cross = 0.0
-            for (p, q), dot in zip(pairs, dots[t:t + len(pairs)]):
-                cross += coeff[p] * coeff[q] * dot
-            new = (base + 2.0 * cross) * w
-            saved.append((j, old))
-            losses[j] = new
-            d_obj += new - old
-        self._undo.append((saved, self.objective))
-        self.objective += d_obj
-        return d_obj
-
-    def revert(self) -> None:
-        saved, self.objective = self._undo.pop()
-        for j, old in saved:
-            self.losses[j] = old
 
 
 def active_losses(state: NodeState, zcache: ZCache) -> np.ndarray:
@@ -435,11 +342,10 @@ def entry_error_bound(state: NodeState) -> float:
     L' = 2 and w = w' = 1/8 on both sides, t going from -1 to -2: exact.
     So an entry has at most L_j terms per clause holding both of its
     columns, and no more than N = (most occurrences of one variable) *
-    (longest clause + 1) in all; its error is below gamma_{2N+2} * N / 4.
+    (longest clause + 1) = NodeState.entry_terms in all; its error is
+    below gamma_{2N+2} * N / 4.
     """
-    occurrences = np.bincount(state.lit_var)[1:]
-    terms = (int(occurrences.max(initial=0))
-             * (int(state.clause_len.max(initial=0)) + 1))
+    terms = state.entry_terms
     return gamma(2 * terms + 2) * terms / 4.0
 
 
@@ -482,7 +388,7 @@ def node_cost(state: NodeState, order=None) -> NodeCost:
     matrix = pair_matrix(pos[state.pair_var_a[keep]],
                          pos[state.pair_var_b[keep]], value, len(index))
     offset = math.fsum(share[active].tolist()) + state.base_unsat
-    return NodeCost(index, matrix, offset, state.entry_error, slices)
+    return NodeCost(index, matrix, offset, entry_error_bound(state), slices)
 
 
 def dense_objective(cost: NodeCost, W: np.ndarray) -> float:

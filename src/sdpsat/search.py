@@ -16,30 +16,29 @@ unit-propagation cores (bounds.up_cores): the falsified clauses are unsat
 in every completion, and so is a clause of each core.  A popped root is
 priced by base_unsat plus its cores once, before its solve, and a root
 whose count meets the incumbent is pruned unsolved.  Otherwise its cores
-are carried down the DFS below it: a step drops the cores holding a clause
-it satisfied or falsified (a core whose clauses all stay active still
-refutes, as a shrunk clause only strengthens propagation) and adds its new
-unit clauses to a pending list, from which it drops those it removed.
-The pending units are propagated, outside the carried cores, only when
-there are at least as many as the cores a prune still lacks (each core
-holds its own unit, so fewer cannot prune), and are then cleared.  A
-child about to be emitted whose warm-started objective already meets the
-incumbent is first decided by its own certificate, taken from the parent's
-factor and the child's cost matrix exactly as a solve takes one between
-sweeps; when it prunes, the child is dropped instead of being queued,
-replayed and re-solved.
+are carried down the DFS below it (bounds.carry_step), with the new unit
+clauses of its steps pending.  The pending units are propagated, outside
+the carried cores, only when there are at least as many as the cores a
+prune still lacks (each core holds its own unit, so fewer cannot prune),
+and are then cleared.  A child about to be emitted whose warm-started
+objective already meets the incumbent is first decided by its own
+certificate, taken from the parent's factor and the child's cost matrix
+exactly as a solve takes one between sweeps; when it prunes, the child is
+dropped instead of being queued, replayed and re-solved.
 The child's cost matrix is derived from the one its root's solve built
 (ShiftLedger.child_cost), never rebuilt.  Every DFS step costs O(clauses it
-moves) in scalar steps, plus a propagation only where one could prune: the
-ShiftLedger prices its dual side and a LossTracker its primal side; neither
-a step nor a solve reads the z-cache.  A node is priced in stages, cheapest
-first, and the first stage that prunes ends its pricing: a leaf (no free
-variable) only updates the incumbent; any other node is first priced by
-base_unsat plus its carried cores, then, only if that does not prune, by
-the ledger's walk (the dual is the higher of the two), and only if that
-does not prune either by the tracker's walk, whose primal decides between
-expanding and emitting.  A walk is reverted only where it ran.  Every
-decided node, pruned at any stage, reaches bounds.decide once.
+moves) in scalar steps, plus a propagation only where one could prune.
+The walkers that decode a step live in bounds (ShiftLedger prices its
+dual side, LossTracker its primal side, carry_step its cores), and this
+module only stages them; neither a step nor a solve reads the z-cache.  A
+node is priced in stages, cheapest first, and the first stage that
+prunes ends its pricing: a leaf (no free variable) only updates the
+incumbent; any other node is first priced by base_unsat plus its carried
+cores, then, only if that does not prune, by the ledger's walk (the dual
+is the higher of the two), and only if that does not prune either by the
+tracker's walk, whose primal decides between expanding and emitting.  A
+walk is reverted only where it ran.  Every decided node, pruned at any
+stage, reaches bounds.decide once.
 
 Every prune compares a bound with one number, the floor best_unsat - 1 +
 PRUNE_TOL (bounds.prune_floor).  A prune decided by a certificate is
@@ -57,13 +56,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import Decision, ShiftLedger, decide, prune_floor, up_cores
+from .bounds import (Decision, LossTracker, ShiftLedger, carry_step, decide,
+                     prune_floor, up_cores)
 from .config import SolverConfig
-from .instance import (ACTIVE, FREE, TRUE, Instance, NodeState,
-                       WatchedStack, assign, evaluate, unassign_to)
+from .instance import (FREE, TRUE, Instance, NodeState, WatchedStack,
+                       assign, evaluate, unassign_to)
 from .rounding import best_rounding, rounding_budget
-from .sdp import (LossTracker, ZCache, active_losses, default_rank,
-                  init_factor, past, pruning_certificate, solve)
+from .sdp import (ZCache, active_losses, default_rank, init_factor, past,
+                  pruning_certificate, solve)
 
 # free variables split below each solved root (expand_root); read at call
 # time, so tests can patch it
@@ -128,21 +128,6 @@ class SearchStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def carry_step(state: NodeState, moved, cores: list,
-               units: list) -> tuple[list, list]:
-    """The carried cores and pending unit clauses after one DFS step
-    (`moved`, instance.assign's transition list; module doc): the cores
-    and units holding no clause the step satisfied or falsified, and the
-    step's new unit clauses added to the units."""
-    gone = {j for j, status in moved if status != ACTIVE}
-    if gone:
-        cores = [core for core in cores if gone.isdisjoint(core)]
-        units = [j for j in units if j not in gone]
-    free = state.clause_free
-    return cores, units + [j for j, status in moved
-                           if status == ACTIVE and free[j] == 1]
 
 
 class Searcher:
@@ -254,14 +239,10 @@ class Searcher:
         dropped if that prunes; its cost matrix is derived from the root's
         (`res.cost`) by the ledger.
 
-        A step costs O(clauses it moves): the ledger prices the dual side,
-        and a LossTracker seeded here from the solved factor keeps the
-        primal.  Neither reads the z-cache.  `cores`, the root's
-        unit-propagation cores from its pop, are carried down the DFS
-        (see the module doc).  Each decided node is priced cheapest first
-        and stops at the first stage that prunes: base_unsat plus its
-        carried cores, then ShiftLedger.apply, then LossTracker.move; a
-        leaf runs neither walk.  The children come back in search order;
+        The ledger and a LossTracker seeded here from the solved factor
+        walk each step, and `cores`, the root's unit-propagation cores from
+        its pop, are carried down the DFS, staged cheapest first as the
+        module doc says.  The children come back in search order;
         the caller pushes them so the first is popped first.  A deadline
         that stops the DFS with branches left emits the node where it
         stopped; each ancestor with a branch left then emits itself as

@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpsat import bounds, sdp, search
-from sdpsat.bounds import Decision, ShiftLedger, decide
+from sdpsat.bounds import Decision, LossTracker, ShiftLedger, decide
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
                              WatchedStack, assign, instance_from_clauses,
                              parse_dimacs, unassign_to)
 from sdpsat.oracle import dense_sdp_check, min_unsat_completion
-from sdpsat.sdp import (LossTracker, ZCache, dual_from_primal, init_factor,
-                        node_cost, objective, solve)
+from sdpsat.sdp import (ZCache, dual_from_primal, init_factor, node_cost,
+                        objective, solve)
 from sdpsat.search import Searcher
 from tests.test_sdp import fresh_solver_state, integral_factor, priced_length
 from tests.test_search import ceil_bound

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdpsat.instance
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSIFIED, FREE, SATISFIED, FALSE, TRUE,
@@ -185,18 +189,33 @@ def test_assign_non_free_rejected():
 
 
 def test_unassign_involution():
-    inst = parse_dimacs(EXAMPLE)
-    state, ws = NodeState(inst), WatchedStack()
-    snapshot = (list(state.assignment), list(state.clause_free),
-                list(state.clause_status), state.base_unsat, state.free_count)
-    mark = state.mark()
-    assign(state, ws, 1, FALSE)
-    assign(state, ws, 2, TRUE)
-    unassign_to(state, ws, mark)
-    assert (list(state.assignment), list(state.clause_free),
-            list(state.clause_status), state.base_unsat,
-            state.free_count) == snapshot
-    assert state.trail == []
+    """unassign_to restores the node exactly, also through another counter
+    than the one the steps were assigned through: the undo records live on
+    the node's trail, and the two counters' touches sum to one counter's."""
+    for inst, steps in ((parse_dimacs(EXAMPLE), ((1, FALSE), (2, TRUE))),
+                        (random_instance(12, 40, 2, seed=0),
+                         ((3, TRUE), (5, FALSE)))):
+        state, ws = NodeState(inst), WatchedStack()
+
+        def snapshot():
+            return (list(state.assignment), list(state.clause_free),
+                    list(state.clause_status), state.base_unsat,
+                    state.free_count)
+
+        before = snapshot()
+        mark = state.mark()
+        for var, value in steps:
+            assign(state, ws, var, value)
+        unassign_to(state, ws, mark)
+        assert snapshot() == before
+        assert state.trail == []
+        steps_ws, rollback_ws = WatchedStack(), WatchedStack()
+        for var, value in steps:
+            assign(state, steps_ws, var, value)
+        unassign_to(state, rollback_ws, mark)
+        assert snapshot() == before
+        assert state.trail == []
+        assert steps_ws.touch_count + rollback_ws.touch_count == ws.touch_count
 
 
 def test_unassign_noop_and_bad_mark():
@@ -204,7 +223,7 @@ def test_unassign_noop_and_bad_mark():
     state, ws = NodeState(inst), WatchedStack()
     assign(state, ws, 1, TRUE)
     unassign_to(state, ws, state.mark())  # no-op
-    assert state.trail == [1]
+    assert state.path() == ((1, TRUE),)
     with pytest.raises(ValueError):
         unassign_to(state, ws, 5)
 
@@ -325,3 +344,19 @@ def test_view_arrays_are_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = array[0]
+
+
+def test_instance_imports_no_solver_module():
+    """instance.py is the bottom layer: it imports no other module of the
+    package, neither at the top nor inside a function body."""
+    tree = ast.parse(Path(sdpsat.instance.__file__).read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            names = [node.module]
+        else:
+            names = [alias.name for alias in node.names]
+        assert not any(name.split(".")[0] == "sdpsat" for name in names)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpsat.bounds import ShiftLedger, prune_floor
+from sdpsat.bounds import LossTracker, ShiftLedger, prune_floor
 from sdpsat.config import SolverConfig
 from sdpsat.generate import random_instance
 from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
@@ -20,12 +20,12 @@ from sdpsat.instance import (ACTIVE, FALSE, FREE, TRUE, NodeState,
 from sdpsat.oracle import brute_force, dense_sdp_check, min_unsat_completion
 from sdpsat import sdp
 from sdpsat.rounding import node_unsat, round_once
-from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, LossTracker, ZCache,
-                        active_losses, certificate, clause_loss,
-                        default_rank, dense_objective, dense_sweep,
-                        dual_from_primal, init_factor, mixing_sweep,
-                        node_cost, objective, pruning_certificate, solve,
-                        sparse_sweep, sweep_plan)
+from sdpsat.sdp import (ZERO_UPDATE_NORM, Factor, ZCache, active_losses,
+                        certificate, clause_loss, default_rank,
+                        dense_objective, dense_sweep, dual_from_primal,
+                        init_factor, mixing_sweep, node_cost, objective,
+                        pruning_certificate, solve, sparse_sweep,
+                        sweep_plan)
 from sdpsat.search import Searcher, solve_complete
 from tests.test_search import ceil_bound, small_formulas
 

@@ -15,8 +15,8 @@ from sdpsat.generate import random_instance
 from sdpsat.instance import (FALSE, TRUE, assign, evaluate,
                              instance_from_clauses, parse_dimacs,
                              unassign_to)
-from sdpsat.oracle import (brute_force, brute_force_dense, dense_sdp_check,
-                           min_unsat_completion)
+from sdpsat.oracle import (BRUTE_FORCE_CAP, brute_force, brute_force_dense,
+                           dense_sdp_check, min_unsat_completion)
 from sdpsat.search import (OPTIMUM, TIMEOUT, Searcher, solve_complete,
                            solve_incomplete)
 
@@ -87,6 +87,38 @@ def test_complete_max3sat_small_batch():
         oracle_best, _ = brute_force(inst)
         assert status == OPTIMUM
         assert best.unsat == oracle_best, f"seed {seed}"
+
+
+# Exact optima of random_instance(n, m, 2, seed), the CI's two pools that no
+# brute force reaches (n above oracle.BRUTE_FORCE_CAP), computed once by an
+# independent MILP (perfbench/reference.py's milp_min_unsat: binary x_v, one
+# slack per clause; HiGHS through scipy 1.17.1).
+MILP_OPTIMA = {
+    (28, 112): (
+        7, 9, 5, 9, 9, 10, 8, 6, 11, 8, 9, 8, 9, 7, 9, 9, 6, 8, 9, 5,
+        9, 8, 11, 9, 8, 10, 8, 6, 7, 8, 8, 8, 10, 10, 10, 9, 4, 10, 8,
+        10, 10, 10, 7, 9, 10, 9, 10, 8, 7, 6, 7, 8, 6, 10, 9, 6, 9, 9,
+        8, 9, 11, 11, 7, 9, 8, 9, 9, 8, 9, 8, 6, 9, 8, 9, 6, 10, 7, 8,
+        10, 7, 8, 7, 7, 9, 11, 8, 8, 7, 10, 9, 8, 3, 10, 9, 10, 7, 7,
+        9, 10, 9),
+    (60, 600): (75, 82, 86),
+}
+
+
+def test_complete_matches_milp_optima_above_the_brute_force_cap():
+    """solve_complete proves exactly the MILP optima of formulas too large
+    for the brute-force oracle: seeds 0-99 at n=28, m=112 and 0-2 at n=60,
+    m=600 (MAX2SAT)."""
+    assert len(MILP_OPTIMA[28, 112]) == 100
+    assert sum(MILP_OPTIMA[28, 112]) == 834
+    assert sum(MILP_OPTIMA[60, 600]) == 243
+    for (n, m), optima in MILP_OPTIMA.items():
+        assert n > BRUTE_FORCE_CAP
+        for seed, optimum in enumerate(optima):
+            best, status, _ = solve_complete(random_instance(n, m, 2, seed),
+                                             SolverConfig(seed=0))
+            assert status == OPTIMUM
+            assert best.unsat == optimum, f"n={n} m={m} seed {seed}"
 
 
 def test_complete_timeout_returns_incumbent():
@@ -535,7 +567,7 @@ def test_walks_run_only_where_cheaper_stages_do_not_prune():
         walks = []  # (walk, path, free count, bound) since the last decide
         nodes = []  # ({walk: bound}, dual, verdict, base_unsat, floor)
         real_apply = bounds.ShiftLedger.apply
-        real_move = sdp.LossTracker.move
+        real_move = bounds.LossTracker.move
         real_decide = sdpsat.search.decide
 
         def apply(ledger, state, var, value, moved):
@@ -560,7 +592,7 @@ def test_walks_run_only_where_cheaper_stages_do_not_prune():
             return verdict
 
         with mock.patch.object(bounds.ShiftLedger, "apply", apply), \
-                mock.patch.object(sdp.LossTracker, "move", move), \
+                mock.patch.object(bounds.LossTracker, "move", move), \
                 mock.patch.object(sdpsat.search, "decide", decide):
             assert engine.run() == OPTIMUM
         assert walks == []
