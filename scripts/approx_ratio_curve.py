@@ -16,13 +16,16 @@ import csv
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from sdpsat.config import SolverConfig
-from sdpsat.generate import random_instance
-from sdpsat.rounding import node_unsat, round_once
-from sdpsat.search import Searcher
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sdpsat.config import SolverConfig  # noqa: E402
+from sdpsat.generate import random_instance  # noqa: E402
+from sdpsat.rounding import node_unsat, round_once  # noqa: E402
+from sdpsat.search import Searcher  # noqa: E402
 
 
 def ratio(sat: int, sat_upper: int) -> float:

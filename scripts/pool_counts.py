@@ -25,6 +25,9 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import fields  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sdpsat.config import SolverConfig  # noqa: E402
 from sdpsat.generate import random_instance  # noqa: E402

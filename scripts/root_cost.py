@@ -86,6 +86,8 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from sdpsat import sdp, search  # noqa: E402
 from sdpsat.bounds import (LossTracker, ShiftLedger, carry_step,  # noqa: E402
                            up_cores)

@@ -1,21 +1,3 @@
 """MAXSAT solving with a low-rank semidefinite relaxation inside branch and bound."""
 
-from .config import SolverConfig
-from .instance import (Clause, Instance, NodeState, ParseError, WatchedStack,
-                       assign, evaluate, instance_from_clauses, parse_dimacs,
-                       unassign_to)
-from .oracle import brute_force, brute_force_dense, dense_sdp_check
-from .search import (OPTIMUM, TIMEOUT, Incumbent, Searcher, SearchStats,
-                     solve_complete, solve_incomplete)
-from .sdp import Factor, SdpResult, ZCache, default_rank, init_factor
-
-__all__ = [
-    "Clause", "Factor", "Incumbent", "Instance", "NodeState", "OPTIMUM",
-    "ParseError", "SdpResult", "Searcher", "SearchStats", "SolverConfig",
-    "TIMEOUT", "WatchedStack", "ZCache", "assign", "brute_force",
-    "brute_force_dense", "default_rank", "dense_sdp_check", "evaluate",
-    "init_factor", "instance_from_clauses", "parse_dimacs", "solve_complete",
-    "solve_incomplete", "unassign_to",
-]
-
 __version__ = "0.1.0"

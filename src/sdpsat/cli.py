@@ -14,6 +14,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ def cmd_solve(args) -> int:
         lits = (str(v if best.assignment[v] > 0 else -v)
                 for v in range(1, instance.num_vars + 1))
         print("v " + " ".join(lits), flush=True)
-    for key, value in stats.as_dict().items():
+    for key, value in asdict(stats).items():
         print(f"stats {key}={value}", file=sys.stderr)
     return 0 if best is not None else 1
 

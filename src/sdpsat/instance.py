@@ -129,6 +129,13 @@ def instance_from_clauses(num_vars: int, clause_lists,
     return Instance(num_vars, clauses, tautologies, empties, weight)
 
 
+def _check_ascii_ints(tokens) -> None:
+    """Reject what int() reads but DIMACS does not: "_", non-ASCII digits."""
+    for token in tokens:
+        if not token.isascii() or "_" in token:
+            raise ParseError(f"bad integer token {token!r}")
+
+
 def parse_dimacs(text: str) -> Instance:
     """Parse DIMACS CNF or uniform-weight WCNF text into an Instance.
 
@@ -151,10 +158,13 @@ def parse_dimacs(text: str) -> Instance:
             continue
         if stripped.startswith("%"):
             break
+        tokens = stripped.split()
+        if not stripped.isascii() or "_" in stripped:  # rare: check tokens
+            _check_ascii_ints(tokens[2:5 if tokens[1:2] == ["wcnf"] else 4]
+                              if stripped.startswith("p") else tokens)
         if stripped.startswith("p"):
             if num_vars is not None:
                 raise ParseError("duplicate problem line")
-            tokens = stripped.split()
             if len(tokens) < 4 or tokens[1] not in ("cnf", "wcnf"):
                 raise ParseError(f"malformed header: {stripped!r}")
             try:
@@ -173,7 +183,7 @@ def parse_dimacs(text: str) -> Instance:
             continue
         if num_vars is None:
             raise ParseError(f"clause data before problem line: {stripped!r}")
-        for token in stripped.split():
+        for token in tokens:
             if expecting_weight:
                 try:
                     w = int(token)
@@ -203,7 +213,7 @@ def parse_dimacs(text: str) -> Instance:
                 current.append(lit)
     if num_vars is None:
         raise ParseError("missing problem line")
-    if current:
+    if current or (is_wcnf and not expecting_weight):
         raise ParseError("last clause not zero-terminated")
     return instance_from_clauses(num_vars, clause_lists, weight_seen or 1)
 

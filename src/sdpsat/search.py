@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,9 +125,6 @@ class SearchStats:
     certificates: int = 0
     roundings: int = 0
     wall_time: float = 0.0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class Searcher:

@@ -105,8 +105,10 @@ def test_solve_missing_file(capsys):
 def test_solve_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.cnf"
     # an out-of-range literal; two contradictory hard clauses (weight >= top),
-    # which are infeasible, not a soft optimum of 1
-    for text in ("p cnf 1 1\n7 0\n", "p wcnf 1 2 9\n9 1 0\n9 -1 0\n"):
+    # which are infeasible, not a soft optimum of 1; a literal 1_0, which
+    # int() would read as 10
+    for text in ("p cnf 1 1\n7 0\n", "p wcnf 1 2 9\n9 1 0\n9 -1 0\n",
+                 "p cnf 20 1\n1_0 -2 0\n"):
         path.write_text(text)
         code, out, err = run_cli(["solve", str(path)], capsys)
         assert code == 2

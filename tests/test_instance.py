@@ -124,6 +124,34 @@ def test_parse_wcnf_bad_top_rejected(top):
         parse_dimacs(f"p wcnf 1 1 {top}\n1 1 0")
 
 
+@pytest.mark.parametrize("text", [
+    "p cnf 20 1\n1_0 -2 0",  # int() reads 1_0 as 10
+    "p cnf 1_2 1\n3 0",  # ... and a header count 1_2 as 12
+    "p cnf 3 1\n١ ٢ 0",  # ... and Arabic-Indic digits as 1, 2
+    "p wcnf 2 1\n3_0 1 0",  # ... and a weight 3_0 as 30
+    "p wcnf 2 1 ١٠\n3 1 0",  # ... and a top 10 in Arabic-Indic digits
+])
+def test_parse_non_dimacs_integer_rejected(text):
+    """Integers are ASCII digits with an optional sign, as DIMACS has them,
+    not everything Python's int() reads."""
+    with pytest.raises(ParseError, match="bad integer token"):
+        parse_dimacs(text)
+
+
+def test_parse_non_ascii_outside_integers_accepted():
+    """Comments may hold anything, and Unicode whitespace still separates
+    tokens: only the integers themselves must be ASCII."""
+    inst = parse_dimacs("c café 1_0\np cnf 2 1\n+1\u00a0-2 0\n")
+    assert [c.lits for c in inst.clauses] == [(1, -2)]
+
+
+def test_parse_wcnf_trailing_weight_rejected():
+    """A weight that opens a clause the file never ends is an unterminated
+    clause, as a CNF clause without its 0 is."""
+    with pytest.raises(ParseError, match="not zero-terminated"):
+        parse_dimacs("p wcnf 2 1\n3 1 0\n3\n")
+
+
 def test_evaluate_example():
     inst = parse_dimacs(EXAMPLE)
     # brute-check: v = (T, F) leaves exactly (-1, 2) unsatisfied

@@ -94,6 +94,19 @@ def test_scripts_reject_bad_counts(name, args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["pool_counts.py", "root_cost.py",
+                                  "approx_ratio_curve.py"])
+def test_script_runs_from_a_plain_checkout(name, tmp_path):
+    """Each script puts the checkout's src first on sys.path, so it runs
+    with PYTHONPATH unset and the package not installed.  Where the package
+    is installed (as in CI) this passes either way."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), "--help"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pool_counts_smoke():
     proc = run_script("pool_counts.py", "--n", "8", "--m", "40",
                       "--length", "3", "--first", "3", "--count", "2",

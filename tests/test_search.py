@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -364,7 +365,7 @@ def test_incomplete_runs_the_complete_search():
             seen = []
             best, *_, stats = solver(inst, SolverConfig(seed=seed),
                                      lambda inc: seen.append(inc.unsat))
-            counters = stats.as_dict()
+            counters = asdict(stats)
             del counters["wall_time"]
             runs.append((best.assignment, best.unsat, seen, counters))
         assert runs[0] == runs[1], f"seed {seed}"
