@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .generate import random_clauses, random_instance, render_dimacs
-from .instance import ParseError, parse_dimacs
+from .instance import Instance, ParseError, parse_dimacs
 from .oracle import BRUTE_FORCE_CAP, brute_force_dense
 from .search import (COMPLETE, INCOMPLETE, OPTIMUM, solve_complete,
                      solve_incomplete)
@@ -40,6 +40,17 @@ def _config_from(args) -> SolverConfig | None:
         return None
 
 
+def _read(path) -> Instance | None:
+    """The formula in the file at `path`, or None after an error line."""
+    try:
+        return parse_dimacs(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+    except ParseError as exc:
+        print(f"parse error in {path}: {exc}", file=sys.stderr)
+    return None
+
+
 def _run(instance, config, mode, emit):
     """One search in `mode`, calling emit(incumbent) on each improvement:
     (best incumbent or None, whether it is a proved optimum, stats)."""
@@ -55,13 +66,8 @@ def cmd_solve(args) -> int:
     config = _config_from(args)
     if config is None:
         return 2
-    try:
-        instance = parse_dimacs(Path(args.input).read_text())
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"parse error in {args.input}: {exc}", file=sys.stderr)
+    instance = _read(args.input)
+    if instance is None:
         return 2
 
     def emit(incumbent):
@@ -98,11 +104,12 @@ def cmd_generate(args) -> int:
 
 
 def _bench_inputs(args):
-    """(name, instance) pairs from a directory or the generator settings."""
+    """(name, instance) pairs from a directory or the generator settings;
+    the instance is None for a file that cannot be read (see _read)."""
     if args.dir:
         paths = sorted(p for p in Path(args.dir).iterdir()
                        if p.suffix in (".cnf", ".wcnf", ".dimacs"))
-        return [(p.name, parse_dimacs(p.read_text())) for p in paths]
+        return [(p.name, _read(p)) for p in paths]
     if args.gen_count:
         if args.gen_count < 0:
             raise ValueError(f"negative instance count {args.gen_count}")
@@ -122,11 +129,12 @@ def cmd_bench(args) -> int:
         return 2
     try:
         inputs = _bench_inputs(args)
-    except (OSError, ValueError) as exc:  # ParseError is a ValueError
+    except (OSError, ValueError) as exc:
         print(f"bench input error: {exc}", file=sys.stderr)
         return 2
     if not inputs:
         print("empty input set", file=sys.stderr)
+    if not inputs or any(instance is None for _, instance in inputs):
         return 2
     writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS, restval="")
     writer.writeheader()

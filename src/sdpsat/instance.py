@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,93 +130,75 @@ def instance_from_clauses(num_vars: int, clause_lists,
     return Instance(num_vars, clauses, tautologies, empties, weight)
 
 
-def _check_ascii_ints(tokens) -> None:
-    """Reject what int() reads but DIMACS does not: "_", non-ASCII digits."""
+def _ints(line: str) -> list[int]:
+    """The line's integers by the DIMACS rule: ASCII digits after an optional
+    sign.  Where a line has no "_" and no non-ASCII, int() reads just that."""
+    tokens = line.split()
+    if line.isascii() and "_" not in line:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
     for token in tokens:
-        if not token.isascii() or "_" in token:
+        if not re.fullmatch(r"[+-]?[0-9]+", token):
             raise ParseError(f"bad integer token {token!r}")
+    return list(map(int, tokens))
 
 
 def parse_dimacs(text: str) -> Instance:
     """Parse DIMACS CNF or uniform-weight WCNF text into an Instance.
 
     Comment lines start with 'c'; a '%' line terminates the file (SATLIB
-    convention).  WCNF clauses must all carry the same weight, below the
-    header's `top` if it gives one -- weighted and partial MAXSAT (a clause
-    of weight >= top is hard) are rejected rather than silently mis-solved.
+    convention).  The first other line is the problem line, and the file
+    holds exactly the clauses it counts.  WCNF clauses must all carry the
+    same weight, below the header's `top` if it gives one -- weighted and
+    partial MAXSAT (a clause of weight >= top is hard) are rejected rather
+    than silently mis-solved.
     """
-    num_vars = None
-    is_wcnf = False
-    top = None
-    clause_lists: list[list[int]] = []
-    weight_seen: int | None = None
-    current: list[int] = []
-    expecting_weight = False
-
+    lines = []
     for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
+        line = line.strip()
+        if not line or line[0] == "c":
             continue
-        if stripped.startswith("%"):
+        if line[0] == "%":
             break
-        tokens = stripped.split()
-        if not stripped.isascii() or "_" in stripped:  # rare: check tokens
-            _check_ascii_ints(tokens[2:5 if tokens[1:2] == ["wcnf"] else 4]
-                              if stripped.startswith("p") else tokens)
-        if stripped.startswith("p"):
-            if num_vars is not None:
-                raise ParseError("duplicate problem line")
-            if len(tokens) < 4 or tokens[1] not in ("cnf", "wcnf"):
-                raise ParseError(f"malformed header: {stripped!r}")
-            try:
-                num_vars = int(tokens[2])
-                int(tokens[3])
-            except ValueError as exc:
-                raise ParseError(f"malformed header: {stripped!r}") from exc
-            if num_vars < 0:
-                raise ParseError("negative variable count")
-            is_wcnf = tokens[1] == "wcnf"
-            if is_wcnf and len(tokens) > 4:
-                if not tokens[4].isdecimal() or int(tokens[4]) <= 0:
-                    raise ParseError(f"bad top weight {tokens[4]!r}")
-                top = int(tokens[4])
-            expecting_weight = is_wcnf
-            continue
-        if num_vars is None:
-            raise ParseError(f"clause data before problem line: {stripped!r}")
-        for token in tokens:
-            if expecting_weight:
-                try:
-                    w = int(token)
-                except ValueError as exc:
-                    raise ParseError(f"bad weight token {token!r}") from exc
-                if w <= 0:
-                    raise ParseError(f"non-positive clause weight {w}")
-                if top is not None and w >= top:
-                    raise ParseError(f"hard clause (weight {w} >= top {top}):"
-                                     " partial MAXSAT unsupported")
-                if weight_seen is None:
-                    weight_seen = w
-                elif w != weight_seen:
-                    raise ParseError(
-                        "non-uniform soft weights: weighted MAXSAT unsupported")
-                expecting_weight = False
-                continue
-            try:
-                lit = int(token)
-            except ValueError as exc:
-                raise ParseError(f"bad literal token {token!r}") from exc
-            if lit == 0:
+        lines.append(line)
+    header = lines[0].split() if lines and lines[0][0] == "p" else []
+    if len(header) < 4 or header[1] not in ("cnf", "wcnf"):
+        raise ParseError(f"missing or malformed problem line: {lines[:1]}")
+    num_vars, count = _ints(" ".join(header[2:4]))
+    if num_vars < 0 or count < 0:
+        raise ParseError(f"negative count in header: {lines[0]!r}")
+    is_wcnf = header[1] == "wcnf"
+    top = None
+    if is_wcnf and len(header) > 4:
+        top = _ints(header[4])[0] if header[4].isdecimal() else 0
+        if top <= 0:
+            raise ParseError(f"bad top weight {header[4]!r}")
+    clause_lists, current = [], []
+    for line in lines[1:]:  # a second problem line is a bad integer 'p'
+        for x in _ints(line):
+            if x:
+                current.append(x)
+            else:
                 clause_lists.append(current)
                 current = []
-                expecting_weight = is_wcnf
-            else:
-                current.append(lit)
-    if num_vars is None:
-        raise ParseError("missing problem line")
-    if current or (is_wcnf and not expecting_weight):
+    if current:
         raise ParseError("last clause not zero-terminated")
-    return instance_from_clauses(num_vars, clause_lists, weight_seen or 1)
+    if len(clause_lists) != count:
+        raise ParseError(f"{len(clause_lists)} clauses, header says {count}")
+    if not is_wcnf or not clause_lists:
+        return instance_from_clauses(num_vars, clause_lists)
+    # a weight 0 ends its clause at once: an empty list, read as weight 0
+    weights = [c[0] if c else 0 for c in clause_lists]
+    low, high = min(weights), max(weights)
+    if low <= 0:
+        raise ParseError(f"non-positive clause weight {low}")
+    if top is not None and high >= top:
+        raise ParseError(f"hard clause (weight {high} >= top {top})")
+    if low != high:
+        raise ParseError("non-uniform weights: weighted MAXSAT unsupported")
+    return instance_from_clauses(num_vars, [c[1:] for c in clause_lists], low)
 
 
 def current_length(length, free):

@@ -119,9 +119,6 @@ class Factor:
     def copy(self) -> "Factor":
         return Factor(self.cols.copy())
 
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.cols, axis=1)
-
 
 def default_rank(n: int) -> int:
     """Smallest rank strictly above sqrt(2 * columns), columns = n + 1."""
@@ -508,7 +505,6 @@ class SdpResult:
     # None when the deadline passed before a certificate was taken
     cert: DualCert | None
     sweeps_used: int
-    est_gap: float
     converged: bool
     # the node's cost matrix, built before the first sweep
     cost: NodeCost
@@ -704,7 +700,6 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     certificates = 0
     # without an off-diagonal entry there is nothing to sweep
     converged = not cost.matrix.any()
-    est_gap = 0.0 if converged else math.inf
     prev_delta = None
     sweeps = 0
     while not converged and sweeps < max_sweeps and not past(deadline):
@@ -718,7 +713,6 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
         trace.append(f_new)
         f_cur = f_new
         if delta <= 1e-15:
-            est_gap = max(delta, 0.0)
             converged = True
             break
         if prev_delta is not None and prev_delta > 0.0:
@@ -737,5 +731,5 @@ def solve(state: NodeState, factor: Factor, zcache: ZCache,
     if not pruned and not past(deadline):
         cert = certificate(cost, factor)
         certificates += 1
-    return SdpResult(f_cur, cert, sweeps, est_gap, converged, cost, trace,
+    return SdpResult(f_cur, cert, sweeps, converged, cost, trace,
                      pruned=pruned, certificates=certificates, dense=dense)

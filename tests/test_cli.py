@@ -106,9 +106,11 @@ def test_solve_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.cnf"
     # an out-of-range literal; two contradictory hard clauses (weight >= top),
     # which are infeasible, not a soft optimum of 1; a literal 1_0, which
-    # int() would read as 10
+    # int() would read as 10; fewer and more clauses than the problem line
+    # counts, and a negative count
     for text in ("p cnf 1 1\n7 0\n", "p wcnf 1 2 9\n9 1 0\n9 -1 0\n",
-                 "p cnf 20 1\n1_0 -2 0\n"):
+                 "p cnf 20 1\n1_0 -2 0\n", "p cnf 3 5\n1 0\n-1 2 0\n3 0\n",
+                 "p cnf 3 1\n1 0\n2 0\n", "p cnf 3 -1\n"):
         path.write_text(text)
         code, out, err = run_cli(["solve", str(path)], capsys)
         assert code == 2
@@ -369,6 +371,19 @@ def test_bench_directory(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len([r for r in rows if r["kind"] == "instance"]) == 3
+
+
+def test_bench_directory_names_the_bad_file(tmp_path, capsys):
+    """A file bench cannot parse is named on its one error line, and no
+    row is written."""
+    (tmp_path / "good.cnf").write_text(TRIANGLE)
+    bad = tmp_path / "bad.cnf"
+    bad.write_text("p cnf 2 1\n1 x 0\n")
+    code, out, err = run_cli(["bench", "--dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"parse error in {bad}: ")
+    assert err.count("\n") == 1
 
 
 def test_bench_empty_input(tmp_path, capsys):

@@ -152,6 +152,68 @@ def test_parse_wcnf_trailing_weight_rejected():
         parse_dimacs("p wcnf 2 1\n3 1 0\n3\n")
 
 
+@pytest.mark.parametrize("text", [
+    "p cnf 3 5\n1 0\n2 0\n3 0\n",  # fewer clauses than the header counts
+    "p cnf 3 1\n1 0\n2 0\n",  # more
+    "p cnf 3 -1\n",  # a negative count
+    "p wcnf 3 5 9\n1 1 0\n1 2 0\n1 3 0\n",
+    "p wcnf 3 1 9\n1 1 0\n1 2 0\n",
+    "p wcnf 3 -1 9\n",
+])
+def test_parse_clause_count_must_match_header(text):
+    """A file holds exactly the clauses its problem line counts: one cut
+    short after a clause, or with clauses added, is not solved as read."""
+    with pytest.raises(ParseError):
+        parse_dimacs(text)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """(text, num_vars, clause lists, weight, cut offsets): a CNF or
+    uniform-weight WCNF formula rendered with comments and blank lines
+    mixed in, clauses split over lines or sharing one, and an optional '%'
+    tail; a cut offset ends the text just after a clause's terminating 0,
+    one per clause but the last."""
+    n = draw(st.integers(1, 12))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lit, max_size=5), max_size=8))
+    weight = draw(st.integers(1, 50)) if draw(st.booleans()) else None
+    # any top above the weight, and any positive one if no clause has it
+    top = "" if weight is None or draw(st.booleans()) else " " + str(
+        draw(st.integers(weight + 1 if clauses else 1, weight + 100)))
+    kind = "cnf" if weight is None else "wcnf"
+    text = draw(st.sampled_from(["", "c a comment\n", "\n  \n"]))
+    text += f"p {kind} {n} {len(clauses)}{top}\n"
+    cuts = []
+    for clause in clauses:
+        prefix = [] if weight is None else [weight]
+        for token in [*prefix, *clause, 0]:
+            text += draw(st.sampled_from([" ", " ", "\n", "\n\nc 1 0\n"]))
+            text += str(token)
+        cuts.append(len(text))
+    text += "\n" + draw(st.sampled_from(["", "%\n0\n", "c 5 0 end\n"]))
+    # a file without clauses has no weight to read: it is 1, as in CNF
+    return text, n, clauses, weight if weight and clauses else 1, cuts[:-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dimacs_texts())
+def test_parse_round_trip(case):
+    """A rendered formula parses to exactly the Instance of its clauses,
+    and the same text cut after any clause but the last is rejected."""
+    text, n, clauses, weight, cuts = case
+    inst = parse_dimacs(text)
+    ref = instance_from_clauses(n, clauses, weight)
+    assert inst.num_vars == ref.num_vars
+    assert inst.clauses == ref.clauses
+    assert inst.weight == ref.weight
+    assert inst.empty_count == ref.empty_count
+    assert inst.tautology_count == ref.tautology_count
+    for cut in cuts:
+        with pytest.raises(ParseError):
+            parse_dimacs(text[:cut])
+
+
 def test_evaluate_example():
     inst = parse_dimacs(EXAMPLE)
     # brute-check: v = (T, F) leaves exactly (-1, 2) unsatisfied

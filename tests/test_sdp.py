@@ -89,7 +89,7 @@ def test_init_factor_deterministic():
 
 def test_init_factor_unit_norms_and_truth_column():
     f = init_factor(50, 7, seed=1)
-    assert np.allclose(f.column_norms(), 1.0, atol=1e-9)
+    assert np.allclose(np.linalg.norm(f.cols, axis=1), 1.0, atol=1e-9)
     assert np.array_equal(f.cols[0], np.eye(7)[0])
 
 
@@ -304,7 +304,7 @@ def test_mixing_sweep_monotone_descent(seed, shuffle):
         f_new = mixing_sweep(state, factor, zc, order)
         assert f_new <= f_prev + 1e-12
         f_prev = f_new
-    assert np.allclose(factor.column_norms(), 1.0, atol=1e-9)
+    assert np.allclose(np.linalg.norm(factor.cols, axis=1), 1.0, atol=1e-9)
 
 
 @settings(max_examples=15, deadline=None)
